@@ -13,16 +13,23 @@ use std::hint::black_box;
 fn bench_matmul() {
     let mut group = TimingHarness::new("matmul");
     let mut rng = SeededRng::new(1);
-    for &n in &[32usize, 128, 256] {
+    for &n in &[32usize, 128, 256, 512] {
         let a = Tensor::randn(&[n, n], &mut rng);
         let b = Tensor::randn(&[n, n], &mut rng);
         group.case(&format!("square/{n}"), || black_box(a.matmul(&b)));
     }
     // The im2col GEMMs that dominate LeNet-5 / ConvNet-7 forward passes:
-    // weight [F, C·K·K] times unfolded patches [C·K·K, N·OH·OW].
+    // weight [F, C·K·K] times unfolded patches [C·K·K, N·OH·OW]. Then the
+    // 40-model campaign's own products (10 test patterns per model): its
+    // conv layers, a dense layer (patterns [10, in] times weight
+    // [in, out]) and a 10-class head. All have few output rows.
     for &(label, m, k, n) in &[
         ("lenet5_conv2_b16", 16usize, 150usize, 3136usize),
         ("convnet7_conv_b16", 32, 288, 4096),
+        ("lenet5_conv0", 6, 25, 7840),
+        ("convnet7_conv2", 16, 144, 10240),
+        ("mlp4_fc0", 10, 784, 256),
+        ("head_10class", 10, 84, 10),
     ] {
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);

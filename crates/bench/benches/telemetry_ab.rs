@@ -10,9 +10,8 @@
 //!   heaviest kernel of the forward pass; isolates the per-call cost of
 //!   the GEMM dispatch counters and spans.
 //!
-//! `scripts/ci.sh --bench-smoke` folds the JSON report into
-//! `BENCH_pr5.json`; the off/on deltas are the overhead numbers quoted in
-//! the PR description.
+//! The off/on deltas back DESIGN.md §7's claim that the disabled path
+//! costs less than the host's timing noise.
 
 use healthmon::{Detector, SdcCriterion, TestPatternSet};
 use healthmon_bench::timing::TimingHarness;

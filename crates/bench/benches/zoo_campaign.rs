@@ -6,8 +6,7 @@
 //! small synthetic pattern set shaped for that architecture, and times a
 //! bounded fault-detection campaign (programming-variation faults, SDC-1
 //! and SDC-A criteria) — the same work one fleet device does per checkup,
-//! minus aging. `scripts/ci.sh --bench-smoke` folds the JSON report into
-//! `BENCH_pr10.json`.
+//! minus aging.
 
 use healthmon::{Detector, SdcCriterion, TestPatternSet};
 use healthmon_bench::timing::TimingHarness;

@@ -49,9 +49,8 @@ fn records() -> &'static Mutex<Vec<Record>> {
 
 /// Whether the benches run in short "smoke" mode
 /// (`HEALTHMON_BENCH_SMOKE=1`): samples are capped at 2 and calibration
-/// budgets shrink, so a full bench binary finishes in seconds. CI uses
-/// this to prove the benches run without panicking and to refresh
-/// `BENCH_pr2.json`.
+/// budgets shrink, so a full bench binary finishes in seconds, enough to
+/// prove it runs without panicking.
 pub fn smoke_mode() -> bool {
     static SMOKE: OnceLock<bool> = OnceLock::new();
     *SMOKE.get_or_init(|| {
@@ -62,9 +61,8 @@ pub fn smoke_mode() -> bool {
 /// Writes every measurement recorded so far as a JSON array to the path
 /// named by `HEALTHMON_BENCH_JSON` (no-op when the variable is unset).
 ///
-/// Each bench binary calls this at the end of `main`; `scripts/ci.sh
-/// --bench-smoke` points the variable at a scratch file and assembles
-/// `BENCH_pr2.json` from the per-binary reports.
+/// Each bench binary calls this at the end of `main`; the
+/// `artifacts/bench_pr*_ab_*.json` baselines were written this way.
 pub fn write_json_report() {
     let Ok(path) = std::env::var("HEALTHMON_BENCH_JSON") else { return };
     let recs = records().lock().unwrap();

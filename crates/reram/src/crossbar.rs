@@ -3,7 +3,7 @@
 
 use crate::quant::{narrow_i16, round_fast, ROUND_MAGIC_LIMIT};
 use crate::{CrossbarConfig, IrDropModel, ParityCheck, Quantizer, ScrubOutcome};
-use healthmon_tensor::{fastmath, intacc, pool, PackedB, SeededRng, Tensor};
+use healthmon_tensor::{fastmath, intacc, pool, SeededRng, Tensor};
 use healthmon_telemetry as tel;
 use std::sync::OnceLock;
 
@@ -33,9 +33,9 @@ static ADC_SATURATION: tel::Gauge =
 // machine-dependent, so unlike the work counters above these are
 // Volatile — excluded from the stable byte-comparison surface and
 // served live through the metrics exporter (p50/p95/p99).
-static PHASE_DAC_NS: tel::Histogram =
+pub(crate) static PHASE_DAC_NS: tel::Histogram =
     tel::Histogram::new("phase.dac_ns", tel::Stability::Volatile);
-static PHASE_ACCUMULATE_NS: tel::Histogram =
+pub(crate) static PHASE_ACCUMULATE_NS: tel::Histogram =
     tel::Histogram::new("phase.accumulate_ns", tel::Stability::Volatile);
 static PHASE_ADC_NS: tel::Histogram =
     tel::Histogram::new("phase.adc_ns", tel::Stability::Volatile);
@@ -124,16 +124,13 @@ const INT_PAR_THRESHOLD: usize = 1 << 18;
 #[derive(Debug, Clone)]
 pub(crate) struct ExecState {
     /// Effective weight matrix `(g_pos − g_neg) · scale`, with any stored
-    /// IR-drop attenuation folded in per cell — the `f32` reference path.
-    /// Built on first use: integer-capable tiles often never touch it
-    /// (weight read-back and the `f32` path are the only consumers).
+    /// IR-drop attenuation folded in per cell — the `f32` reference path
+    /// multiplies it in place. Built on first use: integer-capable tiles
+    /// often never touch it (weight read-back and the `f32` path are the
+    /// only consumers), and campaign workloads build thousands of
+    /// short-lived tiles that must not pay for an operand they will not
+    /// use.
     diff: OnceLock<Tensor>,
-    /// `diff` panel-packed once on first `f32`-path product, so repeated
-    /// products skip the per-call pack that dominated small-tile matvec
-    /// cost. Lazy because integer-path tiles never touch it — campaign
-    /// workloads build thousands of short-lived tiles and must not pay
-    /// for a GEMM operand they will not use.
-    packed: OnceLock<PackedB>,
     /// Integer-domain state when the config supports it (see
     /// [`CrossbarConfig::integer_path_capable`]); `None` also when any
     /// conductance is non-finite, which only the `f32` path propagates
@@ -274,11 +271,11 @@ pub struct Crossbar {
     /// Lazily-computed execution state shared by every inference through
     /// the tile: the effective weight matrix `(g_pos − g_neg) · scale`
     /// (in exact cell mode bitwise the programmed weights, making the
-    /// crossbar product bit-identical to the digital one), its packed-GEMM
-    /// image, and — on integer-capable configs — the quantized conductance
-    /// codes of the i32 fast path. Every conductance mutator replaces the
-    /// cell with a fresh empty one, so stale state can never be read after
-    /// fault injection.
+    /// crossbar product bit-identical to the digital one) and — on
+    /// integer-capable configs — the quantized conductance codes of the
+    /// i32 fast path. Every conductance mutator replaces the cell with a
+    /// fresh empty one, so stale state can never be read after fault
+    /// injection.
     exec_cache: OnceLock<ExecState>,
     /// Pristine integer image captured at program time: on noise-free
     /// integer-capable configs every conductance lands exactly on the cell
@@ -497,9 +494,8 @@ impl Crossbar {
         }
     }
 
-    /// The execution state (differential matrix, packed GEMM operand,
-    /// integer codes), computed on first use and cached until the next
-    /// conductance mutation.
+    /// The execution state (differential matrix, integer codes), computed
+    /// on first use and cached until the next conductance mutation.
     pub(crate) fn exec(&self) -> &ExecState {
         CACHE_LOOKUPS.inc();
         let capable = self.config.integer_path_capable();
@@ -537,13 +533,6 @@ impl Crossbar {
         })
     }
 
-    /// The panel-packed GEMM operand of [`Crossbar::diff`], built on first
-    /// `f32`-path product.
-    fn packed(&self) -> &PackedB {
-        let exec = self.exec();
-        exec.packed.get_or_init(|| PackedB::pack(self.diff()))
-    }
-
     /// Drops the cached execution state after a conductance (or IR-drop
     /// model) mutation.
     fn invalidate_cache(&mut self) {
@@ -558,7 +547,7 @@ impl Crossbar {
     }
 
     fn build_exec(&self) -> ExecState {
-        ExecState { diff: OnceLock::new(), packed: OnceLock::new(), int: self.build_int() }
+        ExecState { diff: OnceLock::new(), int: self.build_int() }
     }
 
     /// Extracts the integer-domain image of the tile, or `None` when the
@@ -872,17 +861,17 @@ impl Crossbar {
                 PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
             let t_acc = tel::enabled().then(std::time::Instant::now);
-            let out = v.matmul_prepacked(self.packed());
+            let out = v.matmul(self.diff());
             if let Some(t0) = t_acc {
                 PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
             out
         } else {
             // Analog accumulate directly in the weight domain: the cached
-            // packing already carries the (g+ − g−)·scale fold, so one
-            // GEMM yields I_bj·scale = Σ_i v_bi (g+_ij − g−_ij)·scale.
+            // differential matrix already carries the (g+ − g−)·scale fold,
+            // so one GEMM yields I_bj·scale = Σ_i v_bi (g+_ij − g−_ij)·scale.
             let t_acc = tel::enabled().then(std::time::Instant::now);
-            let out = input.matmul_prepacked(self.packed());
+            let out = input.matmul(self.diff());
             if let Some(t0) = t_acc {
                 PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }

@@ -1,6 +1,7 @@
 //! Tiled mapping of arbitrary weight matrices onto fixed-geometry
 //! crossbar tiles.
 
+use crate::crossbar::{PHASE_ACCUMULATE_NS, PHASE_DAC_NS};
 use crate::{CellFault, Crossbar, CrossbarConfig, IrDropModel, ScrubOutcome};
 use healthmon_tensor::{SeededRng, Tensor};
 use healthmon_telemetry as tel;
@@ -245,10 +246,17 @@ impl TiledMatrix {
         if !self.tiles.iter().all(|t| t.dac_grid() == Some(grid) && t.exec().int.is_some()) {
             return None;
         }
+        let t_dac = tel::enabled().then(std::time::Instant::now);
         let codes = grid.codes_for(input.as_slice())?;
+        if let Some(t0) = t_dac {
+            PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        }
         if tel::enabled() {
             self.tiles[0].record_dac(input.as_slice());
         }
+        // ADC scaling is fused into each tile's integer kernel, so its time
+        // lands in the accumulate phase (as in `Crossbar::matmul`).
+        let t_acc = tel::enabled().then(std::time::Instant::now);
         let row_extent = self.tiles[0].rows();
         let col_extent = self.tiles[0].cols();
         let mut out = Tensor::zeros(&[batch, self.cols]);
@@ -278,6 +286,9 @@ impl TiledMatrix {
                     }
                 }
             }
+        }
+        if let Some(t0) = t_acc {
+            PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
         Some(out)
     }

@@ -1,7 +1,7 @@
 //! Dense `f32` tensor math for the `healthmon` workspace.
 //!
 //! This crate provides the numeric substrate the rest of the workspace is
-//! built on: a contiguous row-major [`Tensor`], cache-blocked matrix
+//! built on: a contiguous row-major [`Tensor`], register-tiled matrix
 //! multiplication, reductions and classification statistics
 //! (softmax/argmax/top-k), and a deterministic random source
 //! ([`SeededRng`]) with the normal and lognormal samplers the ReRAM error
@@ -40,7 +40,6 @@ mod stats;
 mod tensor;
 
 pub use error::TensorError;
-pub use linalg::PackedB;
 pub use random::SeededRng;
 pub use scalar::Scalar;
 pub use shape::Shape;

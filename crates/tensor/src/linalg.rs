@@ -1,22 +1,32 @@
 //! Matrix multiplication kernels.
 //!
 //! Three variants cover everything backprop needs: `A·B`, `Aᵀ·B`, and
-//! `A·Bᵀ`. All three funnel into one cache-blocked, register-tiled GEMM:
-//! the right-hand operand is packed once into `NR`-column panels so the
-//! micro-kernel streams it contiguously, and an `MR`×`NR` register tile
-//! amortizes every packed load across [`MR`] output rows. Large problems
-//! fan out across the persistent [`crate::pool`] by row block.
+//! `A·Bᵀ`. All three funnel into one register-tiled GEMM that reads the
+//! row-major right operand in place: an `MR`×`NR` (4×16) tile keeps
+//! eight AVX accumulators live and streams each `NR`-column strip of B
+//! straight from its rows. Only the `n % NR` tail columns are
+//! copied, into one zero-padded strip, so they run through the same
+//! vector tile. `Aᵀ·B` and `A·Bᵀ` materialize the transposed operand
+//! first. Large problems fan out across the persistent [`crate::pool`] by
+//! row block.
+//!
+//! B is never packed. The workspace's products have few output rows (6
+//! to 32 test patterns or conv filters against an im2col matrix that can
+//! be 10k columns wide), so a packed copy of B would be read only
+//! `⌈m/MR⌉` times, and copying it cost more than the arithmetic.
 //!
 //! # Bit-exactness
 //!
 //! Each output element is produced by a single `f32` accumulator walking
 //! the shared dimension in ascending order — exactly the naive triple
-//! loop's order. Packing and tiling only change memory layout, never the
-//! float operation order, so the blocked kernels are bit-identical to the
-//! naive reference, and row-parallel execution is bit-identical at any
-//! thread count (chunks own disjoint output rows). The kernels also make
-//! no zero-skip shortcuts: `0.0 · NaN` and `0.0 · ∞` contribute `NaN` to
-//! the accumulator exactly as IEEE 754 (and the naive loop) demand.
+//! loop's order. Tiling only changes which elements are computed
+//! together, never the float operation order, so the kernels are
+//! bit-identical to the naive reference, and row-parallel execution is
+//! bit-identical at any thread count (chunks own disjoint output rows).
+//! Multiply and add stay separate operations (never a fused FMA). The
+//! kernels also make no zero-skip shortcuts: `0.0 · NaN` and `0.0 · ∞`
+//! contribute `NaN` to the accumulator exactly as IEEE 754 (and the naive
+//! loop) demand.
 
 use crate::pool;
 use crate::Tensor;
@@ -35,10 +45,10 @@ static GEMM_BLOCKS_SCALAR: tel::Counter =
     tel::Counter::new("gemm.row_blocks.scalar", tel::Stability::Volatile);
 static MATVEC_CALLS: tel::Counter = tel::Counter::new("gemm.matvec_calls", tel::Stability::Stable);
 
-/// Register-tile height: output rows carried per micro-kernel call.
+/// Register-tile height: output rows carried per kernel call.
 const MR: usize = 4;
-/// Register-tile width: output columns per packed panel.
-const NR: usize = 8;
+/// Register-tile width: output columns per kernel call (two 8-lane vectors).
+const NR: usize = 16;
 
 /// Below this many multiply-accumulates, threading costs more than it saves.
 const PAR_THRESHOLD: usize = 1 << 18;
@@ -50,89 +60,49 @@ fn thread_count(rows: usize, work: usize) -> usize {
     pool::max_threads().min(rows).max(1)
 }
 
-/// Packs row-major `b` (`k×n`) into `⌈n/NR⌉` column panels, each laid out
-/// `[k][NR]` contiguously and zero-padded on the right in the final panel.
-fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let n_panels = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; n_panels * k * NR];
-    for pi in 0..n_panels {
-        let j0 = pi * NR;
-        let w = NR.min(n - j0);
-        let panel = &mut packed[pi * k * NR..(pi + 1) * k * NR];
-        for p in 0..k {
-            let src = &b[p * n + j0..p * n + j0 + w];
-            panel[p * NR..p * NR + w].copy_from_slice(src);
-        }
-    }
-    packed
-}
-
-/// Packs row-major `bt` (`n×k`, the transpose of the logical `k×n` B) into
-/// the same panel layout as [`pack_b`]: panel `pi`, entry `[p][jj]` holds
-/// `Bᵀ[j0+jj][p]`.
-fn pack_bt(bt: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let n_panels = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; n_panels * k * NR];
-    for pi in 0..n_panels {
-        let j0 = pi * NR;
-        let w = NR.min(n - j0);
-        let panel = &mut packed[pi * k * NR..(pi + 1) * k * NR];
-        for jj in 0..w {
-            let row = &bt[(j0 + jj) * k..(j0 + jj + 1) * k];
-            for (p, &v) in row.iter().enumerate() {
-                panel[p * NR + jj] = v;
-            }
-        }
-    }
-    packed
-}
-
-/// Computes `ROWS` consecutive output rows against one packed panel.
-///
-/// Accumulates the full shared dimension in ascending order into a
-/// `ROWS×NR` register tile, then stores the (possibly `w`-truncated)
-/// result — one pass, one accumulator per output element.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel<const ROWS: usize>(
-    a: &[f32],
-    k: usize,
-    i: usize,
-    panel: &[f32],
-    c: &mut [f32],
+/// The right operand as the kernel reads it: row-major `b` (`k×n`) in
+/// place for every full `NR`-column strip, and a zero-padded `k×NR` copy
+/// of the `n % NR` tail columns, so the tail runs through the same vector
+/// tile instead of a scalar loop.
+struct Rhs<'a> {
+    b: &'a [f32],
     n: usize,
-    c_r0: usize,
-    j0: usize,
-    w: usize,
-) {
-    let mut acc = [[0.0f32; NR]; ROWS];
-    for (ii, acc_row) in acc.iter_mut().enumerate() {
-        let a_row = &a[(i + ii) * k..(i + ii + 1) * k];
-        // Zipped exact iterators: no bounds checks in the hot loop, and
-        // `chunks_exact` tells LLVM each `b_row` is exactly NR wide.
-        for (&a_ip, b_row) in a_row.iter().zip(panel.chunks_exact(NR)) {
-            for (acc_v, &b_v) in acc_row.iter_mut().zip(b_row) {
-                *acc_v += a_ip * b_v;
+    tail: Vec<f32>,
+}
+
+impl<'a> Rhs<'a> {
+    fn new(b: &'a [f32], k: usize, n: usize) -> Rhs<'a> {
+        let full = n - n % NR;
+        let mut tail = Vec::new();
+        if full < n {
+            tail = vec![0.0f32; k * NR];
+            for (dst, src) in tail.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+                dst[..n - full].copy_from_slice(&src[full..]);
             }
         }
+        Rhs { b, n, tail }
     }
-    for (ii, acc_row) in acc.iter().enumerate() {
-        let dst = &mut c[(i + ii - c_r0) * n + j0..(i + ii - c_r0) * n + j0 + w];
-        dst.copy_from_slice(&acc_row[..w]);
+
+    /// Every column strip as `(b from its first column, row stride,
+    /// first output column, columns to store)`.
+    fn strips(&self) -> impl Iterator<Item = (&[f32], usize, usize, usize)> {
+        let full = self.n - self.n % NR;
+        let body = (0..full).step_by(NR).map(move |j0| (&self.b[j0..], self.n, j0, NR));
+        let tail = (full < self.n).then(|| (&self.tail[..], NR, full, self.n - full));
+        body.chain(tail)
     }
 }
 
-/// AVX micro-kernels: the same `MR`×`NR` tile walked in the same
-/// ascending-k order, with each output element in its own vector lane —
-/// explicit 256-bit `mul` + `add` (never fused), so every lane performs
-/// the identical IEEE 754 operation sequence as the portable kernel and
-/// results stay bit-identical across the dispatch boundary.
+/// AVX kernel: each output element owns one lane of a 256-bit accumulator
+/// that walks `k` in ascending order with explicit `mul` + `add` (never
+/// fused), so every lane performs the naive loop's IEEE 754 operation
+/// sequence and results stay bit-identical to the portable path.
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{MR, NR};
+    use super::{Rhs, MR, NR};
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_mul_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps,
+        _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
     };
 
     /// Whether the running CPU supports AVX (checked once per process).
@@ -141,155 +111,126 @@ mod avx {
         *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
     }
 
-    /// Stores one accumulator row into `w` output columns.
+    /// One `ROWS×NR` register tile: `a` holds the tile's rows (`ROWS×k`,
+    /// row-major), `b` the strip from its first column with row stride
+    /// `ldb`. Stores the first `w` columns of each row into `c` (row
+    /// stride `ldc`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
     #[target_feature(enable = "avx")]
-    unsafe fn store_row(acc: __m256, dst: &mut [f32], w: usize) {
-        if w == NR {
-            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), acc) };
-        } else {
-            let mut buf = [0.0f32; NR];
-            unsafe { _mm256_storeu_ps(buf.as_mut_ptr(), acc) };
-            dst[..w].copy_from_slice(&buf[..w]);
-        }
-    }
-
-    /// `MR`-row AVX tile: callers guarantee rows `i..i+MR` exist.
-    #[target_feature(enable = "avx")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn tile_mr(
+    unsafe fn tile<const ROWS: usize>(
         a: &[f32],
         k: usize,
-        i: usize,
-        panel: &[f32],
+        b: &[f32],
+        ldb: usize,
         c: &mut [f32],
-        n: usize,
-        c_r0: usize,
-        j0: usize,
+        ldc: usize,
         w: usize,
     ) {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let a2 = &a[(i + 2) * k..(i + 3) * k];
-        let a3 = &a[(i + 3) * k..(i + 4) * k];
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
+        assert!(a.len() >= ROWS * k && (k == 0 || b.len() >= (k - 1) * ldb + NR) && w <= NR);
+        let (a, b) = (a.as_ptr(), b.as_ptr());
+        let mut acc = [[_mm256_setzero_ps(); 2]; ROWS];
         for p in 0..k {
+            // SAFETY: the assert bounds every read: row `r < ROWS` of `a`
+            // ends by `ROWS·k`, and B row `p < k` spans `NR` lanes from
+            // `p·ldb`.
             unsafe {
-                let b_v = _mm256_loadu_ps(panel.as_ptr().add(p * NR));
-                acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_broadcast_ss(&a0[p]), b_v));
-                acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_broadcast_ss(&a1[p]), b_v));
-                acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_broadcast_ss(&a2[p]), b_v));
-                acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_broadcast_ss(&a3[p]), b_v));
+                let b_lo = _mm256_loadu_ps(b.add(p * ldb));
+                let b_hi = _mm256_loadu_ps(b.add(p * ldb + NR / 2));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let a_v = _mm256_broadcast_ss(&*a.add(r * k + p));
+                    acc_r[0] = _mm256_add_ps(acc_r[0], _mm256_mul_ps(a_v, b_lo));
+                    acc_r[1] = _mm256_add_ps(acc_r[1], _mm256_mul_ps(a_v, b_hi));
+                }
             }
         }
-        for (ii, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-            let row0 = (i + ii - c_r0) * n + j0;
-            unsafe { store_row(acc, &mut c[row0..row0 + w], w) };
+        for (r, acc_r) in acc.iter().enumerate() {
+            let dst = &mut c[r * ldc..r * ldc + w];
+            if w == NR {
+                // SAFETY: `dst` is exactly the two 8-lane stores wide.
+                unsafe {
+                    _mm256_storeu_ps(dst.as_mut_ptr(), acc_r[0]);
+                    _mm256_storeu_ps(dst.as_mut_ptr().add(NR / 2), acc_r[1]);
+                }
+            } else {
+                let mut buf = [0.0f32; NR];
+                // SAFETY: `buf` is exactly the two 8-lane stores wide.
+                unsafe {
+                    _mm256_storeu_ps(buf.as_mut_ptr(), acc_r[0]);
+                    _mm256_storeu_ps(buf.as_mut_ptr().add(NR / 2), acc_r[1]);
+                }
+                dst.copy_from_slice(&buf[..w]);
+            }
         }
     }
 
-    /// Single-row AVX tile for the `m % MR` remainder rows.
+    /// Output rows `[r0, r1)` into `c` (those rows only), strip by strip:
+    /// `MR`-row tiles, then one tile of the remaining `(r1 − r0) % MR`
+    /// rows.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
     #[target_feature(enable = "avx")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn tile_1(
-        a: &[f32],
-        k: usize,
-        i: usize,
-        panel: &[f32],
-        c: &mut [f32],
-        n: usize,
-        c_r0: usize,
-        j0: usize,
-        w: usize,
-    ) {
-        let a0 = &a[i * k..(i + 1) * k];
-        let mut acc0 = _mm256_setzero_ps();
-        #[allow(clippy::needless_range_loop)] // `p` also strides the raw panel pointer
-        for p in 0..k {
-            unsafe {
-                let b_v = _mm256_loadu_ps(panel.as_ptr().add(p * NR));
-                acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_broadcast_ss(&a0[p]), b_v));
+    pub unsafe fn gemm_rows(a: &[f32], rhs: &Rhs, c: &mut [f32], r0: usize, r1: usize, k: usize) {
+        let n = rhs.n;
+        for (b, ldb, j0, w) in rhs.strips() {
+            let mut i = r0;
+            while i + MR <= r1 {
+                let c = &mut c[(i - r0) * n + j0..];
+                // SAFETY: AVX support is this function's own precondition.
+                unsafe { tile::<MR>(&a[i * k..], k, b, ldb, c, n, w) };
+                i += MR;
+            }
+            if i < r1 {
+                let (a, c) = (&a[i * k..], &mut c[(i - r0) * n + j0..]);
+                // SAFETY: as above.
+                unsafe {
+                    match r1 - i {
+                        3 => tile::<3>(a, k, b, ldb, c, n, w),
+                        2 => tile::<2>(a, k, b, ldb, c, n, w),
+                        _ => tile::<1>(a, k, b, ldb, c, n, w),
+                    }
+                }
             }
         }
-        let row0 = (i - c_r0) * n + j0;
-        unsafe { store_row(acc0, &mut c[row0..row0 + w], w) };
     }
-
-    const _: () = assert!(MR == 4 && NR == 8, "AVX tiles are written for a 4x8 register block");
 }
 
-/// Sequential packed GEMM for output rows `[r0, r1)`: `c` holds those rows
-/// only (`(r1-r0)×n`), `a` is the full `m×k` left operand, `packed` the
-/// full panel-packed right operand.
-fn gemm_rows(a: &[f32], packed: &[f32], c: &mut [f32], r0: usize, r1: usize, k: usize, n: usize) {
+/// Sequential GEMM for output rows `[r0, r1)`: `c` holds those rows only
+/// (`(r1-r0)×n`, zero-initialized), `a` is the full `m×k` left operand.
+fn gemm_rows(a: &[f32], rhs: &Rhs, c: &mut [f32], r0: usize, r1: usize, k: usize) {
     #[cfg(target_arch = "x86_64")]
     if avx::available() {
         GEMM_BLOCKS_AVX.inc();
-        // SAFETY: `avx::available()` verified CPU support; the tile
-        // functions uphold the same slice bounds as the portable kernel.
-        unsafe { gemm_rows_avx(a, packed, c, r0, r1, k, n) };
+        // SAFETY: `avx::available()` verified CPU support.
+        unsafe { avx::gemm_rows(a, rhs, c, r0, r1, k) };
         return;
     }
     GEMM_BLOCKS_SCALAR.inc();
-    let n_panels = n.div_ceil(NR);
-    for pi in 0..n_panels {
-        let j0 = pi * NR;
-        let w = NR.min(n - j0);
-        let panel = &packed[pi * k * NR..(pi + 1) * k * NR];
-        let mut i = r0;
-        while i + MR <= r1 {
-            micro_kernel::<MR>(a, k, i, panel, c, n, r0, j0, w);
-            i += MR;
-        }
-        while i < r1 {
-            micro_kernel::<1>(a, k, i, panel, c, n, r0, j0, w);
-            i += 1;
+    gemm_rows_portable(a, rhs.b, c, r0, k, rhs.n);
+}
+
+/// Portable kernel: each output element accumulates in place in `c`
+/// (starting from its zero), over `k` in ascending order — the same
+/// per-element operation sequence as the AVX tiles and the naive loop.
+fn gemm_rows_portable(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, k: usize, n: usize) {
+    for (ci, c_row) in c.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[(r0 + ci) * k..(r0 + ci + 1) * k];
+        for (&a_ip, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
+                *c_v += a_ip * b_v;
+            }
         }
     }
 }
 
-/// [`gemm_rows`] walking the same tiles through the AVX micro-kernels.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn gemm_rows_avx(
-    a: &[f32],
-    packed: &[f32],
-    c: &mut [f32],
-    r0: usize,
-    r1: usize,
-    k: usize,
-    n: usize,
-) {
-    let n_panels = n.div_ceil(NR);
-    for pi in 0..n_panels {
-        let j0 = pi * NR;
-        let w = NR.min(n - j0);
-        let panel = &packed[pi * k * NR..(pi + 1) * k * NR];
-        let mut i = r0;
-        while i + MR <= r1 {
-            unsafe { avx::tile_mr(a, k, i, panel, c, n, r0, j0, w) };
-            i += MR;
-        }
-        while i < r1 {
-            unsafe { avx::tile_1(a, k, i, panel, c, n, r0, j0, w) };
-            i += 1;
-        }
-    }
-}
-
-/// Shared driver: packs nothing itself — callers pass the panel-packed
-/// right operand — and splits output rows across the pool in `MR`-aligned
-/// chunks when `threads > 1`.
-fn gemm_driver(
-    a: &[f32],
-    packed: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) -> Vec<f32> {
+/// Shared driver: multiplies row-major `a` (`m×k`) by row-major `b`
+/// (`k×n`), splitting output rows across the pool in `MR`-aligned chunks
+/// when `threads > 1`.
+fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     if m * n == 0 {
         return out;
@@ -298,57 +239,21 @@ fn gemm_driver(
     GEMM_FLOPS.add(2 * (m * k * n) as u64);
     let threads = threads.clamp(1, m);
     GEMM_THREADS.record(threads as u64);
+    if k == 0 {
+        return out;
+    }
+    let rhs = Rhs::new(b, k, n);
     if threads <= 1 {
-        gemm_rows(a, packed, &mut out, 0, m, k, n);
+        gemm_rows(a, &rhs, &mut out, 0, m, k);
     } else {
         let rows_per = m.div_ceil(threads).next_multiple_of(MR);
         pool::run_chunks(&mut out, rows_per * n, |ci, chunk| {
             let r0 = ci * rows_per;
             let r1 = (r0 + rows_per).min(m);
-            gemm_rows(a, packed, chunk, r0, r1, k, n);
+            gemm_rows(a, &rhs, chunk, r0, r1, k);
         });
     }
     out
-}
-
-/// A right-hand GEMM operand packed once into `NR`-column panels for
-/// reuse across many products.
-///
-/// [`Tensor::matmul`] re-packs its right operand on every call — an
-/// `O(k·n)` allocate-and-copy that is pure overhead when the same matrix
-/// multiplies a stream of inputs (the crossbar layer's differential
-/// conductances, reused for every inference batch). Packing once with
-/// [`PackedB::pack`] and multiplying with [`Tensor::matmul_prepacked`]
-/// skips that cost while producing bit-identical results: packing only
-/// changes memory layout, never the float operation order.
-#[derive(Debug, Clone)]
-pub struct PackedB {
-    packed: Vec<f32>,
-    k: usize,
-    n: usize,
-}
-
-impl PackedB {
-    /// Packs a 2-D `k×n` tensor into panel layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is not 2-D.
-    pub fn pack(b: &Tensor) -> PackedB {
-        assert_eq!(b.ndim(), 2, "PackedB operand must be 2-D, got {:?}", b.shape());
-        let (k, n) = (b.shape()[0], b.shape()[1]);
-        PackedB { packed: pack_b(b.as_slice(), k, n), k, n }
-    }
-
-    /// Shared dimension (rows of the packed matrix).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output columns (columns of the packed matrix).
-    pub fn n(&self) -> usize {
-        self.n
-    }
 }
 
 impl Tensor {
@@ -376,27 +281,8 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
         assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let packed = pack_b(rhs.as_slice(), k, n);
-        let out = gemm_driver(self.as_slice(), &packed, m, k, n, threads);
+        let out = gemm(self.as_slice(), rhs.as_slice(), m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul output shape is consistent by construction")
-    }
-
-    /// Matrix product `self · rhs` against a pre-packed right operand —
-    /// bit-identical to `self.matmul(rhs)` with the packing cost paid
-    /// once at [`PackedB::pack`] time instead of per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not 2-D or its column count differs from
-    /// `rhs.k()`.
-    pub fn matmul_prepacked(&self, rhs: &PackedB) -> Tensor {
-        assert_eq!(self.ndim(), 2, "matmul_prepacked lhs must be 2-D, got {:?}", self.shape());
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        assert_eq!(k, rhs.k, "matmul_prepacked inner dimension mismatch: {k} vs {}", rhs.k);
-        let threads = thread_count(m, m * k * rhs.n);
-        let out = gemm_driver(self.as_slice(), &rhs.packed, m, k, rhs.n, threads);
-        Tensor::from_vec(out, &[m, rhs.n])
-            .expect("matmul_prepacked output shape is consistent by construction")
     }
 
     /// Matrix product `selfᵀ · rhs` (`k×m`ᵀ times `k×n` → `m×n`).
@@ -425,13 +311,11 @@ impl Tensor {
         // Materializing the m×k transpose costs O(mk) — negligible next to
         // the O(mkn) product — and buys the contiguous-row fast path.
         let at = self.transpose();
-        let packed = pack_b(rhs.as_slice(), k, n);
-        let out = gemm_driver(at.as_slice(), &packed, m, k, n, threads);
+        let out = gemm(at.as_slice(), rhs.as_slice(), m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul_at output shape is consistent")
     }
 
-    /// Matrix product `self · rhsᵀ` (`m×k` times `n×k`ᵀ → `m×n`) without
-    /// materializing the transpose: packing transposes on the fly.
+    /// Matrix product `self · rhsᵀ` (`m×k` times `n×k`ᵀ → `m×n`).
     ///
     /// # Panics
     ///
@@ -454,9 +338,18 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (n, k2) = (rhs.shape()[0], rhs.shape()[1]);
         assert_eq!(k, k2, "matmul_bt shared dimension mismatch: {k} vs {k2}");
-        let packed = pack_bt(rhs.as_slice(), k, n);
-        let out = gemm_driver(self.as_slice(), &packed, m, k, n, threads);
-        Tensor::from_vec(out, &[m, n]).expect("matmul_bt output shape is consistent")
+        // The kernel reads its right operand row-major, so one operand is
+        // transposed first: Bᵀ (`n·k` elements), or, when A has fewer
+        // rows, Aᵀ (`m·k`), computing `Cᵀ = B·Aᵀ` and transposing that
+        // `n×m` result. Either way each element sums the same products in
+        // the same order, and IEEE multiplication is commutative.
+        if m < n {
+            let ct = gemm(rhs.as_slice(), self.transpose().as_slice(), n, k, m, threads);
+            Tensor::from_vec(ct, &[n, m]).expect("matmul_bt output shape is consistent").transpose()
+        } else {
+            let out = gemm(self.as_slice(), rhs.transpose().as_slice(), m, k, n, threads);
+            Tensor::from_vec(out, &[m, n]).expect("matmul_bt output shape is consistent")
+        }
     }
 
     /// Matrix–vector product `self · v` for a 2-D tensor and 1-D vector.
@@ -517,17 +410,66 @@ mod tests {
     }
 
     /// Odd shapes that exercise every tiling edge: unit, tall/skinny,
-    /// wide, and non-multiples of both MR and NR.
-    const SHAPES: &[(usize, usize, usize)] = &[
-        (1, 1, 1),
-        (3, 5, 2),
-        (7, 4, 9),
-        (16, 16, 16),
-        (1, 37, 65),
-        (65, 1, 7),
-        (13, 29, 1),
-        (33, 17, 41),
-    ];
+    /// wide, and non-multiples of both MR and NR — plus every `m % MR`
+    /// row remainder (m = 1..=9) against every `n % NR` column tail
+    /// (n = 1..=17, 31, 33) at k ∈ {1, 3, 150}.
+    fn shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![
+            (1, 1, 1),
+            (3, 5, 2),
+            (7, 4, 9),
+            (16, 16, 16),
+            (1, 37, 65),
+            (65, 1, 7),
+            (13, 29, 1),
+            (33, 17, 41),
+        ];
+        for m in 1..=9 {
+            for n in (1..=17).chain([31, 33]) {
+                for k in [1, 3, 150] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes
+    }
+
+    /// Thread counts every bit-identity check runs at.
+    const THREADS: [usize; 3] = [1, 2, 7];
+
+    /// `m×k` and `k×n` operands for every shape in [`shapes`], each shape
+    /// twice: random, then poisoned so that a NaN (row 0) and an ∞ (row
+    /// m−1) in A meet a zero of B in the last column, a tail lane whenever
+    /// `n % NR != 0`. `0·NaN` and `0·∞` must come out NaN there.
+    fn operands(seed: u64) -> Vec<(Tensor, Tensor)> {
+        let mut rng = SeededRng::new(seed);
+        let mut cases = Vec::new();
+        for (m, k, n) in shapes() {
+            let a = Tensor::randn(&[m, k], &mut rng);
+            let b = Tensor::randn(&[k, n], &mut rng);
+            let (mut pa, mut pb) = (a.clone(), b.clone());
+            let p = k / 2;
+            *pb.at_mut(&[p, n - 1]) = 0.0;
+            *pa.at_mut(&[0, p]) = f32::NAN;
+            if m > 1 {
+                *pa.at_mut(&[m - 1, p]) = f32::INFINITY;
+            }
+            cases.push((a, b));
+            cases.push((pa, pb));
+        }
+        cases
+    }
+
+    /// [`naive_matmul`], checking that every poisoned tail lane is NaN.
+    fn reference(a: &Tensor, b: &Tensor) -> Tensor {
+        let want = naive_matmul(a, b);
+        let (m, n) = (a.shape()[0], b.shape()[1]);
+        if a.at(&[0, a.shape()[1] / 2]).is_nan() {
+            assert!(want.at(&[0, n - 1]).is_nan(), "0·NaN must yield NaN");
+            assert!(want.at(&[m - 1, n - 1]).is_nan(), "0·∞ must yield NaN");
+        }
+        want
+    }
 
     #[test]
     fn matmul_hand_example() {
@@ -551,39 +493,39 @@ mod tests {
 
     #[test]
     fn matmul_bit_identical_to_naive() {
-        let mut rng = SeededRng::new(11);
-        for &(m, k, n) in SHAPES {
-            let a = Tensor::randn(&[m, k], &mut rng);
-            let b = Tensor::randn(&[k, n], &mut rng);
-            assert_bit_identical(&a.matmul(&b), &naive_matmul(&a, &b), "matmul");
+        for (a, b) in operands(11) {
+            let want = reference(&a, &b);
+            for threads in THREADS {
+                assert_bit_identical(&a.matmul_with_threads(&b, threads), &want, "matmul");
+            }
+            // The portable kernel, whichever one this CPU dispatches to.
+            let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+            let mut c = vec![0.0f32; m * n];
+            gemm_rows_portable(a.as_slice(), b.as_slice(), &mut c, 0, k, n);
+            let portable = Tensor::from_vec(c, &[m, n]).unwrap();
+            assert_bit_identical(&portable, &want, "portable matmul");
         }
     }
 
     #[test]
     fn matmul_at_bit_identical_to_naive() {
-        let mut rng = SeededRng::new(17);
-        for &(m, k, n) in SHAPES {
-            let a = Tensor::randn(&[k, m], &mut rng);
-            let b = Tensor::randn(&[k, n], &mut rng);
-            assert_bit_identical(
-                &a.matmul_at(&b),
-                &naive_matmul(&a.transpose(), &b),
-                "matmul_at",
-            );
+        for (a, b) in operands(17) {
+            let want = reference(&a, &b);
+            let at = a.transpose();
+            for threads in THREADS {
+                assert_bit_identical(&at.matmul_at_with_threads(&b, threads), &want, "matmul_at");
+            }
         }
     }
 
     #[test]
     fn matmul_bt_bit_identical_to_naive() {
-        let mut rng = SeededRng::new(19);
-        for &(m, k, n) in SHAPES {
-            let a = Tensor::randn(&[m, k], &mut rng);
-            let b = Tensor::randn(&[n, k], &mut rng);
-            assert_bit_identical(
-                &a.matmul_bt(&b),
-                &naive_matmul(&a, &b.transpose()),
-                "matmul_bt",
-            );
+        for (a, b) in operands(19) {
+            let want = reference(&a, &b);
+            let bt = b.transpose();
+            for threads in THREADS {
+                assert_bit_identical(&a.matmul_bt_with_threads(&bt, threads), &want, "matmul_bt");
+            }
         }
     }
 
@@ -618,26 +560,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn matmul_prepacked_bit_identical_to_matmul() {
-        let mut rng = SeededRng::new(23);
-        for &(m, k, n) in SHAPES {
-            let a = Tensor::randn(&[m, k], &mut rng);
-            let b = Tensor::randn(&[k, n], &mut rng);
-            let packed = PackedB::pack(&b);
-            assert_eq!((packed.k(), packed.n()), (k, n));
-            assert_bit_identical(&a.matmul_prepacked(&packed), &a.matmul(&b), "prepacked");
-        }
-        // Cross PAR_THRESHOLD so the pooled path is exercised too.
-        let a = Tensor::randn(&[96, 96], &mut rng);
-        let b = Tensor::randn(&[96, 96], &mut rng);
-        assert_bit_identical(
-            &a.matmul_prepacked(&PackedB::pack(&b)),
-            &a.matmul(&b),
-            "prepacked parallel",
-        );
     }
 
     #[test]

@@ -107,10 +107,12 @@ impl Drop for InflightGuard {
 /// variable when set to a positive integer, otherwise
 /// [`std::thread::available_parallelism`]. Every parallel entry point in
 /// the workspace (matmul kernels, fault campaigns) derives its default
-/// fan-out from this single cached lookup.
+/// fan-out from this single cached lookup, so its first call is also
+/// where the engine sets the process heap policy (`pin_heap_thresholds`).
 pub fn max_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
+        pin_heap_thresholds();
         if let Ok(raw) = std::env::var("HEALTHMON_THREADS") {
             if let Ok(n) = raw.trim().parse::<usize>() {
                 if n >= 1 {
@@ -120,6 +122,36 @@ pub fn max_threads() -> usize {
         }
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     })
+}
+
+/// Fixes glibc's heap thresholds for the process; a no-op elsewhere.
+///
+/// Campaign, checkup and fleet loops build and drop megabytes of
+/// model-sized buffers for every fault model or device: crossbar planes,
+/// im2col and transposed activations, fault-noise vectors. glibc's
+/// defaults adapt to allocation history: a buffer above a threshold that
+/// tracks the largest mapping freed so far gets a fresh mapping, and free
+/// memory above twice that threshold at the top of the heap goes back to
+/// the kernel. Whether a loop re-faults its whole working set on every
+/// model then depends on which buffers happened to be freed before it
+/// started (DESIGN.md §6c and §8). Fixed thresholds, above the largest
+/// per-model buffer (convnet7's 5.9 MB im2col matrix), let every model
+/// reuse the same heap pages.
+fn pin_heap_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        // SAFETY: `mallopt` only updates allocator parameters, under
+        // glibc's own arena lock, and both values are in range.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, 16 << 20);
+            mallopt(M_TRIM_THRESHOLD, 64 << 20);
+        }
+    }
 }
 
 /// One in-flight job: a type-erased chunk closure plus claim/completion

@@ -252,9 +252,18 @@ impl<S: Scalar> GenericTensor<S> {
         assert_eq!(self.ndim(), 2, "transpose() requires a 2-D tensor, got {}", self.shape);
         let (r, c) = (self.shape.dim(0), self.shape.dim(1));
         let mut out = Self::zeros(&[c, r]);
-        for i in 0..r {
-            for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+        if r * c == 0 {
+            return out;
+        }
+        // Sixteen source rows at a time stay in cache while every output
+        // row takes its 16-element segment; a row-at-a-time scatter
+        // misses on every write once `r` is large.
+        const BLOCK: usize = 16;
+        for (b, src) in self.data.chunks(BLOCK * c).enumerate() {
+            for (j, dst) in out.data.chunks_exact_mut(r).enumerate() {
+                for (d, row) in dst[b * BLOCK..].iter_mut().zip(src.chunks_exact(c)) {
+                    *d = row[j];
+                }
             }
         }
         out

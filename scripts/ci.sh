@@ -4,11 +4,10 @@
 # network, no vendored sources).
 #
 # Usage: scripts/ci.sh [--bench-smoke]
-#   --bench-smoke  additionally run the bench binaries in short mode
-#                  (HEALTHMON_BENCH_SMOKE=1) and refresh BENCH_pr2.json,
-#                  BENCH_pr5.json (telemetry overhead A/B),
-#                  BENCH_pr7.json (integer-path crossbar A/B) and
-#                  BENCH_pr10.json (zoo-wide campaign cost).
+#   --bench-smoke  additionally run the benchmark (BENCHMARK.json) in its
+#                  --smoke mode: one short round of every workload, whose
+#                  simulated-output digests must match
+#                  expected_digests.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,46 +16,24 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     BENCH_SMOKE=1
 fi
 
-# Assembles BENCH_pr2.json: the checked-in back-to-back baseline
-# measurements (artifacts/bench_pr2_baseline_ab_*.json, taken at the
-# pre-engine commit) next to the current run of the same benches.
-assemble_bench_report() {
-    local mode="$1" kernels="$2" testgen="$3"
-    {
-        echo '{'
-        echo "\"mode\": \"${mode}\","
-        echo '"baseline": {'
-        echo '"kernels":'
-        cat artifacts/bench_pr2_baseline_ab_kernels.json
-        echo ', "testgen":'
-        cat artifacts/bench_pr2_baseline_ab_testgen.json
-        echo '},'
-        echo '"current": {'
-        echo '"kernels":'
-        cat "$kernels"
-        echo ', "testgen":'
-        cat "$testgen"
-        echo '}'
-        echo '}'
-    } > BENCH_pr2.json
-}
-
 echo "== offline release build =="
 cargo build --release --offline --workspace
 
 echo "== offline tests =="
 cargo test -q --offline --workspace
 
-echo "== quantized integer-path equivalence (HEALTHMON_THREADS=1/2/7) =="
+echo "== kernel equivalence (HEALTHMON_THREADS=1/2/7) =="
 # The i32 crossbar fast path must match the f32 reference semantics —
 # bitwise with converters off, within one quantization step otherwise —
-# at every thread count. A divergence here fails CI before any benchmark
-# of the fast path is taken seriously.
+# and the f32 GEMM must match the naive loop bit for bit, at every thread
+# count. A divergence here fails CI before any benchmark of either fast
+# path is taken seriously.
 for t in 1 2 7; do
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-reram \
         --test quantized_equivalence > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-tensor > /dev/null
 done
-echo "ok: integer path equivalent to the f32 reference under HEALTHMON_THREADS=1/2/7"
+echo "ok: integer path and f32 GEMM equivalent to their references under HEALTHMON_THREADS=1/2/7"
 
 echo "== offline clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -393,81 +370,13 @@ grep -q "damaged shards: 1" "$fleet_dir/torn.txt"
 echo "ok: torn shard reported and contained; healthy shards resumed"
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
-    echo "== bench smoke (short mode, refreshes BENCH_pr2.json) =="
-    # Absolute path: cargo runs bench binaries from the package directory.
-    report_dir="$(pwd)/target/bench-report"
-    mkdir -p "$report_dir"
-    HEALTHMON_BENCH_SMOKE=1 HEALTHMON_BENCH_JSON="$report_dir/kernels.json" \
-        cargo bench --offline --bench kernels > /dev/null
-    HEALTHMON_BENCH_SMOKE=1 HEALTHMON_BENCH_JSON="$report_dir/testgen.json" \
-        cargo bench --offline --bench testgen > /dev/null
-    assemble_bench_report smoke "$report_dir/kernels.json" "$report_dir/testgen.json"
-    echo "ok: both bench binaries ran without panicking; BENCH_pr2.json written"
-    echo "    (smoke-mode numbers: 2 samples, short calibration — for perf"
-    echo "     claims use a full 'cargo bench' run as in artifacts/)"
-    HEALTHMON_BENCH_SMOKE=1 HEALTHMON_BENCH_JSON="$report_dir/telemetry_ab.json" \
-        cargo bench --offline --bench telemetry_ab > /dev/null
-    {
-        echo '{'
-        echo '"mode": "smoke",'
-        echo '"telemetry_ab":'
-        cat "$report_dir/telemetry_ab.json"
-        echo '}'
-    } > BENCH_pr5.json
-    echo "ok: telemetry A/B bench ran; BENCH_pr5.json written"
-    # BENCH_pr7.json: the integer-path A/B — the checked-in pre-change
-    # baselines (artifacts/bench_pr7_baseline_ab_*.json, captured with the
-    # same bench cases on the f32-only crossbar path) next to the current
-    # run of the same kernels/testgen binaries.
-    {
-        echo '{'
-        echo '"mode": "smoke",'
-        echo '"baseline": {'
-        echo '"kernels":'
-        cat artifacts/bench_pr7_baseline_ab_kernels.json
-        echo ', "testgen":'
-        cat artifacts/bench_pr7_baseline_ab_testgen.json
-        echo '},'
-        echo '"current": {'
-        echo '"kernels":'
-        cat "$report_dir/kernels.json"
-        echo ', "testgen":'
-        cat "$report_dir/testgen.json"
-        echo '}'
-        echo '}'
-    } > BENCH_pr7.json
-    echo "ok: BENCH_pr7.json written (integer-path A/B vs pre-change baseline)"
-    # BENCH_pr8.json: fleet load-generator throughput, clean vs chaos.
-    "$hm" fleet --devices 200 --epochs 4 --seed 29 --bench true \
-        > "$report_dir/fleet_clean.txt"
-    "$hm" fleet --devices 200 --epochs 4 --seed 29 --bench true \
-        --chaos "panic:0.2,stall:0.1,stallms:300,seed:31" \
-        > "$report_dir/fleet_chaos.txt" 2> /dev/null || true
-    clean_rate=$(grep -o 'throughput: [0-9.]*' "$report_dir/fleet_clean.txt" | cut -d' ' -f2)
-    chaos_rate=$(grep -o 'throughput: [0-9.]*' "$report_dir/fleet_chaos.txt" | cut -d' ' -f2)
-    {
-        echo '{'
-        echo '"mode": "smoke",'
-        echo '"fleet": {'
-        echo "\"devices\": 200, \"epochs\": 4,"
-        echo "\"clean_device_epochs_per_sec\": ${clean_rate:-0},"
-        echo "\"chaos_device_epochs_per_sec\": ${chaos_rate:-0}"
-        echo '}'
-        echo '}'
-    } > BENCH_pr8.json
-    echo "ok: fleet load generator ran; BENCH_pr8.json written"
-    # BENCH_pr10.json: per-architecture campaign cost across the whole
-    # model zoo (the per-checkup cost a fleet device pays, per model).
-    HEALTHMON_BENCH_SMOKE=1 HEALTHMON_BENCH_JSON="$report_dir/zoo_campaign.json" \
-        cargo bench --offline --bench zoo_campaign > /dev/null
-    {
-        echo '{'
-        echo '"mode": "smoke",'
-        echo '"zoo_campaign":'
-        cat "$report_dir/zoo_campaign.json"
-        echo '}'
-    } > BENCH_pr10.json
-    echo "ok: zoo campaign bench ran; BENCH_pr10.json written"
+    echo "== bench smoke (every benchmark workload, digests checked) =="
+    # One short round of each workload at one thread and at nproc; the
+    # run fails when any simulated output moved (see the benchmark's
+    # README, crates/bench/src/bin/benchmark/README.md).
+    cargo run --release --offline --quiet -p healthmon-bench --bin benchmark -- \
+        --smoke --out-dir target/bench-smoke > target/bench-smoke.txt
+    echo "ok: benchmark smoke run matched every workload's expected digest"
 fi
 
 echo "CI passed."

@@ -10,10 +10,12 @@
 //! 3. **Pure observation** — enabling telemetry changes no detection
 //!    output: campaign rates and lifetime reports are byte-identical
 //!    with recording on and off.
+//! 4. **Phase attribution** — a checkup on the default analog config
+//!    fills the DAC and accumulate phase histograms.
 
 use healthmon::{
-    AgingModel, CrossbarConfig, Detector, LifetimeConfig, LifetimeRuntime, SdcCriterion,
-    TestPatternSet,
+    AgingModel, AnalogBackend, BackendSpec, CrossbarConfig, Detector, LifetimeConfig,
+    LifetimeRuntime, SdcCriterion, TestPatternSet,
 };
 use healthmon_faults::{par_map_models_with_threads, FaultModel};
 use healthmon_nn::models::tiny_mlp;
@@ -185,4 +187,35 @@ fn telemetry_is_purely_observational() {
             .any(|e| e.name == "lifetime.event" && e.detail.contains("[deploy]")),
         "expected the deployed event in the ring buffer"
     );
+}
+
+#[test]
+fn default_analog_checkup_records_dac_and_accumulate_phases() {
+    let _guard = exclusive();
+    let mut rng = SeededRng::new(41);
+    let net = tiny_mlp(8, 16, 4, &mut rng);
+    let patterns = TestPatternSet::new("t", Tensor::rand_uniform(&[10, 8], 0.0, 1.0, &mut rng));
+    let detector = Detector::new(&net, patterns.clone());
+    // The default config runs `TiledMatrix`'s integer path.
+    let spec = BackendSpec::analog(CrossbarConfig::default());
+    let checkup = || {
+        let backend = AnalogBackend::program(&net, &spec, &mut SeededRng::new(5));
+        let logits: Vec<u32> =
+            patterns.logits(&backend).as_slice().iter().map(|v| v.to_bits()).collect();
+        (logits, detector.is_faulty(&backend, SdcCriterion::Sdc1))
+    };
+
+    tel::set_enabled(false);
+    let off = checkup();
+    tel::reset();
+    tel::set_enabled(true);
+    let on = checkup();
+    let recorded = tel::snapshot();
+    tel::set_enabled(false);
+
+    assert_eq!(off, on, "checkup outputs must not depend on telemetry");
+    for phase in ["phase.dac_ns", "phase.accumulate_ns"] {
+        let count = recorded.histograms.iter().find(|h| h.name == phase).map_or(0, |h| h.count);
+        assert!(count > 0, "{phase} recorded no samples");
+    }
 }
