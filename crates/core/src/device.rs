@@ -1,0 +1,305 @@
+//! The deployed device of a [`crate::LifetimeRuntime`]: one surface over
+//! every execution backend, so each rung of the repair ladder has a
+//! single code path.
+//!
+//! [`WeightDevice`] is the digital device, a weight-space [`Network`]
+//! plus its parity planes; the crossbar backends implement the same
+//! [`Device`] surface over their live conductance state. [`program`] is
+//! the only place that tells the backends apart.
+
+use crate::error::HealthmonError;
+use crate::runtime::LifetimeConfig;
+use healthmon_faults::FaultModel;
+use healthmon_nn::{InferenceBackend, Network, NonFiniteActivation};
+use healthmon_reram::{
+    deploy, AnalogBackend, BackendKind, BitSlicedBackend, DeployReport, ParityCheck, ScrubOutcome,
+};
+use healthmon_tensor::{SeededRng, Tensor};
+
+/// A deployed device the lifetime runtime ages and repairs. Cells are
+/// addressed in the logical (digital) layout of a state-dict parameter.
+pub(crate) trait Device: InferenceBackend + std::fmt::Debug + Send {
+    /// The programmed image: structure, biases and the last written
+    /// weights (crossbar aging shows only in the read-back).
+    fn network(&self) -> &Network;
+    /// Per-layer mapping report of the programming, profiled on `probe`.
+    fn deploy_report(&self, probe: &Tensor) -> DeployReport;
+    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng);
+    /// Unhardened soft errors: weight flips on the digital device,
+    /// lognormal read-disturb jitter on crossbars.
+    fn soft_errors(&mut self, probability: f64, rng: &mut SeededRng);
+    /// Hardened soft errors: the same weight flips on the digital device,
+    /// sparse cell flips on crossbars, which (unlike dense jitter) a
+    /// parity column can isolate.
+    fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng);
+    fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32);
+    fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng);
+    /// Writes a retrained network. Crossbars write only the mapped
+    /// weights, so their bias updates stay cloud-side.
+    fn write_network(&mut self, net: Network, rng: &mut SeededRng);
+    fn enable_parity(&mut self);
+    fn refresh_parity(&mut self);
+    fn scrub_parity(&mut self) -> ScrubOutcome;
+    /// The parity planes a checkpoint records (crossbar tile parity is
+    /// not checkpointed).
+    fn parity_planes(&self) -> &[(String, ParityCheck)];
+    /// Restores a checkpoint's effective weights and digest-verified
+    /// parity planes, which must match those weights.
+    fn restore(
+        &mut self,
+        weights: &[(String, Tensor)],
+        parity: Vec<(String, ParityCheck)>,
+    ) -> Result<(), HealthmonError>;
+    fn clone_box(&self) -> Box<dyn Device>;
+}
+
+impl Clone for Box<dyn Device> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
+/// Programs `golden` onto a fresh device of the configured backend, with
+/// parity enabled when the lifetime is hardened.
+pub(crate) fn program(
+    golden: &Network,
+    config: &LifetimeConfig,
+    rng: &mut SeededRng,
+) -> Box<dyn Device> {
+    // 'static: the runtime owns its device outright, so the crossbar
+    // backends are severed from `golden` via `into_owned`.
+    let mut device: Box<dyn Device> = match config.backend.kind {
+        BackendKind::Digital => {
+            let (net, report) = deploy(golden, &config.crossbar, rng);
+            Box::new(WeightDevice { net, parity: Vec::new(), report })
+        }
+        BackendKind::Analog => {
+            Box::new(AnalogBackend::program(golden, &config.backend, rng).into_owned())
+        }
+        BackendKind::BitSliced => {
+            Box::new(BitSlicedBackend::program(golden, &config.backend, rng).into_owned())
+        }
+    };
+    if config.hardened {
+        device.enable_parity();
+    }
+    device
+}
+
+/// The digital device: the deployed weight-space network, with parity
+/// planes over its mapped weights once parity is enabled.
+#[derive(Debug, Clone)]
+struct WeightDevice {
+    net: Network,
+    parity: Vec<(String, ParityCheck)>,
+    report: DeployReport,
+}
+
+impl InferenceBackend for WeightDevice {
+    fn infer(&self, input: &Tensor) -> Tensor {
+        self.net.infer(input)
+    }
+
+    fn infer_checked(&self, input: &Tensor) -> Result<Tensor, NonFiniteActivation> {
+        self.net.infer_checked(input)
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "digital"
+    }
+
+    fn readback(&self) -> Network {
+        self.net.clone()
+    }
+}
+
+impl Device for WeightDevice {
+    fn network(&self) -> &Network {
+        &self.net
+    }
+
+    fn deploy_report(&self, _probe: &Tensor) -> DeployReport {
+        self.report.clone()
+    }
+
+    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
+        FaultModel::Drift { nu, time }.apply(&mut self.net, rng);
+    }
+
+    fn soft_errors(&mut self, probability: f64, rng: &mut SeededRng) {
+        FaultModel::RandomSoftError { probability }.apply(&mut self.net, rng);
+    }
+
+    fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) {
+        self.soft_errors(probability, rng);
+    }
+
+    fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
+        self.net.for_each_param_mut(|k, tensor| {
+            if k == key {
+                *tensor.at_mut(&[row, col]) = weight;
+            }
+        });
+    }
+
+    fn write_layer(&mut self, key: &str, weights: &Tensor, _rng: &mut SeededRng) {
+        self.net.for_each_param_mut(|k, tensor| {
+            if k == key {
+                *tensor = weights.clone();
+            }
+        });
+    }
+
+    fn write_network(&mut self, net: Network, _rng: &mut SeededRng) {
+        self.net = net;
+    }
+
+    fn enable_parity(&mut self) {
+        let mut parity = Vec::new();
+        self.net.for_each_param(|key, tensor| {
+            if key.ends_with("weight") {
+                let rows = tensor.shape()[0];
+                let cols = tensor.len() / rows;
+                parity.push((key.to_owned(), ParityCheck::capture(rows, cols, tensor.as_slice())));
+            }
+        });
+        self.parity = parity;
+    }
+
+    fn refresh_parity(&mut self) {
+        let parity = &mut self.parity;
+        self.net.for_each_param(|key, tensor| {
+            if let Some((_, check)) = parity.iter_mut().find(|(k, _)| k == key) {
+                check.refresh(tensor.as_slice());
+            }
+        });
+    }
+
+    fn scrub_parity(&mut self) -> ScrubOutcome {
+        let parity = &self.parity;
+        let mut outcome = ScrubOutcome::default();
+        self.net.for_each_param_mut(|key, tensor| {
+            if let Some((_, check)) = parity.iter().find(|(k, _)| k == key) {
+                outcome.merge(check.scrub(tensor.as_mut_slice()));
+            }
+        });
+        outcome
+    }
+
+    fn parity_planes(&self) -> &[(String, ParityCheck)] {
+        &self.parity
+    }
+
+    fn restore(
+        &mut self,
+        weights: &[(String, Tensor)],
+        parity: Vec<(String, ParityCheck)>,
+    ) -> Result<(), HealthmonError> {
+        self.net
+            .load_state_dict(weights)
+            .map_err(|e| HealthmonError::CheckpointMismatch(e.to_string()))?;
+        // Checkpoints are taken at an epoch boundary, where the parity
+        // baseline always matches the device: a stored word that
+        // disagrees with the restored weights means either the weights
+        // or the parity were tampered with.
+        for (key, check) in &parity {
+            let (rows, cols) = check.shape();
+            let mut consistent = false;
+            self.net.for_each_param(|k, tensor| {
+                if k == key {
+                    consistent = tensor.len() == rows * cols && check.verify(tensor.as_slice());
+                }
+            });
+            if !consistent {
+                return Err(HealthmonError::CheckpointMismatch(format!(
+                    "checkpointed parity for `{key}` does not match the \
+                     restored device weights"
+                )));
+            }
+        }
+        self.parity = parity;
+        Ok(())
+    }
+
+    fn clone_box(&self) -> Box<dyn Device> {
+        Box::new(self.clone())
+    }
+}
+
+/// Implements [`Device`] for a crossbar backend over its inherent
+/// methods.
+macro_rules! crossbar_device {
+    ($backend:ident) => {
+        impl Device for $backend<'static> {
+            fn network(&self) -> &Network {
+                $backend::network(self)
+            }
+
+            fn deploy_report(&self, probe: &Tensor) -> DeployReport {
+                $backend::deploy_report(self, probe)
+            }
+
+            fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
+                $backend::drift(self, nu, time, rng);
+            }
+
+            fn soft_errors(&mut self, probability: f64, rng: &mut SeededRng) {
+                self.disturb(probability as f32, rng);
+            }
+
+            fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) {
+                $backend::flip_cells(self, probability, rng);
+            }
+
+            fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
+                $backend::stick_cell(self, key, row, col, weight);
+            }
+
+            fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
+                $backend::write_layer(self, key, weights, rng);
+            }
+
+            fn write_network(&mut self, net: Network, rng: &mut SeededRng) {
+                net.for_each_param(|key, tensor| {
+                    if key.ends_with("weight") {
+                        $backend::write_layer(self, key, tensor, rng);
+                    }
+                });
+            }
+
+            fn enable_parity(&mut self) {
+                $backend::enable_parity(self);
+            }
+
+            fn refresh_parity(&mut self) {
+                $backend::refresh_parity(self);
+            }
+
+            fn scrub_parity(&mut self) -> ScrubOutcome {
+                $backend::scrub_parity(self)
+            }
+
+            fn parity_planes(&self) -> &[(String, ParityCheck)] {
+                &[]
+            }
+
+            fn restore(
+                &mut self,
+                _weights: &[(String, Tensor)],
+                _parity: Vec<(String, ParityCheck)>,
+            ) -> Result<(), HealthmonError> {
+                Err(HealthmonError::CheckpointMismatch(format!(
+                    "the `{}` device cannot restore checkpointed state",
+                    self.backend_name()
+                )))
+            }
+
+            fn clone_box(&self) -> Box<dyn Device> {
+                Box::new(self.clone())
+            }
+        }
+    };
+}
+
+crossbar_device!(AnalogBackend);
+crossbar_device!(BitSlicedBackend);

@@ -43,10 +43,10 @@
 use crate::error::HealthmonError;
 use crate::monitor::HealthState;
 use crate::patterns::TestPatternSet;
-use crate::runtime::{
-    fnv1a, network_digest, panic_message, patterns_digest, verify_digest, LifetimeConfig,
-    LifetimeRuntime, FNV_OFFSET,
+use crate::digest::{
+    fnv1a, network_digest, patterns_digest, verify_digest, verify_golden_digest, FNV_OFFSET,
 };
+use crate::runtime::{panic_message, LifetimeConfig, LifetimeRuntime};
 use crate::store;
 use healthmon_nn::Network;
 use healthmon_reram::BackendKind;
@@ -881,7 +881,7 @@ impl FleetSupervisor {
                 .iter()
                 .map(|r| (r.id, r.runtime.checkpoint_json(), device_meta_json(r)))
                 .collect();
-            let digest = self.shard_digest(shard, &entries);
+            let digest = self.shard_digest_at(shard, self.fleet_epoch, &entries);
             let devices: Vec<Json> = entries
                 .into_iter()
                 .map(|(id, checkpoint, meta)| {
@@ -932,23 +932,6 @@ impl FleetSupervisor {
             })?;
         }
         Ok(())
-    }
-
-    /// The digest guarding one shard: FNV-1a over the header identity,
-    /// the fleet epoch, and every member's id, supervision metadata and
-    /// exact checkpoint bytes.
-    fn shard_digest(&self, shard: usize, entries: &[(usize, String, Json)]) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.config.digest().to_le_bytes());
-        h = fnv1a(h, network_digest(&self.golden).to_le_bytes());
-        h = fnv1a(h, patterns_digest(&self.patterns).to_le_bytes());
-        h = fnv1a(h, (shard as u64).to_le_bytes());
-        h = fnv1a(h, (self.fleet_epoch as u64).to_le_bytes());
-        for (id, checkpoint, meta) in entries {
-            h = fnv1a(h, (*id as u64).to_le_bytes());
-            h = fnv1a(h, healthmon_serdes::to_string(meta).bytes());
-            h = fnv1a(h, checkpoint.bytes());
-        }
-        h
     }
 
     /// Rebuilds a fleet from the shard files under `dir`, given the same
@@ -1042,17 +1025,7 @@ impl FleetSupervisor {
         }
         // Digest-clean from here on: any inconsistency is operator error.
         verify_digest(&value, "config_digest", self.config.digest(), "fleet configuration")?;
-        verify_digest(
-            &value,
-            "golden_digest",
-            network_digest(&self.golden),
-            &format!(
-                "golden network (resume built `{}` weights: {} params over {} layers)",
-                self.golden.input_shape().iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x"),
-                self.golden.num_params(),
-                self.golden.layers().len()
-            ),
-        )?;
+        verify_golden_digest(&value, &self.golden)?;
         verify_digest(&value, "patterns_digest", patterns_digest(&self.patterns), "pattern set")?;
         let shards = usize::from_json(value.field("shards")?)?;
         let stored_shard = usize::from_json(value.field("shard")?)?;
@@ -1093,8 +1066,10 @@ impl FleetSupervisor {
         Ok(fleet_epoch)
     }
 
-    /// [`FleetSupervisor::shard_digest`] against an explicit epoch (the
-    /// one stored in the shard being verified, not the live one).
+    /// The digest guarding one shard at `fleet_epoch` (the live epoch when
+    /// saving, the stored one when verifying): FNV-1a over the header
+    /// identity, the fleet epoch, and every member's id, supervision
+    /// metadata and exact checkpoint bytes.
     fn shard_digest_at(
         &self,
         shard: usize,

@@ -30,7 +30,7 @@
 //! parse error.
 
 use crate::error::HealthmonError;
-use crate::runtime::{fnv1a, FNV_OFFSET};
+use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::store;
 use healthmon_serdes::{parse, to_string, Json, JsonError};
 use std::path::{Path, PathBuf};

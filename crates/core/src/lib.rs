@@ -68,7 +68,9 @@ mod checkpoint;
 mod confidence;
 mod ctp;
 mod detect;
+mod device;
 mod diagnose;
+mod digest;
 pub mod efficiency;
 mod error;
 pub mod fleet;

@@ -22,13 +22,15 @@
 //!   [`IncidentReport`].
 //!
 //! The lifetime can run on any execution backend
-//! ([`LifetimeConfig::backend`]): the default `digital` backend keeps the
-//! device as a weight-space [`Network`] (byte-identical to the historical
-//! behaviour), while the `analog` and `bitsliced` backends keep it as
-//! live crossbar state — drift ages the conductance planes directly,
-//! stuck cells freeze physical cells via
-//! [`healthmon_reram::AnalogBackend::stick_cell`], and repairs reprogram
-//! layers through the crossbar write path.
+//! ([`LifetimeConfig::backend`]) through one device surface
+//! (`crate::device`): the default `digital` backend keeps the device as a
+//! weight-space [`Network`] (byte-identical to the historical behaviour),
+//! while the `analog` and `bitsliced` backends keep it as live crossbar
+//! state, where drift ages the conductance planes directly. Every rung
+//! has one code path on every backend: stuck cells are clamped through
+//! `stick_cell`, spares and retraining write through the device and then
+//! re-clamp, and reprogramming programs a fresh device from the golden
+//! copy, then remaps each damaged layer around its defects.
 //!
 //! Everything is a pure function of the inputs: the per-epoch RNG is
 //! derived as `SeededRng::new(seed).fork(epoch)`, so a checkpoint needs
@@ -37,19 +39,20 @@
 
 use crate::confidence::ConfidenceDistance;
 use crate::detect::Detector;
+use crate::device::{self, Device};
 use crate::diagnose::{diagnose, Diagnosis};
+use crate::digest::{
+    fnv1a, network_digest, patterns_digest, verify_digest, verify_golden_digest, FNV_OFFSET,
+};
 use crate::error::HealthmonError;
 use crate::monitor::{Checkup, HealthMonitor, HealthState, MonitorPolicy, MonitorSnapshot};
 use crate::patterns::TestPatternSet;
-use healthmon_faults::{sample_cell_arrivals, FaultModel};
-use healthmon_nn::{InferenceBackend, Network};
+use healthmon_faults::sample_cell_arrivals;
+use healthmon_nn::Network;
 use healthmon_repair::{
     remap_rows, repair_with_spares, retrain_with_faults, DefectMap, FaultyRetrainConfig, StuckCell,
 };
-use healthmon_reram::{
-    deploy, AnalogBackend, BackendKind, BackendSpec, BitSlicedBackend, CrossbarConfig,
-    ParityCheck, ScrubOutcome,
-};
+use healthmon_reram::{BackendSpec, CrossbarConfig, ParityCheck};
 use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
 use healthmon_tensor::{SeededRng, Tensor};
 use healthmon_telemetry as tel;
@@ -262,8 +265,8 @@ pub struct TrainData {
 /// One rung of the escalating repair ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairAction {
-    /// Rewrite every conductance-mapped layer from the golden copy,
-    /// parking known stuck cells via fault-aware row remapping.
+    /// Program a fresh device from the golden copy, parking known stuck
+    /// cells via fault-aware row remapping.
     Reprogram,
     /// Substitute spare bit lines for the most damaged columns of the
     /// most suspect layer, then reprogram it.
@@ -651,80 +654,6 @@ impl FromJson for LayerState {
     }
 }
 
-/// The deployed device: a weight-space digital simulation (the
-/// historical, byte-identical path) or live analog crossbar state.
-#[derive(Debug, Clone)]
-enum DeviceState {
-    Digital(Network),
-    // 'static: the runtime owns its device outright — the backends are
-    // severed from the deploy-time network via `into_owned`.
-    Analog(AnalogBackend<'static>),
-    BitSliced(BitSlicedBackend<'static>),
-}
-
-impl DeviceState {
-    /// The programmed network image. For analog variants this carries the
-    /// structure, biases and last-written digital weights; conductance-
-    /// level aging is only visible through [`DeviceState::readback`].
-    fn network(&self) -> &Network {
-        match self {
-            DeviceState::Digital(net) => net,
-            DeviceState::Analog(b) => b.network(),
-            DeviceState::BitSliced(b) => b.network(),
-        }
-    }
-
-    /// Effective weights as the device actually computes them.
-    fn readback(&self) -> Network {
-        match self {
-            DeviceState::Digital(net) => net.clone(),
-            DeviceState::Analog(b) => b.readback(),
-            DeviceState::BitSliced(b) => b.readback(),
-        }
-    }
-
-    fn is_digital(&self) -> bool {
-        matches!(self, DeviceState::Digital(_))
-    }
-
-    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        match self {
-            DeviceState::Digital(net) => FaultModel::Drift { nu, time }.apply(net, rng),
-            DeviceState::Analog(b) => b.drift(nu, time, rng),
-            DeviceState::BitSliced(b) => b.drift(nu, time, rng),
-        }
-    }
-
-    fn soft_errors(&mut self, probability: f64, rng: &mut SeededRng) {
-        match self {
-            DeviceState::Digital(net) => {
-                FaultModel::RandomSoftError { probability }.apply(net, rng);
-            }
-            // The analog image of random soft errors is read-disturb
-            // noise: lognormal conductance jitter driven by the same
-            // per-epoch probability knob.
-            DeviceState::Analog(b) => b.disturb(probability as f32, rng),
-            DeviceState::BitSliced(b) => b.disturb(probability as f32, rng),
-        }
-    }
-
-    fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
-        match self {
-            DeviceState::Digital(_) => unreachable!("digital defects are clamped, not stuck"),
-            DeviceState::Analog(b) => b.stick_cell(key, row, col, weight),
-            DeviceState::BitSliced(b) => b.stick_cell(key, row, col, weight),
-        }
-    }
-
-    fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
-        match self {
-            DeviceState::Digital(_) => unreachable!("digital repairs write the network directly"),
-            DeviceState::Analog(b) => b.write_layer(key, weights, rng),
-            DeviceState::BitSliced(b) => b.write_layer(key, weights, rng),
-        }
-    }
-}
-
 /// The closed-loop lifetime simulation: see the module docs.
 #[derive(Debug, Clone)]
 pub struct LifetimeRuntime {
@@ -733,13 +662,9 @@ pub struct LifetimeRuntime {
     patterns: TestPatternSet,
     full_detector: Detector,
     train: Option<TrainData>,
-    device: DeviceState,
+    device: Box<dyn Device>,
     monitor: HealthMonitor,
     layers: Vec<LayerState>,
-    /// Digital parity planes, one per conductance-mapped weight tensor
-    /// (analog backends keep parity on the crossbar tiles instead).
-    /// Empty unless the config is hardened.
-    parity: Vec<(String, ParityCheck)>,
     soft_corrected: usize,
     soft_uncorrectable: usize,
     epoch: usize,
@@ -804,24 +729,8 @@ impl LifetimeRuntime {
         let golden = golden.clone();
         let full_detector = Detector::new(&golden, patterns.clone());
         let mut deploy_rng = SeededRng::new(config.seed).fork(0);
-        let (device, tiles, mapping_error_l1) = match config.backend.kind {
-            BackendKind::Digital => {
-                let (net, report) = deploy(&golden, &config.crossbar, &mut deploy_rng);
-                (DeviceState::Digital(net), report.total_tiles(), report.total_error_l1())
-            }
-            BackendKind::Analog => {
-                let backend =
-                    AnalogBackend::program(&golden, &config.backend, &mut deploy_rng).into_owned();
-                let report = backend.deploy_report(patterns.images());
-                (DeviceState::Analog(backend), report.total_tiles(), report.total_error_l1())
-            }
-            BackendKind::BitSliced => {
-                let backend = BitSlicedBackend::program(&golden, &config.backend, &mut deploy_rng)
-                    .into_owned();
-                let report = backend.deploy_report(patterns.images());
-                (DeviceState::BitSliced(backend), report.total_tiles(), report.total_error_l1())
-            }
-        };
+        let device = device::program(&golden, &config, &mut deploy_rng);
+        let report = device.deploy_report(patterns.images());
         let layers = golden
             .state_dict()
             .into_iter()
@@ -844,7 +753,6 @@ impl LifetimeRuntime {
             device,
             monitor,
             layers,
-            parity: Vec::new(),
             soft_corrected: 0,
             soft_uncorrectable: 0,
             epoch: 0,
@@ -859,11 +767,10 @@ impl LifetimeRuntime {
             retries: 0,
             flight: None,
         };
-        if runtime.config.hardened {
-            // Program the spare-column parity alongside the weights.
-            runtime.enable_parity();
-        }
-        runtime.push_event(LifetimeEvent::Deployed { tiles, mapping_error_l1 });
+        runtime.push_event(LifetimeEvent::Deployed {
+            tiles: report.total_tiles(),
+            mapping_error_l1: report.total_error_l1(),
+        });
         let baseline = runtime.run_checkup();
         runtime.push_event(LifetimeEvent::CheckupDone {
             epoch: 0,
@@ -1126,11 +1033,7 @@ impl LifetimeRuntime {
             self.monitor.set_detector(detector);
         }
         let t0 = tel::enabled().then(std::time::Instant::now);
-        let checkup = match &self.device {
-            DeviceState::Digital(net) => self.monitor.check(net),
-            DeviceState::Analog(b) => self.monitor.check(b),
-            DeviceState::BitSliced(b) => self.monitor.check(b),
-        };
+        let checkup = self.monitor.check(&*self.device);
         if let Some(t0) = t0 {
             PHASE_DETECTOR_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
@@ -1176,9 +1079,9 @@ impl LifetimeRuntime {
             if self.config.hardened {
                 // Re-baseline the parity first: drift is genuine aging,
                 // not a transient, and must never be "corrected" away.
-                self.refresh_parity();
-                self.inject_transient_flips(aging.soft_error_p, &mut rng);
-                let outcome = self.scrub_parity();
+                self.device.refresh_parity();
+                self.device.flip_cells(aging.soft_error_p, &mut rng);
+                let outcome = self.device.scrub_parity();
                 self.soft_corrected += outcome.corrected;
                 self.soft_uncorrectable += outcome.uncorrectable;
                 if outcome.any() {
@@ -1195,7 +1098,7 @@ impl LifetimeRuntime {
         let mut new_stuck = 0usize;
         if aging.stuck_lambda > 0.0 {
             let weights: Vec<Tensor> =
-                self.layers.iter().map(|l| golden_param(&self.golden, &l.key)).collect();
+                self.layers.iter().map(|l| param(&self.golden, &l.key)).collect();
             let total_cells: usize = weights.iter().map(Tensor::len).sum();
             for (li, (layer, w)) in self.layers.iter_mut().zip(&weights).enumerate() {
                 let (rows, cols) = (w.shape()[0], w.shape()[1]);
@@ -1230,7 +1133,7 @@ impl LifetimeRuntime {
             // Stuck cells are known persistent defects owned by the
             // checkup/repair path; fold them into the parity baseline so
             // the next scrub never mistakes them for transients.
-            self.refresh_parity();
+            self.device.refresh_parity();
         }
         self.push_event(LifetimeEvent::Aged {
             epoch,
@@ -1239,114 +1142,15 @@ impl LifetimeRuntime {
         });
     }
 
-    /// Programs the parity checksums over the current device state:
-    /// weight-tensor planes for the digital backend, crossbar tiles for
-    /// the analog ones.
-    fn enable_parity(&mut self) {
-        match &mut self.device {
-            DeviceState::Digital(net) => {
-                let mut parity = Vec::new();
-                net.for_each_param(|key, tensor| {
-                    if key.ends_with("weight") {
-                        let rows = tensor.shape()[0];
-                        let cols = tensor.len() / rows;
-                        parity.push((
-                            key.to_owned(),
-                            ParityCheck::capture(rows, cols, tensor.as_slice()),
-                        ));
-                    }
-                });
-                self.parity = parity;
-            }
-            DeviceState::Analog(b) => b.enable_parity(),
-            DeviceState::BitSliced(b) => b.enable_parity(),
-        }
-    }
-
-    /// Re-baselines every parity checksum to the current device state.
-    fn refresh_parity(&mut self) {
-        let parity = &mut self.parity;
-        match &mut self.device {
-            DeviceState::Digital(net) => net.for_each_param(|key, tensor| {
-                if let Some((_, check)) = parity.iter_mut().find(|(k, _)| k == key) {
-                    check.refresh(tensor.as_slice());
-                }
-            }),
-            DeviceState::Analog(b) => b.refresh_parity(),
-            DeviceState::BitSliced(b) => b.refresh_parity(),
-        }
-    }
-
-    /// One in-situ parity scrub over the whole device.
-    fn scrub_parity(&mut self) -> ScrubOutcome {
-        let parity = &self.parity;
-        let mut outcome = ScrubOutcome::default();
-        match &mut self.device {
-            DeviceState::Digital(net) => net.for_each_param_mut(|key, tensor| {
-                if let Some((_, check)) = parity.iter().find(|(k, _)| k == key) {
-                    outcome.merge(check.scrub(tensor.as_mut_slice()));
-                }
-            }),
-            DeviceState::Analog(b) => outcome = b.scrub_parity(),
-            DeviceState::BitSliced(b) => outcome = b.scrub_parity(),
-        }
-        outcome
-    }
-
-    /// Hardened-mode soft errors. The digital backend keeps the exact
-    /// weight-space `RandomSoftError` stream of the unhardened runtime;
-    /// the analog backends inject sparse conductance flips — the
-    /// device-level image of the same fault class — instead of dense
-    /// read-disturb jitter, which no parity column could isolate.
-    fn inject_transient_flips(&mut self, probability: f64, rng: &mut SeededRng) {
-        match &mut self.device {
-            DeviceState::Digital(net) => {
-                FaultModel::RandomSoftError { probability }.apply(net, rng);
-            }
-            DeviceState::Analog(b) => {
-                b.flip_cells(probability, rng);
-            }
-            DeviceState::BitSliced(b) => {
-                b.flip_cells(probability, rng);
-            }
-        }
-    }
-
-    /// Overrides the device weights at every stuck position (under the
-    /// current row assignments): a stuck cell reads its frozen value no
-    /// matter what drift or a repair wrote there.
+    /// Freezes the device at every stuck position (under the current row
+    /// assignments): a stuck cell reads its frozen value no matter what
+    /// drift or a repair wrote there. Defect rows are physical; the
+    /// device addresses cells in the logical layout.
     fn clamp_defects(&mut self) {
-        let layers = &self.layers;
-        match &mut self.device {
-            DeviceState::Digital(net) => net.for_each_param_mut(|key, tensor| {
-                if let Some(layer) = layers.iter().find(|l| l.key == key) {
-                    if !layer.map.is_empty() {
-                        *tensor = layer.map.apply_with_assignment(tensor, &layer.assignment);
-                    }
-                }
-            }),
-            device => {
-                // Freeze the physical cells on the live crossbars. The
-                // defect rows are physical; the backend addresses cells
-                // through the digital (logical) layout, so invert the
-                // row assignment exactly like `apply_with_assignment`.
-                for layer in layers {
-                    if layer.map.is_empty() {
-                        continue;
-                    }
-                    let mut logical_of = vec![0usize; layer.assignment.len()];
-                    for (logical, &physical) in layer.assignment.iter().enumerate() {
-                        logical_of[physical] = logical;
-                    }
-                    for cell in layer.map.cells() {
-                        device.stick_cell(
-                            &layer.key,
-                            logical_of[cell.row],
-                            cell.col,
-                            cell.value,
-                        );
-                    }
-                }
+        for layer in &self.layers {
+            let logical_of = invert(&layer.assignment);
+            for cell in layer.map.cells() {
+                self.device.stick_cell(&layer.key, logical_of[cell.row], cell.col, cell.value);
             }
         }
     }
@@ -1358,11 +1162,7 @@ impl LifetimeRuntime {
     fn repair_session(&mut self, epoch: usize) {
         let _span = tel::span("lifetime.repair_session");
         let t0 = tel::enabled().then(std::time::Instant::now);
-        let diagnosis = match &self.device {
-            DeviceState::Digital(net) => diagnose(self.monitor.detector(), &self.golden, net),
-            DeviceState::Analog(b) => diagnose(self.monitor.detector(), &self.golden, b),
-            DeviceState::BitSliced(b) => diagnose(self.monitor.detector(), &self.golden, b),
-        };
+        let diagnosis = diagnose(self.monitor.detector(), &self.golden, &*self.device);
         if let Some(t0) = t0 {
             PHASE_DIAGNOSE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
@@ -1405,7 +1205,7 @@ impl LifetimeRuntime {
             if self.config.hardened {
                 // Repairs rewrite conductances; re-baseline the parity so
                 // the next scrub protects the repaired state.
-                self.refresh_parity();
+                self.device.refresh_parity();
             }
             let checkup = self.run_checkup();
             let success = checkup.state < self.config.trigger;
@@ -1436,46 +1236,25 @@ impl LifetimeRuntime {
         }
     }
 
-    /// Rung 1: rewrite every conductance-mapped layer from the golden
-    /// copy through the crossbar write path, parking known stuck cells
-    /// via fault-aware row remapping.
+    /// The RNG stream of the current repair attempt's device writes.
+    fn repair_rng(&self) -> SeededRng {
+        SeededRng::new(self.config.seed ^ REPROGRAM_SALT).fork(self.repairs_used as u64)
+    }
+
+    /// Rung 1: program a fresh device from the golden copy, remap every
+    /// damaged layer's rows around its known stuck cells, then re-freeze
+    /// them under the new assignment.
     fn reprogram(&mut self) {
-        let mut rng =
-            SeededRng::new(self.config.seed ^ REPROGRAM_SALT).fork(self.repairs_used as u64);
-        if self.device.is_digital() {
-            let (mut fresh, _) = deploy(&self.golden, &self.config.crossbar, &mut rng);
-            let layers = &mut self.layers;
-            fresh.for_each_param_mut(|key, tensor| {
-                if let Some(layer) = layers.iter_mut().find(|l| l.key == key) {
-                    if layer.map.is_empty() {
-                        layer.assignment = (0..tensor.shape()[0]).collect();
-                    } else {
-                        let remap = remap_rows(tensor, &layer.map);
-                        layer.assignment = remap.assignment;
-                        *tensor = remap.repaired_weights;
-                    }
-                }
-            });
-            self.device = DeviceState::Digital(fresh);
-        } else {
-            // Live-crossbar path: rewrite every mapped layer from the
-            // golden weights through the crossbar write path, then
-            // re-freeze the surviving physical defects.
-            for li in 0..self.layers.len() {
-                let key = self.layers[li].key.clone();
-                let golden_w = golden_param(&self.golden, &key);
-                let tensor = if self.layers[li].map.is_empty() {
-                    self.layers[li].assignment = (0..golden_w.shape()[0]).collect();
-                    golden_w
-                } else {
-                    let remap = remap_rows(&golden_w, &self.layers[li].map);
-                    self.layers[li].assignment = remap.assignment;
-                    remap.repaired_weights
-                };
-                self.device.write_layer(&key, &tensor, &mut rng);
-            }
-            self.clamp_defects();
+        let device = device::program(&self.golden, &self.config, &mut self.repair_rng());
+        for layer in &mut self.layers {
+            layer.assignment = if layer.map.is_empty() {
+                (0..layer.assignment.len()).collect()
+            } else {
+                remap_rows(&param(device.network(), &layer.key), &layer.map).assignment
+            };
         }
+        self.device = device;
+        self.clamp_defects();
     }
 
     /// Rung 2: substitute spare bit lines on the most suspect defective
@@ -1491,7 +1270,7 @@ impl LifetimeRuntime {
             .map(str::to_owned)
             .or_else(|| self.layers.iter().find(|l| has_work(l)).map(|l| l.key.clone()));
         let Some(key) = target else { return };
-        let golden_w = golden_param(&self.golden, &key);
+        let golden_w = param(&self.golden, &key);
         let layer = self.layers.iter_mut().find(|l| l.key == key).expect("target layer exists");
         let spare = repair_with_spares(&golden_w, &layer.map, layer.spares_left);
         layer.spares_left -= spare.replaced_columns.len();
@@ -1505,26 +1284,14 @@ impl LifetimeRuntime {
         layer.map = DefectMap::new(surviving);
         let remap = remap_rows(&golden_w, &layer.map);
         layer.assignment = remap.assignment;
-        let repaired = remap.repaired_weights;
-        match &mut self.device {
-            DeviceState::Digital(net) => net.for_each_param_mut(|k, tensor| {
-                if k == key {
-                    *tensor = repaired.clone();
-                }
-            }),
-            device => {
-                let mut rng = SeededRng::new(self.config.seed ^ REPROGRAM_SALT)
-                    .fork(self.repairs_used as u64);
-                device.write_layer(&key, &repaired, &mut rng);
-            }
-        }
-        if !self.device.is_digital() {
-            self.clamp_defects();
-        }
+        self.device.write_layer(&key, &remap.repaired_weights, &mut self.repair_rng());
+        self.clamp_defects();
     }
 
-    /// Rung 3: fault-aware retraining around the stuck cells (in logical
-    /// coordinates under the current assignments).
+    /// Rung 3: fault-aware retraining (cloud-side) of the device's
+    /// effective weights around the stuck cells, in logical coordinates
+    /// under the current assignments; the result is written back through
+    /// the device.
     fn retrain(&mut self, epoch: usize) {
         let Some(train) = &self.train else { return };
         let defect_layers: Vec<(String, DefectMap)> = self
@@ -1532,10 +1299,7 @@ impl LifetimeRuntime {
             .iter()
             .filter(|l| !l.map.is_empty())
             .map(|l| {
-                let mut logical_of = vec![0usize; l.assignment.len()];
-                for (logical, &physical) in l.assignment.iter().enumerate() {
-                    logical_of[physical] = logical;
-                }
+                let logical_of = invert(&l.assignment);
                 let cells = l
                     .map
                     .cells()
@@ -1557,36 +1321,10 @@ impl LifetimeRuntime {
                 .wrapping_add(self.repairs_used as u64),
             ..self.config.retrain
         };
-        match &mut self.device {
-            DeviceState::Digital(net) => {
-                retrain_with_faults(net, &defect_layers, &train.images, &train.labels, config);
-            }
-            device => {
-                // Retrain digitally on the read-back effective weights,
-                // then write the conductance-mapped layers back through
-                // the crossbar write path. (Bias updates stay cloud-side:
-                // only mapped parameters have a crossbar write path.)
-                let mut snapshot = device.readback();
-                retrain_with_faults(
-                    &mut snapshot,
-                    &defect_layers,
-                    &train.images,
-                    &train.labels,
-                    config,
-                );
-                let mut rng = SeededRng::new(self.config.seed ^ REPROGRAM_SALT)
-                    .fork(self.repairs_used as u64);
-                let dict = snapshot.state_dict();
-                for layer in &self.layers {
-                    if let Some((_, tensor)) = dict.iter().find(|(k, _)| *k == layer.key) {
-                        device.write_layer(&layer.key, tensor, &mut rng);
-                    }
-                }
-            }
-        }
-        if !self.device.is_digital() {
-            self.clamp_defects();
-        }
+        let mut retrained = self.device.readback();
+        retrain_with_faults(&mut retrained, &defect_layers, &train.images, &train.labels, config);
+        self.device.write_network(retrained, &mut self.repair_rng());
+        self.clamp_defects();
     }
 
     /// Rung 4: graceful degradation — halve the concurrent-test pattern
@@ -1710,7 +1448,8 @@ impl LifetimeRuntime {
             // Hardened-only fields keep unhardened checkpoints
             // byte-identical to the v1 layout. The parity words are
             // digest-guarded like every other resume input.
-            let parity: Vec<Json> = self.parity.iter().map(parity_entry_json).collect();
+            let planes = self.device.parity_planes();
+            let parity: Vec<Json> = planes.iter().map(parity_entry_json).collect();
             fields.push(("hardened".to_owned(), true.to_json()));
             fields.push(("soft_corrected".to_owned(), self.soft_corrected.to_json()));
             fields.push((
@@ -1720,7 +1459,7 @@ impl LifetimeRuntime {
             fields.push(("parity".to_owned(), Json::Array(parity)));
             fields.push((
                 "parity_digest".to_owned(),
-                Json::String(parity_digest(&self.parity).to_string()),
+                Json::String(parity_digest(planes).to_string()),
             ));
         }
         healthmon_serdes::to_string(&Json::Object(fields))
@@ -1746,7 +1485,7 @@ impl LifetimeRuntime {
         train: Option<TrainData>,
         checkpoint: &str,
     ) -> Result<Self, HealthmonError> {
-        if config.backend.kind != BackendKind::Digital {
+        if config.backend.kind != healthmon_reram::BackendKind::Digital {
             return Err(HealthmonError::CheckpointMismatch(format!(
                 "lifetime checkpoints capture digital device state only; \
                  resume is not supported on the `{}` backend",
@@ -1762,17 +1501,7 @@ impl LifetimeRuntime {
         }
         let mut runtime = LifetimeRuntime::new(golden, patterns, config, train);
         verify_digest(&value, "config_digest", runtime.config.digest(), "configuration")?;
-        verify_digest(
-            &value,
-            "golden_digest",
-            network_digest(&runtime.golden),
-            &format!(
-                "golden network (resume built `{}` weights: {} params over {} layers)",
-                runtime.golden.input_shape().iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x"),
-                runtime.golden.num_params(),
-                runtime.golden.layers().len()
-            ),
-        )?;
+        verify_golden_digest(&value, &runtime.golden)?;
         verify_digest(
             &value,
             "patterns_digest",
@@ -1780,14 +1509,7 @@ impl LifetimeRuntime {
             "pattern set",
         )?;
 
-        let dict: Vec<(String, Tensor)> = Vec::from_json(value.field("device")?)?;
-        let DeviceState::Digital(device_net) = &mut runtime.device else {
-            unreachable!("non-digital resume was rejected above")
-        };
-        device_net
-            .load_state_dict(&dict)
-            .map_err(|e| HealthmonError::CheckpointMismatch(e.to_string()))?;
-
+        let weights: Vec<(String, Tensor)> = Vec::from_json(value.field("device")?)?;
         let layers: Vec<LayerState> = Vec::from_json(value.field("layers")?)?;
         if layers.len() != runtime.layers.len()
             || layers.iter().zip(&runtime.layers).any(|(a, b)| a.key != b.key)
@@ -1838,6 +1560,7 @@ impl LifetimeRuntime {
         // Timelines are never checkpointed: drop the construction-time
         // baseline point and restart history at the resume epoch.
         runtime.timeline = tel::HealthTimeline::default();
+        let mut parity = Vec::new();
         if runtime.config.hardened {
             if !bool::from_json(value.field("hardened")?)? {
                 return Err(HealthmonError::CheckpointMismatch(
@@ -1847,37 +1570,15 @@ impl LifetimeRuntime {
             runtime.soft_corrected = usize::from_json(value.field("soft_corrected")?)?;
             runtime.soft_uncorrectable =
                 usize::from_json(value.field("soft_uncorrectable")?)?;
-            let parity: Vec<(String, ParityCheck)> = value
+            parity = value
                 .field("parity")?
                 .as_array()?
                 .iter()
                 .map(parity_entry_from_json)
                 .collect::<Result<_, _>>()?;
             verify_digest(&value, "parity_digest", parity_digest(&parity), "parity state")?;
-            // The checkpoint is taken at an epoch boundary, where the
-            // parity baseline always matches the device: a stored word
-            // that disagrees with the restored weights means either the
-            // weights or the parity were tampered with.
-            for (key, check) in &parity {
-                let mut current = None;
-                runtime.device.network().for_each_param(|k, t| {
-                    if k == key {
-                        current = Some(t.clone());
-                    }
-                });
-                let (rows, cols) = check.shape();
-                let consistent = current
-                    .as_ref()
-                    .is_some_and(|t| t.len() == rows * cols && check.verify(t.as_slice()));
-                if !consistent {
-                    return Err(HealthmonError::CheckpointMismatch(format!(
-                        "checkpointed parity for `{key}` does not match the \
-                         restored device weights"
-                    )));
-                }
-            }
-            runtime.parity = parity;
         }
+        runtime.device.restore(&weights, parity)?;
         Ok(runtime)
     }
 }
@@ -1885,32 +1586,23 @@ impl LifetimeRuntime {
 /// Checkpoint format tag; bumped on incompatible layout changes.
 const CHECKPOINT_FORMAT: &str = "healthmon-lifetime-checkpoint-v1";
 
-pub(crate) fn verify_digest(
-    value: &Json,
-    field: &str,
-    expected: u64,
-    what: &str,
-) -> Result<(), HealthmonError> {
-    let stored = value.field(field)?.as_str()?.parse::<u64>().map_err(|_| {
-        HealthmonError::CheckpointMismatch(format!("`{field}` is not a u64 digest"))
-    })?;
-    if stored != expected {
-        return Err(HealthmonError::CheckpointMismatch(format!(
-            "the checkpoint was written under a different {what} \
-             (digest {stored} != {expected})"
-        )));
-    }
-    Ok(())
-}
-
-fn golden_param(net: &Network, key: &str) -> Tensor {
+fn param(net: &Network, key: &str) -> Tensor {
     let mut found = None;
     net.for_each_param(|k, t| {
         if k == key {
             found = Some(t.clone());
         }
     });
-    found.unwrap_or_else(|| panic!("golden parameter `{key}` exists"))
+    found.unwrap_or_else(|| panic!("parameter `{key}` exists"))
+}
+
+/// Inverts a logical→physical row assignment.
+fn invert(assignment: &[usize]) -> Vec<usize> {
+    let mut logical_of = vec![0usize; assignment.len()];
+    for (logical, &physical) in assignment.iter().enumerate() {
+        logical_of[physical] = logical;
+    }
+    logical_of
 }
 
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1924,29 +1616,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "opaque panic payload".to_owned()
     }
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-pub(crate) fn fnv1a(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    for byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// FNV-1a over every parameter key and the exact f32 bit patterns.
-pub(crate) fn network_digest(net: &Network) -> u64 {
-    let mut hash = FNV_OFFSET;
-    net.for_each_param(|key, tensor| {
-        hash = fnv1a(hash, key.bytes());
-        for &v in tensor.as_slice() {
-            hash = fnv1a(hash, v.to_bits().to_le_bytes());
-        }
-    });
-    hash
 }
 
 /// One checkpointed parity plane: key, shape, and raw checksum words.
@@ -1990,18 +1659,6 @@ fn parity_digest(parity: &[(String, ParityCheck)]) -> u64 {
         for &w in check.row_words().iter().chain(check.col_words()) {
             hash = fnv1a(hash, w.to_le_bytes());
         }
-    }
-    hash
-}
-
-/// FNV-1a over the pattern method, shape, and exact image bit patterns.
-pub(crate) fn patterns_digest(patterns: &TestPatternSet) -> u64 {
-    let mut hash = fnv1a(FNV_OFFSET, patterns.method().bytes());
-    for &dim in patterns.images().shape() {
-        hash = fnv1a(hash, (dim as u64).to_le_bytes());
-    }
-    for &v in patterns.images().as_slice() {
-        hash = fnv1a(hash, v.to_bits().to_le_bytes());
     }
     hash
 }
@@ -2474,7 +2131,7 @@ mod tests {
         runtime.run(Some(2));
         let checkpoint = runtime.checkpoint_json();
 
-        let digest = parity_digest(&runtime.parity).to_string();
+        let digest = parity_digest(runtime.device.parity_planes()).to_string();
         let tampered = checkpoint.replace(&digest, "12345");
         assert_ne!(tampered, checkpoint, "the digest must appear in the checkpoint");
         let err =
@@ -2515,6 +2172,94 @@ mod tests {
             runtime.device().state_dict(),
             "corrected flips must leave no residue in the read-back"
         );
+    }
+
+    /// Asserts that every stuck cell reads back its frozen value, within
+    /// `step` times the layer's largest read-back magnitude, at its
+    /// logical position.
+    fn assert_stuck_cells_frozen(runtime: &LifetimeRuntime, step: f32, context: &str) {
+        let readback = runtime.device_readback();
+        for layer in &runtime.layers {
+            let weights = param(&readback, &layer.key);
+            let tolerance = step * weights.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            let logical_of = invert(&layer.assignment);
+            for cell in layer.map.cells() {
+                let got = weights.at(&[logical_of[cell.row], cell.col]);
+                assert!(
+                    (got - cell.value).abs() <= tolerance,
+                    "{context}: `{}` cell ({}, {}) reads {got}, frozen at {}",
+                    layer.key,
+                    cell.row,
+                    cell.col,
+                    cell.value
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_rung_keeps_stuck_cells_frozen_on_every_backend() {
+        let (net, patterns) = setup(21);
+        let mut rng = SeededRng::new(22);
+        let train = TrainData {
+            images: Tensor::rand_uniform(&[16, 8], 0.0, 1.0, &mut rng),
+            labels: (0..16).map(|i| i % 4).collect(),
+        };
+        // Exact cells read back bitwise; 8-bit slices within one step.
+        for (backend, step) in [
+            (BackendSpec::digital(), 0.0),
+            (BackendSpec::analog(CrossbarConfig::exact()), 0.0),
+            (
+                BackendSpec::bitsliced(
+                    CrossbarConfig { cell_bits: 2, ..CrossbarConfig::ideal() },
+                    8,
+                ),
+                1.0 / 255.0,
+            ),
+        ] {
+            let name = backend.kind.label();
+            let config = LifetimeConfig {
+                epochs: 6,
+                aging: AgingModel {
+                    drift_nu: 0.05,
+                    drift_time: 1.0,
+                    stuck_lambda: 8.0,
+                    ..quiet_aging()
+                },
+                backend,
+                // Never repair on its own: the rungs are called directly.
+                policy: MonitorPolicy {
+                    watch_threshold: 10.0,
+                    critical_threshold: 20.0,
+                    ..MonitorPolicy::default()
+                },
+                ..LifetimeConfig::default()
+            };
+            let mut runtime =
+                LifetimeRuntime::new(&net, patterns.clone(), config, Some(train.clone()));
+            while runtime.total_stuck() < 8 && !runtime.is_finished() {
+                runtime.step();
+            }
+            assert!(runtime.total_stuck() > 0, "{name}: aging must stick some cells");
+            assert_stuck_cells_frozen(&runtime, step, &format!("{name} aging"));
+
+            runtime.repairs_used += 1;
+            runtime.reprogram();
+            assert_stuck_cells_frozen(&runtime, step, &format!("{name} reprogram"));
+
+            runtime.repairs_used += 1;
+            let diagnosis = diagnose(runtime.monitor.detector(), &runtime.golden, &*runtime.device);
+            runtime.consume_spares(&diagnosis);
+            assert!(
+                runtime.layers.iter().any(|l| l.spares_left < runtime.config.spare_columns),
+                "{name}: the spares rung must replace a column"
+            );
+            assert_stuck_cells_frozen(&runtime, step, &format!("{name} spares"));
+
+            runtime.repairs_used += 1;
+            runtime.retrain(runtime.epoch);
+            assert_stuck_cells_frozen(&runtime, step, &format!("{name} retrain"));
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! detection stack (detector, fault campaigns, diagnosis, repair
 //! re-validation, lifetime runtime) executes forward passes.
 //!
-//! The digital reference lives here ([`Network`] itself implements the
-//! trait, and [`DigitalBackend`] is a thin owning wrapper); analog
+//! The digital reference lives here: [`Network`] itself implements the
+//! trait, so borrowing call sites pass `&Network` directly. Analog
 //! implementations that route matmuls through conductance-mapped crossbars
 //! live in `healthmon-reram` and plug into the same trait.
 
@@ -64,58 +64,6 @@ impl InferenceBackend for Network {
 
     fn readback(&self) -> Network {
         self.clone()
-    }
-}
-
-/// The bit-identical digital reference backend: owns a [`Network`] and
-/// runs its plain evaluation-mode forward pass.
-///
-/// Exists so call sites can hold backends by value uniformly; borrowing
-/// call sites can pass `&Network` directly since the trait is implemented
-/// on [`Network`] itself.
-#[derive(Debug, Clone)]
-pub struct DigitalBackend {
-    net: Network,
-}
-
-impl DigitalBackend {
-    /// Wraps a network as a digital backend.
-    pub fn new(net: Network) -> Self {
-        DigitalBackend { net }
-    }
-
-    /// The wrapped network.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
-    /// Mutable access to the wrapped network (fault injection on the
-    /// digital substrate edits weights directly).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    /// Unwraps the backend into its network.
-    pub fn into_network(self) -> Network {
-        self.net
-    }
-}
-
-impl InferenceBackend for DigitalBackend {
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.net.infer(input)
-    }
-
-    fn infer_checked(&self, input: &Tensor) -> Result<Tensor, NonFiniteActivation> {
-        self.net.infer_checked(input)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "digital"
-    }
-
-    fn readback(&self) -> Network {
-        self.net.clone()
     }
 }
 
@@ -190,17 +138,6 @@ mod tests {
         assert_eq!(backend.infer(&x), net.infer(&x));
         assert_eq!(backend.infer_checked(&x).unwrap(), net.infer(&x));
         assert_eq!(backend.readback().state_dict(), net.state_dict());
-    }
-
-    #[test]
-    fn digital_backend_wrapper_round_trips() {
-        let mut rng = SeededRng::new(44);
-        let net = models::tiny_mlp(6, 5, 3, &mut rng);
-        let x = Tensor::randn(&[2, 6], &mut rng);
-        let backend = DigitalBackend::new(net.clone());
-        assert_eq!(backend.infer(&x), net.infer(&x));
-        assert_eq!(backend.network().state_dict(), net.state_dict());
-        assert_eq!(backend.into_network().state_dict(), net.state_dict());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod optim;
 pub mod trainer;
 pub mod zoo;
 
-pub use backend::{DigitalBackend, InferenceBackend};
+pub use backend::InferenceBackend;
 pub use layers::{DigitalEngine, Layer, MatmulEngine, MatmulOrientation};
 pub use loss::SoftmaxCrossEntropy;
 pub use network::{LoadStateError, Network, NonFiniteActivation, ParamStats};

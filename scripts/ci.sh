@@ -108,6 +108,17 @@ for b in digital analog bitsliced; do
         --drift 0.25 --stuck-lambda 0.5 --backend "$b" > "$lt_dir/lifetime_$b.txt"
     grep -q "final state:" "$lt_dir/lifetime_$b.txt"
 done
+# Crossbar repairs are thread-invariant too: these lifetimes drift hard
+# enough that the reprogram rung (program fresh, then remap) runs.
+for b in analog bitsliced; do
+    for t in 1 2 7; do
+        HEALTHMON_THREADS=$t "$hm" lifetime --arch mlp --model "$lt_dir/model.json" --epochs 4 \
+            --count 8 --drift 0.5 --stuck-lambda 1 --backend "$b" > "$lt_dir/lifetime_${b}_$t.txt"
+    done
+    cmp "$lt_dir/lifetime_${b}_1.txt" "$lt_dir/lifetime_${b}_2.txt"
+    cmp "$lt_dir/lifetime_${b}_1.txt" "$lt_dir/lifetime_${b}_7.txt"
+    grep -q "repair #" "$lt_dir/lifetime_${b}_1.txt"
+done
 # Campaign rates stay thread-invariant on live analog backends too: the
 # per-model programming RNG is indexed by model, never by thread.
 for b in digital analog; do

@@ -4,7 +4,7 @@
 
 use healthmon::{
     AgingModel, CtpGenerator, HealthState, LifetimeConfig, LifetimeEvent, LifetimeRuntime,
-    MonitorPolicy, SdcCriterion, TrainData,
+    MonitorPolicy, RepairAction, SdcCriterion, TestPatternSet, TrainData,
 };
 use healthmon_data::{Dataset, DatasetSpec, SynthDigits};
 use healthmon_faults::FaultModel;
@@ -13,7 +13,7 @@ use healthmon_nn::optim::Sgd;
 use healthmon_nn::trainer::accuracy;
 use healthmon_nn::{Network, TrainConfig, Trainer};
 use healthmon_reram::CrossbarConfig;
-use healthmon_tensor::SeededRng;
+use healthmon_tensor::{SeededRng, Tensor};
 use std::sync::OnceLock;
 
 struct Fixture {
@@ -202,5 +202,65 @@ fn kill_and_resume_is_bit_identical() {
             tb.as_slice().iter().map(|v| v.to_bits()).collect(),
         );
         assert_eq!(a_bits, b_bits, "device weights diverged in {ka}");
+    }
+}
+
+/// A small seeded lifetime whose repair ladder walks reprogram, spares,
+/// retrain and degrade, with the parity scrub on when `hardened`.
+fn ladder_lifetime(hardened: bool) -> LifetimeRuntime {
+    let mut rng = SeededRng::new(31);
+    let net = tiny_mlp(8, 16, 4, &mut rng);
+    let patterns = TestPatternSet::new("ladder", Tensor::rand_uniform(&[6, 8], 0.0, 1.0, &mut rng));
+    let train = TrainData {
+        images: Tensor::rand_uniform(&[24, 8], 0.0, 1.0, &mut rng),
+        labels: (0..24).map(|i| i % 4).collect(),
+    };
+    let config = LifetimeConfig {
+        seed: 44,
+        epochs: 6,
+        aging: AgingModel {
+            drift_nu: 0.05,
+            drift_time: 1.0,
+            soft_error_p: 0.002,
+            stuck_lambda: 4.0,
+        },
+        crossbar: CrossbarConfig::ideal(),
+        policy: MonitorPolicy {
+            watch_threshold: 1e-3,
+            critical_threshold: 1e-2,
+            escalation_count: 1,
+        },
+        repair_budget: 12,
+        hardened,
+        ..LifetimeConfig::default()
+    };
+    let mut runtime = LifetimeRuntime::new(&net, patterns, config, Some(train));
+    runtime.run(None);
+    runtime
+}
+
+#[test]
+fn digital_ladder_checkpoints_match_the_goldens() {
+    for (hardened, golden) in [
+        (false, include_str!("golden/lifetime_checkpoint.json")),
+        (true, include_str!("golden/lifetime_checkpoint_hardened.json")),
+    ] {
+        let runtime = ladder_lifetime(hardened);
+        let rungs: Vec<RepairAction> = runtime
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                LifetimeEvent::RepairAttempted { action, .. } => Some(*action),
+                _ => None,
+            })
+            .collect();
+        for rung in [RepairAction::Reprogram, RepairAction::Spares, RepairAction::Retrain] {
+            assert!(rungs.contains(&rung), "the ladder must reach {rung:?}: {rungs:?}");
+        }
+        assert_eq!(
+            runtime.checkpoint_json(),
+            golden,
+            "digital checkpoint bytes moved (hardened: {hardened})"
+        );
     }
 }
