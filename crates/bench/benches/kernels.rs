@@ -1,11 +1,14 @@
 //! Micro-benchmarks for the numeric kernels underlying every experiment:
-//! matmul, crossbar matvec vs ideal, forward/backward passes.
+//! matmul, whole conv layers, crossbar matvec vs ideal, forward/backward
+//! passes.
 //!
 //! Runs on the in-tree [`healthmon_bench::timing`] harness
 //! (`cargo bench --bench kernels`).
 
 use healthmon_bench::timing::TimingHarness;
+use healthmon_nn::layers::{Conv2d, Layer};
 use healthmon_nn::models::lenet5;
+use healthmon_nn::DigitalEngine;
 use healthmon_reram::{Crossbar, CrossbarConfig, TiledMatrix};
 use healthmon_tensor::{SeededRng, Tensor};
 use std::hint::black_box;
@@ -18,11 +21,13 @@ fn bench_matmul() {
         let b = Tensor::randn(&[n, n], &mut rng);
         group.case(&format!("square/{n}"), || black_box(a.matmul(&b)));
     }
-    // The im2col GEMMs that dominate LeNet-5 / ConvNet-7 forward passes:
-    // weight [F, C·K·K] times unfolded patches [C·K·K, N·OH·OW]. Then the
-    // 40-model campaign's own products (10 test patterns per model): its
-    // conv layers, a dense layer (patterns [10, in] times weight
-    // [in, out]) and a 10-class head. All have few output rows.
+    // The conv layers' im2col GEMMs alone: weight [F, C·K·K] times
+    // unfolded patches [C·K·K, N·OH·OW]. The product is only part of a
+    // conv layer's cost; the `conv` group times the whole layer, unfold
+    // and output gather included. Then the 40-model campaign's own
+    // products (10 test patterns per model): its conv layers, a dense
+    // layer (patterns [10, in] times weight [in, out]) and a 10-class
+    // head. All have few output rows.
     for &(label, m, k, n) in &[
         ("lenet5_conv2_b16", 16usize, 150usize, 3136usize),
         ("convnet7_conv_b16", 32, 288, 4096),
@@ -41,6 +46,32 @@ fn bench_matmul() {
     group.case("matmul_at_dense", || black_box(a.matmul_at(&g)));
     let x = Tensor::randn(&[64, 120], &mut rng);
     group.case("matmul_bt_dense", || black_box(x.matmul_bt(&a)));
+}
+
+/// Whole conv layers at the campaign's shapes (10 test patterns per
+/// model) through `Layer::infer`, the path every backend's inference
+/// takes: im2col unfold, GEMM, bias and output gather. Then one training
+/// step of LeNet-5's padded first layer, whose backward folds the patch
+/// gradient back with col2im.
+fn bench_conv_layers() {
+    let mut group = TimingHarness::new("conv");
+    let mut rng = SeededRng::new(4);
+    for &(label, c, f, k, p, hw) in &[
+        ("lenet5_conv0_infer", 1usize, 6usize, 5usize, 2usize, 28usize),
+        ("lenet5_conv3_infer", 6, 16, 5, 0, 14),
+        ("convnet7_conv2_infer", 16, 16, 3, 1, 32),
+    ] {
+        let conv = Conv2d::new(c, f, k, 1, p, &mut rng);
+        let x = Tensor::rand_uniform(&[10, c, hw, hw], 0.0, 1.0, &mut rng);
+        group.case(label, || black_box(conv.infer(&x, "layer0", &DigitalEngine)));
+    }
+    let mut conv = Conv2d::new(1, 6, 5, 1, 2, &mut rng);
+    let x = Tensor::rand_uniform(&[16, 1, 28, 28], 0.0, 1.0, &mut rng);
+    let g = Tensor::randn(&[16, 6, 28, 28], &mut rng);
+    group.case("lenet5_conv0_forward_backward_b16", || {
+        black_box(conv.forward(&x));
+        black_box(conv.backward(&g))
+    });
 }
 
 fn bench_crossbar_matvec() {
@@ -89,6 +120,7 @@ fn bench_model_passes() {
 
 fn main() {
     bench_matmul();
+    bench_conv_layers();
     bench_crossbar_matvec();
     bench_model_passes();
     healthmon_bench::timing::write_json_report();

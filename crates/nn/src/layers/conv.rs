@@ -111,81 +111,107 @@ impl Conv2d {
         self.unfold_into(input, oh, ow, col)
     }
 
-    /// The im2col fill loop over a zeroed `[C·K·K, N·OH·OW]` buffer; shared
-    /// by the caching `im2col` (workspace reuse) and the `&self` inference
-    /// path (fresh buffer), so both produce bitwise-identical patches.
-    fn unfold_into(&self, input: &Tensor, oh: usize, ow: usize, mut col: Tensor) -> Tensor {
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let k = self.kernel;
+    /// The output positions `[lo, hi)` along one axis at which kernel tap
+    /// `tap` reads inside an input of this `extent`, i.e.
+    /// `0 ≤ o·stride + tap − padding < extent`. Every other position reads
+    /// padding.
+    fn tap_range(&self, tap: usize, extent: usize, out: usize) -> (usize, usize) {
+        let (s, p) = (self.stride, self.padding);
+        let hi = if extent + p > tap { (extent + p - tap).div_ceil(s).min(out) } else { 0 };
+        let lo = if p > tap { (p - tap).div_ceil(s).min(hi) } else { 0 };
+        (lo, hi)
+    }
+
+    /// Walks the im2col correspondence between a `[N, C, H, W]` input and
+    /// its `[C·K·K, N·OH·OW]` patch matrix one segment at a time: for each
+    /// kernel tap `(ci, kh, kw)`, sample and output row, calls
+    /// `f(col_start, x_start, len)`, meaning that matrix elements
+    /// `col_start + j` and input elements `x_start + j·stride` pair up for
+    /// `j < len`. Taps that read padding are left out, so each tap's valid
+    /// columns and rows are computed once, not tested per element. The
+    /// nesting, outermost first, is `ci, kh, kw, ni, ph`, then `j`.
+    fn for_each_segment(
+        &self,
+        input_shape: &[usize],
+        oh: usize,
+        ow: usize,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
+        let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
         let cols = n * oh * ow;
-        let x = input.as_slice();
-        let cm = col.as_mut_slice();
         for ci in 0..c {
             for kh in 0..k {
+                let (ph_lo, ph_hi) = self.tap_range(kh, h, oh);
                 for kw in 0..k {
-                    let row = (ci * k + kh) * k + kw;
-                    let row_base = row * cols;
+                    let (pw_lo, pw_hi) = self.tap_range(kw, w, ow);
+                    // The tap reads only padding; its input offset below
+                    // would underflow.
+                    if pw_lo == pw_hi {
+                        continue;
+                    }
+                    let row_base = ((ci * k + kh) * k + kw) * cols;
                     for ni in 0..n {
                         let plane = (ni * c + ci) * h * w;
-                        let col_base = ni * oh * ow;
-                        for ph in 0..oh {
-                            let ih = (ph * self.stride + kh) as isize - self.padding as isize;
-                            if ih < 0 || ih >= h as isize {
-                                continue;
-                            }
-                            let in_row = plane + ih as usize * w;
-                            let out_row = row_base + col_base + ph * ow;
-                            for pw in 0..ow {
-                                let iw = (pw * self.stride + kw) as isize - self.padding as isize;
-                                if iw < 0 || iw >= w as isize {
-                                    continue;
-                                }
-                                cm[out_row + pw] = x[in_row + iw as usize];
-                            }
+                        let col_base = row_base + ni * oh * ow;
+                        for ph in ph_lo..ph_hi {
+                            let in_row = plane + (ph * s + kh - p) * w;
+                            f(
+                                col_base + ph * ow + pw_lo,
+                                in_row + pw_lo * s + kw - p,
+                                pw_hi - pw_lo,
+                            );
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Fills the im2col matrix `col`, which must arrive zeroed: only the
+    /// taps that read inside the input are written, so padding stays 0.
+    /// Each segment is a slice copy at stride 1 and a strided gather
+    /// otherwise. Shared by the caching `im2col` (recycled workspace) and
+    /// the `&self` inference path (fresh buffer), so both produce
+    /// bit-identical patches.
+    fn unfold_into(&self, input: &Tensor, oh: usize, ow: usize, mut col: Tensor) -> Tensor {
+        let s = self.stride;
+        let x = input.as_slice();
+        let cm = col.as_mut_slice();
+        self.for_each_segment(input.shape(), oh, ow, |dst, src, len| {
+            let seg = &mut cm[dst..dst + len];
+            if s == 1 {
+                seg.copy_from_slice(&x[src..src + len]);
+            } else {
+                for (d, &v) in seg.iter_mut().zip(x[src..].iter().step_by(s)) {
+                    *d = v;
+                }
+            }
+        });
         col
     }
 
     /// col2im: fold a `[C·K·K, N·OH·OW]` gradient matrix back onto the
-    /// input, accumulating overlapping patches.
+    /// input, accumulating overlapping patches. Segments are added in
+    /// `for_each_segment`'s fixed order, so every input element sums its
+    /// terms in the same order on every call.
     fn col2im(&self, col: &Tensor, input_shape: &[usize], oh: usize, ow: usize) -> Tensor {
-        let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
-        let k = self.kernel;
-        let cols = n * oh * ow;
+        let s = self.stride;
         let cm = col.as_slice();
         let mut out = Tensor::zeros(input_shape);
         let o = out.as_mut_slice();
-        for ci in 0..c {
-            for kh in 0..k {
-                for kw in 0..k {
-                    let row = (ci * k + kh) * k + kw;
-                    let row_base = row * cols;
-                    for ni in 0..n {
-                        let plane = (ni * c + ci) * h * w;
-                        let col_base = ni * oh * ow;
-                        for ph in 0..oh {
-                            let ih = (ph * self.stride + kh) as isize - self.padding as isize;
-                            if ih < 0 || ih >= h as isize {
-                                continue;
-                            }
-                            let in_row = plane + ih as usize * w;
-                            let src_row = row_base + col_base + ph * ow;
-                            for pw in 0..ow {
-                                let iw = (pw * self.stride + kw) as isize - self.padding as isize;
-                                if iw < 0 || iw >= w as isize {
-                                    continue;
-                                }
-                                o[in_row + iw as usize] += cm[src_row + pw];
-                            }
-                        }
-                    }
+        self.for_each_segment(input_shape, oh, ow, |src, dst, len| {
+            let seg = &cm[src..src + len];
+            if s == 1 {
+                for (d, &g) in o[dst..dst + len].iter_mut().zip(seg) {
+                    *d += g;
+                }
+            } else {
+                for (d, &g) in o[dst..].iter_mut().step_by(s).zip(seg) {
+                    *d += g;
                 }
             }
-        }
+        });
         out
     }
 
@@ -364,7 +390,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::gradcheck;
+    use crate::layers::{gradcheck, DigitalEngine};
 
     /// Direct (reference) convolution for testing the im2col path.
     fn naive_conv(
@@ -466,6 +492,167 @@ mod tests {
         let x = Tensor::randn(&[1, 2, 7, 7], &mut rng);
         let err = gradcheck::input_gradient_error(&mut conv, &x);
         assert!(err < 1e-2, "strided conv grad error {err}");
+    }
+
+    /// The per-element im2col loop `unfold_into` replaced, kept as its
+    /// reference: every element tests both padding bounds.
+    fn reference_unfold(conv: &Conv2d, input: &Tensor, oh: usize, ow: usize) -> Tensor {
+        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
+        let k = conv.kernel;
+        let cols = n * oh * ow;
+        let mut col = Tensor::zeros(&[c * k * k, cols]);
+        let x = input.as_slice();
+        let cm = col.as_mut_slice();
+        for ci in 0..c {
+            for kh in 0..k {
+                for kw in 0..k {
+                    let row = (ci * k + kh) * k + kw;
+                    let row_base = row * cols;
+                    for ni in 0..n {
+                        let plane = (ni * c + ci) * h * w;
+                        let col_base = ni * oh * ow;
+                        for ph in 0..oh {
+                            let ih = (ph * conv.stride + kh) as isize - conv.padding as isize;
+                            if ih < 0 || ih >= h as isize {
+                                continue;
+                            }
+                            let in_row = plane + ih as usize * w;
+                            let out_row = row_base + col_base + ph * ow;
+                            for pw in 0..ow {
+                                let iw = (pw * conv.stride + kw) as isize - conv.padding as isize;
+                                if iw < 0 || iw >= w as isize {
+                                    continue;
+                                }
+                                cm[out_row + pw] = x[in_row + iw as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        col
+    }
+
+    /// The per-element col2im loop `col2im` replaced, kept as its reference.
+    fn reference_col2im(
+        conv: &Conv2d,
+        col: &Tensor,
+        input_shape: &[usize],
+        oh: usize,
+        ow: usize,
+    ) -> Tensor {
+        let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
+        let k = conv.kernel;
+        let cols = n * oh * ow;
+        let cm = col.as_slice();
+        let mut out = Tensor::zeros(input_shape);
+        let o = out.as_mut_slice();
+        for ci in 0..c {
+            for kh in 0..k {
+                for kw in 0..k {
+                    let row = (ci * k + kh) * k + kw;
+                    let row_base = row * cols;
+                    for ni in 0..n {
+                        let plane = (ni * c + ci) * h * w;
+                        let col_base = ni * oh * ow;
+                        for ph in 0..oh {
+                            let ih = (ph * conv.stride + kh) as isize - conv.padding as isize;
+                            if ih < 0 || ih >= h as isize {
+                                continue;
+                            }
+                            let in_row = plane + ih as usize * w;
+                            let src_row = row_base + col_base + ph * ow;
+                            for pw in 0..ow {
+                                let iw = (pw * conv.stride + kw) as isize - conv.padding as isize;
+                                if iw < 0 || iw >= w as isize {
+                                    continue;
+                                }
+                                o[in_row + iw as usize] += cm[src_row + pw];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
+    /// Random values with a NaN, a +inf and a −inf planted at spread-out
+    /// positions, so bit-exact moves of non-finite values are checked too.
+    fn with_specials(shape: &[usize], rng: &mut SeededRng) -> Tensor {
+        let mut t = Tensor::randn(shape, rng);
+        let v = t.as_mut_slice();
+        let len = v.len();
+        v[len / 3] = f32::NAN;
+        v[len / 2] = f32::INFINITY;
+        v[len - 1] = f32::NEG_INFINITY;
+        t
+    }
+
+    /// The segment unfold and fold against the per-element reference loops,
+    /// to the bit, over kernel 1–5, stride 1–3 and padding 0 through
+    /// kernel + 1 (whole output rows and columns in the padding). Per
+    /// geometry, one layer runs two same-shape forwards and then one with
+    /// H and W swapped: the same `[C·K·K, N·OH·OW]` workspace is recycled
+    /// with a different padding layout, so it must come back zeroed.
+    #[test]
+    fn segment_unfold_and_fold_match_the_per_element_loops() {
+        let mut rng = SeededRng::new(7);
+        // (batch, channels, h, w), h ≠ w.
+        let shapes = [(1, 1, 5, 3), (2, 3, 4, 7), (3, 2, 9, 6), (1, 2, 1, 8), (3, 1, 7, 2)];
+        let mut cases = 0;
+        for k in 1..=5 {
+            for s in 1..=3 {
+                for p in 0..=k + 1 {
+                    for &(n, c, h, w) in &shapes {
+                        if h.min(w) + 2 * p < k {
+                            continue;
+                        }
+                        cases += 1;
+                        let mut conv = Conv2d::new(c, 2, k, s, p, &mut rng);
+                        for (pass, (hi, wi)) in [(h, w), (h, w), (w, h)].into_iter().enumerate() {
+                            let what = format!("k{k} s{s} p{p} [{n},{c},{hi},{wi}] pass {pass}");
+                            let x = with_specials(&[n, c, hi, wi], &mut rng);
+                            let (oh, ow) = (conv.out_extent(hi), conv.out_extent(wi));
+                            let want = reference_unfold(&conv, &x, oh, ow);
+                            let fresh = Tensor::zeros(want.shape());
+                            assert_bits_eq(&conv.unfold_into(&x, oh, ow, fresh), &want, &what);
+
+                            let y = conv.forward(&x);
+                            let cached = conv.cached_col.as_ref().unwrap();
+                            assert_bits_eq(cached, &want, &format!("{what} forward"));
+                            let inferred = conv.infer(&x, "layer0", &DigitalEngine);
+                            assert_bits_eq(&inferred, &y, &format!("{what} infer"));
+
+                            let grad_col = with_specials(want.shape(), &mut rng);
+                            assert_bits_eq(
+                                &conv.col2im(&grad_col, x.shape(), oh, ow),
+                                &reference_col2im(&conv, &grad_col, x.shape(), oh, ow),
+                                &format!("{what} col2im"),
+                            );
+                            // Skipping one backward leaves the patches cached, so the
+                            // next forward retires them itself.
+                            if pass == 1 {
+                                continue;
+                            }
+                            let g = Tensor::randn(y.shape(), &mut rng);
+                            let g_mat = conv.scatter_grad(&g, n, oh, ow);
+                            let dcol = conv.weight.matmul_at(&g_mat);
+                            let want_dx = reference_col2im(&conv, &dcol, x.shape(), oh, ow);
+                            assert_bits_eq(&conv.backward(&g), &want_dx, &format!("{what} backward"));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 300, "only {cases} geometries ran");
     }
 
     #[test]

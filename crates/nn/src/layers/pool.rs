@@ -61,10 +61,13 @@ impl Layer for MaxPool2d {
                 let plane = (ni * c + ci) * h * w;
                 for ph in 0..oh {
                     for pw in 0..ow {
+                        let window = plane + ph * self.stride * w + pw * self.stride;
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        // A window where nothing beats −∞ (all −∞ or NaN)
+                        // routes its gradient to its own first element.
+                        let mut best_idx = window;
                         for kh in 0..self.kernel {
-                            let row = plane + (ph * self.stride + kh) * w + pw * self.stride;
+                            let row = window + kh * w;
                             for kw in 0..self.kernel {
                                 let v = x[row + kw];
                                 if v > best {
@@ -294,6 +297,25 @@ mod tests {
         pool.forward(&x);
         let g = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap());
         assert_eq!(g.as_slice(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn maxpool_window_without_a_winner_routes_to_its_own_first_element() {
+        let mut pool = MaxPool2d::new(2, 2);
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, ninf, ninf, ninf, ninf], &[2, 1, 2, 2])
+            .unwrap();
+        assert_eq!(pool.forward(&x).as_slice(), &[4.0, ninf]);
+        let g = pool.backward(&Tensor::from_vec(vec![10.0, 100.0], &[2, 1, 1, 1]).unwrap());
+        assert_eq!(g.as_slice(), &[0.0, 0.0, 0.0, 10.0, 100.0, 0.0, 0.0, 0.0]);
+
+        // The same for a NaN window that is not the batch's first.
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(vec![1.0, 2.0, nan, ninf, 3.0, 4.0, nan, nan], &[1, 1, 2, 4])
+            .unwrap();
+        pool.forward(&x);
+        let g = pool.backward(&Tensor::from_vec(vec![10.0, 100.0], &[1, 1, 1, 2]).unwrap());
+        assert_eq!(g.as_slice(), &[0.0, 0.0, 100.0, 0.0, 0.0, 10.0, 0.0, 0.0]);
     }
 
     #[test]
