@@ -1149,7 +1149,7 @@ fn cmd_flight(args: &ParsedArgs) -> Result<ExitCode, String> {
         println!("  {name:<20} {value}");
     }
     if let Some(tail) = record.timeline.last() {
-        println!("last timeline point: {}", tail.render());
+        println!("last timeline point: {}", healthmon_serdes::to_string(tail));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -10,19 +10,23 @@
 
 use crate::error::HealthmonError;
 use crate::metrics::SdcCriterion;
-use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
+use healthmon_serdes::JsonError;
 
-/// The saved state of a partially-evaluated detection campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignCheckpoint {
-    seed: u64,
-    count: usize,
-    /// Criterion labels, recorded so a resume with *different* criteria is
-    /// rejected instead of silently mixing verdict columns.
-    criteria: Vec<String>,
-    /// Completed `(model index, per-criterion verdicts)` rows, sorted by
-    /// index.
-    rows: Vec<(usize, Vec<bool>)>,
+healthmon_serdes::json_codec! {
+    /// The saved state of a partially-evaluated detection campaign.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CampaignCheckpoint {
+        /// Seeds are full 64-bit values, hence the decimal-string rule.
+        seed: u64 as healthmon_serdes::decimal,
+        count: usize,
+        /// Criterion labels, recorded so a resume with *different* criteria is
+        /// rejected instead of silently mixing verdict columns.
+        criteria: Vec<String>,
+        /// Completed `(model index, per-criterion verdicts)` rows, sorted by
+        /// index.
+        rows: Vec<(usize, Vec<bool>)>,
+    }
+    check CampaignCheckpoint::check_rows;
 }
 
 impl CampaignCheckpoint {
@@ -172,41 +176,23 @@ impl CampaignCheckpoint {
     }
 }
 
-impl ToJson for CampaignCheckpoint {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            // Seeds are full 64-bit values; rendered as a decimal string
-            // so they survive the f64 JSON number type exactly.
-            ("seed".to_owned(), Json::String(self.seed.to_string())),
-            ("count".to_owned(), self.count.to_json()),
-            ("criteria".to_owned(), self.criteria.to_json()),
-            ("rows".to_owned(), self.rows.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CampaignCheckpoint {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let seed_field = value.field("seed")?;
-        let seed = seed_field
-            .as_str()?
-            .parse::<u64>()
-            .map_err(|_| JsonError::invalid("checkpoint seed is not a decimal u64"))?;
-        let count = usize::from_json(value.field("count")?)?;
-        let criteria = Vec::<String>::from_json(value.field("criteria")?)?;
-        let rows = Vec::<(usize, Vec<bool>)>::from_json(value.field("rows")?)?;
+impl CampaignCheckpoint {
+    /// Load-time invariant: every row in range, one verdict per
+    /// criterion, sorted by index without duplicates.
+    fn check_rows(&self) -> Result<(), JsonError> {
         let mut last: Option<usize> = None;
-        for (i, v) in &rows {
-            if *i >= count {
+        for (i, v) in &self.rows {
+            if *i >= self.count {
                 return Err(JsonError::invalid(format!(
-                    "checkpoint row index {i} out of range for count {count}"
+                    "checkpoint row index {i} out of range for count {}",
+                    self.count
                 )));
             }
-            if v.len() != criteria.len() {
+            if v.len() != self.criteria.len() {
                 return Err(JsonError::invalid(format!(
                     "checkpoint row {i} has {} verdicts, expected {}",
                     v.len(),
-                    criteria.len()
+                    self.criteria.len()
                 )));
             }
             if last.is_some_and(|p| p >= *i) {
@@ -216,7 +202,7 @@ impl FromJson for CampaignCheckpoint {
             }
             last = Some(*i);
         }
-        Ok(CampaignCheckpoint { seed, count, criteria, rows })
+        Ok(())
     }
 }
 

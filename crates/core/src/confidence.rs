@@ -5,7 +5,6 @@
 //! patterns versus a running accelerator's — through a
 //! [`ConfidenceDistance`].
 
-use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
 use healthmon_tensor::Tensor;
 
 /// The softmax responses of one model on one pattern set.
@@ -95,33 +94,17 @@ impl ResponseSet {
     }
 }
 
-/// The two confidence-distance aggregates the paper evaluates (Fig 3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConfidenceDistance {
-    /// **SDC-T distance**: mean over patterns of
-    /// `|p_ideal[c*] − p_target[c*]|` where `c*` is the ideal model's
-    /// top-1 class for that pattern.
-    pub top_ranked: f32,
-    /// **SDC-A distance**: mean over patterns and classes of
-    /// `|p_ideal − p_target|`.
-    pub all_classes: f32,
-}
-
-impl ToJson for ConfidenceDistance {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("top_ranked".to_owned(), self.top_ranked.to_json()),
-            ("all_classes".to_owned(), self.all_classes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ConfidenceDistance {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ConfidenceDistance {
-            top_ranked: f32::from_json(value.field("top_ranked")?)?,
-            all_classes: f32::from_json(value.field("all_classes")?)?,
-        })
+healthmon_serdes::json_codec! {
+    /// The two confidence-distance aggregates the paper evaluates (Fig 3).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ConfidenceDistance {
+        /// **SDC-T distance**: mean over patterns of
+        /// `|p_ideal[c*] − p_target[c*]|` where `c*` is the ideal model's
+        /// top-1 class for that pattern.
+        pub top_ranked: f32,
+        /// **SDC-A distance**: mean over patterns and classes of
+        /// `|p_ideal − p_target|`.
+        pub all_classes: f32,
     }
 }
 

@@ -43,14 +43,12 @@
 use crate::error::HealthmonError;
 use crate::monitor::HealthState;
 use crate::patterns::TestPatternSet;
-use crate::digest::{
-    fnv1a, network_digest, patterns_digest, verify_digest, verify_golden_digest, FNV_OFFSET,
-};
+use crate::digest::{envelope, fnv1a, seal, unseal, Identity, FNV_OFFSET};
 use crate::runtime::{panic_message, LifetimeConfig, LifetimeRuntime};
 use crate::store;
 use healthmon_nn::Network;
 use healthmon_reram::BackendKind;
-use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
+use healthmon_serdes::{FromJson, JsonError};
 use healthmon_tensor::{pool, SeededRng};
 use healthmon_telemetry as tel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,7 +80,7 @@ static FLEET_EPOCH_NS: tel::Histogram =
     tel::Histogram::new("fleet.epoch_ns", tel::Stability::Volatile);
 
 /// Shard file format tag; bumped on incompatible layout changes.
-const SHARD_FORMAT: &str = "healthmon-fleet-shard-v1";
+const SHARD_FORMAT: &str = "healthmon-fleet-shard-v2";
 
 /// Seeded fault injection into the *monitor itself*. All probabilities
 /// are per checkup attempt except the checkpoint knobs, which are per
@@ -339,61 +337,37 @@ impl FleetConfig {
     }
 }
 
-/// What went wrong in one failed (or poisoned) device interaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IncidentKind {
-    /// The checkup attempt panicked (isolated by the supervisor).
-    CheckupPanic,
-    /// The attempt stalled past the per-checkup deadline and was
-    /// abandoned before the device transaction landed.
-    Timeout,
-    /// The checkup completed but its recorded confidence distance was
-    /// non-finite; the device is escalated to Critical priority.
-    PoisonedDistance,
-}
-
-impl IncidentKind {
-    /// Stable lowercase label used by serialized artifacts and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            IncidentKind::CheckupPanic => "checkup-panic",
-            IncidentKind::Timeout => "timeout",
-            IncidentKind::PoisonedDistance => "poisoned-distance",
-        }
+healthmon_serdes::json_codec! {
+    /// What went wrong in one failed (or poisoned) device interaction.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum IncidentKind {
+        /// The checkup attempt panicked (isolated by the supervisor).
+        CheckupPanic = "checkup-panic",
+        /// The attempt stalled past the per-checkup deadline and was
+        /// abandoned before the device transaction landed.
+        Timeout = "timeout",
+        /// The checkup completed but its recorded confidence distance was
+        /// non-finite; the device is escalated to Critical priority.
+        PoisonedDistance = "poisoned-distance",
     }
 }
 
-impl ToJson for IncidentKind {
-    fn to_json(&self) -> Json {
-        Json::String(self.label().to_owned())
+healthmon_serdes::json_codec! {
+    /// A structured supervisor-level incident: a device interaction that
+    /// failed (after retries) or returned poisoned data. Device-internal
+    /// incidents (parks) stay in the device's own
+    /// [`IncidentReport`](crate::IncidentReport).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FleetIncident {
+        /// The offending device id.
+        pub device: usize,
+        /// Fleet epoch of the incident.
+        pub epoch: usize,
+        /// What happened.
+        pub kind: IncidentKind,
+        /// Human-readable detail (panic message, timings).
+        pub message: String,
     }
-}
-
-impl FromJson for IncidentKind {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str()? {
-            "checkup-panic" => Ok(IncidentKind::CheckupPanic),
-            "timeout" => Ok(IncidentKind::Timeout),
-            "poisoned-distance" => Ok(IncidentKind::PoisonedDistance),
-            other => Err(JsonError::invalid(format!("unknown incident kind `{other}`"))),
-        }
-    }
-}
-
-/// A structured supervisor-level incident: a device interaction that
-/// failed (after retries) or returned poisoned data. Device-internal
-/// incidents (parks) stay in the device's own
-/// [`IncidentReport`](crate::IncidentReport).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetIncident {
-    /// The offending device id.
-    pub device: usize,
-    /// Fleet epoch of the incident.
-    pub epoch: usize,
-    /// What happened.
-    pub kind: IncidentKind,
-    /// Human-readable detail (panic message, timings).
-    pub message: String,
 }
 
 impl FleetIncident {
@@ -405,28 +379,6 @@ impl FleetIncident {
             self.kind.label(),
             self.message
         )
-    }
-}
-
-impl ToJson for FleetIncident {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("device".to_owned(), self.device.to_json()),
-            ("epoch".to_owned(), self.epoch.to_json()),
-            ("kind".to_owned(), self.kind.to_json()),
-            ("message".to_owned(), self.message.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FleetIncident {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(FleetIncident {
-            device: usize::from_json(value.field("device")?)?,
-            epoch: usize::from_json(value.field("epoch")?)?,
-            kind: IncidentKind::from_json(value.field("kind")?)?,
-            message: String::from_json(value.field("message")?)?,
-        })
     }
 }
 
@@ -870,50 +822,22 @@ impl FleetSupervisor {
             path: dir.display().to_string(),
             detail: e.to_string(),
         })?;
+        let identity = self.identity();
         for shard in 0..self.config.shards {
             let path = shard_path(dir, shard);
-            let members: Vec<&DeviceRecord> = self
+            let devices = self
                 .devices
                 .iter()
                 .filter(|r| r.id % self.config.shards == shard)
+                .map(DeviceEntry::of)
                 .collect();
-            let entries: Vec<(usize, String, Json)> = members
-                .iter()
-                .map(|r| (r.id, r.runtime.checkpoint_json(), device_meta_json(r)))
-                .collect();
-            let digest = self.shard_digest_at(shard, self.fleet_epoch, &entries);
-            let devices: Vec<Json> = entries
-                .into_iter()
-                .map(|(id, checkpoint, meta)| {
-                    let mut fields = vec![("id".to_owned(), id.to_json())];
-                    if let Json::Object(meta_fields) = meta {
-                        fields.extend(meta_fields);
-                    }
-                    // The lifetime checkpoint rides as an escaped string,
-                    // so the shard digest covers its exact bytes without
-                    // depending on a parse→serialize round trip.
-                    fields.push(("checkpoint".to_owned(), Json::String(checkpoint)));
-                    Json::Object(fields)
-                })
-                .collect();
-            let value = Json::Object(vec![
-                ("format".to_owned(), Json::String(SHARD_FORMAT.to_owned())),
-                ("config_digest".to_owned(), Json::String(self.config.digest().to_string())),
-                (
-                    "golden_digest".to_owned(),
-                    Json::String(network_digest(&self.golden).to_string()),
-                ),
-                (
-                    "patterns_digest".to_owned(),
-                    Json::String(patterns_digest(&self.patterns).to_string()),
-                ),
-                ("shard".to_owned(), shard.to_json()),
-                ("shards".to_owned(), self.config.shards.to_json()),
-                ("fleet_epoch".to_owned(), self.fleet_epoch.to_json()),
-                ("devices".to_owned(), Json::Array(devices)),
-                ("digest".to_owned(), Json::String(digest.to_string())),
-            ]);
-            let mut bytes = healthmon_serdes::to_string(&value).into_bytes();
+            let body = ShardBody {
+                shard,
+                shards: self.config.shards,
+                fleet_epoch: self.fleet_epoch,
+                devices,
+            };
+            let mut bytes = seal(envelope(SHARD_FORMAT, &[&identity, &body])).into_bytes();
             let mut rng = self.config.chaos.shard_rng(shard, self.fleet_epoch);
             let truncate = rng.chance(self.config.chaos.truncate_p);
             let flip = rng.chance(self.config.chaos.bitflip_p);
@@ -963,7 +887,7 @@ impl FleetSupervisor {
         let mut fleet_epoch: Option<usize> = None;
         for shard in 0..config.shards {
             let path = shard_path(dir, shard);
-            match fleet.load_shard(&path, shard) {
+            match fleet.load_shard(&path, shard).map_err(|e| store::mark_corrupt(&path, e)) {
                 Ok(epoch) => {
                     fleet_epoch = Some(fleet_epoch.map_or(epoch, |e| e.min(epoch)));
                 }
@@ -978,66 +902,37 @@ impl FleetSupervisor {
     }
 
     /// Loads one shard into the registry, returning its fleet epoch.
-    /// Corruption (unreadable, unparseable, digest-dirty) surfaces as
-    /// [`HealthmonError::CheckpointCorrupt`]; semantic mismatches on a
-    /// digest-clean shard surface as
+    /// Damage (unreadable, unsealed or undecodable bytes) surfaces as
+    /// [`HealthmonError::CheckpointCorrupt`] or as a JSON error the caller
+    /// rewraps so; a sealed shard written for other inputs surfaces as
     /// [`HealthmonError::CheckpointMismatch`].
     fn load_shard(&mut self, path: &Path, shard: usize) -> Result<usize, HealthmonError> {
-        let text = store::read_checkpoint(path)?;
-        let value: Json =
-            healthmon_serdes::from_str(&text).map_err(|e| store::mark_corrupt(path, e.into()))?;
-        let parse = |e: JsonError| store::mark_corrupt(path, e.into());
-        let format = value.field("format").map_err(parse)?.as_str().map_err(parse)?;
+        let value = unseal(&store::read_checkpoint(path)?)?;
+        let format = value.field("format")?.as_str()?;
         if format != SHARD_FORMAT {
-            return Err(HealthmonError::CheckpointCorrupt {
-                path: path.display().to_string(),
-                detail: format!("unknown shard format `{format}` (expected `{SHARD_FORMAT}`)"),
-            });
+            return Err(JsonError::invalid(format!(
+                "unknown shard format `{format}` (expected `{SHARD_FORMAT}`)"
+            ))
+            .into());
         }
-        let fleet_epoch = usize::from_json(value.field("fleet_epoch").map_err(parse)?)
-            .map_err(parse)?;
-        let devices = value.field("devices").map_err(parse)?.as_array().map_err(parse)?;
-        let mut entries: Vec<(usize, String, Json, Json)> = Vec::with_capacity(devices.len());
-        for device in devices {
-            let id = usize::from_json(device.field("id").map_err(parse)?).map_err(parse)?;
-            let checkpoint =
-                String::from_json(device.field("checkpoint").map_err(parse)?).map_err(parse)?;
-            let meta = device_meta_fields(device).map_err(parse)?;
-            entries.push((id, checkpoint, meta, device.clone()));
-        }
-        let digest_entries: Vec<(usize, String, Json)> = entries
-            .iter()
-            .map(|(id, cp, meta, _)| (*id, cp.clone(), meta.clone()))
-            .collect();
-        let expected = self.shard_digest_at(shard, fleet_epoch, &digest_entries);
-        match verify_digest(&value, "digest", expected, "fleet shard") {
-            Ok(()) => {}
-            Err(HealthmonError::CheckpointMismatch(detail)) => {
-                // The digest covers the whole payload, so a mismatch here
-                // is indistinguishable from media corruption — contain it
-                // at shard granularity rather than failing the resume.
-                return Err(HealthmonError::CheckpointCorrupt {
-                    path: path.display().to_string(),
-                    detail,
-                });
-            }
-            Err(other) => return Err(store::mark_corrupt(path, other)),
-        }
-        // Digest-clean from here on: any inconsistency is operator error.
-        verify_digest(&value, "config_digest", self.config.digest(), "fleet configuration")?;
-        verify_golden_digest(&value, &self.golden)?;
-        verify_digest(&value, "patterns_digest", patterns_digest(&self.patterns), "pattern set")?;
-        let shards = usize::from_json(value.field("shards")?)?;
-        let stored_shard = usize::from_json(value.field("shard")?)?;
-        if shards != self.config.shards || stored_shard != shard {
+        // Sealed from here on: the bytes are exactly what a supervisor
+        // wrote, so a shard for other inputs is operator error.
+        self.identity().verify(&value, "fleet configuration", &self.golden)?;
+        let body = ShardBody::from_json(&value)?;
+        if body.shards != self.config.shards || body.shard != shard {
             return Err(HealthmonError::CheckpointMismatch(format!(
-                "shard file {} claims shard {stored_shard}/{shards}, expected {shard}/{}",
+                "shard file {} claims shard {}/{}, expected {shard}/{}",
                 path.display(),
+                body.shard,
+                body.shards,
                 self.config.shards
             )));
         }
-        for (id, checkpoint, _, device) in &entries {
-            let id = *id;
+        // Every member resumes before any is committed, so a shard that
+        // fails part-way leaves all of its devices fresh.
+        let mut restored = Vec::with_capacity(body.devices.len());
+        for entry in body.devices {
+            let id = entry.id;
             if id >= self.config.devices || id % self.config.shards != shard {
                 return Err(HealthmonError::CheckpointMismatch(format!(
                     "device id {id} does not belong to shard {shard}"
@@ -1048,45 +943,28 @@ impl FleetSupervisor {
                 self.patterns.clone(),
                 self.config.device_config(id),
                 None,
-                checkpoint,
+                &entry.checkpoint,
             )?;
-            let rec = &mut self.devices[id];
-            rec.runtime = runtime;
-            rec.offenses = usize::from_json(device.field("offenses")?)?;
-            rec.quarantined_at = Option::from_json(device.field("quarantined_at")?)?;
-            rec.retries = usize::from_json(device.field("retries")?)?;
-            rec.shed_depth = usize::from_json(device.field("shed_depth")?)?;
-            rec.shed_skipped = usize::from_json(device.field("shed_skipped")?)?;
-            rec.backoff_ms = String::from_json(device.field("backoff_ms")?)?
-                .parse::<u64>()
-                .map_err(|_| JsonError::invalid("backoff_ms is not a decimal u64"))?;
-            rec.poisoned = bool::from_json(device.field("poisoned")?)?;
-            rec.incidents = Vec::from_json(device.field("incidents")?)?;
+            restored.push((entry, runtime));
         }
-        Ok(fleet_epoch)
+        for (entry, runtime) in restored {
+            let rec = &mut self.devices[entry.id];
+            rec.runtime = runtime;
+            rec.offenses = entry.offenses;
+            rec.quarantined_at = entry.quarantined_at;
+            rec.retries = entry.retries;
+            rec.shed_depth = entry.shed_depth;
+            rec.shed_skipped = entry.shed_skipped;
+            rec.backoff_ms = entry.backoff_ms;
+            rec.poisoned = entry.poisoned;
+            rec.incidents = entry.incidents;
+        }
+        Ok(body.fleet_epoch)
     }
 
-    /// The digest guarding one shard at `fleet_epoch` (the live epoch when
-    /// saving, the stored one when verifying): FNV-1a over the header
-    /// identity, the fleet epoch, and every member's id, supervision
-    /// metadata and exact checkpoint bytes.
-    fn shard_digest_at(
-        &self,
-        shard: usize,
-        fleet_epoch: usize,
-        entries: &[(usize, String, Json)],
-    ) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.config.digest().to_le_bytes());
-        h = fnv1a(h, network_digest(&self.golden).to_le_bytes());
-        h = fnv1a(h, patterns_digest(&self.patterns).to_le_bytes());
-        h = fnv1a(h, (shard as u64).to_le_bytes());
-        h = fnv1a(h, (fleet_epoch as u64).to_le_bytes());
-        for (id, checkpoint, meta) in entries {
-            h = fnv1a(h, (*id as u64).to_le_bytes());
-            h = fnv1a(h, healthmon_serdes::to_string(meta).bytes());
-            h = fnv1a(h, checkpoint.bytes());
-        }
-        h
+    /// The identity of this fleet's inputs, stored in every shard.
+    fn identity(&self) -> Identity {
+        Identity::of(self.config.digest(), &self.golden, &self.patterns)
     }
 }
 
@@ -1094,36 +972,48 @@ fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:03}.json"))
 }
 
-/// The supervision metadata of one device as a JSON object (everything
-/// except the id and the embedded lifetime checkpoint).
-fn device_meta_json(rec: &DeviceRecord) -> Json {
-    Json::Object(vec![
-        ("offenses".to_owned(), rec.offenses.to_json()),
-        ("quarantined_at".to_owned(), rec.quarantined_at.to_json()),
-        ("retries".to_owned(), rec.retries.to_json()),
-        ("shed_depth".to_owned(), rec.shed_depth.to_json()),
-        ("shed_skipped".to_owned(), rec.shed_skipped.to_json()),
-        // u64 as a decimal string, like every other 64-bit field.
-        ("backoff_ms".to_owned(), Json::String(rec.backoff_ms.to_string())),
-        ("poisoned".to_owned(), rec.poisoned.to_json()),
-        ("incidents".to_owned(), rec.incidents.to_json()),
-    ])
+healthmon_serdes::json_codec! {
+    /// A shard's fields after its identity.
+    struct ShardBody {
+        shard: usize,
+        shards: usize,
+        fleet_epoch: usize,
+        devices: Vec<DeviceEntry>,
+    }
 }
 
-/// Re-extracts the metadata object from a parsed shard device entry, in
-/// the exact field order [`device_meta_json`] writes, so the digest
-/// recomputation sees byte-identical metadata serialization.
-fn device_meta_fields(device: &Json) -> Result<Json, JsonError> {
-    Ok(Json::Object(vec![
-        ("offenses".to_owned(), device.field("offenses")?.clone()),
-        ("quarantined_at".to_owned(), device.field("quarantined_at")?.clone()),
-        ("retries".to_owned(), device.field("retries")?.clone()),
-        ("shed_depth".to_owned(), device.field("shed_depth")?.clone()),
-        ("shed_skipped".to_owned(), device.field("shed_skipped")?.clone()),
-        ("backoff_ms".to_owned(), device.field("backoff_ms")?.clone()),
-        ("poisoned".to_owned(), device.field("poisoned")?.clone()),
-        ("incidents".to_owned(), device.field("incidents")?.clone()),
-    ]))
+healthmon_serdes::json_codec! {
+    /// One device in a shard: its supervision state, then its lifetime
+    /// checkpoint as the exact string the runtime rendered.
+    struct DeviceEntry {
+        id: usize,
+        offenses: usize,
+        quarantined_at: Option<usize>,
+        retries: usize,
+        shed_depth: usize,
+        shed_skipped: usize,
+        backoff_ms: u64 as healthmon_serdes::decimal,
+        poisoned: bool,
+        incidents: Vec<FleetIncident>,
+        checkpoint: String,
+    }
+}
+
+impl DeviceEntry {
+    fn of(rec: &DeviceRecord) -> Self {
+        DeviceEntry {
+            id: rec.id,
+            offenses: rec.offenses,
+            quarantined_at: rec.quarantined_at,
+            retries: rec.retries,
+            shed_depth: rec.shed_depth,
+            shed_skipped: rec.shed_skipped,
+            backoff_ms: rec.backoff_ms,
+            poisoned: rec.poisoned,
+            incidents: rec.incidents.clone(),
+            checkpoint: rec.runtime.checkpoint_json(),
+        }
+    }
 }
 
 /// Drives one device through one fleet epoch with panic isolation,
@@ -1525,6 +1415,44 @@ mod tests {
     }
 
     #[test]
+    fn a_bit_flip_in_any_shard_header_field_damages_exactly_that_shard() {
+        let (net, patterns) = setup(9);
+        let config = small_config(4);
+        let mut fleet = FleetSupervisor::new(&net, patterns.clone(), config).unwrap();
+        fleet.run(Some(1));
+        for field in [
+            "format",
+            "config_digest",
+            "golden_digest",
+            "patterns_digest",
+            "shard",
+            "shards",
+            "fleet_epoch",
+        ] {
+            let dir = temp_dir(&format!("header_{field}"));
+            fleet.save_checkpoint(&dir).unwrap();
+            let path = dir.join("shard-001.json");
+            let mut bytes = std::fs::read(&path).unwrap();
+            let key = format!("\"{field}\":");
+            let at = bytes
+                .windows(key.len())
+                .position(|w| w == key.as_bytes())
+                .expect("every header field is present")
+                + key.len();
+            // The value's first character (past a string's opening quote)
+            // flips to a neighbour that still parses: `h`→`i`, `4`→`5`.
+            let at = if bytes[at] == b'"' { at + 1 } else { at };
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let resumed = FleetSupervisor::resume(&net, patterns.clone(), config, &dir)
+                .unwrap_or_else(|e| panic!("a flip in `{field}` aborted the resume: {e}"));
+            let damaged: Vec<usize> = resumed.damaged_shards().iter().map(|d| d.0).collect();
+            assert_eq!(damaged, vec![1], "a flip in `{field}`");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn resume_rejects_a_different_config() {
         let (net, patterns) = setup(9);
         let config = small_config(4);
@@ -1534,13 +1462,15 @@ mod tests {
         fleet.save_checkpoint(&dir).unwrap();
         let mut other = config;
         other.retry_limit += 1;
-        // A clean shard under a different config digest: every shard is
-        // "corrupt" relative to that config's digest chain, so the whole
-        // resume degrades to fresh devices — but never silently mixes
-        // configurations. (The config digest seeds the shard digest, so
-        // the mismatch is caught by the earliest, strongest check.)
-        let resumed = FleetSupervisor::resume(&net, patterns, other, &dir).unwrap();
-        assert_eq!(resumed.damaged_shards().len(), config.shards);
+        // Sealed shards under a different config digest are intact files
+        // for other inputs: operator error, refused outright rather than
+        // degraded to fresh devices or silently mixed.
+        match FleetSupervisor::resume(&net, patterns, other, &dir) {
+            Err(HealthmonError::CheckpointMismatch(detail)) => {
+                assert!(detail.contains("fleet configuration"), "detail: {detail}");
+            }
+            other => panic!("expected CheckpointMismatch, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,15 +24,17 @@
 //! exporter publishes.
 //!
 //! Each record carries the fleet/lifetime config digest (so a postmortem
-//! can be matched to the exact run configuration) and an FNV-1a digest
-//! over its own payload; the [`std::str::FromStr`] impl refuses artifacts
-//! whose digest does not match, turning silent corruption into a loud
-//! parse error.
+//! can be matched to the exact run configuration) and is sealed like a
+//! fleet shard: a final FNV-1a digest over its own stored bytes. The
+//! [`std::str::FromStr`] impl refuses artifacts whose digest does not
+//! match, turning silent corruption into a loud parse error.
 
+use crate::digest::{envelope, seal, unseal};
 use crate::error::HealthmonError;
-use crate::digest::{fnv1a, FNV_OFFSET};
+use crate::runtime::LifetimeEvent;
 use crate::store;
-use healthmon_serdes::{parse, to_string, Json, JsonError};
+use healthmon_serdes::{FromJson, JsonError};
+use healthmon_telemetry::TimelinePoint;
 use std::path::{Path, PathBuf};
 
 /// Artifact format tag; bump on layout changes.
@@ -49,29 +51,31 @@ pub const FLIGHT_EVENT_WINDOW: usize = 24;
 /// How many trailing timeline points a record embeds.
 pub const FLIGHT_TIMELINE_WINDOW: usize = 32;
 
-/// One self-contained postmortem artifact. See the module docs for the
-/// determinism contract.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightRecord {
-    /// Fleet device id (0 for single-device lifetime runs).
-    pub device: u32,
-    /// Virtual epoch the trigger fired at.
-    pub epoch: u64,
-    /// Trigger class: an incident kind label, `quarantine`, or `park`.
-    pub reason: String,
-    /// Human-readable trigger description.
-    pub detail: String,
-    /// Digest of the run configuration the device was operating under.
-    pub config_digest: String,
-    /// Last-N lifetime events (JSON objects), oldest first.
-    pub events: Vec<Json>,
-    /// Recent health-timeline window (JSON objects), oldest first.
-    pub timeline: Vec<Json>,
-    /// Checkup pipeline stages, in execution order.
-    pub phases: Vec<String>,
-    /// Deterministic per-device tallies (`name`, `value`), in insertion
-    /// order.
-    pub tallies: Vec<(String, u64)>,
+healthmon_serdes::json_codec! {
+    /// One self-contained postmortem artifact. See the module docs for the
+    /// determinism contract.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FlightRecord {
+        /// Fleet device id (0 for single-device lifetime runs).
+        pub device: u32,
+        /// Virtual epoch the trigger fired at.
+        pub epoch: u64,
+        /// Trigger class: an incident kind label, `quarantine`, or `park`.
+        pub reason: String,
+        /// Human-readable trigger description.
+        pub detail: String,
+        /// Digest of the run configuration the device was operating under.
+        pub config_digest: u64 as healthmon_serdes::decimal,
+        /// Last-N lifetime events, oldest first.
+        pub events: Vec<LifetimeEvent>,
+        /// Recent health-timeline window, oldest first.
+        pub timeline: Vec<TimelinePoint>,
+        /// Checkup pipeline stages, in execution order.
+        pub phases: Vec<String>,
+        /// Deterministic per-device tallies (`name`, `value`), in insertion
+        /// order.
+        pub tallies: Vec<(String, u64)> as healthmon_serdes::entries,
+    }
 }
 
 impl FlightRecord {
@@ -83,7 +87,7 @@ impl FlightRecord {
             epoch,
             reason: reason.to_owned(),
             detail: detail.to_owned(),
-            config_digest: config_digest.to_string(),
+            config_digest,
             events: Vec::new(),
             timeline: Vec::new(),
             phases: CHECKUP_PHASES.iter().map(|p| (*p).to_owned()).collect(),
@@ -96,39 +100,10 @@ impl FlightRecord {
         self.tallies.push((name.to_owned(), value));
     }
 
-    fn payload_json(&self) -> Json {
-        let tallies = self
-            .tallies
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Number(*v as f64)))
-            .collect();
-        Json::Object(vec![
-            ("format".to_owned(), Json::String(FLIGHT_FORMAT.to_owned())),
-            ("device".to_owned(), Json::Number(f64::from(self.device))),
-            ("epoch".to_owned(), Json::Number(self.epoch as f64)),
-            ("reason".to_owned(), Json::String(self.reason.clone())),
-            ("detail".to_owned(), Json::String(self.detail.clone())),
-            ("config_digest".to_owned(), Json::String(self.config_digest.clone())),
-            ("events".to_owned(), Json::Array(self.events.clone())),
-            ("timeline".to_owned(), Json::Array(self.timeline.clone())),
-            (
-                "phases".to_owned(),
-                Json::Array(self.phases.iter().map(|p| Json::String(p.clone())).collect()),
-            ),
-            ("tallies".to_owned(), Json::Object(tallies)),
-        ])
-    }
-
-    /// Renders the artifact, including its self-digest: FNV-1a over the
-    /// rendered payload, appended as the final field.
+    /// Renders the artifact, sealed by its self-digest: FNV-1a over its
+    /// stored bytes up to the final `digest` field.
     pub fn render(&self) -> String {
-        let payload = to_string(&self.payload_json());
-        let digest = fnv1a(FNV_OFFSET, payload.bytes());
-        let Json::Object(mut fields) = self.payload_json() else {
-            unreachable!("payload_json always builds an object");
-        };
-        fields.push(("digest".to_owned(), Json::String(digest.to_string())));
-        to_string(&Json::Object(fields))
+        seal(envelope(FLIGHT_FORMAT, &[self]))
     }
 
     /// Canonical artifact file name: `incident-<device>-<epoch>.json`.
@@ -173,43 +148,15 @@ impl std::str::FromStr for FlightRecord {
     /// [`HealthmonError::Json`] on malformed JSON, an unknown format
     /// tag, or an embedded digest that does not match the payload.
     fn from_str(text: &str) -> Result<FlightRecord, HealthmonError> {
-        let v = parse(text)?;
-        let format = v.field("format")?.as_str()?;
+        let value = unseal(text)?;
+        let format = value.field("format")?.as_str()?;
         if format != FLIGHT_FORMAT {
             return Err(JsonError::invalid(format!(
                 "unknown flight-record format `{format}` (expected `{FLIGHT_FORMAT}`)"
             ))
             .into());
         }
-        let mut record = FlightRecord {
-            device: v.field("device")?.as_number()? as u32,
-            epoch: v.field("epoch")?.as_number()? as u64,
-            reason: v.field("reason")?.as_str()?.to_owned(),
-            detail: v.field("detail")?.as_str()?.to_owned(),
-            config_digest: v.field("config_digest")?.as_str()?.to_owned(),
-            events: v.field("events")?.as_array()?.to_vec(),
-            timeline: v.field("timeline")?.as_array()?.to_vec(),
-            phases: Vec::new(),
-            tallies: Vec::new(),
-        };
-        for p in v.field("phases")?.as_array()? {
-            record.phases.push(p.as_str()?.to_owned());
-        }
-        if let Json::Object(fields) = v.field("tallies")? {
-            for (k, val) in fields {
-                record.tallies.push((k.clone(), val.as_number()? as u64));
-            }
-        }
-        let claimed = v.field("digest")?.as_str()?.to_owned();
-        let payload = to_string(&record.payload_json());
-        let actual = fnv1a(FNV_OFFSET, payload.bytes()).to_string();
-        if claimed != actual {
-            return Err(JsonError::invalid(format!(
-                "flight-record digest mismatch: artifact says {claimed}, payload hashes to {actual}"
-            ))
-            .into());
-        }
-        Ok(record)
+        Ok(FlightRecord::from_json(&value)?)
     }
 }
 
@@ -220,14 +167,16 @@ mod tests {
 
     fn sample() -> FlightRecord {
         let mut r = FlightRecord::new(42, 7, "quarantine", "3 offenses", 12345);
-        r.events.push(Json::Object(vec![(
-            "kind".to_owned(),
-            Json::String("checkup".to_owned()),
-        )]));
-        r.timeline.push(Json::Object(vec![(
-            "epoch".to_owned(),
-            Json::Number(6.0),
-        )]));
+        r.events.push(LifetimeEvent::Diagnosed { epoch: 6, suspect: "layer0.weight".into() });
+        r.timeline.push(TimelinePoint {
+            epoch: 6,
+            state: "watch".into(),
+            accuracy: 0.75,
+            score: 0.125,
+            repairs: 1,
+            scrubs: 0,
+            retries: 2,
+        });
         r.push_tally("offenses", 3);
         r.push_tally("retries", 5);
         r

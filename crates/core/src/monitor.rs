@@ -12,7 +12,6 @@ use crate::confidence::ConfidenceDistance;
 use crate::detect::Detector;
 use crate::error::HealthmonError;
 use healthmon_nn::InferenceBackend;
-use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
 use healthmon_telemetry as tel;
 
 // Checkup verdicts follow the deterministic device/checkup sequence, so
@@ -26,17 +25,19 @@ static MONITOR_WATCH: tel::Counter =
 static MONITOR_CRITICAL: tel::Counter =
     tel::Counter::new("monitor.state.critical", tel::Stability::Stable);
 
-/// Triage verdict for a monitored accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HealthState {
-    /// Confidence distance below the watch threshold: no action.
-    Healthy,
-    /// Distance in the watch band: schedule cheap repair (e.g.
-    /// fault-aware remapping) at the next maintenance window.
-    Watch,
-    /// Distance beyond the critical threshold: the model needs
-    /// reprogramming or cloud retraining now.
-    Critical,
+healthmon_serdes::json_codec! {
+    /// Triage verdict for a monitored accelerator.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum HealthState {
+        /// Confidence distance below the watch threshold: no action.
+        Healthy = "healthy",
+        /// Distance in the watch band: schedule cheap repair (e.g.
+        /// fault-aware remapping) at the next maintenance window.
+        Watch = "watch",
+        /// Distance beyond the critical threshold: the model needs
+        /// reprogramming or cloud retraining now.
+        Critical = "critical",
+    }
 }
 
 impl HealthState {
@@ -48,62 +49,18 @@ impl HealthState {
             HealthState::Critical => "weight reprogramming / cloud retraining",
         }
     }
-
-    /// Stable lowercase label used by serialized artifacts and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Watch => "watch",
-            HealthState::Critical => "critical",
-        }
-    }
 }
 
-impl ToJson for HealthState {
-    fn to_json(&self) -> Json {
-        Json::String(self.label().to_owned())
-    }
-}
-
-impl FromJson for HealthState {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str()? {
-            "healthy" => Ok(HealthState::Healthy),
-            "watch" => Ok(HealthState::Watch),
-            "critical" => Ok(HealthState::Critical),
-            other => Err(JsonError::invalid(format!("unknown health state `{other}`"))),
-        }
-    }
-}
-
-/// One entry of the monitoring log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Checkup {
-    /// Monotone check index (0-based).
-    pub index: usize,
-    /// Observed confidence distance at this check.
-    pub distance: ConfidenceDistance,
-    /// State after applying thresholds and hysteresis.
-    pub state: HealthState,
-}
-
-impl ToJson for Checkup {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("index".to_owned(), self.index.to_json()),
-            ("distance".to_owned(), self.distance.to_json()),
-            ("state".to_owned(), self.state.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Checkup {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Checkup {
-            index: usize::from_json(value.field("index")?)?,
-            distance: ConfidenceDistance::from_json(value.field("distance")?)?,
-            state: HealthState::from_json(value.field("state")?)?,
-        })
+healthmon_serdes::json_codec! {
+    /// One entry of the monitoring log.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Checkup {
+        /// Monotone check index (0-based).
+        pub index: usize,
+        /// Observed confidence distance at this check.
+        pub distance: ConfidenceDistance,
+        /// State after applying thresholds and hysteresis.
+        pub state: HealthState,
     }
 }
 
@@ -349,39 +306,19 @@ impl HealthMonitor {
     }
 }
 
-/// The serializable mutable state of a [`HealthMonitor`], captured by
-/// [`HealthMonitor::snapshot`] for lifetime-runtime checkpoints.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorSnapshot {
-    /// The hysteresis-filtered current state.
-    pub current: HealthState,
-    /// The state awaiting confirmation.
-    pub pending_state: HealthState,
-    /// Consecutive confirmations so far.
-    pub pending_count: usize,
-    /// Full checkup log, oldest first.
-    pub history: Vec<Checkup>,
-}
-
-impl ToJson for MonitorSnapshot {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("current".to_owned(), self.current.to_json()),
-            ("pending_state".to_owned(), self.pending_state.to_json()),
-            ("pending_count".to_owned(), self.pending_count.to_json()),
-            ("history".to_owned(), self.history.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MonitorSnapshot {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(MonitorSnapshot {
-            current: HealthState::from_json(value.field("current")?)?,
-            pending_state: HealthState::from_json(value.field("pending_state")?)?,
-            pending_count: usize::from_json(value.field("pending_count")?)?,
-            history: Vec::from_json(value.field("history")?)?,
-        })
+healthmon_serdes::json_codec! {
+    /// The serializable mutable state of a [`HealthMonitor`], captured by
+    /// [`HealthMonitor::snapshot`] for lifetime-runtime checkpoints.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MonitorSnapshot {
+        /// The hysteresis-filtered current state.
+        pub current: HealthState,
+        /// The state awaiting confirmation.
+        pub pending_state: HealthState,
+        /// Consecutive confirmations so far.
+        pub pending_count: usize,
+        /// Full checkup log, oldest first.
+        pub history: Vec<Checkup>,
     }
 }
 

@@ -41,9 +41,7 @@ use crate::confidence::ConfidenceDistance;
 use crate::detect::Detector;
 use crate::device::{self, Device};
 use crate::diagnose::{diagnose, Diagnosis};
-use crate::digest::{
-    fnv1a, network_digest, patterns_digest, verify_digest, verify_golden_digest, FNV_OFFSET,
-};
+use crate::digest::{check_digest, envelope, fnv1a, Identity, FNV_OFFSET};
 use crate::error::HealthmonError;
 use crate::monitor::{Checkup, HealthMonitor, HealthState, MonitorPolicy, MonitorSnapshot};
 use crate::patterns::TestPatternSet;
@@ -262,131 +260,106 @@ pub struct TrainData {
     pub labels: Vec<usize>,
 }
 
-/// One rung of the escalating repair ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairAction {
-    /// Program a fresh device from the golden copy, parking known stuck
-    /// cells via fault-aware row remapping.
-    Reprogram,
-    /// Substitute spare bit lines for the most damaged columns of the
-    /// most suspect layer, then reprogram it.
-    Spares,
-    /// Fault-aware retraining around the stuck cells (cloud-side).
-    Retrain,
-    /// Graceful degradation: halve the concurrent-test pattern budget.
-    Degrade,
-}
-
-impl RepairAction {
-    /// Stable lowercase label used by serialized artifacts and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RepairAction::Reprogram => "reprogram",
-            RepairAction::Spares => "spares",
-            RepairAction::Retrain => "retrain",
-            RepairAction::Degrade => "degrade",
-        }
+healthmon_serdes::json_codec! {
+    /// One rung of the escalating repair ladder.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RepairAction {
+        /// Program a fresh device from the golden copy, parking known stuck
+        /// cells via fault-aware row remapping.
+        Reprogram = "reprogram",
+        /// Substitute spare bit lines for the most damaged columns of the
+        /// most suspect layer, then reprogram it.
+        Spares = "spares",
+        /// Fault-aware retraining around the stuck cells (cloud-side).
+        Retrain = "retrain",
+        /// Graceful degradation: halve the concurrent-test pattern budget.
+        Degrade = "degrade",
     }
 }
 
-impl ToJson for RepairAction {
-    fn to_json(&self) -> Json {
-        Json::String(self.label().to_owned())
+healthmon_serdes::json_codec! {
+    /// One entry of the lifetime event log, persisted as an object tagged
+    /// by its `kind`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum LifetimeEvent by kind {
+        /// The golden model was programmed onto the crossbars.
+        Deployed = "deployed" {
+            /// Crossbar tiles consumed.
+            tiles: usize,
+            /// Total L1 mapping error of the deployment.
+            mapping_error_l1: f32,
+        },
+        /// One epoch of aging was applied.
+        Aged = "aged" {
+            /// The epoch (1-based).
+            epoch: usize,
+            /// Stuck cells that arrived this epoch.
+            new_stuck: usize,
+            /// Cumulative stuck cells on the device.
+            total_stuck: usize,
+        },
+        /// A concurrent-test checkup ran.
+        CheckupDone = "checkup" {
+            /// The epoch (0 = post-deployment baseline).
+            epoch: usize,
+            /// Observed confidence distance.
+            distance: ConfidenceDistance,
+            /// Hysteresis-filtered state after the checkup.
+            state: HealthState,
+        },
+        /// A diagnosis pass localized the damage.
+        Diagnosed = "diagnosed" {
+            /// The epoch.
+            epoch: usize,
+            /// State-dict key of the most suspect layer.
+            suspect: String,
+        },
+        /// One rung of the repair ladder was attempted and re-validated.
+        RepairAttempted = "repair" {
+            /// The epoch.
+            epoch: usize,
+            /// Lifetime-cumulative attempt number (1-based).
+            attempt: usize,
+            /// The rung attempted.
+            action: RepairAction,
+            /// Health state after the re-validation checkup.
+            state_after: HealthState,
+            /// Whether the re-validation cleared the trigger.
+            success: bool,
+        },
+        /// The pattern budget was halved (graceful degradation).
+        Degraded = "degraded" {
+            /// The epoch.
+            epoch: usize,
+            /// Patterns remaining after the halving.
+            patterns: usize,
+        },
+        /// The online parity scrub caught transient soft errors (hardened
+        /// runtimes only).
+        Scrubbed = "scrubbed" {
+            /// The epoch.
+            epoch: usize,
+            /// Corrupted cells restored bitwise in-situ.
+            corrected: usize,
+            /// Corrupted cells detected but not isolatable; left for the
+            /// next checkup/repair cycle.
+            uncorrectable: usize,
+        },
+        /// A failed repair session scheduled a backoff.
+        Backoff = "backoff" {
+            /// The epoch.
+            epoch: usize,
+            /// No repair session will start before this epoch.
+            until_epoch: usize,
+        },
+        /// The runtime parked in `Critical`.
+        Parked = "parked" {
+            /// The epoch.
+            epoch: usize,
+            /// Why the runtime parked.
+            reason: String,
+        },
     }
-}
-
-impl FromJson for RepairAction {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str()? {
-            "reprogram" => Ok(RepairAction::Reprogram),
-            "spares" => Ok(RepairAction::Spares),
-            "retrain" => Ok(RepairAction::Retrain),
-            "degrade" => Ok(RepairAction::Degrade),
-            other => Err(JsonError::invalid(format!("unknown repair action `{other}`"))),
-        }
-    }
-}
-
-/// One entry of the lifetime event log.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LifetimeEvent {
-    /// The golden model was programmed onto the crossbars.
-    Deployed {
-        /// Crossbar tiles consumed.
-        tiles: usize,
-        /// Total L1 mapping error of the deployment.
-        mapping_error_l1: f32,
-    },
-    /// One epoch of aging was applied.
-    Aged {
-        /// The epoch (1-based).
-        epoch: usize,
-        /// Stuck cells that arrived this epoch.
-        new_stuck: usize,
-        /// Cumulative stuck cells on the device.
-        total_stuck: usize,
-    },
-    /// A concurrent-test checkup ran.
-    CheckupDone {
-        /// The epoch (0 = post-deployment baseline).
-        epoch: usize,
-        /// Observed confidence distance.
-        distance: ConfidenceDistance,
-        /// Hysteresis-filtered state after the checkup.
-        state: HealthState,
-    },
-    /// A diagnosis pass localized the damage.
-    Diagnosed {
-        /// The epoch.
-        epoch: usize,
-        /// State-dict key of the most suspect layer.
-        suspect: String,
-    },
-    /// One rung of the repair ladder was attempted and re-validated.
-    RepairAttempted {
-        /// The epoch.
-        epoch: usize,
-        /// Lifetime-cumulative attempt number (1-based).
-        attempt: usize,
-        /// The rung attempted.
-        action: RepairAction,
-        /// Health state after the re-validation checkup.
-        state_after: HealthState,
-        /// Whether the re-validation cleared the trigger.
-        success: bool,
-    },
-    /// The pattern budget was halved (graceful degradation).
-    Degraded {
-        /// The epoch.
-        epoch: usize,
-        /// Patterns remaining after the halving.
-        patterns: usize,
-    },
-    /// The online parity scrub caught transient soft errors (hardened
-    /// runtimes only).
-    Scrubbed {
-        /// The epoch.
-        epoch: usize,
-        /// Corrupted cells restored bitwise in-situ.
-        corrected: usize,
-        /// Corrupted cells detected but not isolatable; left for the
-        /// next checkup/repair cycle.
-        uncorrectable: usize,
-    },
-    /// A failed repair session scheduled a backoff.
-    Backoff {
-        /// The epoch.
-        epoch: usize,
-        /// No repair session will start before this epoch.
-        until_epoch: usize,
-    },
-    /// The runtime parked in `Critical`.
-    Parked {
-        /// The epoch.
-        epoch: usize,
-        /// Why the runtime parked.
-        reason: String,
-    },
 }
 
 impl LifetimeEvent {
@@ -434,143 +407,29 @@ impl LifetimeEvent {
             }
         }
     }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            LifetimeEvent::Deployed { .. } => "deployed",
-            LifetimeEvent::Aged { .. } => "aged",
-            LifetimeEvent::CheckupDone { .. } => "checkup",
-            LifetimeEvent::Diagnosed { .. } => "diagnosed",
-            LifetimeEvent::RepairAttempted { .. } => "repair",
-            LifetimeEvent::Degraded { .. } => "degraded",
-            LifetimeEvent::Scrubbed { .. } => "scrubbed",
-            LifetimeEvent::Backoff { .. } => "backoff",
-            LifetimeEvent::Parked { .. } => "parked",
-        }
-    }
 }
 
-impl ToJson for LifetimeEvent {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("kind".to_owned(), Json::String(self.kind().to_owned()))];
-        match self {
-            LifetimeEvent::Deployed { tiles, mapping_error_l1 } => {
-                fields.push(("tiles".to_owned(), tiles.to_json()));
-                fields.push(("mapping_error_l1".to_owned(), mapping_error_l1.to_json()));
-            }
-            LifetimeEvent::Aged { epoch, new_stuck, total_stuck } => {
-                fields.push(("epoch".to_owned(), epoch.to_json()));
-                fields.push(("new_stuck".to_owned(), new_stuck.to_json()));
-                fields.push(("total_stuck".to_owned(), total_stuck.to_json()));
-            }
-            LifetimeEvent::CheckupDone { epoch, distance, state } => {
-                fields.push(("epoch".to_owned(), epoch.to_json()));
-                fields.push(("distance".to_owned(), distance.to_json()));
-                fields.push(("state".to_owned(), state.to_json()));
-            }
-            LifetimeEvent::Diagnosed { epoch, suspect } => {
-                fields.push(("epoch".to_owned(), epoch.to_json()));
-                fields.push(("suspect".to_owned(), suspect.to_json()));
-            }
-            LifetimeEvent::RepairAttempted { epoch, attempt, action, state_after, success } => {
-                fields.push(("epoch".to_owned(), epoch.to_json()));
-                fields.push(("attempt".to_owned(), attempt.to_json()));
-                fields.push(("action".to_owned(), action.to_json()));
-                fields.push(("state_after".to_owned(), state_after.to_json()));
-                fields.push(("success".to_owned(), success.to_json()));
-            }
-            LifetimeEvent::Degraded { epoch, patterns } => {
-                fields.push(("epoch".to_owned(), epoch.to_json()));
-                fields.push(("patterns".to_owned(), patterns.to_json()));
-            }
-            LifetimeEvent::Scrubbed { epoch, corrected, uncorrectable } => {
-                fields.push(("epoch".to_owned(), epoch.to_json()));
-                fields.push(("corrected".to_owned(), corrected.to_json()));
-                fields.push(("uncorrectable".to_owned(), uncorrectable.to_json()));
-            }
-            LifetimeEvent::Backoff { epoch, until_epoch } => {
-                fields.push(("epoch".to_owned(), epoch.to_json()));
-                fields.push(("until_epoch".to_owned(), until_epoch.to_json()));
-            }
-            LifetimeEvent::Parked { epoch, reason } => {
-                fields.push(("epoch".to_owned(), epoch.to_json()));
-                fields.push(("reason".to_owned(), reason.to_json()));
-            }
-        }
-        Json::Object(fields)
+healthmon_serdes::json_codec! {
+    /// Structured report produced when the runtime parks in `Critical`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IncidentReport {
+        /// Epoch at which the runtime parked.
+        pub epoch: usize,
+        /// Why it parked (budget exhaustion or a contained panic).
+        pub reason: String,
+        /// The final health state (always `Critical`).
+        pub final_state: HealthState,
+        /// Confidence distance of the last checkup before parking.
+        pub final_distance: ConfidenceDistance,
+        /// Repair attempts consumed over the lifetime.
+        pub repairs_attempted: usize,
+        /// Stuck cells accumulated on the device.
+        pub stuck_cells: usize,
+        /// Concurrent-test patterns still active (after any degradation).
+        pub active_patterns: usize,
+        /// The paper's recommended action for the final state.
+        pub recommended_action: String,
     }
-}
-
-impl FromJson for LifetimeEvent {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let kind = value.field("kind")?.as_str()?;
-        match kind {
-            "deployed" => Ok(LifetimeEvent::Deployed {
-                tiles: usize::from_json(value.field("tiles")?)?,
-                mapping_error_l1: f32::from_json(value.field("mapping_error_l1")?)?,
-            }),
-            "aged" => Ok(LifetimeEvent::Aged {
-                epoch: usize::from_json(value.field("epoch")?)?,
-                new_stuck: usize::from_json(value.field("new_stuck")?)?,
-                total_stuck: usize::from_json(value.field("total_stuck")?)?,
-            }),
-            "checkup" => Ok(LifetimeEvent::CheckupDone {
-                epoch: usize::from_json(value.field("epoch")?)?,
-                distance: ConfidenceDistance::from_json(value.field("distance")?)?,
-                state: HealthState::from_json(value.field("state")?)?,
-            }),
-            "diagnosed" => Ok(LifetimeEvent::Diagnosed {
-                epoch: usize::from_json(value.field("epoch")?)?,
-                suspect: String::from_json(value.field("suspect")?)?,
-            }),
-            "repair" => Ok(LifetimeEvent::RepairAttempted {
-                epoch: usize::from_json(value.field("epoch")?)?,
-                attempt: usize::from_json(value.field("attempt")?)?,
-                action: RepairAction::from_json(value.field("action")?)?,
-                state_after: HealthState::from_json(value.field("state_after")?)?,
-                success: bool::from_json(value.field("success")?)?,
-            }),
-            "degraded" => Ok(LifetimeEvent::Degraded {
-                epoch: usize::from_json(value.field("epoch")?)?,
-                patterns: usize::from_json(value.field("patterns")?)?,
-            }),
-            "scrubbed" => Ok(LifetimeEvent::Scrubbed {
-                epoch: usize::from_json(value.field("epoch")?)?,
-                corrected: usize::from_json(value.field("corrected")?)?,
-                uncorrectable: usize::from_json(value.field("uncorrectable")?)?,
-            }),
-            "backoff" => Ok(LifetimeEvent::Backoff {
-                epoch: usize::from_json(value.field("epoch")?)?,
-                until_epoch: usize::from_json(value.field("until_epoch")?)?,
-            }),
-            "parked" => Ok(LifetimeEvent::Parked {
-                epoch: usize::from_json(value.field("epoch")?)?,
-                reason: String::from_json(value.field("reason")?)?,
-            }),
-            other => Err(JsonError::invalid(format!("unknown lifetime event kind `{other}`"))),
-        }
-    }
-}
-
-/// Structured report produced when the runtime parks in `Critical`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncidentReport {
-    /// Epoch at which the runtime parked.
-    pub epoch: usize,
-    /// Why it parked (budget exhaustion or a contained panic).
-    pub reason: String,
-    /// The final health state (always `Critical`).
-    pub final_state: HealthState,
-    /// Confidence distance of the last checkup before parking.
-    pub final_distance: ConfidenceDistance,
-    /// Repair attempts consumed over the lifetime.
-    pub repairs_attempted: usize,
-    /// Stuck cells accumulated on the device.
-    pub stuck_cells: usize,
-    /// Concurrent-test patterns still active (after any degradation).
-    pub active_patterns: usize,
-    /// The paper's recommended action for the final state.
-    pub recommended_action: String,
 }
 
 impl IncidentReport {
@@ -592,65 +451,15 @@ impl IncidentReport {
     }
 }
 
-impl ToJson for IncidentReport {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("epoch".to_owned(), self.epoch.to_json()),
-            ("reason".to_owned(), self.reason.to_json()),
-            ("final_state".to_owned(), self.final_state.to_json()),
-            ("final_distance".to_owned(), self.final_distance.to_json()),
-            ("repairs_attempted".to_owned(), self.repairs_attempted.to_json()),
-            ("stuck_cells".to_owned(), self.stuck_cells.to_json()),
-            ("active_patterns".to_owned(), self.active_patterns.to_json()),
-            ("recommended_action".to_owned(), self.recommended_action.to_json()),
-        ])
-    }
-}
-
-impl FromJson for IncidentReport {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(IncidentReport {
-            epoch: usize::from_json(value.field("epoch")?)?,
-            reason: String::from_json(value.field("reason")?)?,
-            final_state: HealthState::from_json(value.field("final_state")?)?,
-            final_distance: ConfidenceDistance::from_json(value.field("final_distance")?)?,
-            repairs_attempted: usize::from_json(value.field("repairs_attempted")?)?,
-            stuck_cells: usize::from_json(value.field("stuck_cells")?)?,
-            active_patterns: usize::from_json(value.field("active_patterns")?)?,
-            recommended_action: String::from_json(value.field("recommended_action")?)?,
-        })
-    }
-}
-
-/// Per-layer repair bookkeeping: accumulated physical defects, the
-/// current logical→physical row assignment, and remaining spare columns.
-#[derive(Debug, Clone, PartialEq)]
-struct LayerState {
-    key: String,
-    map: DefectMap,
-    assignment: Vec<usize>,
-    spares_left: usize,
-}
-
-impl ToJson for LayerState {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("key".to_owned(), self.key.to_json()),
-            ("defects".to_owned(), self.map.to_json()),
-            ("assignment".to_owned(), self.assignment.to_json()),
-            ("spares_left".to_owned(), self.spares_left.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LayerState {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(LayerState {
-            key: String::from_json(value.field("key")?)?,
-            map: DefectMap::from_json(value.field("defects")?)?,
-            assignment: Vec::from_json(value.field("assignment")?)?,
-            spares_left: usize::from_json(value.field("spares_left")?)?,
-        })
+healthmon_serdes::json_codec! {
+    /// Per-layer repair bookkeeping: accumulated physical defects, the
+    /// current logical→physical row assignment, and remaining spare columns.
+    #[derive(Debug, Clone, PartialEq)]
+    struct LayerState {
+        key: String,
+        defects: DefectMap,
+        assignment: Vec<usize>,
+        spares_left: usize,
     }
 }
 
@@ -737,7 +546,7 @@ impl LifetimeRuntime {
             .filter(|(key, _)| key.ends_with("weight"))
             .map(|(key, tensor)| LayerState {
                 key,
-                map: DefectMap::default(),
+                defects: DefectMap::default(),
                 assignment: (0..tensor.shape()[0]).collect(),
                 spares_left: config.spare_columns,
             })
@@ -839,7 +648,7 @@ impl LifetimeRuntime {
 
     /// Cumulative stuck cells across all layers.
     pub fn total_stuck(&self) -> usize {
-        self.layers.iter().map(|l| l.map.len()).sum()
+        self.layers.iter().map(|l| l.defects.len()).sum()
     }
 
     /// Soft errors corrected in-situ by the online parity scrub over the
@@ -892,10 +701,14 @@ impl LifetimeRuntime {
         use crate::flight::{FLIGHT_EVENT_WINDOW, FLIGHT_TIMELINE_WINDOW};
         let mut record = crate::flight::FlightRecord::new(device, epoch, reason, detail, config_digest);
         let start = self.events.len().saturating_sub(FLIGHT_EVENT_WINDOW);
-        record.events = self.events[start..].iter().map(ToJson::to_json).collect();
-        if let Json::Array(points) = self.timeline.window_json(FLIGHT_TIMELINE_WINDOW) {
-            record.timeline = points;
-        }
+        record.events = self.events[start..].to_vec();
+        record.timeline = self
+            .timeline
+            .series()
+            .window(FLIGHT_TIMELINE_WINDOW)
+            .iter()
+            .map(|(_, point)| point.clone())
+            .collect();
         record.push_tally("epoch", self.epoch as u64);
         record.push_tally("checkups", self.monitor.history().len() as u64);
         record.push_tally("repairs_used", self.repairs_used as u64);
@@ -1107,7 +920,7 @@ impl LifetimeRuntime {
                 let w_max = w.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
                 for arrival in sample_cell_arrivals(rows, cols, lambda, &mut rng) {
                     let occupied = layer
-                        .map
+                        .defects
                         .cells()
                         .iter()
                         .any(|c| c.row == arrival.row && c.col == arrival.col);
@@ -1121,9 +934,9 @@ impl LifetimeRuntime {
                     } else {
                         0.0
                     };
-                    let mut cells = layer.map.cells().to_vec();
+                    let mut cells = layer.defects.cells().to_vec();
                     cells.push(StuckCell { row: arrival.row, col: arrival.col, value });
-                    layer.map = DefectMap::new(cells);
+                    layer.defects = DefectMap::new(cells);
                     new_stuck += 1;
                 }
             }
@@ -1149,7 +962,7 @@ impl LifetimeRuntime {
     fn clamp_defects(&mut self) {
         for layer in &self.layers {
             let logical_of = invert(&layer.assignment);
-            for cell in layer.map.cells() {
+            for cell in layer.defects.cells() {
                 self.device.stick_cell(&layer.key, logical_of[cell.row], cell.col, cell.value);
             }
         }
@@ -1182,7 +995,7 @@ impl LifetimeRuntime {
             }
             let applicable = match action {
                 RepairAction::Spares => {
-                    self.layers.iter().any(|l| l.spares_left > 0 && !l.map.is_empty())
+                    self.layers.iter().any(|l| l.spares_left > 0 && !l.defects.is_empty())
                 }
                 RepairAction::Retrain => self.train.is_some(),
                 RepairAction::Degrade => self.active_patterns > self.config.min_patterns,
@@ -1247,10 +1060,10 @@ impl LifetimeRuntime {
     fn reprogram(&mut self) {
         let device = device::program(&self.golden, &self.config, &mut self.repair_rng());
         for layer in &mut self.layers {
-            layer.assignment = if layer.map.is_empty() {
+            layer.assignment = if layer.defects.is_empty() {
                 (0..layer.assignment.len()).collect()
             } else {
-                remap_rows(&param(device.network(), &layer.key), &layer.map).assignment
+                remap_rows(&param(device.network(), &layer.key), &layer.defects).assignment
             };
         }
         self.device = device;
@@ -1261,7 +1074,7 @@ impl LifetimeRuntime {
     /// layer, then reprogram that layer with a fresh remap over the
     /// surviving defects.
     fn consume_spares(&mut self, diagnosis: &Diagnosis) {
-        let has_work = |l: &LayerState| l.spares_left > 0 && !l.map.is_empty();
+        let has_work = |l: &LayerState| l.spares_left > 0 && !l.defects.is_empty();
         let target = diagnosis
             .ranking
             .iter()
@@ -1272,17 +1085,17 @@ impl LifetimeRuntime {
         let Some(key) = target else { return };
         let golden_w = param(&self.golden, &key);
         let layer = self.layers.iter_mut().find(|l| l.key == key).expect("target layer exists");
-        let spare = repair_with_spares(&golden_w, &layer.map, layer.spares_left);
+        let spare = repair_with_spares(&golden_w, &layer.defects, layer.spares_left);
         layer.spares_left -= spare.replaced_columns.len();
         let surviving: Vec<StuckCell> = layer
-            .map
+            .defects
             .cells()
             .iter()
             .copied()
             .filter(|c| !spare.replaced_columns.contains(&c.col))
             .collect();
-        layer.map = DefectMap::new(surviving);
-        let remap = remap_rows(&golden_w, &layer.map);
+        layer.defects = DefectMap::new(surviving);
+        let remap = remap_rows(&golden_w, &layer.defects);
         layer.assignment = remap.assignment;
         self.device.write_layer(&key, &remap.repaired_weights, &mut self.repair_rng());
         self.clamp_defects();
@@ -1297,11 +1110,11 @@ impl LifetimeRuntime {
         let defect_layers: Vec<(String, DefectMap)> = self
             .layers
             .iter()
-            .filter(|l| !l.map.is_empty())
+            .filter(|l| !l.defects.is_empty())
             .map(|l| {
                 let logical_of = invert(&l.assignment);
                 let cells = l
-                    .map
+                    .defects
                     .cells()
                     .iter()
                     .map(|c| StuckCell { row: logical_of[c.row], col: c.col, value: c.value })
@@ -1424,45 +1237,42 @@ impl LifetimeRuntime {
     /// diverging. It does *not* embed the inputs themselves — the caller
     /// supplies them again, exactly as with campaign checkpoints.
     pub fn checkpoint_json(&self) -> String {
-        let layers: Vec<Json> = self.layers.iter().map(ToJson::to_json).collect();
-        let mut fields = vec![
-            ("format".to_owned(), Json::String(CHECKPOINT_FORMAT.to_owned())),
-            ("config_digest".to_owned(), Json::String(self.config.digest().to_string())),
-            ("golden_digest".to_owned(), Json::String(network_digest(&self.golden).to_string())),
-            (
-                "patterns_digest".to_owned(),
-                Json::String(patterns_digest(&self.patterns).to_string()),
-            ),
-            ("epoch".to_owned(), self.epoch.to_json()),
-            ("active_patterns".to_owned(), self.active_patterns.to_json()),
-            ("repairs_used".to_owned(), self.repairs_used.to_json()),
-            ("failed_sessions".to_owned(), self.failed_sessions.to_json()),
-            ("next_repair_epoch".to_owned(), self.next_repair_epoch.to_json()),
-            ("device".to_owned(), self.device.readback().state_dict().to_json()),
-            ("layers".to_owned(), Json::Array(layers)),
-            ("monitor".to_owned(), self.monitor.snapshot().to_json()),
-            ("events".to_owned(), self.events.to_json()),
-            ("incident".to_owned(), self.incident.to_json()),
-        ];
-        if self.config.hardened {
-            // Hardened-only fields keep unhardened checkpoints
-            // byte-identical to the v1 layout. The parity words are
-            // digest-guarded like every other resume input.
+        let body = CheckpointBody {
+            epoch: self.epoch,
+            active_patterns: self.active_patterns,
+            repairs_used: self.repairs_used,
+            failed_sessions: self.failed_sessions,
+            next_repair_epoch: self.next_repair_epoch,
+            device: self.device.readback().state_dict(),
+            layers: self.layers.clone(),
+            monitor: self.monitor.snapshot(),
+            events: self.events.clone(),
+            incident: self.incident.clone(),
+        };
+        // Hardened-only fields keep unhardened checkpoints byte-identical
+        // to the v1 layout. The parity words are digest-guarded like every
+        // other resume input.
+        let hardened = self.config.hardened.then(|| {
             let planes = self.device.parity_planes();
-            let parity: Vec<Json> = planes.iter().map(parity_entry_json).collect();
-            fields.push(("hardened".to_owned(), true.to_json()));
-            fields.push(("soft_corrected".to_owned(), self.soft_corrected.to_json()));
-            fields.push((
-                "soft_uncorrectable".to_owned(),
-                self.soft_uncorrectable.to_json(),
-            ));
-            fields.push(("parity".to_owned(), Json::Array(parity)));
-            fields.push((
-                "parity_digest".to_owned(),
-                Json::String(parity_digest(planes).to_string()),
-            ));
+            HardenedState {
+                hardened: true,
+                soft_corrected: self.soft_corrected,
+                soft_uncorrectable: self.soft_uncorrectable,
+                parity: planes.iter().map(ParityPlane::of).collect(),
+                parity_digest: parity_digest(planes),
+            }
+        });
+        let identity = self.identity();
+        let mut parts: Vec<&dyn ToJson> = vec![&identity, &body];
+        if let Some(hardened) = &hardened {
+            parts.push(hardened);
         }
-        healthmon_serdes::to_string(&Json::Object(fields))
+        healthmon_serdes::to_string(&Json::Object(envelope(CHECKPOINT_FORMAT, &parts)))
+    }
+
+    /// The identity of this runtime's inputs, stored in its checkpoints.
+    fn identity(&self) -> Identity {
+        Identity::of(self.config.digest(), &self.golden, &self.patterns)
     }
 
     /// Rebuilds a runtime from a checkpoint produced by
@@ -1500,19 +1310,58 @@ impl LifetimeRuntime {
             )));
         }
         let mut runtime = LifetimeRuntime::new(golden, patterns, config, train);
-        verify_digest(&value, "config_digest", runtime.config.digest(), "configuration")?;
-        verify_golden_digest(&value, &runtime.golden)?;
-        verify_digest(
-            &value,
-            "patterns_digest",
-            patterns_digest(&runtime.patterns),
-            "pattern set",
-        )?;
+        runtime.identity().verify(&value, "configuration", &runtime.golden)?;
+        let body = CheckpointBody::from_json(&value)?;
+        runtime.check_layers(&body.layers)?;
+        if body.active_patterns == 0 || body.active_patterns > runtime.patterns.len() {
+            return Err(HealthmonError::CheckpointMismatch(format!(
+                "active pattern count {} outside 1..={}",
+                body.active_patterns,
+                runtime.patterns.len()
+            )));
+        }
+        let detector = if body.active_patterns < runtime.patterns.len() {
+            runtime.full_detector.subset(body.active_patterns)?
+        } else {
+            runtime.full_detector.clone()
+        };
+        let policy = runtime.config.policy;
+        runtime.monitor = HealthMonitor::from_snapshot(detector, policy, body.monitor);
+        runtime.layers = body.layers;
+        runtime.epoch = body.epoch;
+        runtime.active_patterns = body.active_patterns;
+        runtime.repairs_used = body.repairs_used;
+        runtime.failed_sessions = body.failed_sessions;
+        runtime.next_repair_epoch = body.next_repair_epoch;
+        runtime.events = body.events;
+        runtime.incident = body.incident;
+        // Timelines are never checkpointed: drop the construction-time
+        // baseline point and restart history at the resume epoch.
+        runtime.timeline = tel::HealthTimeline::default();
+        let mut parity = Vec::new();
+        if runtime.config.hardened {
+            let hardened = HardenedState::from_json(&value)?;
+            if !hardened.hardened {
+                return Err(HealthmonError::CheckpointMismatch(
+                    "the checkpoint was written by an unhardened runtime".to_owned(),
+                ));
+            }
+            runtime.soft_corrected = hardened.soft_corrected;
+            runtime.soft_uncorrectable = hardened.soft_uncorrectable;
+            parity = hardened.parity.into_iter().map(ParityPlane::into_entry).collect();
+            check_digest(hardened.parity_digest, parity_digest(&parity), "parity state")?;
+        }
+        runtime.device.restore(&body.device, parity)?;
+        Ok(runtime)
+    }
 
-        let weights: Vec<(String, Tensor)> = Vec::from_json(value.field("device")?)?;
-        let layers: Vec<LayerState> = Vec::from_json(value.field("layers")?)?;
-        if layers.len() != runtime.layers.len()
-            || layers.iter().zip(&runtime.layers).any(|(a, b)| a.key != b.key)
+    /// Checks restored layer bookkeeping against the golden network before
+    /// the runtime indexes with it: the same layers in the same order,
+    /// each assignment a permutation of its layer's rows, and every
+    /// defect cell inside its layer's matrix.
+    fn check_layers(&self, restored: &[LayerState]) -> Result<(), HealthmonError> {
+        if restored.len() != self.layers.len()
+            || restored.iter().zip(&self.layers).any(|(a, b)| a.key != b.key)
         {
             let list = |ls: &[LayerState]| {
                 ls.iter().map(|l| l.key.as_str()).collect::<Vec<_>>().join(", ")
@@ -1520,66 +1369,37 @@ impl LifetimeRuntime {
             return Err(HealthmonError::CheckpointMismatch(format!(
                 "checkpointed layer keys do not match the golden network: \
                  checkpoint has [{}], golden expects [{}]",
-                list(&layers),
-                list(&runtime.layers)
+                list(restored),
+                list(&self.layers)
             )));
         }
-        for (restored, fresh) in layers.iter().zip(&runtime.layers) {
-            if restored.assignment.len() != fresh.assignment.len() {
+        for layer in restored {
+            let shape = param(&self.golden, &layer.key).shape().to_vec();
+            let (rows, cols) = (shape[0], shape[1]);
+            let mut seen = vec![false; rows];
+            let repeated_or_out_of_range = layer
+                .assignment
+                .iter()
+                .position(|&p| p >= rows || std::mem::replace(&mut seen[p], true));
+            if repeated_or_out_of_range.is_some() || layer.assignment.len() != rows {
+                let detail = match repeated_or_out_of_range {
+                    Some(i) => format!("entry {i} is {}", layer.assignment[i]),
+                    None => format!("it covers {} rows", layer.assignment.len()),
+                };
                 return Err(HealthmonError::CheckpointMismatch(format!(
-                    "layer `{}` assignment covers {} rows, expected {}",
-                    restored.key,
-                    restored.assignment.len(),
-                    fresh.assignment.len()
+                    "layer `{}` assignment is not a permutation of its {rows} rows: {detail}",
+                    layer.key
+                )));
+            }
+            let outside = |c: &&StuckCell| c.row >= rows || c.col >= cols;
+            if let Some(cell) = layer.defects.cells().iter().find(outside) {
+                return Err(HealthmonError::CheckpointMismatch(format!(
+                    "layer `{}` defect cell ({}, {}) lies outside its {rows}x{cols} matrix",
+                    layer.key, cell.row, cell.col
                 )));
             }
         }
-        runtime.layers = layers;
-
-        runtime.epoch = usize::from_json(value.field("epoch")?)?;
-        runtime.active_patterns = usize::from_json(value.field("active_patterns")?)?;
-        runtime.repairs_used = usize::from_json(value.field("repairs_used")?)?;
-        runtime.failed_sessions = usize::from_json(value.field("failed_sessions")?)?;
-        runtime.next_repair_epoch = usize::from_json(value.field("next_repair_epoch")?)?;
-        if runtime.active_patterns == 0 || runtime.active_patterns > runtime.patterns.len() {
-            return Err(HealthmonError::CheckpointMismatch(format!(
-                "active pattern count {} outside 1..={}",
-                runtime.active_patterns,
-                runtime.patterns.len()
-            )));
-        }
-        let detector = if runtime.active_patterns < runtime.patterns.len() {
-            runtime.full_detector.subset(runtime.active_patterns)?
-        } else {
-            runtime.full_detector.clone()
-        };
-        let snapshot = MonitorSnapshot::from_json(value.field("monitor")?)?;
-        runtime.monitor = HealthMonitor::from_snapshot(detector, runtime.config.policy, snapshot);
-        runtime.events = Vec::from_json(value.field("events")?)?;
-        runtime.incident = Option::from_json(value.field("incident")?)?;
-        // Timelines are never checkpointed: drop the construction-time
-        // baseline point and restart history at the resume epoch.
-        runtime.timeline = tel::HealthTimeline::default();
-        let mut parity = Vec::new();
-        if runtime.config.hardened {
-            if !bool::from_json(value.field("hardened")?)? {
-                return Err(HealthmonError::CheckpointMismatch(
-                    "the checkpoint was written by an unhardened runtime".to_owned(),
-                ));
-            }
-            runtime.soft_corrected = usize::from_json(value.field("soft_corrected")?)?;
-            runtime.soft_uncorrectable =
-                usize::from_json(value.field("soft_uncorrectable")?)?;
-            parity = value
-                .field("parity")?
-                .as_array()?
-                .iter()
-                .map(parity_entry_from_json)
-                .collect::<Result<_, _>>()?;
-            verify_digest(&value, "parity_digest", parity_digest(&parity), "parity state")?;
-        }
-        runtime.device.restore(&weights, parity)?;
-        Ok(runtime)
+        Ok(())
     }
 }
 
@@ -1618,34 +1438,75 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One checkpointed parity plane: key, shape, and raw checksum words.
-fn parity_entry_json(entry: &(String, ParityCheck)) -> Json {
-    let (key, check) = entry;
-    let (rows, cols) = check.shape();
-    Json::Object(vec![
-        ("key".to_owned(), key.to_json()),
-        ("rows".to_owned(), rows.to_json()),
-        ("cols".to_owned(), cols.to_json()),
-        ("row_words".to_owned(), check.row_words().to_json()),
-        ("col_words".to_owned(), check.col_words().to_json()),
-    ])
+healthmon_serdes::json_codec! {
+    /// The mutable state a lifetime checkpoint carries after its identity.
+    struct CheckpointBody {
+        epoch: usize,
+        active_patterns: usize,
+        repairs_used: usize,
+        failed_sessions: usize,
+        next_repair_epoch: usize,
+        device: Vec<(String, Tensor)>,
+        layers: Vec<LayerState>,
+        monitor: MonitorSnapshot,
+        events: Vec<LifetimeEvent>,
+        incident: Option<IncidentReport>,
+    }
 }
 
-fn parity_entry_from_json(value: &Json) -> Result<(String, ParityCheck), JsonError> {
-    let key = String::from_json(value.field("key")?)?;
-    let rows = usize::from_json(value.field("rows")?)?;
-    let cols = usize::from_json(value.field("cols")?)?;
-    let row_words: Vec<u32> = Vec::from_json(value.field("row_words")?)?;
-    let col_words: Vec<u32> = Vec::from_json(value.field("col_words")?)?;
-    if rows == 0 || cols == 0 || row_words.len() != rows || col_words.len() != cols {
-        return Err(JsonError::invalid(format!(
-            "parity plane for `{key}` has inconsistent shape {rows}x{cols} \
-             ({} row words, {} column words)",
-            row_words.len(),
-            col_words.len()
-        )));
+healthmon_serdes::json_codec! {
+    /// The fields only a hardened runtime appends to its checkpoints.
+    struct HardenedState {
+        hardened: bool,
+        soft_corrected: usize,
+        soft_uncorrectable: usize,
+        parity: Vec<ParityPlane>,
+        parity_digest: u64 as healthmon_serdes::decimal,
     }
-    Ok((key, ParityCheck::from_words(rows, cols, row_words, col_words)))
+}
+
+healthmon_serdes::json_codec! {
+    /// One checkpointed parity plane: key, shape, and raw checksum words.
+    struct ParityPlane {
+        key: String,
+        rows: usize,
+        cols: usize,
+        row_words: Vec<u32>,
+        col_words: Vec<u32>,
+    }
+    check ParityPlane::check_shape;
+}
+
+impl ParityPlane {
+    fn of((key, check): &(String, ParityCheck)) -> Self {
+        let (rows, cols) = check.shape();
+        ParityPlane {
+            key: key.clone(),
+            rows,
+            cols,
+            row_words: check.row_words().to_vec(),
+            col_words: check.col_words().to_vec(),
+        }
+    }
+
+    fn check_shape(&self) -> Result<(), JsonError> {
+        let (rows, cols) = (self.rows, self.cols);
+        if rows == 0 || cols == 0 || self.row_words.len() != rows || self.col_words.len() != cols {
+            return Err(JsonError::invalid(format!(
+                "parity plane for `{}` has inconsistent shape {rows}x{cols} \
+                 ({} row words, {} column words)",
+                self.key,
+                self.row_words.len(),
+                self.col_words.len()
+            )));
+        }
+        Ok(())
+    }
+
+    fn into_entry(self) -> (String, ParityCheck) {
+        let check = ParityCheck::from_words(self.rows, self.cols, self.row_words, self.col_words);
+        (self.key, check)
+    }
 }
 
 /// FNV-1a over every parity key, shape, and exact checksum words.
@@ -1885,6 +1746,45 @@ mod tests {
         let bad = checkpoint.replace(CHECKPOINT_FORMAT, "healthmon-lifetime-checkpoint-v0");
         let err = LifetimeRuntime::resume(&net, patterns, config, None, &bad).unwrap_err();
         assert!(err.to_string().contains("format"), "{err}");
+    }
+
+    /// Resumes `checkpoint` after `tamper` and returns the refusal.
+    fn tampered_resume(tamper: impl Fn(&str) -> String) -> HealthmonError {
+        let (net, patterns) = setup(12);
+        let config =
+            LifetimeConfig { epochs: 3, aging: quiet_aging(), ..LifetimeConfig::default() };
+        let mut runtime = LifetimeRuntime::new(&net, patterns.clone(), config, None);
+        runtime.run(Some(1));
+        let checkpoint = runtime.checkpoint_json();
+        let tampered = tamper(&checkpoint);
+        assert_ne!(tampered, checkpoint, "the tamper must change the checkpoint");
+        LifetimeRuntime::resume(&net, patterns, config, None, &tampered)
+            .expect_err("a tampered checkpoint must not resume")
+    }
+
+    #[test]
+    fn resume_rejects_an_assignment_entry_past_the_rows() {
+        let err =
+            tampered_resume(|cp| cp.replacen("\"assignment\":[0,", "\"assignment\":[999,", 1));
+        assert!(matches!(err, HealthmonError::CheckpointMismatch(_)), "{err}");
+        assert!(err.to_string().contains("not a permutation"), "{err}");
+    }
+
+    #[test]
+    fn resume_rejects_a_duplicated_assignment_entry() {
+        let err =
+            tampered_resume(|cp| cp.replacen("\"assignment\":[0,1,", "\"assignment\":[1,1,", 1));
+        assert!(matches!(err, HealthmonError::CheckpointMismatch(_)), "{err}");
+        assert!(err.to_string().contains("not a permutation"), "{err}");
+    }
+
+    #[test]
+    fn resume_rejects_a_defect_cell_outside_its_layer() {
+        let err = tampered_resume(|cp| {
+            cp.replacen("\"defects\":[]", "\"defects\":[{\"row\":5000,\"col\":0,\"value\":0}]", 1)
+        });
+        assert!(matches!(err, HealthmonError::CheckpointMismatch(_)), "{err}");
+        assert!(err.to_string().contains("outside its"), "{err}");
     }
 
     #[test]
@@ -2183,7 +2083,7 @@ mod tests {
             let weights = param(&readback, &layer.key);
             let tolerance = step * weights.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
             let logical_of = invert(&layer.assignment);
-            for cell in layer.map.cells() {
+            for cell in layer.defects.cells() {
                 let got = weights.at(&[logical_of[cell.row], cell.col]);
                 assert!(
                     (got - cell.value).abs() <= tolerance,

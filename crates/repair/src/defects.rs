@@ -1,35 +1,37 @@
 //! Defect maps: where the stuck cells are.
 
-use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
 use healthmon_tensor::{SeededRng, Tensor};
 
-/// One stuck cell in a 2-D weight matrix.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StuckCell {
-    /// Matrix row (word line).
-    pub row: usize,
-    /// Matrix column (bit line).
-    pub col: usize,
-    /// The weight value the cell is frozen at (0 for stuck-at-zero,
-    /// ±w_max for stuck-at-one under differential mapping).
-    pub value: f32,
+healthmon_serdes::json_codec! {
+    /// One stuck cell in a 2-D weight matrix.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct StuckCell {
+        /// Matrix row (word line).
+        pub row: usize,
+        /// Matrix column (bit line).
+        pub col: usize,
+        /// The weight value the cell is frozen at (0 for stuck-at-zero,
+        /// ±w_max for stuck-at-one under differential mapping).
+        pub value: f32,
+    }
 }
 
-/// The defect map of one crossbar-mapped weight matrix: which cells are
-/// stuck, and at what effective weight value.
-///
-/// In deployment this comes from march-style array testing; for
-/// experiments it is sampled synthetically with
-/// [`DefectMap::sample_for_matrix`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DefectMap {
-    cells: Vec<StuckCell>,
+healthmon_serdes::json_codec! {
+    /// The defect map of one crossbar-mapped weight matrix: which cells are
+    /// stuck, and at what effective weight value. Persisted as the bare
+    /// cell list.
+    ///
+    /// In deployment this comes from march-style array testing; for
+    /// experiments it is sampled synthetically with
+    /// [`DefectMap::sample_for_matrix`].
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct DefectMap(Vec<StuckCell>);
 }
 
 impl DefectMap {
     /// Creates a defect map from an explicit cell list.
     pub fn new(cells: Vec<StuckCell>) -> Self {
-        DefectMap { cells }
+        DefectMap(cells)
     }
 
     /// Samples a defect map for `weights` (`[rows, cols]`): each cell is
@@ -59,32 +61,32 @@ impl DefectMap {
                 }
             }
         }
-        DefectMap { cells }
+        DefectMap(cells)
     }
 
     /// The stuck cells.
     pub fn cells(&self) -> &[StuckCell] {
-        &self.cells
+        &self.0
     }
 
     /// Number of stuck cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.0.len()
     }
 
     /// Whether the map is defect-free.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.0.is_empty()
     }
 
     /// Stuck cells on physical row `row`.
     pub fn cells_in_row(&self, row: usize) -> impl Iterator<Item = &StuckCell> {
-        self.cells.iter().filter(move |c| c.row == row)
+        self.0.iter().filter(move |c| c.row == row)
     }
 
     /// Stuck cells on physical column `col`.
     pub fn cells_in_col(&self, col: usize) -> impl Iterator<Item = &StuckCell> {
-        self.cells.iter().filter(move |c| c.col == col)
+        self.0.iter().filter(move |c| c.col == col)
     }
 
     /// Applies the defects to a copy of `weights` under the identity
@@ -121,7 +123,7 @@ impl DefectMap {
             logical_of[physical] = logical;
         }
         let mut out = weights.clone();
-        for cell in &self.cells {
+        for cell in &self.0 {
             assert!(cell.row < rows && cell.col < cols, "defect outside matrix");
             let logical = logical_of[cell.row];
             *out.at_mut(&[logical, cell.col]) = cell.value;
@@ -134,38 +136,6 @@ impl DefectMap {
     pub fn damage(&self, weights: &Tensor, assignment: &[usize]) -> f32 {
         let damaged = self.apply_with_assignment(weights, assignment);
         weights.l1_distance(&damaged)
-    }
-}
-
-impl ToJson for StuckCell {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("row".to_owned(), self.row.to_json()),
-            ("col".to_owned(), self.col.to_json()),
-            ("value".to_owned(), self.value.to_json()),
-        ])
-    }
-}
-
-impl FromJson for StuckCell {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(StuckCell {
-            row: usize::from_json(value.field("row")?)?,
-            col: usize::from_json(value.field("col")?)?,
-            value: f32::from_json(value.field("value")?)?,
-        })
-    }
-}
-
-impl ToJson for DefectMap {
-    fn to_json(&self) -> Json {
-        self.cells.to_json()
-    }
-}
-
-impl FromJson for DefectMap {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(DefectMap { cells: Vec::from_json(value)? })
     }
 }
 

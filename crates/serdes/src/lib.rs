@@ -15,6 +15,9 @@
 //!   keeps non-finite values representable (as the strings `"NaN"`,
 //!   `"inf"`, `"-inf"`), because fault-injected weights can legitimately
 //!   be non-finite and must survive a save/load round trip.
+//! * [`json_codec!`] — declares a persisted struct or enum and implements
+//!   both traits from that one declaration, with the [`decimal`] codec
+//!   for u64s past 2^53 and the [`entries`] codec for ordered maps.
 //!
 //! # Example
 //!
@@ -31,11 +34,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod codec;
 mod error;
 mod parse;
 mod traits;
 mod value;
 
+pub use codec::{decimal, entries};
 pub use error::JsonError;
 pub use parse::parse;
 pub use traits::{FromJson, ToJson};

@@ -19,7 +19,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::sink::{parse_jsonl, render_jsonl, render_prometheus};
-use healthmon_serdes::{parse, Json, JsonError};
+use healthmon_serdes::{parse, FromJson, JsonError, ToJson};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,26 +50,31 @@ impl SnapshotFrame {
     }
 }
 
-fn marker_line(frame: &SnapshotFrame) -> Json {
-    let meta = frame
-        .meta
-        .iter()
-        .map(|(k, v)| (k.clone(), Json::Number(*v)))
-        .collect();
-    Json::Object(vec![
-        ("kind".into(), Json::String("snapshot".into())),
-        ("name".into(), Json::String(frame.label.clone())),
-        ("stable".into(), Json::Bool(false)),
-        ("seq".into(), Json::Number(frame.seq as f64)),
-        ("epoch".into(), Json::Number(frame.epoch as f64)),
-        ("meta".into(), Json::Object(meta)),
-    ])
+healthmon_serdes::json_codec! {
+    /// The line that opens each frame of a stream, tagged like the
+    /// [`render_jsonl`] lines it precedes.
+    enum Marker by kind {
+        Snapshot = "snapshot" {
+            name: String,
+            stable: bool,
+            seq: u64,
+            epoch: u64,
+            meta: Vec<(String, f64)> as healthmon_serdes::entries,
+        },
+    }
 }
 
 /// Renders one frame: the snapshot marker line followed by the ordinary
 /// [`render_jsonl`] lines of its snapshot.
 pub fn render_frame(frame: &SnapshotFrame) -> String {
-    let mut out = marker_line(frame).render();
+    let marker = Marker::Snapshot {
+        name: frame.label.clone(),
+        stable: false,
+        seq: frame.seq,
+        epoch: frame.epoch,
+        meta: frame.meta.clone(),
+    };
+    let mut out = marker.to_json().render();
     out.push('\n');
     out.push_str(&render_jsonl(&frame.snap));
     out
@@ -113,23 +118,19 @@ pub fn parse_stream(text: &str) -> Result<Vec<SnapshotFrame>, JsonError> {
             continue;
         }
         // Cheap pre-filter before paying for a parse of every line.
-        let is_marker = trimmed.contains("\"kind\":\"snapshot\"") && {
+        let marker = if trimmed.contains("\"kind\":\"snapshot\"") {
             let v = parse(trimmed)?;
-            v.field("kind")?.as_str()? == "snapshot"
+            (v.field("kind")?.as_str()? == "snapshot").then_some(v)
+        } else {
+            None
         };
-        if is_marker {
+        if let Some(v) = marker {
             flush(&mut head, &mut body, &mut frames)?;
-            let v = parse(trimmed)?;
-            let mut meta = Vec::new();
-            if let Ok(Json::Object(fields)) = v.field("meta") {
-                for (k, val) in fields {
-                    meta.push((k.clone(), val.as_number()?));
-                }
-            }
+            let Marker::Snapshot { name, seq, epoch, meta, .. } = Marker::from_json(&v)?;
             head = Some(SnapshotFrame {
-                seq: v.field("seq")?.as_number()? as u64,
-                label: v.field("name")?.as_str()?.to_string(),
-                epoch: v.field("epoch")?.as_number()? as u64,
+                seq,
+                label: name,
+                epoch,
                 meta,
                 snap: MetricsSnapshot::default(),
             });

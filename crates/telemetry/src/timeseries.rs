@@ -16,8 +16,6 @@
 //! would differ between runs and break the flight-recorder byte-compare
 //! guarantee (see `healthmon::fleet`).
 
-use healthmon_serdes::{Json, JsonError};
-
 /// Default capacity for per-device health timelines: enough to cover a
 /// long lifetime at full resolution and centuries at downsampled strides.
 pub const TIMELINE_CAPACITY: usize = 256;
@@ -125,58 +123,28 @@ pub fn merge<T: Clone>(capacity: usize, sources: &[&Series<T>]) -> Series<T> {
     out
 }
 
-/// One health observation on the virtual epoch clock.
-///
-/// Every field is derived from deterministic per-device state (never
-/// from wall time or global telemetry), so a point — and therefore a
-/// whole timeline — is bit-identical across reruns and thread counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelinePoint {
-    /// Virtual epoch the observation was taken at.
-    pub epoch: u64,
-    /// Health state label at the end of the epoch (e.g. `healthy`).
-    pub state: String,
-    /// Monitor accuracy estimate at the end of the epoch.
-    pub accuracy: f64,
-    /// Detection score: the checkup's confidence-distance statistic.
-    pub score: f64,
-    /// Cumulative repair sessions completed so far.
-    pub repairs: u64,
-    /// Cumulative soft errors scrubbed so far.
-    pub scrubs: u64,
-    /// Cumulative supervisor retries absorbed so far (fleet runs only).
-    pub retries: u64,
-}
-
-impl TimelinePoint {
-    /// Renders the point as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("epoch".into(), Json::Number(self.epoch as f64)),
-            ("state".into(), Json::String(self.state.clone())),
-            ("accuracy".into(), Json::Number(self.accuracy)),
-            ("score".into(), Json::Number(self.score)),
-            ("repairs".into(), Json::Number(self.repairs as f64)),
-            ("scrubs".into(), Json::Number(self.scrubs as f64)),
-            ("retries".into(), Json::Number(self.retries as f64)),
-        ])
-    }
-
-    /// Parses a point from the JSON produced by [`TimelinePoint::to_json`].
+healthmon_serdes::json_codec! {
+    /// One health observation on the virtual epoch clock.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when a field is missing or mistyped.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TimelinePoint {
-            epoch: v.field("epoch")?.as_number()? as u64,
-            state: v.field("state")?.as_str()?.to_string(),
-            accuracy: v.field("accuracy")?.as_number()?,
-            score: v.field("score")?.as_number()?,
-            repairs: v.field("repairs")?.as_number()? as u64,
-            scrubs: v.field("scrubs")?.as_number()? as u64,
-            retries: v.field("retries")?.as_number()? as u64,
-        })
+    /// Every field is derived from deterministic per-device state (never
+    /// from wall time or global telemetry), so a point — and therefore a
+    /// whole timeline — is bit-identical across reruns and thread counts.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TimelinePoint {
+        /// Virtual epoch the observation was taken at.
+        pub epoch: u64,
+        /// Health state label at the end of the epoch (e.g. `healthy`).
+        pub state: String,
+        /// Monitor accuracy estimate at the end of the epoch.
+        pub accuracy: f64,
+        /// Detection score: the checkup's confidence-distance statistic.
+        pub score: f64,
+        /// Cumulative repair sessions completed so far.
+        pub repairs: u64,
+        /// Cumulative soft errors scrubbed so far.
+        pub scrubs: u64,
+        /// Cumulative supervisor retries absorbed so far (fleet runs only).
+        pub retries: u64,
     }
 }
 
@@ -233,12 +201,6 @@ impl HealthTimeline {
     /// Retained points, oldest first.
     pub fn points(&self) -> impl Iterator<Item = &TimelinePoint> {
         self.series.points().iter().map(|(_, p)| p)
-    }
-
-    /// The most recent `n` retained points as JSON, oldest first — the
-    /// shape embedded in flight-recorder artifacts.
-    pub fn window_json(&self, n: usize) -> Json {
-        Json::Array(self.series.window(n).iter().map(|(_, p)| p.to_json()).collect())
     }
 }
 
@@ -347,12 +309,14 @@ mod tests {
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.observed(), 4);
-        let json = t.window_json(2);
-        let arr = json.as_array().unwrap();
-        assert_eq!(arr.len(), 2);
-        let back = TimelinePoint::from_json(&arr[0]).unwrap();
-        assert_eq!(back.epoch, 2);
-        assert_eq!(back.state, "healthy");
-        assert_eq!(back.retries, 1);
+        let window: Vec<TimelinePoint> =
+            t.series().window(2).iter().map(|(_, p)| p.clone()).collect();
+        let back: Vec<TimelinePoint> =
+            healthmon_serdes::from_str(&healthmon_serdes::to_string(&window)).unwrap();
+        assert_eq!(back, window);
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0].epoch, 2);
+        assert_eq!(back[0].state, "healthy");
+        assert_eq!(back[0].retries, 1);
     }
 }

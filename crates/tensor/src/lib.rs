@@ -33,7 +33,6 @@ mod ops;
 pub mod fastmath;
 pub mod pool;
 mod random;
-mod scalar;
 mod serdes;
 mod shape;
 mod stats;
@@ -41,7 +40,6 @@ mod tensor;
 
 pub use error::TensorError;
 pub use random::SeededRng;
-pub use scalar::Scalar;
 pub use shape::Shape;
 pub use stats::TopK;
-pub use tensor::{GenericTensor, Tensor, TensorI8};
+pub use tensor::Tensor;

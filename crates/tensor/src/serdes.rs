@@ -1,4 +1,6 @@
-//! JSON codecs for [`Shape`] and [`Tensor`] via `healthmon-serdes`.
+//! The JSON layouts of [`Shape`] and [`Tensor`], declared with the
+//! types through `healthmon_serdes::json_codec!`, and their load-time
+//! invariants.
 //!
 //! The wire format matches what the previous `serde` derives produced, so
 //! artifact caches written by earlier builds still load:
@@ -6,50 +8,35 @@
 //! `{"shape":[2,3],"data":[...]}`. Non-finite elements round-trip through
 //! the string encoding of `healthmon-serdes` (`"NaN"`, `"inf"`, `"-inf"`).
 
-use crate::{GenericTensor, Scalar, Shape};
-use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
+use crate::{Shape, Tensor, TensorError};
+use healthmon_serdes::JsonError;
 
-impl ToJson for Shape {
-    fn to_json(&self) -> Json {
-        self.dims().to_json()
+/// Load-time invariant of a [`Shape`]: at least one dimension, no zero
+/// extent.
+pub(crate) fn check_shape(shape: &Shape) -> Result<(), JsonError> {
+    let dims = shape.dims();
+    if dims.is_empty() {
+        return Err(JsonError::invalid("shape must have at least one dimension"));
     }
+    if dims.contains(&0) {
+        return Err(JsonError::invalid(format!("shape extents must be non-zero, got {dims:?}")));
+    }
+    Ok(())
 }
 
-impl FromJson for Shape {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let dims: Vec<usize> = Vec::from_json(value)?;
-        if dims.is_empty() {
-            return Err(JsonError::invalid("shape must have at least one dimension"));
-        }
-        if dims.contains(&0) {
-            return Err(JsonError::invalid(format!("shape extents must be non-zero, got {dims:?}")));
-        }
-        Ok(Shape::new(dims))
+/// Load-time invariant of a [`Tensor`]: one element per shape position.
+pub(crate) fn check_tensor(tensor: &Tensor) -> Result<(), JsonError> {
+    let (expected, actual) = (tensor.shape_obj().len(), tensor.len());
+    if expected != actual {
+        let e = TensorError::LengthMismatch { expected, actual };
+        return Err(JsonError::invalid(format!("tensor data does not match shape: {e}")));
     }
-}
-
-impl<S: Scalar> ToJson for GenericTensor<S> {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("shape".to_owned(), self.shape_obj().to_json()),
-            ("data".to_owned(), self.as_slice().to_json()),
-        ])
-    }
-}
-
-impl<S: Scalar> FromJson for GenericTensor<S> {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let shape = Shape::from_json(value.field("shape")?)?;
-        let data: Vec<S> = Vec::from_json(value.field("data")?)?;
-        GenericTensor::from_vec(data, shape.dims())
-            .map_err(|e| JsonError::invalid(format!("tensor data does not match shape: {e}")))
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Tensor, TensorI8};
     use healthmon_serdes::{from_str, to_string};
 
     #[test]
@@ -94,17 +81,6 @@ mod tests {
         assert!(from_str::<Tensor>("{\"shape\":[2,2],\"data\":[1,2,3]}").is_err());
         assert!(from_str::<Tensor>("{\"data\":[1.0]}").is_err());
         assert!(from_str::<Tensor>("{\"shape\":[1]}").is_err());
-    }
-
-    #[test]
-    fn i8_tensor_round_trips() {
-        let t = TensorI8::from_vec(vec![-128, -1, 0, 1, 127, 42], &[2, 3]).unwrap();
-        let json = to_string(&t);
-        assert_eq!(json, "{\"shape\":[2,3],\"data\":[-128,-1,0,1,127,42]}");
-        let back: TensorI8 = from_str(&json).unwrap();
-        assert_eq!(back, t);
-        // Out-of-range integers are rejected rather than wrapped.
-        assert!(from_str::<TensorI8>("{\"shape\":[1],\"data\":[128]}").is_err());
     }
 
     #[test]

@@ -1,22 +1,25 @@
 use std::fmt;
 
-/// A tensor shape: the extent of each dimension, row-major.
-///
-/// `Shape` is a thin, validated wrapper over a `Vec<usize>` providing the
-/// index arithmetic shared by [`crate::Tensor`] and the layer
-/// implementations built on it.
-///
-/// # Example
-///
-/// ```
-/// use healthmon_tensor::Shape;
-///
-/// let s = Shape::new(vec![2, 3, 4]);
-/// assert_eq!(s.len(), 24);
-/// assert_eq!(s.offset(&[1, 2, 3]), 23);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+healthmon_serdes::json_codec! {
+    /// A tensor shape: the extent of each dimension, row-major.
+    ///
+    /// `Shape` is a thin, validated wrapper over a `Vec<usize>` providing the
+    /// index arithmetic shared by [`crate::Tensor`] and the layer
+    /// implementations built on it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use healthmon_tensor::Shape;
+    ///
+    /// let s = Shape::new(vec![2, 3, 4]);
+    /// assert_eq!(s.len(), 24);
+    /// assert_eq!(s.offset(&[1, 2, 3]), 23);
+    /// ```
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct Shape(Vec<usize>);
+    check crate::serdes::check_shape;
+}
 
 impl Shape {
     /// Creates a shape from dimension extents.

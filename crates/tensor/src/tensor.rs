@@ -1,61 +1,56 @@
-use crate::{Scalar, SeededRng, Shape, TensorError};
+use crate::{SeededRng, Shape, TensorError};
 
-/// A dense, contiguous, row-major tensor over a sealed [`Scalar`] element
-/// type.
-///
-/// The f32 instantiation — aliased back to [`Tensor`] — is the single
-/// numeric container used throughout the workspace: network weights,
-/// activations, gradients, images, and logits are all tensors. It is
-/// deliberately simple — owned contiguous storage, no views, no
-/// broadcasting beyond what the explicit ops provide — which keeps the
-/// fault-injection and crossbar-mapping code easy to audit.
-///
-/// Structural operations (construction, indexing, reshape, map/zip,
-/// transpose) live on this generic type; float numerics (matmul, stats,
-/// random sampling) stay on the concrete [`Tensor`] alias so the f32
-/// world keeps its bit-exact reproducibility contract. [`TensorI8`] is
-/// the quantized integer instantiation.
-///
-/// # Example
-///
-/// ```
-/// use healthmon_tensor::Tensor;
-///
-/// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-/// assert_eq!(t.at(&[1, 0]), 3.0);
-/// assert_eq!(t.sum(), 10.0);
-/// # Ok::<(), healthmon_tensor::TensorError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenericTensor<S: Scalar> {
-    shape: Shape,
-    data: Vec<S>,
+healthmon_serdes::json_codec! {
+    /// A dense, contiguous, row-major `f32` tensor.
+    ///
+    /// The single numeric container used throughout the workspace:
+    /// network weights, activations, gradients, images, and logits are all
+    /// tensors. It is deliberately simple — owned contiguous storage, no
+    /// views, no broadcasting beyond what the explicit ops provide — which
+    /// keeps the fault-injection and crossbar-mapping code easy to audit.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use healthmon_tensor::Tensor;
+    ///
+    /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
+    /// assert_eq!(t.at(&[1, 0]), 3.0);
+    /// assert_eq!(t.sum(), 10.0);
+    /// # Ok::<(), healthmon_tensor::TensorError>(())
+    /// ```
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Tensor {
+        shape: Shape,
+        data: Vec<f32>,
+    }
+    check crate::serdes::check_tensor;
 }
 
-/// The f32 tensor — the workspace's default numeric world.
-pub type Tensor = GenericTensor<f32>;
-
-/// The quantized 8-bit integer tensor (see [`Tensor::quantize_i8`]).
-pub type TensorI8 = GenericTensor<i8>;
-
-impl<S: Scalar> GenericTensor<S> {
+// The structural methods below are `#[inline]`: they sit on the hot
+// paths of the nn and reram crates, and without cross-crate inlining the
+// analog checkup benchmark runs about 10% slower.
+impl Tensor {
     /// Creates a tensor of zeros with the given shape.
+    #[inline]
     pub fn zeros(shape: &[usize]) -> Self {
         let shape = Shape::from(shape);
         let len = shape.len();
-        GenericTensor { shape, data: vec![S::ZERO; len] }
+        Tensor { shape, data: vec![0.0; len] }
     }
 
     /// Creates a tensor of ones with the given shape.
+    #[inline]
     pub fn ones(shape: &[usize]) -> Self {
-        Self::full(shape, S::ONE)
+        Self::full(shape, 1.0)
     }
 
     /// Creates a tensor filled with `value`.
-    pub fn full(shape: &[usize], value: S) -> Self {
+    #[inline]
+    pub fn full(shape: &[usize], value: f32) -> Self {
         let shape = Shape::from(shape);
         let len = shape.len();
-        GenericTensor { shape, data: vec![value; len] }
+        Tensor { shape, data: vec![value; len] }
     }
 
     /// Creates a tensor from existing data.
@@ -64,7 +59,8 @@ impl<S: Scalar> GenericTensor<S> {
     ///
     /// Returns [`TensorError::LengthMismatch`] if `data.len()` does not
     /// equal the product of `shape`.
-    pub fn from_vec(data: Vec<S>, shape: &[usize]) -> Result<Self, TensorError> {
+    #[inline]
+    pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, TensorError> {
         if shape.is_empty() {
             return Err(TensorError::EmptyShape);
         }
@@ -72,52 +68,61 @@ impl<S: Scalar> GenericTensor<S> {
         if data.len() != expected {
             return Err(TensorError::LengthMismatch { expected, actual: data.len() });
         }
-        Ok(GenericTensor { shape: Shape::from(shape), data })
+        Ok(Tensor { shape: Shape::from(shape), data })
     }
 
     /// Creates a 1-D tensor from a slice.
-    pub fn from_slice(data: &[S]) -> Self {
-        GenericTensor { shape: Shape::new(vec![data.len().max(1)]), data: data.to_vec() }
+    #[inline]
+    pub fn from_slice(data: &[f32]) -> Self {
+        Tensor { shape: Shape::new(vec![data.len().max(1)]), data: data.to_vec() }
     }
 
     /// The tensor's shape extents.
+    #[inline]
     pub fn shape(&self) -> &[usize] {
         self.shape.dims()
     }
 
     /// The tensor's shape as a [`Shape`].
+    #[inline]
     pub fn shape_obj(&self) -> &Shape {
         &self.shape
     }
 
     /// Number of dimensions.
+    #[inline]
     pub fn ndim(&self) -> usize {
         self.shape.ndim()
     }
 
     /// Total number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Whether the tensor has zero elements (never true: shapes have
     /// non-zero extents).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
     /// Immutable view of the underlying row-major buffer.
-    pub fn as_slice(&self) -> &[S] {
+    #[inline]
+    pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
     /// Mutable view of the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [S] {
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
     /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<S> {
+    #[inline]
+    pub fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -127,6 +132,7 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Panics
     ///
     /// Panics if the shapes differ.
+    #[inline]
     pub fn copy_from(&mut self, src: &Self) {
         assert_eq!(
             self.shape(),
@@ -143,7 +149,8 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Panics
     ///
     /// Panics if the index rank or any component is out of bounds.
-    pub fn at(&self, index: &[usize]) -> S {
+    #[inline]
+    pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
     }
 
@@ -152,7 +159,8 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Panics
     ///
     /// Panics if the index rank or any component is out of bounds.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut S {
+    #[inline]
+    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
         let off = self.shape.offset(index);
         &mut self.data[off]
     }
@@ -162,6 +170,7 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Errors
     ///
     /// Returns [`TensorError::ReshapeMismatch`] if the element counts differ.
+    #[inline]
     pub fn reshape(&self, shape: &[usize]) -> Result<Self, TensorError> {
         let expected: usize = shape.iter().product();
         if expected != self.data.len() || shape.is_empty() {
@@ -170,16 +179,16 @@ impl<S: Scalar> GenericTensor<S> {
                 to: shape.to_vec(),
             });
         }
-        Ok(GenericTensor { shape: Shape::from(shape), data: self.data.clone() })
+        Ok(Tensor { shape: Shape::from(shape), data: self.data.clone() })
     }
 
     /// Applies `f` to every element, returning a new tensor.
-    pub fn map(&self, f: impl Fn(S) -> S) -> Self {
-        GenericTensor { shape: self.shape.clone(), data: self.data.iter().map(|&v| f(v)).collect() }
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
+        Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
     /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(S) -> S) {
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for v in self.data.iter_mut() {
             *v = f(*v);
         }
@@ -190,13 +199,13 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn zip_map(&self, other: &Self, f: impl Fn(S, S) -> S) -> Self {
+    pub fn zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         assert_eq!(
             self.shape, other.shape,
             "zip_map shape mismatch: {} vs {}",
             self.shape, other.shape
         );
-        GenericTensor {
+        Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
         }
@@ -207,6 +216,7 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D or `row` is out of bounds.
+    #[inline]
     pub fn row(&self, row: usize) -> Self {
         assert_eq!(self.ndim(), 2, "row() requires a 2-D tensor, got {}", self.shape);
         let cols = self.shape.dim(1);
@@ -219,6 +229,7 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Panics
     ///
     /// Panics if shapes are incompatible or `row` is out of bounds.
+    #[inline]
     pub fn set_row(&mut self, row: usize, src: &Self) {
         assert_eq!(self.ndim(), 2, "set_row() requires a 2-D tensor, got {}", self.shape);
         let cols = self.shape.dim(1);
@@ -232,6 +243,7 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Panics
     ///
     /// Panics if `rows` is empty or lengths differ.
+    #[inline]
     pub fn stack_rows(rows: &[Self]) -> Self {
         assert!(!rows.is_empty(), "stack_rows requires at least one row");
         let cols = rows[0].len();
@@ -240,7 +252,7 @@ impl<S: Scalar> GenericTensor<S> {
             assert_eq!(r.len(), cols, "stack_rows length mismatch");
             data.extend_from_slice(r.as_slice());
         }
-        GenericTensor { shape: Shape::new(vec![rows.len(), cols]), data }
+        Tensor { shape: Shape::new(vec![rows.len(), cols]), data }
     }
 
     /// Transposes a 2-D tensor.
@@ -248,6 +260,7 @@ impl<S: Scalar> GenericTensor<S> {
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D.
+    #[inline]
     pub fn transpose(&self) -> Self {
         assert_eq!(self.ndim(), 2, "transpose() requires a 2-D tensor, got {}", self.shape);
         let (r, c) = (self.shape.dim(0), self.shape.dim(1));
@@ -269,16 +282,6 @@ impl<S: Scalar> GenericTensor<S> {
         out
     }
 
-    /// Widens every element to `f32`, exactly (see [`Scalar::to_f32`]).
-    pub fn cast_f32(&self) -> Tensor {
-        GenericTensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&v| v.to_f32()).collect(),
-        }
-    }
-}
-
-impl Tensor {
     /// Samples every element i.i.d. from the standard normal distribution.
     pub fn randn(shape: &[usize], rng: &mut SeededRng) -> Self {
         let mut t = Tensor::zeros(shape);
@@ -321,34 +324,9 @@ impl Tensor {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
-
-    /// Quantizes to [`TensorI8`] with the symmetric affine map
-    /// `code = round(v / scale)`, saturating to `[-128, 127]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not a finite positive number.
-    pub fn quantize_i8(&self, scale: f32) -> TensorI8 {
-        assert!(scale.is_finite() && scale > 0.0, "quantize_i8 scale must be finite positive, got {scale}");
-        GenericTensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&v| i8::from_f32(v / scale)).collect(),
-        }
-    }
 }
 
-impl TensorI8 {
-    /// Reverses [`Tensor::quantize_i8`]: `v = code * scale`, exact up to
-    /// the one f32 multiply (every `i8` is exactly representable).
-    pub fn dequantize(&self, scale: f32) -> Tensor {
-        GenericTensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&c| c as f32 * scale).collect(),
-        }
-    }
-}
-
-impl<S: Scalar> Default for GenericTensor<S> {
+impl Default for Tensor {
     /// A single-element zero tensor.
     fn default() -> Self {
         Self::zeros(&[1])
@@ -448,42 +426,5 @@ mod tests {
         let mut rng = SeededRng::new(1);
         let t = Tensor::rand_uniform(&[100], -0.5, 0.5, &mut rng);
         assert!(t.as_slice().iter().all(|&v| (-0.5..0.5).contains(&v)));
-    }
-
-    #[test]
-    fn i8_tensor_constructors_and_structure() {
-        let z = TensorI8::zeros(&[2, 3]);
-        assert!(z.as_slice().iter().all(|&v| v == 0));
-        let o = TensorI8::ones(&[4]);
-        assert!(o.as_slice().iter().all(|&v| v == 1));
-        let t = TensorI8::from_vec(vec![1, -2, 3, -4, 5, -6], &[2, 3]).unwrap();
-        assert_eq!(t.at(&[1, 0]), -4);
-        assert_eq!(t.row(1).as_slice(), &[-4, 5, -6]);
-        let tt = t.transpose();
-        assert_eq!(tt.shape(), &[3, 2]);
-        assert_eq!(tt.at(&[0, 1]), -4);
-        assert_eq!(t.reshape(&[6]).unwrap().as_slice(), t.as_slice());
-        assert_eq!(t.map(|v| v.saturating_neg()).at(&[0, 1]), 2);
-        let err = TensorI8::from_vec(vec![0; 5], &[2, 3]).unwrap_err();
-        assert_eq!(err, TensorError::LengthMismatch { expected: 6, actual: 5 });
-    }
-
-    #[test]
-    fn quantize_dequantize_round_trip() {
-        let t = Tensor::from_vec(vec![-1.0, -0.25, 0.0, 0.26, 0.5, 10.0], &[6]).unwrap();
-        let q = t.quantize_i8(0.25);
-        assert_eq!(q.as_slice(), &[-4, -1, 0, 1, 2, 40]);
-        let back = q.dequantize(0.25);
-        assert_eq!(back.as_slice(), &[-1.0, -0.25, 0.0, 0.25, 0.5, 10.0]);
-        // Saturation at the i8 rails.
-        let hot = Tensor::from_slice(&[1000.0, -1000.0]).quantize_i8(1.0);
-        assert_eq!(hot.as_slice(), &[127, -128]);
-    }
-
-    #[test]
-    fn cast_f32_is_exact_for_i8() {
-        let q = TensorI8::from_vec(vec![-128, -1, 0, 1, 127], &[5]).unwrap();
-        assert_eq!(q.cast_f32().as_slice(), &[-128.0, -1.0, 0.0, 1.0, 127.0]);
-        assert_eq!(q.cast_f32().shape(), q.shape());
     }
 }

@@ -383,6 +383,23 @@ head -c 100 "$fleet_dir/torn_cp/shard-001.json" > "$fleet_dir/torn_cp/shard-001.
     --checkpoint-dir "$fleet_dir/torn_cp" > "$fleet_dir/torn.txt" 2> /dev/null
 grep -q "damaged shards: 1" "$fleet_dir/torn.txt"
 echo "ok: torn shard reported and contained; healthy shards resumed"
+# Header corruption is contained the same way: one changed digit in a
+# shard's config_digest breaks that shard's seal, so the resume reports
+# it damaged instead of refusing the whole fleet as operator error.
+"$hm" fleet --devices 24 --epochs 6 --seed 23 \
+    --checkpoint-dir "$fleet_dir/flip_cp" --stop-after 3 > /dev/null
+flip_shard="$fleet_dir/flip_cp/shard-002.json"
+cp "$flip_shard" "$fleet_dir/shard-002.orig"
+digit=$(grep -o '"config_digest":"[0-9]' "$flip_shard" | head -n 1 | tail -c 2)
+sed -i "s/\"config_digest\":\"$digit/\"config_digest\":\"$(( (digit + 1) % 10 ))/" "$flip_shard"
+if cmp -s "$flip_shard" "$fleet_dir/shard-002.orig"; then
+    echo "ERROR: the config_digest edit did not land" >&2
+    exit 1
+fi
+"$hm" fleet --devices 24 --epochs 6 --seed 23 \
+    --checkpoint-dir "$fleet_dir/flip_cp" > "$fleet_dir/flip.txt" 2> /dev/null
+grep -q "damaged shards: 1" "$fleet_dir/flip.txt"
+echo "ok: a corrupted shard header is contained as one damaged shard"
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
     echo "== bench smoke (every benchmark workload, digests checked) =="
