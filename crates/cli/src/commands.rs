@@ -2,7 +2,7 @@
 
 use crate::args::ParsedArgs;
 use healthmon::{
-    run_mitigation, ActiveBackend, AetGenerator, AgingModel, BackendKind, BackendSpec,
+    run_mitigation, AetGenerator, AgingModel, AnalogBackend, BackendKind, BackendSpec,
     ChaosConfig, CrossbarConfig, CtpGenerator, Detector, FleetConfig, FleetSupervisor,
     FlightRecord, LifetimeConfig, LifetimeRuntime, MitigationScenario, MonitorPolicy,
     OtpGenerator, SdcCriterion, TestPatternSet, TrainData,
@@ -549,11 +549,7 @@ fn cmd_deploy(args: &ParsedArgs) -> Result<ExitCode, String> {
         .images()
         .clone();
     let mut backend_rng = SeededRng::new(seed).fork(0);
-    let report = match spec.instantiate(&golden, &mut backend_rng) {
-        ActiveBackend::Analog(b) => b.deploy_report(&probe),
-        ActiveBackend::BitSliced(b) => b.deploy_report(&probe),
-        ActiveBackend::Digital(_) => unreachable!("digital rejected above"),
-    };
+    let report = AnalogBackend::program(&golden, &spec, &mut backend_rng).deploy_report(&probe);
     println!("backend: {}", spec.kind.label());
     for m in &report.mappings {
         println!(

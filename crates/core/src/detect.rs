@@ -140,8 +140,9 @@ impl Detector {
     }
 
     /// Evaluates a target backend's responses on the pattern set. The
-    /// target can be a plain digital [`Network`] or any live analog
-    /// backend (`AnalogBackend`, `BitSlicedBackend`, ...).
+    /// target can be a plain digital [`Network`], a live crossbar
+    /// `AnalogBackend` (analog or bit-sliced), or any other
+    /// [`InferenceBackend`].
     pub fn responses<B: InferenceBackend + ?Sized>(&self, target: &B) -> ResponseSet {
         RESPONSES_EVALUATED.inc();
         ResponseSet::from_logits(self.patterns.logits(target))

@@ -3,16 +3,17 @@
 //! single code path.
 //!
 //! [`WeightDevice`] is the digital device, a weight-space [`Network`]
-//! plus its parity planes; the crossbar backends implement the same
-//! [`Device`] surface over their live conductance state. [`program`] is
-//! the only place that tells the backends apart.
+//! plus its parity planes; [`AnalogBackend`], the one crossbar backend
+//! (analog or bit-sliced), implements the same [`Device`] surface over
+//! its live conductance state. [`program`] is the only place that tells
+//! digital and crossbar devices apart.
 
 use crate::error::HealthmonError;
 use crate::runtime::LifetimeConfig;
 use healthmon_faults::FaultModel;
 use healthmon_nn::{InferenceBackend, Network, NonFiniteActivation};
 use healthmon_reram::{
-    deploy, AnalogBackend, BackendKind, BitSlicedBackend, DeployReport, ParityCheck, ScrubOutcome,
+    deploy, AnalogBackend, BackendKind, DeployReport, ParityCheck, ScrubOutcome,
 };
 use healthmon_tensor::{SeededRng, Tensor};
 
@@ -67,17 +68,14 @@ pub(crate) fn program(
     rng: &mut SeededRng,
 ) -> Box<dyn Device> {
     // 'static: the runtime owns its device outright, so the crossbar
-    // backends are severed from `golden` via `into_owned`.
+    // backend is severed from `golden` via `into_owned`.
     let mut device: Box<dyn Device> = match config.backend.kind {
         BackendKind::Digital => {
             let (net, report) = deploy(golden, &config.crossbar, rng);
             Box::new(WeightDevice { net, parity: Vec::new(), report })
         }
-        BackendKind::Analog => {
+        BackendKind::Analog | BackendKind::BitSliced => {
             Box::new(AnalogBackend::program(golden, &config.backend, rng).into_owned())
-        }
-        BackendKind::BitSliced => {
-            Box::new(BitSlicedBackend::program(golden, &config.backend, rng).into_owned())
         }
     };
     if config.hardened {
@@ -226,80 +224,73 @@ impl Device for WeightDevice {
     }
 }
 
-/// Implements [`Device`] for a crossbar backend over its inherent
-/// methods.
-macro_rules! crossbar_device {
-    ($backend:ident) => {
-        impl Device for $backend<'static> {
-            fn network(&self) -> &Network {
-                $backend::network(self)
-            }
+/// The crossbar device: the live backend's own aging, parity and write
+/// methods, with unhardened soft errors as lognormal read disturb.
+impl Device for AnalogBackend<'static> {
+    fn network(&self) -> &Network {
+        AnalogBackend::network(self)
+    }
 
-            fn deploy_report(&self, probe: &Tensor) -> DeployReport {
-                $backend::deploy_report(self, probe)
-            }
+    fn deploy_report(&self, probe: &Tensor) -> DeployReport {
+        AnalogBackend::deploy_report(self, probe)
+    }
 
-            fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-                $backend::drift(self, nu, time, rng);
-            }
+    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
+        AnalogBackend::drift(self, nu, time, rng);
+    }
 
-            fn soft_errors(&mut self, probability: f64, rng: &mut SeededRng) {
-                self.disturb(probability as f32, rng);
-            }
+    fn soft_errors(&mut self, probability: f64, rng: &mut SeededRng) {
+        self.disturb(probability as f32, rng);
+    }
 
-            fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) {
-                $backend::flip_cells(self, probability, rng);
-            }
+    fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) {
+        AnalogBackend::flip_cells(self, probability, rng);
+    }
 
-            fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
-                $backend::stick_cell(self, key, row, col, weight);
-            }
+    fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
+        AnalogBackend::stick_cell(self, key, row, col, weight);
+    }
 
-            fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
-                $backend::write_layer(self, key, weights, rng);
-            }
+    fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
+        AnalogBackend::write_layer(self, key, weights, rng);
+    }
 
-            fn write_network(&mut self, net: Network, rng: &mut SeededRng) {
-                net.for_each_param(|key, tensor| {
-                    if key.ends_with("weight") {
-                        $backend::write_layer(self, key, tensor, rng);
-                    }
-                });
+    fn write_network(&mut self, net: Network, rng: &mut SeededRng) {
+        net.for_each_param(|key, tensor| {
+            if key.ends_with("weight") {
+                AnalogBackend::write_layer(self, key, tensor, rng);
             }
+        });
+    }
 
-            fn enable_parity(&mut self) {
-                $backend::enable_parity(self);
-            }
+    fn enable_parity(&mut self) {
+        AnalogBackend::enable_parity(self);
+    }
 
-            fn refresh_parity(&mut self) {
-                $backend::refresh_parity(self);
-            }
+    fn refresh_parity(&mut self) {
+        AnalogBackend::refresh_parity(self);
+    }
 
-            fn scrub_parity(&mut self) -> ScrubOutcome {
-                $backend::scrub_parity(self)
-            }
+    fn scrub_parity(&mut self) -> ScrubOutcome {
+        AnalogBackend::scrub_parity(self)
+    }
 
-            fn parity_planes(&self) -> &[(String, ParityCheck)] {
-                &[]
-            }
+    fn parity_planes(&self) -> &[(String, ParityCheck)] {
+        &[]
+    }
 
-            fn restore(
-                &mut self,
-                _weights: &[(String, Tensor)],
-                _parity: Vec<(String, ParityCheck)>,
-            ) -> Result<(), HealthmonError> {
-                Err(HealthmonError::CheckpointMismatch(format!(
-                    "the `{}` device cannot restore checkpointed state",
-                    self.backend_name()
-                )))
-            }
+    fn restore(
+        &mut self,
+        _weights: &[(String, Tensor)],
+        _parity: Vec<(String, ParityCheck)>,
+    ) -> Result<(), HealthmonError> {
+        Err(HealthmonError::CheckpointMismatch(format!(
+            "the `{}` device cannot restore checkpointed state",
+            self.backend_name()
+        )))
+    }
 
-            fn clone_box(&self) -> Box<dyn Device> {
-                Box::new(self.clone())
-            }
-        }
-    };
+    fn clone_box(&self) -> Box<dyn Device> {
+        Box::new(self.clone())
+    }
 }
-
-crossbar_device!(AnalogBackend);
-crossbar_device!(BitSlicedBackend);

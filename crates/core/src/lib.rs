@@ -112,6 +112,6 @@ pub use runtime::{
 // crossbar state.
 pub use healthmon_nn::InferenceBackend;
 pub use healthmon_reram::{
-    ActiveBackend, AnalogBackend, BackendKind, BackendSpec, BitSlicedBackend, CrossbarConfig,
-    DeployReport, LayerMapping,
+    ActiveBackend, AnalogBackend, BackendKind, BackendSpec, CrossbarConfig, DeployReport,
+    LayerMapping,
 };

@@ -1,17 +1,19 @@
-//! Live analog inference backends: route every matmul of a network
+//! The live crossbar inference backend: route every matmul of a network
 //! through conductance-mapped crossbar state.
 //!
 //! [`healthmon_nn::InferenceBackend`] is the seam the detection stack
-//! executes through; this module provides the crossbar implementations.
-//! Unlike [`crate::deploy`] — which reads effective weights back into a
-//! digital network once — these backends keep the conductance state
-//! *live*: faults injected mid-lifetime ([`AnalogBackend::drift`],
-//! [`AnalogBackend::stick_cell`], ...) immediately change what the next
-//! forward pass computes, including DAC/ADC quantization and multi-tile
-//! partial-sum effects the read-back model cannot express.
+//! executes through; [`AnalogBackend`] is its crossbar implementation,
+//! for analog and bit-sliced specs alike (each mapped weight is a
+//! [`SlicedMatrix`]). Unlike [`crate::deploy`] — which reads effective
+//! weights back into a digital network once — the backend keeps the
+//! conductance state *live*: faults injected mid-lifetime
+//! ([`AnalogBackend::drift`], [`AnalogBackend::stick_cell`], ...)
+//! immediately change what the next forward pass computes, including
+//! DAC/ADC quantization and multi-tile partial-sum effects the read-back
+//! model cannot express.
 //!
 //! On integer-path-capable tile configurations (the default; see
-//! [`CrossbarConfig::integer_path_capable`]) the analog backends execute
+//! [`CrossbarConfig::integer_path_capable`]) the crossbar slices execute
 //! on the quantized `i32` hot path: activations become DAC codes once per
 //! layer call, conductances are cached as differential integer codes, and
 //! the ADC applies at tile boundaries. Conductance mutators (`drift`,
@@ -19,8 +21,8 @@
 //! the `f32` differential cache, so liveness is preserved.
 
 use crate::{
-    BitSlicedMatrix, CellFault, CrossbarConfig, DeployReport, IrDropModel, LayerMapping,
-    ScrubOutcome, TiledMatrix,
+    CellFault, CrossbarConfig, DeployReport, IrDropModel, LayerMapping, ScrubOutcome, SlicedMatrix,
+    TiledMatrix,
 };
 use healthmon_nn::{
     InferenceBackend, MatmulEngine, MatmulOrientation, Network, NonFiniteActivation,
@@ -38,7 +40,7 @@ pub enum BackendKind {
     Digital,
     /// Differential-pair crossbars via [`TiledMatrix`].
     Analog,
-    /// ISAAC-style bit-sliced crossbars via [`BitSlicedMatrix`].
+    /// ISAAC-style bit-sliced crossbars via [`SlicedMatrix`].
     BitSliced,
 }
 
@@ -139,14 +141,13 @@ impl BackendSpec {
     /// Instantiates the backend over `net`.
     ///
     /// The digital backend *borrows* the network (zero-copy, bit-identical
-    /// to calling [`Network::infer`] directly); analog backends program a
-    /// fresh conductance image from `rng`.
+    /// to calling [`Network::infer`] directly); analog and bit-sliced
+    /// specs program a fresh [`AnalogBackend`] image from `rng`.
     pub fn instantiate<'a>(&self, net: &'a Network, rng: &mut SeededRng) -> ActiveBackend<'a> {
         match self.kind {
             BackendKind::Digital => ActiveBackend::Digital(net),
-            BackendKind::Analog => ActiveBackend::Analog(AnalogBackend::program(net, self, rng)),
-            BackendKind::BitSliced => {
-                ActiveBackend::BitSliced(BitSlicedBackend::program(net, self, rng))
+            BackendKind::Analog | BackendKind::BitSliced => {
+                ActiveBackend::Crossbar(AnalogBackend::program(net, self, rng))
             }
         }
     }
@@ -158,147 +159,28 @@ impl Default for BackendSpec {
     }
 }
 
-/// The crossbar state of one conductance-mapped parameter.
-#[derive(Debug, Clone)]
-enum MappedMatrix {
-    Tiled(TiledMatrix),
-    Sliced(BitSlicedMatrix),
-}
-
-impl MappedMatrix {
-    fn program(oriented: &Tensor, spec: &BackendSpec, rng: &mut SeededRng) -> Self {
-        match spec.kind {
-            BackendKind::Digital => unreachable!("digital backend maps no parameters"),
-            BackendKind::Analog => {
-                MappedMatrix::Tiled(TiledMatrix::program(oriented, &spec.crossbar, rng))
-            }
-            BackendKind::BitSliced => MappedMatrix::Sliced(BitSlicedMatrix::program(
-                oriented,
-                spec.weight_bits,
-                spec.crossbar.cell_bits,
-                &spec.crossbar,
-                rng,
-            )),
+/// Programs one oriented weight matrix per `spec` and applies IR drop
+/// when the spec enables it. The only code below [`BackendSpec`] that
+/// tells the crossbar kinds apart.
+fn program_matrix(oriented: &Tensor, spec: &BackendSpec, rng: &mut SeededRng) -> SlicedMatrix {
+    let mut matrix = match spec.kind {
+        BackendKind::Digital => unreachable!("digital backend maps no parameters"),
+        BackendKind::Analog => SlicedMatrix::analog(oriented, &spec.crossbar, rng),
+        BackendKind::BitSliced => SlicedMatrix::program(
+            oriented,
+            spec.weight_bits,
+            spec.crossbar.cell_bits,
+            &spec.crossbar,
+            rng,
+        ),
+    };
+    if spec.ir_drop > 0.0 {
+        let model = IrDropModel::new(spec.ir_drop);
+        for slice in matrix.slices_mut() {
+            slice.apply_ir_drop(&model);
         }
     }
-
-    fn matmul(&self, input: &Tensor) -> Tensor {
-        match self {
-            MappedMatrix::Tiled(t) => t.matmul(input),
-            MappedMatrix::Sliced(s) => s.matmul(input),
-        }
-    }
-
-    fn effective_weights(&self) -> Tensor {
-        match self {
-            MappedMatrix::Tiled(t) => t.effective_weights(),
-            MappedMatrix::Sliced(s) => s.effective_weights(),
-        }
-    }
-
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            MappedMatrix::Tiled(t) => t.shape(),
-            MappedMatrix::Sliced(s) => s.shape(),
-        }
-    }
-
-    fn tile_count(&self) -> usize {
-        match self {
-            MappedMatrix::Tiled(t) => t.tile_count(),
-            MappedMatrix::Sliced(s) => s.tile_count(),
-        }
-    }
-
-    fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
-        match self {
-            MappedMatrix::Tiled(t) => t.inject_stuck_cells(fault, fraction, rng),
-            MappedMatrix::Sliced(s) => s.inject_stuck_cells(fault, fraction, rng),
-        }
-    }
-
-    fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-        match self {
-            MappedMatrix::Tiled(t) => t.disturb(sigma, rng),
-            MappedMatrix::Sliced(s) => s.disturb(sigma, rng),
-        }
-    }
-
-    fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-        match self {
-            MappedMatrix::Tiled(t) => t.flip_cells(probability, rng),
-            MappedMatrix::Sliced(s) => s.flip_cells(probability, rng),
-        }
-    }
-
-    fn enable_parity(&mut self) {
-        match self {
-            MappedMatrix::Tiled(t) => t.enable_parity(),
-            MappedMatrix::Sliced(s) => s.enable_parity(),
-        }
-    }
-
-    fn refresh_parity(&mut self) {
-        match self {
-            MappedMatrix::Tiled(t) => t.refresh_parity(),
-            MappedMatrix::Sliced(s) => s.refresh_parity(),
-        }
-    }
-
-    fn scrub_parity(&mut self) -> ScrubOutcome {
-        match self {
-            MappedMatrix::Tiled(t) => t.scrub_parity(),
-            MappedMatrix::Sliced(s) => s.scrub_parity(),
-        }
-    }
-
-    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        match self {
-            MappedMatrix::Tiled(t) => t.drift(nu, time, rng),
-            MappedMatrix::Sliced(s) => s.drift(nu, time, rng),
-        }
-    }
-
-    fn apply_ir_drop(&mut self, model: &IrDropModel) {
-        match self {
-            MappedMatrix::Tiled(t) => t.apply_ir_drop(model),
-            MappedMatrix::Sliced(s) => s.apply_ir_drop(model),
-        }
-    }
-
-    fn stick_cell(&mut self, row: usize, col: usize, weight: f32) {
-        match self {
-            MappedMatrix::Tiled(t) => t.stick_cell(row, col, weight),
-            MappedMatrix::Sliced(s) => s.stick_cell(row, col, weight),
-        }
-    }
-
-    /// Worst-case weight-domain output magnitude the (recombined) ADC
-    /// chain is sized for. For multi-row-block tilings this sums the
-    /// first tile's full scale over the row blocks — an upper bound on any
-    /// single output column.
-    fn adc_full_scale(&self) -> f32 {
-        match self {
-            MappedMatrix::Tiled(t) => {
-                t.tiles()[0].adc_full_scale() * t.tile_grid().0 as f32
-            }
-            MappedMatrix::Sliced(s) => s
-                .slices()
-                .iter()
-                .zip(s.slice_scales())
-                .map(|(t, &sc)| t.tiles()[0].adc_full_scale() * t.tile_grid().0 as f32 * sc)
-                .sum(),
-        }
-    }
-
-    fn utilization(&self, config: &CrossbarConfig) -> f32 {
-        let (m, n) = self.shape();
-        let copies = match self {
-            MappedMatrix::Tiled(_) => 1,
-            MappedMatrix::Sliced(s) => s.num_slices(),
-        };
-        (m * n * copies) as f32 / (self.tile_count() * config.rows * config.cols) as f32
-    }
+    matrix
 }
 
 /// One conductance-mapped layer: its crossbar state plus the orientation
@@ -307,7 +189,7 @@ impl MappedMatrix {
 /// so the crossbar contraction runs over the `C·K·K` word lines).
 #[derive(Debug, Clone)]
 struct MappedLayer {
-    matrix: MappedMatrix,
+    matrix: SlicedMatrix,
     orientation: MatmulOrientation,
 }
 
@@ -338,12 +220,14 @@ impl MappedLayer {
     }
 }
 
-/// Shared implementation of the analog backends: the digital network (for
-/// structure, biases, and non-matmul layers) plus live crossbar state for
-/// every conductance-mapped weight, routed into inference through
-/// [`MatmulEngine`].
+/// Live crossbar backend, analog or bit-sliced: the digital network (for
+/// structure, biases, and non-matmul layers) plus a [`SlicedMatrix`] of
+/// live conductance state for every conductance-mapped weight, routed
+/// into inference through [`MatmulEngine`]. Each matmul runs with DAC/ADC
+/// conversion on every slice and, when bit-sliced, shift-add
+/// recombination.
 #[derive(Debug, Clone)]
-struct MappedNetwork<'a> {
+pub struct AnalogBackend<'a> {
     /// Borrowed at program time (campaign workloads program thousands of
     /// short-lived backends and must not deep-copy every net); cloned
     /// lazily only if a layer rewrite has to update the digital weights.
@@ -355,8 +239,14 @@ struct MappedNetwork<'a> {
     parity: bool,
 }
 
-impl<'a> MappedNetwork<'a> {
-    fn program(net: &'a Network, spec: &BackendSpec, rng: &mut SeededRng) -> Self {
+impl<'a> AnalogBackend<'a> {
+    /// Programs every conductance-mapped weight of `net` onto crossbar
+    /// state per `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` is invalid or digital.
+    pub fn program(net: &'a Network, spec: &BackendSpec, rng: &mut SeededRng) -> Self {
         spec.validate();
         assert!(spec.kind != BackendKind::Digital, "digital backend needs no mapping");
         let mut orientations = BTreeMap::new();
@@ -374,70 +264,119 @@ impl<'a> MappedNetwork<'a> {
             // XW weights are already in the programmed layout — map them
             // in place; only WX needs a transposed copy.
             let matrix = match orientation {
-                MatmulOrientation::XW => MappedMatrix::program(tensor, spec, rng),
-                MatmulOrientation::WX => MappedMatrix::program(&tensor.transpose(), spec, rng),
+                MatmulOrientation::XW => program_matrix(tensor, spec, rng),
+                MatmulOrientation::WX => program_matrix(&tensor.transpose(), spec, rng),
             };
             layers.insert(key.to_owned(), MappedLayer { matrix, orientation });
         });
-        let mut mapped =
-            MappedNetwork { net: Cow::Borrowed(net), spec: *spec, layers, parity: false };
-        if spec.ir_drop > 0.0 {
-            let model = IrDropModel::new(spec.ir_drop);
-            for layer in mapped.layers.values_mut() {
-                layer.matrix.apply_ir_drop(&model);
-            }
-        }
-        mapped
+        AnalogBackend { net: Cow::Borrowed(net), spec: *spec, layers, parity: false }
     }
 
-    fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
-        for layer in self.layers.values_mut() {
-            layer.matrix.inject_stuck_cells(fault, fraction, rng);
-        }
-    }
-
-    fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-        for layer in self.layers.values_mut() {
-            layer.matrix.disturb(sigma, rng);
+    /// Severs the borrow of the source network by deep-copying it into
+    /// the backend — for callers that store the backend beyond the
+    /// network's lifetime (e.g. a deployed device). A no-op copy if a
+    /// rewrite already forced ownership.
+    pub fn into_owned(self) -> AnalogBackend<'static> {
+        AnalogBackend {
+            net: Cow::Owned(self.net.into_owned()),
+            spec: self.spec,
+            layers: self.layers,
+            parity: self.parity,
         }
     }
 
-    fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-        let mut flipped = 0usize;
-        for layer in self.layers.values_mut() {
-            flipped += layer.matrix.flip_cells(probability, rng);
-        }
-        flipped
+    /// The digital network the backend was programmed from (structure,
+    /// biases, and the pre-mapping weights).
+    pub fn network(&self) -> &Network {
+        &self.net
     }
 
-    fn enable_parity(&mut self) {
+    /// The specification this backend was programmed with.
+    pub fn spec(&self) -> &BackendSpec {
+        &self.spec
+    }
+
+    /// Every slice of every mapped layer: layers in key order, LSB slice
+    /// first. The aging mutators draw one continuous RNG stream in this
+    /// order.
+    fn slices_mut(&mut self) -> impl Iterator<Item = &mut TiledMatrix> {
+        self.layers.values_mut().flat_map(|layer| layer.matrix.slices_mut().iter_mut())
+    }
+
+    /// Freezes a fraction of cells across every mapped layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is not in `[0, 1]`.
+    pub fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
+        for slice in self.slices_mut() {
+            slice.inject_stuck_cells(fault, fraction, rng);
+        }
+    }
+
+    /// Applies lognormal conductance disturbance to every mapped layer.
+    pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
+        for slice in self.slices_mut() {
+            slice.disturb(sigma, rng);
+        }
+    }
+
+    /// Applies conductance drift to every mapped layer.
+    pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
+        for slice in self.slices_mut() {
+            slice.drift(nu, time, rng);
+        }
+    }
+
+    /// Flips cells with the given probability across every mapped layer
+    /// (one continuous RNG stream) — sparse transient soft errors, the
+    /// device-level image of the digital `RandomSoftError` fault. Returns
+    /// the flipped cell count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probability` is not in `[0, 1]`.
+    pub fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
+        self.slices_mut().map(|slice| slice.flip_cells(probability, rng)).sum()
+    }
+
+    /// Enables online soft-error tolerance: every tile captures XOR parity
+    /// checksums over its conductance planes, and layer rewrites keep
+    /// parity enabled on the fresh state.
+    pub fn enable_parity(&mut self) {
         self.parity = true;
-        for layer in self.layers.values_mut() {
-            layer.matrix.enable_parity();
+        for slice in self.slices_mut() {
+            slice.enable_parity();
         }
     }
 
-    fn refresh_parity(&mut self) {
-        for layer in self.layers.values_mut() {
-            layer.matrix.refresh_parity();
+    /// Re-baselines every tile's parity checksums to the current
+    /// conductances (acknowledging writes or expected aging).
+    pub fn refresh_parity(&mut self) {
+        for slice in self.slices_mut() {
+            slice.refresh_parity();
         }
     }
 
-    fn scrub_parity(&mut self) -> ScrubOutcome {
+    /// Scrubs every tile in-situ against its parity checksums, restoring
+    /// correctable transient flips bitwise. Returns the merged outcome
+    /// (empty when parity was never enabled).
+    pub fn scrub_parity(&mut self) -> ScrubOutcome {
         let mut outcome = ScrubOutcome::default();
-        for layer in self.layers.values_mut() {
-            outcome.merge(layer.matrix.scrub_parity());
+        for slice in self.slices_mut() {
+            outcome.merge(slice.scrub_parity());
         }
         outcome
     }
 
-    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        for layer in self.layers.values_mut() {
-            layer.matrix.drift(nu, time, rng);
-        }
-    }
-
-    fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
+    /// Freezes one weight (digital coordinates within the named parameter)
+    /// at the given value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not conductance-mapped or the coordinates are
+    /// out of bounds.
+    pub fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
         let layer = self
             .layers
             .get_mut(key)
@@ -446,19 +385,23 @@ impl<'a> MappedNetwork<'a> {
         layer.matrix.stick_cell(pr, pc, weight);
     }
 
-    fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
-        let spec = self.spec;
+    /// Reprograms one mapped parameter with new digital weights
+    /// (repair/reprogramming path); IR drop is re-applied if the spec
+    /// enables it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not conductance-mapped.
+    pub fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
         let layer = self
             .layers
             .get_mut(key)
             .unwrap_or_else(|| panic!("`{key}` is not a conductance-mapped parameter"));
-        let oriented = layer.orient(weights);
-        layer.matrix = MappedMatrix::program(&oriented, &spec, rng);
-        if spec.ir_drop > 0.0 {
-            layer.matrix.apply_ir_drop(&IrDropModel::new(spec.ir_drop));
-        }
+        layer.matrix = program_matrix(&layer.orient(weights), &self.spec, rng);
         if self.parity {
-            layer.matrix.enable_parity();
+            for slice in layer.matrix.slices_mut() {
+                slice.enable_parity();
+            }
         }
         self.net.to_mut().for_each_param_mut(|k, tensor| {
             if k == key {
@@ -467,28 +410,10 @@ impl<'a> MappedNetwork<'a> {
         });
     }
 
-    /// Deep-copies a borrowed source network into the backend, severing
-    /// the lifetime tie (no-op if a rewrite already forced ownership).
-    fn into_owned(self) -> MappedNetwork<'static> {
-        MappedNetwork {
-            net: Cow::Owned(self.net.into_owned()),
-            spec: self.spec,
-            layers: self.layers,
-            parity: self.parity,
-        }
-    }
-
-    fn readback(&self) -> Network {
-        let mut net = self.net.as_ref().clone();
-        net.for_each_param_mut(|key, tensor| {
-            if let Some(layer) = self.layers.get(key) {
-                *tensor = layer.readback_digital();
-            }
-        });
-        net
-    }
-
-    fn deploy_report(&self, probe: &Tensor) -> DeployReport {
+    /// Profiles the backend against its digital reference on a probe
+    /// batch: per-layer tile counts, area utilization, ADC range usage,
+    /// mapping error, and digital-vs-analog logit divergence.
+    pub fn deploy_report(&self, probe: &Tensor) -> DeployReport {
         let digital = self.net.infer(probe);
         let recorder = RecordingEngine { inner: self, peaks: RefCell::new(BTreeMap::new()) };
         let analog = self.net.infer_with(probe, &recorder);
@@ -516,7 +441,7 @@ impl<'a> MappedNetwork<'a> {
     }
 }
 
-impl MatmulEngine for MappedNetwork<'_> {
+impl MatmulEngine for AnalogBackend<'_> {
     fn matmul_xw(&self, key: &str, x: &Tensor, w: &Tensor) -> Tensor {
         match self.layers.get(key) {
             Some(layer) => layer.matrix.matmul(x),
@@ -533,7 +458,7 @@ impl MatmulEngine for MappedNetwork<'_> {
     }
 }
 
-impl InferenceBackend for MappedNetwork<'_> {
+impl InferenceBackend for AnalogBackend<'_> {
     fn infer(&self, input: &Tensor) -> Tensor {
         self.net.infer_with(input, self)
     }
@@ -547,7 +472,13 @@ impl InferenceBackend for MappedNetwork<'_> {
     }
 
     fn readback(&self) -> Network {
-        MappedNetwork::readback(self)
+        let mut net = self.net.as_ref().clone();
+        net.for_each_param_mut(|key, tensor| {
+            if let Some(layer) = self.layers.get(key) {
+                *tensor = layer.readback_digital();
+            }
+        });
+        net
     }
 }
 
@@ -555,7 +486,7 @@ impl InferenceBackend for MappedNetwork<'_> {
 /// peak output magnitude per mapped layer — used by
 /// [`AnalogBackend::deploy_report`] to estimate ADC range utilization.
 struct RecordingEngine<'a> {
-    inner: &'a MappedNetwork<'a>,
+    inner: &'a AnalogBackend<'a>,
     peaks: RefCell<BTreeMap<String, f32>>,
 }
 
@@ -584,213 +515,43 @@ impl MatmulEngine for RecordingEngine<'_> {
     }
 }
 
-macro_rules! delegate_backend {
-    ($name:ident) => {
-        impl<'a> $name<'a> {
-            /// Programs every conductance-mapped weight of `net` onto
-            /// crossbar state per `spec`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `spec` is invalid or its kind disagrees with this
-            /// backend type.
-            pub fn program(net: &'a Network, spec: &BackendSpec, rng: &mut SeededRng) -> Self {
-                assert_eq!(spec.kind, Self::KIND, "spec kind disagrees with backend type");
-                $name(MappedNetwork::program(net, spec, rng))
-            }
-
-            /// Severs the borrow of the source network by deep-copying it
-            /// into the backend — for callers that store the backend
-            /// beyond the network's lifetime (e.g. a deployed device).
-            pub fn into_owned(self) -> $name<'static> {
-                $name(self.0.into_owned())
-            }
-
-            /// The digital network the backend was programmed from
-            /// (structure, biases, and the pre-mapping weights).
-            pub fn network(&self) -> &Network {
-                &self.0.net
-            }
-
-            /// The specification this backend was programmed with.
-            pub fn spec(&self) -> &BackendSpec {
-                &self.0.spec
-            }
-
-            /// Freezes a fraction of cells across every mapped layer.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `fraction` is not in `[0, 1]`.
-            pub fn inject_stuck_cells(
-                &mut self,
-                fault: CellFault,
-                fraction: f64,
-                rng: &mut SeededRng,
-            ) {
-                self.0.inject_stuck_cells(fault, fraction, rng);
-            }
-
-            /// Applies lognormal conductance disturbance to every mapped
-            /// layer.
-            pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-                self.0.disturb(sigma, rng);
-            }
-
-            /// Applies conductance drift to every mapped layer.
-            pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-                self.0.drift(nu, time, rng);
-            }
-
-            /// Flips cells with the given probability across every mapped
-            /// layer (key order, one continuous RNG stream) — sparse
-            /// transient soft errors, the device-level image of the
-            /// digital `RandomSoftError` fault. Returns the flipped cell
-            /// count.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `probability` is not in `[0, 1]`.
-            pub fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-                self.0.flip_cells(probability, rng)
-            }
-
-            /// Enables online soft-error tolerance: every tile captures
-            /// XOR parity checksums over its conductance planes, and
-            /// layer rewrites keep parity enabled on the fresh state.
-            pub fn enable_parity(&mut self) {
-                self.0.enable_parity();
-            }
-
-            /// Re-baselines every tile's parity checksums to the current
-            /// conductances (acknowledging writes or expected aging).
-            pub fn refresh_parity(&mut self) {
-                self.0.refresh_parity();
-            }
-
-            /// Scrubs every tile in-situ against its parity checksums,
-            /// restoring correctable transient flips bitwise. Returns the
-            /// merged outcome (empty when parity was never enabled).
-            pub fn scrub_parity(&mut self) -> ScrubOutcome {
-                self.0.scrub_parity()
-            }
-
-            /// Freezes one weight (digital coordinates within the named
-            /// parameter) at the given value.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `key` is not conductance-mapped or the
-            /// coordinates are out of bounds.
-            pub fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
-                self.0.stick_cell(key, row, col, weight);
-            }
-
-            /// Reprograms one mapped parameter with new digital weights
-            /// (repair/reprogramming path); IR drop is re-applied if the
-            /// spec enables it.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `key` is not conductance-mapped.
-            pub fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
-                self.0.write_layer(key, weights, rng);
-            }
-
-            /// Profiles the backend against its digital reference on a
-            /// probe batch: per-layer tile counts, area utilization, ADC
-            /// range usage, mapping error, and digital-vs-analog logit
-            /// divergence.
-            pub fn deploy_report(&self, probe: &Tensor) -> DeployReport {
-                self.0.deploy_report(probe)
-            }
-        }
-
-        impl InferenceBackend for $name<'_> {
-            fn infer(&self, input: &Tensor) -> Tensor {
-                self.0.infer(input)
-            }
-
-            fn infer_checked(&self, input: &Tensor) -> Result<Tensor, NonFiniteActivation> {
-                self.0.infer_checked(input)
-            }
-
-            fn backend_name(&self) -> &'static str {
-                self.0.backend_name()
-            }
-
-            fn readback(&self) -> Network {
-                self.0.readback()
-            }
-        }
-    };
-}
-
-/// Live analog crossbar backend: every conductance-mapped weight runs as a
-/// [`TiledMatrix`] with DAC/ADC conversion on each matmul.
-#[derive(Debug, Clone)]
-pub struct AnalogBackend<'a>(MappedNetwork<'a>);
-
-impl AnalogBackend<'_> {
-    const KIND: BackendKind = BackendKind::Analog;
-}
-
-delegate_backend!(AnalogBackend);
-
-/// Live bit-sliced crossbar backend: every conductance-mapped weight runs
-/// as a [`BitSlicedMatrix`] with shift-add recombination on each matmul.
-#[derive(Debug, Clone)]
-pub struct BitSlicedBackend<'a>(MappedNetwork<'a>);
-
-impl BitSlicedBackend<'_> {
-    const KIND: BackendKind = BackendKind::BitSliced;
-}
-
-delegate_backend!(BitSlicedBackend);
-
 /// A backend instantiated from a [`BackendSpec`]: the digital variant
-/// borrows the network (bit-identical, zero-copy); analog variants own
-/// programmed crossbar state.
+/// borrows the network (bit-identical, zero-copy); the crossbar variant
+/// owns programmed conductance state.
 #[derive(Debug)]
 pub enum ActiveBackend<'a> {
     /// Borrowed digital reference.
     Digital(&'a Network),
-    /// Analog crossbar state borrowing the programmed net.
-    Analog(AnalogBackend<'a>),
-    /// Bit-sliced crossbar state borrowing the programmed net.
-    BitSliced(BitSlicedBackend<'a>),
+    /// Analog or bit-sliced crossbar state borrowing the programmed net.
+    Crossbar(AnalogBackend<'a>),
 }
 
 impl InferenceBackend for ActiveBackend<'_> {
     fn infer(&self, input: &Tensor) -> Tensor {
         match self {
             ActiveBackend::Digital(net) => net.infer(input),
-            ActiveBackend::Analog(b) => b.infer(input),
-            ActiveBackend::BitSliced(b) => b.infer(input),
+            ActiveBackend::Crossbar(b) => b.infer(input),
         }
     }
 
     fn infer_checked(&self, input: &Tensor) -> Result<Tensor, NonFiniteActivation> {
         match self {
             ActiveBackend::Digital(net) => net.infer_checked(input),
-            ActiveBackend::Analog(b) => b.infer_checked(input),
-            ActiveBackend::BitSliced(b) => b.infer_checked(input),
+            ActiveBackend::Crossbar(b) => b.infer_checked(input),
         }
     }
 
     fn backend_name(&self) -> &'static str {
         match self {
             ActiveBackend::Digital(_) => "digital",
-            ActiveBackend::Analog(b) => b.backend_name(),
-            ActiveBackend::BitSliced(b) => b.backend_name(),
+            ActiveBackend::Crossbar(b) => b.backend_name(),
         }
     }
 
     fn readback(&self) -> Network {
         match self {
             ActiveBackend::Digital(net) => (*net).clone(),
-            ActiveBackend::Analog(b) => InferenceBackend::readback(b),
-            ActiveBackend::BitSliced(b) => InferenceBackend::readback(b),
+            ActiveBackend::Crossbar(b) => b.readback(),
         }
     }
 }
@@ -871,7 +632,7 @@ mod tests {
             CrossbarConfig { cell_bits: 4, dac_bits: 0, adc_bits: 0, ..CrossbarConfig::default() },
             16,
         );
-        let backend = BitSlicedBackend::program(&net, &spec, &mut rng);
+        let backend = AnalogBackend::program(&net, &spec, &mut rng);
         assert_eq!(backend.backend_name(), "bitsliced");
         let x = Tensor::randn(&[3, 10], &mut rng).map(|v| v.clamp(-1.0, 1.0));
         let analog = backend.infer(&x);
@@ -971,6 +732,41 @@ mod tests {
         let analog = exact_spec().instantiate(&net, &mut rng);
         assert_eq!(analog.backend_name(), "analog");
         assert_eq!(analog.infer(&x), net.infer(&x));
+    }
+
+    #[test]
+    #[should_panic(expected = "digital backend needs no mapping")]
+    fn program_rejects_a_digital_spec() {
+        let mut rng = SeededRng::new(10);
+        let net = tiny_mlp(4, 5, 2, &mut rng);
+        AnalogBackend::program(&net, &BackendSpec::digital(), &mut rng);
+    }
+
+    #[test]
+    fn aging_and_ir_drop_reach_every_slice_of_every_layer() {
+        let mut rng = SeededRng::new(11);
+        let net = tiny_cnn(&mut rng);
+        // 8-bit weights over 2-bit cells: four slices per mapped layer.
+        let config = CrossbarConfig { cell_bits: 2, ..CrossbarConfig::ideal() };
+        let spec = BackendSpec::bitsliced(config, 8);
+        let slices = |backend: &mut AnalogBackend| -> Vec<Tensor> {
+            backend.slices_mut().map(|slice| slice.effective_weights()).collect()
+        };
+        let pristine = AnalogBackend::program(&net, &spec, &mut rng.fork(1));
+        let before = slices(&mut pristine.clone());
+        assert_eq!(before.len(), pristine.layers.len() * 4, "the walk must visit every slice");
+        let mut drifted = pristine.clone();
+        drifted.drift(0.5, 3.0, &mut rng);
+        let mut stuck = pristine.clone();
+        stuck.inject_stuck_cells(CellFault::StuckHigh, 0.5, &mut rng);
+        let ir_spec = BackendSpec { ir_drop: 0.05, ..spec };
+        let dropped = AnalogBackend::program(&net, &ir_spec, &mut rng.fork(1));
+        let aged = [("drift", drifted), ("stuck cells", stuck), ("IR drop", dropped)];
+        for (what, mut backend) in aged {
+            for (k, (was, now)) in before.iter().zip(slices(&mut backend)).enumerate() {
+                assert!(was.l1_distance(&now) > 0.0, "{what} left slice {k} untouched");
+            }
+        }
     }
 
     #[test]

@@ -1,56 +1,78 @@
-//! ISAAC-style bit-sliced weight storage.
+//! Crossbar weight storage as a list of tiled images.
 //!
-//! Real crossbar cells store only a few bits each, so ISAAC-class
-//! accelerators split a W-bit weight across several cells in adjacent
-//! columns and recombine the per-slice analog products with a shift-add
-//! ([Shafiee et al., ISCA'16], the architecture the paper cites). This
-//! module models that scheme: magnitudes are quantized to `total_bits`,
-//! sliced into `cell_bits` groups, each slice stored in its own
-//! [`Crossbar`], and [`BitSlicedMatrix::matvec`] recombines slices with
-//! their radix weights. Signs use the differential-pair convention of the
-//! parent crate (the sign lives in which path of the pair carries the
-//! magnitude, here modelled by signed per-slice storage).
+//! A [`SlicedMatrix`] holds every conductance-mapped matrix of the live
+//! backends. An analog matrix is one [`TiledMatrix`] storing the weights
+//! themselves. A bit-sliced matrix follows ISAAC ([Shafiee et al.,
+//! ISCA'16], the architecture the paper cites): real cells store only a
+//! few bits each, so magnitudes are quantized to `total_bits`, split into
+//! `cell_bits`-wide digits, each digit plane is programmed onto its own
+//! [`TiledMatrix`], and [`SlicedMatrix::matmul`] recombines the per-slice
+//! products with their radix weights. Signs use the differential-pair
+//! convention of the parent crate (the sign lives in which path of the
+//! pair carries the magnitude, here modelled by signed per-slice storage).
 //!
-//! Each slice rides a [`TiledMatrix`], so on integer-path-capable configs
-//! (see [`CrossbarConfig::integer_path_capable`]) every slice executes on
-//! the quantize-once `i32` fast path automatically; the shift-add
-//! recombination stays in `f32`.
+//! Conductance mutators (drift, stuck cells, parity, IR drop) are written
+//! once, on [`TiledMatrix`]; callers reach every slice through
+//! [`SlicedMatrix::slices_mut`]. On integer-path-capable configs (see
+//! [`CrossbarConfig::integer_path_capable`]) every slice executes on the
+//! quantize-once `i32` fast path; the shift-add recombination stays in
+//! `f32`.
 
 use crate::quant::{narrow_code, round_fast};
-use crate::{CellFault, CrossbarConfig, IrDropModel, Quantizer, ScrubOutcome, TiledMatrix};
+use crate::{CrossbarConfig, Quantizer, TiledMatrix};
 use healthmon_tensor::{SeededRng, Tensor};
 
-/// A weight matrix stored bit-sliced across multiple crossbar arrays.
+/// A weight matrix stored as one or more tiled crossbar images.
 ///
 /// # Example
 ///
 /// ```
-/// use healthmon_reram::{BitSlicedMatrix, CrossbarConfig};
+/// use healthmon_reram::{CrossbarConfig, SlicedMatrix};
 /// use healthmon_tensor::{SeededRng, Tensor};
 ///
 /// let mut rng = SeededRng::new(0);
 /// let w = Tensor::randn(&[16, 8], &mut rng);
 /// // 8-bit weights over 2-bit cells -> 4 slices.
-/// let sliced = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
+/// let sliced = SlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
 /// assert_eq!(sliced.num_slices(), 4);
-/// let x = Tensor::randn(&[16], &mut rng);
-/// assert_eq!(sliced.matvec(&x).shape(), &[8]);
+/// let x = Tensor::randn(&[3, 16], &mut rng);
+/// assert_eq!(sliced.matmul(&x).shape(), &[3, 8]);
+/// // An analog matrix is a single slice storing the weights themselves.
+/// let analog = SlicedMatrix::analog(&w, &CrossbarConfig::ideal(), &mut rng);
+/// assert_eq!(analog.num_slices(), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct BitSlicedMatrix {
-    /// One tiled array per slice, least-significant slice first. Each
-    /// stores the *signed* slice digits scaled into its own range.
+pub struct SlicedMatrix {
+    /// One tiled array per slice, least-significant slice first. A
+    /// bit-sliced matrix stores the *signed* slice digits, each plane
+    /// scaled into its own range.
     slices: Vec<TiledMatrix>,
-    /// Radix weight of each slice (1, 2^b, 2^2b, ...), scaled back to the
-    /// weight domain.
-    slice_scale: Vec<f32>,
-    rows: usize,
-    cols: usize,
-    total_bits: u32,
-    cell_bits: u32,
+    /// The digit layout of a bit-sliced matrix; `None` for an analog
+    /// matrix, whose single slice stores the weights themselves.
+    digits: Option<Digits>,
 }
 
-impl BitSlicedMatrix {
+/// How a bit-sliced matrix splits each weight magnitude into digits.
+#[derive(Debug, Clone)]
+struct Digits {
+    total_bits: u32,
+    cell_bits: u32,
+    /// Radix weight of each slice (1, 2^b, 2^2b, ...), scaled back to the
+    /// weight domain.
+    scales: Vec<f32>,
+}
+
+impl SlicedMatrix {
+    /// Programs `weights` as one analog slice: a plain [`TiledMatrix`]
+    /// with no digit layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is not 2-D or the config is invalid.
+    pub fn analog(weights: &Tensor, config: &CrossbarConfig, rng: &mut SeededRng) -> Self {
+        SlicedMatrix { slices: vec![TiledMatrix::program(weights, config, rng)], digits: None }
+    }
+
     /// Programs `weights` with `total_bits` of magnitude resolution,
     /// sliced into `cell_bits`-wide digits.
     ///
@@ -117,49 +139,30 @@ impl BitSlicedMatrix {
         // weight-domain scale explicitly: value = digit * radix^k * step.
         let step = w_max / levels as f32;
         let mut slices = Vec::with_capacity(num_slices);
-        let mut slice_scale = Vec::with_capacity(num_slices);
+        let mut scales = Vec::with_capacity(num_slices);
         for (k, plane) in digit_planes.iter().enumerate() {
             slices.push(TiledMatrix::program(plane, config, rng));
             let radix_weight = (digit_radix as f32).powi(k as i32);
-            slice_scale.push(step * radix_weight);
+            scales.push(step * radix_weight);
         }
-        BitSlicedMatrix { slices, slice_scale, rows, cols, total_bits, cell_bits }
+        SlicedMatrix { slices, digits: Some(Digits { total_bits, cell_bits, scales }) }
     }
 
-    /// Number of slices (`total_bits / cell_bits`).
+    /// Number of slices: 1 for an analog matrix, `total_bits / cell_bits`
+    /// for a bit-sliced one.
     pub fn num_slices(&self) -> usize {
         self.slices.len()
     }
 
     /// Logical matrix dimensions.
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        self.slices[0].shape()
     }
 
-    /// Magnitude resolution in bits.
-    pub fn total_bits(&self) -> u32 {
-        self.total_bits
-    }
-
-    /// Bits stored per cell.
-    pub fn cell_bits(&self) -> u32 {
-        self.cell_bits
-    }
-
-    /// Mutable access to the per-slice arrays (LSB slice first), e.g. for
-    /// injecting faults into a single significance level.
+    /// Mutable access to the per-slice arrays (LSB slice first): the one
+    /// way to age, fault or scrub the stored conductances.
     pub fn slices_mut(&mut self) -> &mut [TiledMatrix] {
         &mut self.slices
-    }
-
-    /// Shared access to the per-slice arrays (LSB slice first).
-    pub fn slices(&self) -> &[TiledMatrix] {
-        &self.slices
-    }
-
-    /// Weight-domain radix scale of each slice (LSB slice first).
-    pub fn slice_scales(&self) -> &[f32] {
-        &self.slice_scale
     }
 
     /// Total crossbar tiles across all slices.
@@ -167,97 +170,56 @@ impl BitSlicedMatrix {
         self.slices.iter().map(TiledMatrix::tile_count).sum()
     }
 
-    /// Injects stuck cells into every slice array (LSB slice first, one
-    /// continuous RNG stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `[0, 1]`.
-    pub fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
-        for slice in &mut self.slices {
-            slice.inject_stuck_cells(fault, fraction, rng);
+    /// Weight-domain scale of each slice (LSB slice first); an analog
+    /// slice has scale 1.
+    fn scales(&self) -> &[f32] {
+        match &self.digits {
+            Some(digits) => &digits.scales,
+            None => &[1.0],
         }
     }
 
-    /// Applies conductance drift to every slice array (LSB slice first,
-    /// one continuous RNG stream).
-    pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        for slice in &mut self.slices {
-            slice.drift(nu, time, rng);
-        }
+    /// Worst-case weight-domain output magnitude the (recombined) ADC
+    /// chain is sized for. For multi-row-block tilings this sums each
+    /// slice's first-tile full scale over its row blocks, an upper bound
+    /// on any single output column.
+    pub fn adc_full_scale(&self) -> f32 {
+        self.slices
+            .iter()
+            .zip(self.scales())
+            .map(|(t, &scale)| t.tiles()[0].adc_full_scale() * t.tile_grid().0 as f32 * scale)
+            .sum()
     }
 
-    /// Applies lognormal conductance disturbance to every slice array.
-    pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-        for slice in &mut self.slices {
-            slice.disturb(sigma, rng);
-        }
-    }
-
-    /// Flips cells with probability `probability` in every slice array
-    /// (LSB slice first, one continuous RNG stream). Returns the total
-    /// flipped cell count.
-    pub fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-        let mut flipped = 0usize;
-        for slice in &mut self.slices {
-            flipped += slice.flip_cells(probability, rng);
-        }
-        flipped
-    }
-
-    /// Enables online parity tolerance on every slice array.
-    pub fn enable_parity(&mut self) {
-        for slice in &mut self.slices {
-            slice.enable_parity();
-        }
-    }
-
-    /// Re-baselines the parity checksums of every slice array.
-    pub fn refresh_parity(&mut self) {
-        for slice in &mut self.slices {
-            slice.refresh_parity();
-        }
-    }
-
-    /// Scrubs every slice array against its parity checksums.
-    pub fn scrub_parity(&mut self) -> ScrubOutcome {
-        let mut outcome = ScrubOutcome::default();
-        for slice in &mut self.slices {
-            outcome.merge(slice.scrub_parity());
-        }
-        outcome
-    }
-
-    /// Applies the first-order IR-drop model to every slice array.
-    pub fn apply_ir_drop(&mut self, model: &IrDropModel) {
-        for slice in &mut self.slices {
-            slice.apply_ir_drop(model);
-        }
+    /// Fraction of the allocated crossbar cells that store weight digits.
+    pub fn utilization(&self, config: &CrossbarConfig) -> f32 {
+        let (m, n) = self.shape();
+        (m * n * self.num_slices()) as f32 / (self.tile_count() * config.rows * config.cols) as f32
     }
 
     /// Freezes the weight at logical position `(row, col)` to read as
-    /// (approximately) `weight`: the magnitude is re-quantized to the
-    /// slice code space and each slice's digit is stuck in its array.
+    /// (approximately) `weight`. An analog slice sticks the weight itself;
+    /// a bit-sliced matrix re-quantizes the magnitude to its code space
+    /// and sticks each slice's digit in its array.
     ///
     /// # Panics
     ///
-    /// Panics if `row`/`col` are outside the logical matrix or `weight` is
-    /// non-finite.
+    /// Panics if `row`/`col` are outside the logical matrix or (bit-sliced
+    /// only) `weight` is non-finite.
     pub fn stick_cell(&mut self, row: usize, col: usize, weight: f32) {
-        assert!(
-            row < self.rows && col < self.cols,
-            "cell ({row}, {col}) outside {}x{} matrix",
-            self.rows,
-            self.cols
-        );
+        let Some(digits) = &self.digits else {
+            return self.slices[0].stick_cell(row, col, weight);
+        };
+        let (rows, cols) = self.shape();
+        assert!(row < rows && col < cols, "cell ({row}, {col}) outside {rows}x{cols} matrix");
         assert!(weight.is_finite(), "stuck weight must be finite, got {weight}");
-        let levels = (1u32 << self.total_bits) - 1;
-        let step = self.slice_scale[0];
+        let levels = (1u32 << digits.total_bits) - 1;
+        let step = digits.scales[0];
         let w_max = step * levels as f32;
-        let q = Quantizer::new(0.0, w_max, self.total_bits);
+        let q = Quantizer::new(0.0, w_max, digits.total_bits);
         let sign = if weight < 0.0 { -1.0f32 } else { 1.0 };
         let mut code = q.index_of(weight.abs().min(w_max));
-        let radix = 1u32 << self.cell_bits;
+        let radix = 1u32 << digits.cell_bits;
         for slice in &mut self.slices {
             let digit = code % radix;
             slice.stick_cell(row, col, sign * digit as f32);
@@ -265,64 +227,54 @@ impl BitSlicedMatrix {
         }
     }
 
-    /// The weight matrix the sliced arrays actually realize.
+    /// Applies `f` to every slice and recombines the results with the
+    /// radix scales, LSB slice first. An analog slice's result is returned
+    /// as is: adding it into a zeroed output would turn −0.0 into +0.0 and
+    /// break exact mode's bit-identity with the digital GEMM.
+    #[inline]
+    fn recombine(&self, f: impl Fn(&TiledMatrix) -> Tensor) -> Tensor {
+        let first = f(&self.slices[0]);
+        let Some(digits) = &self.digits else { return first };
+        let mut out = Tensor::zeros(first.shape());
+        out.axpy(digits.scales[0], &first);
+        for (slice, &scale) in self.slices.iter().zip(&digits.scales).skip(1) {
+            out.axpy(scale, &f(slice));
+        }
+        out
+    }
+
+    /// The weight matrix the slices actually realize.
     pub fn effective_weights(&self) -> Tensor {
-        let mut out = Tensor::zeros(&[self.rows, self.cols]);
-        for (slice, &scale) in self.slices.iter().zip(&self.slice_scale) {
-            out.axpy(scale, &slice.effective_weights());
-        }
-        out
+        self.recombine(TiledMatrix::effective_weights)
     }
 
-    /// Crossbar matvec with shift-add recombination: each slice computes
-    /// its partial product in analog, the digital periphery scales by the
-    /// slice radix and accumulates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from the row count.
-    pub fn matvec(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.len(), self.rows, "input length mismatch");
-        let mut out = Tensor::zeros(&[self.cols]);
-        for (slice, &scale) in self.slices.iter().zip(&self.slice_scale) {
-            out.axpy(scale, &slice.matvec(input));
-        }
-        out
-    }
-
-    /// Batched crossbar product with shift-add recombination: every slice
-    /// runs one tile-level GEMM over the whole `[batch, rows]` pattern set
-    /// (see [`TiledMatrix::matmul`]), then the digital periphery scales by
-    /// the slice radix and accumulates — the batch counterpart of
-    /// [`BitSlicedMatrix::matvec`], with the identical per-element
-    /// recombination order.
+    /// Batched crossbar product `X·W` with shift-add recombination: every
+    /// slice runs one tile-level GEMM over the whole `[batch, rows]`
+    /// pattern set (see [`TiledMatrix::matmul`]), then the digital
+    /// periphery scales by the slice radix and accumulates. An analog
+    /// matrix returns its slice's product as is.
     ///
     /// # Panics
     ///
     /// Panics if `input` is not 2-D with `rows` columns.
+    #[inline]
     pub fn matmul(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.ndim(), 2, "batched matmul expects 2-D input");
-        assert_eq!(input.shape()[1], self.rows, "inner dimension mismatch");
-        let mut out = Tensor::zeros(&[input.shape()[0], self.cols]);
-        for (slice, &scale) in self.slices.iter().zip(&self.slice_scale) {
-            out.axpy(scale, &slice.matmul(input));
-        }
-        out
+        self.recombine(|slice| slice.matmul(input))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CellFault;
+    use crate::{CellFault, IrDropModel};
 
     #[test]
     fn slice_count() {
         let mut rng = SeededRng::new(1);
         let w = Tensor::randn(&[4, 4], &mut rng);
-        let s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
+        let s = SlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
         assert_eq!(s.num_slices(), 4);
-        let s = BitSlicedMatrix::program(&w, 6, 3, &CrossbarConfig::ideal(), &mut rng);
+        let s = SlicedMatrix::program(&w, 6, 3, &CrossbarConfig::ideal(), &mut rng);
         assert_eq!(s.num_slices(), 2);
     }
 
@@ -330,7 +282,7 @@ mod tests {
     fn effective_weights_approximate_original() {
         let mut rng = SeededRng::new(2);
         let w = Tensor::randn(&[8, 6], &mut rng);
-        let s = BitSlicedMatrix::program(&w, 12, 2, &CrossbarConfig::ideal(), &mut rng);
+        let s = SlicedMatrix::program(&w, 12, 2, &CrossbarConfig::ideal(), &mut rng);
         let back = s.effective_weights();
         let w_max = w.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         let tol = w_max / ((1u32 << 12) - 1) as f32 + 1e-4;
@@ -343,9 +295,9 @@ mod tests {
     fn matvec_matches_digital_reference() {
         let mut rng = SeededRng::new(3);
         let w = Tensor::randn(&[10, 5], &mut rng);
-        let s = BitSlicedMatrix::program(&w, 12, 4, &CrossbarConfig::ideal(), &mut rng);
+        let s = SlicedMatrix::program(&w, 12, 4, &CrossbarConfig::ideal(), &mut rng);
         let x = Tensor::randn(&[10], &mut rng).map(|v| v.clamp(-1.0, 1.0));
-        let got = s.matvec(&x);
+        let got = s.matmul(&x.reshape(&[1, 10]).unwrap());
         let want = s.effective_weights().transpose().matvec(&x);
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
@@ -390,9 +342,9 @@ mod tests {
     fn more_bits_give_finer_weights() {
         let mut rng = SeededRng::new(4);
         let w = Tensor::randn(&[12, 12], &mut rng);
-        let coarse = BitSlicedMatrix::program(&w, 4, 2, &CrossbarConfig::ideal(), &mut rng)
+        let coarse = SlicedMatrix::program(&w, 4, 2, &CrossbarConfig::ideal(), &mut rng)
             .effective_weights();
-        let fine = BitSlicedMatrix::program(&w, 12, 2, &CrossbarConfig::ideal(), &mut rng)
+        let fine = SlicedMatrix::program(&w, 12, 2, &CrossbarConfig::ideal(), &mut rng)
             .effective_weights();
         assert!(w.l1_distance(&coarse) > w.l1_distance(&fine) * 4.0);
     }
@@ -402,7 +354,7 @@ mod tests {
         let mut rng = SeededRng::new(5);
         let w = Tensor::randn(&[16, 16], &mut rng);
         let run = |slice_idx: usize, rng: &mut SeededRng| {
-            let mut s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), rng);
+            let mut s = SlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), rng);
             let mut fault_rng = SeededRng::new(99);
             s.slices_mut()[slice_idx].inject_stuck_cells(CellFault::StuckLow, 0.5, &mut fault_rng);
             w.l1_distance(&s.effective_weights())
@@ -419,7 +371,7 @@ mod tests {
     fn sign_preserved() {
         let mut rng = SeededRng::new(6);
         let w = Tensor::from_vec(vec![0.9, -0.9, 0.3, -0.3], &[2, 2]).unwrap();
-        let s = BitSlicedMatrix::program(&w, 8, 4, &CrossbarConfig::ideal(), &mut rng);
+        let s = SlicedMatrix::program(&w, 8, 4, &CrossbarConfig::ideal(), &mut rng);
         let back = s.effective_weights();
         for (a, b) in w.as_slice().iter().zip(back.as_slice()) {
             assert_eq!(a.signum(), b.signum());
@@ -430,12 +382,12 @@ mod tests {
     fn batched_matmul_bit_identical_to_matvec_rows() {
         let mut rng = SeededRng::new(8);
         let w = Tensor::randn(&[9, 5], &mut rng);
-        let s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::default(), &mut rng);
+        let s = SlicedMatrix::program(&w, 8, 2, &CrossbarConfig::default(), &mut rng);
         let x = Tensor::randn(&[4, 9], &mut rng).map(|v| v.clamp(-1.0, 1.0));
         let batch = s.matmul(&x);
         assert_eq!(batch.shape(), &[4, 5]);
         for b in 0..4 {
-            let single = s.matvec(&x.row(b));
+            let single = s.matmul(&x.row(b).reshape(&[1, 9]).unwrap());
             for (j, (p, q)) in batch.row(b).as_slice().iter().zip(single.as_slice()).enumerate() {
                 assert_eq!(p.to_bits(), q.to_bits(), "row {b} col {j}: {p} vs {q}");
             }
@@ -446,7 +398,7 @@ mod tests {
     fn stick_cell_pins_weight_across_slices() {
         let mut rng = SeededRng::new(9);
         let w = Tensor::randn(&[6, 6], &mut rng);
-        let mut s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
+        let mut s = SlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
         let w_max = w.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         let step = w_max / 255.0;
         for &(r, c, target) in &[(1usize, 2usize, 0.0f32), (4, 5, -0.4), (0, 0, 0.7)] {
@@ -463,15 +415,19 @@ mod tests {
     fn drift_and_ir_drop_propagate_to_slices() {
         let mut rng = SeededRng::new(10);
         let w = Tensor::randn(&[8, 8], &mut rng);
-        let mut s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
+        let mut s = SlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
         let before = s.effective_weights().norm_l1();
-        s.drift(0.5, 3.0, &mut rng);
+        for slice in s.slices_mut() {
+            slice.drift(0.5, 3.0, &mut rng);
+        }
         let after = s.effective_weights().norm_l1();
         assert!(after < before, "drift should shrink: {before} -> {after}");
 
-        let mut s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
+        let mut s = SlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
         let before = s.effective_weights();
-        s.apply_ir_drop(&IrDropModel::new(0.05));
+        for slice in s.slices_mut() {
+            slice.apply_ir_drop(&IrDropModel::new(0.05));
+        }
         assert!(before.l1_distance(&s.effective_weights()) > 1e-3);
     }
 
@@ -479,6 +435,6 @@ mod tests {
     #[should_panic(expected = "multiple of cell bits")]
     fn rejects_non_multiple_bits() {
         let mut rng = SeededRng::new(7);
-        BitSlicedMatrix::program(&Tensor::zeros(&[2, 2]), 7, 2, &CrossbarConfig::ideal(), &mut rng);
+        SlicedMatrix::program(&Tensor::zeros(&[2, 2]), 7, 2, &CrossbarConfig::ideal(), &mut rng);
     }
 }

@@ -11,7 +11,15 @@
 //!   lines, ADC output quantization, plus device-fault injection
 //!   (stuck-at cells, lognormal write noise, drift).
 //! * [`TiledMatrix`] — an arbitrary weight matrix partitioned over tiles,
-//!   with crossbar-backed `matvec`/`matmul`.
+//!   with crossbar-backed `matvec`/`matmul`. Every conductance mutator
+//!   (drift, stuck cells, parity, IR drop) is written once, here.
+//! * [`SlicedMatrix`] — the crossbar state of one mapped weight: a list of
+//!   tiled images, one for an analog matrix and one per digit for an
+//!   ISAAC-style bit-sliced matrix, recombined with radix weights.
+//! * [`AnalogBackend`] — the one live crossbar backend, analog or
+//!   bit-sliced per its [`BackendSpec`]: a [`SlicedMatrix`] per mapped
+//!   weight, routed into inference, and the aging mutators that walk
+//!   every slice of every layer.
 //! * [`deploy`] — programs every conductance-mapped parameter of a
 //!   [`healthmon_nn::Network`] through a crossbar write/read-back cycle,
 //!   returning the network as the accelerator would actually compute it.
@@ -49,8 +57,8 @@ mod parity;
 mod quant;
 mod tiled;
 
-pub use backend::{ActiveBackend, AnalogBackend, BackendKind, BackendSpec, BitSlicedBackend};
-pub use bitslice::BitSlicedMatrix;
+pub use backend::{ActiveBackend, AnalogBackend, BackendKind, BackendSpec};
+pub use bitslice::SlicedMatrix;
 pub use config::CrossbarConfig;
 pub use crossbar::{CellFault, Crossbar};
 pub use deploy::{deploy, DeployReport, LayerMapping};

@@ -24,7 +24,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One snapshot in a rotating stream: marker metadata plus the full
 /// metrics snapshot recorded at that moment.
@@ -203,13 +203,25 @@ impl Drop for MetricsServer {
     }
 }
 
+/// How long a client has to deliver its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_millis(500);
+
 fn handle_connection(mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(500)))?;
+    // One deadline for the whole head, not a timeout re-armed per read: a
+    // client trickling a byte at a time would otherwise hold the single
+    // accept thread, and with it `MetricsServer::drop`, for as long as it
+    // kept sending.
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    stream.set_write_timeout(Some(HEAD_DEADLINE))?;
     // Read the request head only; this endpoint has no request bodies.
     let mut buf = [0u8; 2048];
     let mut head = Vec::new();
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             break;
@@ -302,5 +314,37 @@ mod tests {
         conn.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 404"));
         drop(server);
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_accept_thread_past_the_deadline() {
+        let server = MetricsServer::start("127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let start = Instant::now();
+        // One byte every 100 ms for 5 s: each read succeeds well inside a
+        // per-read timeout, and the head never completes.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..50 {
+                if slow.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        // Connections are accepted in arrival order, so this request is
+        // served only once the accept thread has given up on the trickler.
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(b"GET /nope HTTP/1.1\r\n\r\n").unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 404"));
+        drop(server);
+        let waited = start.elapsed();
+        assert!(
+            waited < HEAD_DEADLINE + Duration::from_secs(1),
+            "a trickling client held the server for {waited:?}"
+        );
+        trickler.join().unwrap();
     }
 }

@@ -123,17 +123,6 @@ for b in analog bitsliced; do
     cmp "$lt_dir/lifetime_${b}_1.txt" "$lt_dir/lifetime_${b}_7.txt"
     grep -q "repair #" "$lt_dir/lifetime_${b}_1.txt"
 done
-# Campaign rates stay thread-invariant on live analog backends too: the
-# per-model programming RNG is indexed by model, never by thread.
-for b in digital analog; do
-    for t in 1 2 7; do
-        HEALTHMON_THREADS=$t "$hm" campaign --arch mlp --model "$lt_dir/model.json" \
-            --patterns "$lt_dir/patterns.json" --fault pv:0.4 --count 8 --backend "$b" \
-            > "$lt_dir/campaign_${b}_$t.txt"
-    done
-    cmp "$lt_dir/campaign_${b}_1.txt" "$lt_dir/campaign_${b}_2.txt"
-    cmp "$lt_dir/campaign_${b}_1.txt" "$lt_dir/campaign_${b}_7.txt"
-done
 "$hm" deploy --arch mlp --model "$lt_dir/model.json" --backend analog > "$lt_dir/deploy.txt"
 grep -q "logit divergence" "$lt_dir/deploy.txt"
 # Analog lifetimes keep live conductance state and must refuse --checkpoint.
