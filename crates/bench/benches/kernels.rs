@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the numeric kernels underlying every experiment:
-//! matmul, whole conv layers, crossbar matvec vs ideal, forward/backward
-//! passes.
+//! matmul, whole conv layers, crossbar products vs ideal, crossbar conv
+//! layers, forward/backward passes.
 //!
 //! Runs on the in-tree [`healthmon_bench::timing`] harness
 //! (`cargo bench --bench kernels`).
@@ -8,8 +8,8 @@
 use healthmon_bench::timing::TimingHarness;
 use healthmon_nn::layers::{Conv2d, Layer};
 use healthmon_nn::models::lenet5;
-use healthmon_nn::DigitalEngine;
-use healthmon_reram::{Crossbar, CrossbarConfig, TiledMatrix};
+use healthmon_nn::{DigitalEngine, PatchMap};
+use healthmon_reram::{CellFault, Crossbar, CrossbarConfig, SlicedMatrix, TiledMatrix};
 use healthmon_tensor::{SeededRng, Tensor};
 use std::hint::black_box;
 
@@ -78,30 +78,64 @@ fn bench_crossbar_matvec() {
     let mut group = TimingHarness::new("crossbar");
     let mut rng = SeededRng::new(2);
     let w = Tensor::randn(&[128, 128], &mut rng);
-    let x = Tensor::randn(&[128], &mut rng).map(|v| v.clamp(-1.0, 1.0));
+    // One input pattern, as a single-row batch.
+    let x = Tensor::randn(&[1, 128], &mut rng).map(|v| v.clamp(-1.0, 1.0));
 
     let analog = Crossbar::program(&w, &CrossbarConfig::default(), &mut rng);
-    group.case("tile_matvec_8bit_converters", || black_box(analog.matvec(&x)));
+    group.case("tile_matvec_8bit_converters", || black_box(analog.matmul(&x)));
 
     let ideal = Crossbar::program(&w, &CrossbarConfig::ideal(), &mut rng);
-    group.case("tile_matvec_ideal", || black_box(ideal.matvec(&x)));
+    group.case("tile_matvec_ideal", || black_box(ideal.matmul(&x)));
 
     let wt = w.transpose();
-    group.case("digital_matvec_reference", || black_box(wt.matvec(&x)));
+    let xv = x.reshape(&[128]).expect("one row");
+    group.case("digital_matvec_reference", || black_box(wt.matvec(&xv)));
 
     let big = Tensor::randn(&[512, 256], &mut rng);
-    let bx = Tensor::randn(&[512], &mut rng);
+    let bx = Tensor::randn(&[1, 512], &mut rng);
     let tiled = TiledMatrix::program(&big, &CrossbarConfig::default(), &mut rng);
-    group.case("tiled_512x256_matvec", || black_box(tiled.matvec(&bx)));
+    group.case("tiled_512x256_matvec", || black_box(tiled.matmul(&bx)));
 
     // Batched analog inference: an N-pattern test batch through the same
-    // arrays. Post-PR this is one GEMM per tile against the cached
-    // differential-conductance matrix instead of N matvec sweeps.
+    // arrays, one product per tile instead of N single-row sweeps.
     let single = TiledMatrix::program(&w, &CrossbarConfig::default(), &mut rng);
     let batch = Tensor::randn(&[32, 128], &mut rng).map(|v| v.clamp(-1.0, 1.0));
     group.case("tiled_128x128_batch32", || black_box(single.matmul(&batch)));
     let big_batch = Tensor::randn(&[32, 512], &mut rng).map(|v| v.clamp(-1.0, 1.0));
     group.case("tiled_512x256_batch32", || black_box(tiled.matmul(&big_batch)));
+}
+
+/// Crossbar conv layers of the zoo models at the checkup's shapes (10
+/// test patterns), each on an aged default-config matrix (drift and
+/// stuck-low cells, as the benchmark ages its checkup devices). Each
+/// layer runs three routes to the same bits: transposed (unfold,
+/// transpose in, batch-major product, transpose out), the column-layout
+/// product on the finished patch matrix, and the conv hook (input pixels
+/// quantized once, codes unfolded).
+fn bench_crossbar_conv() {
+    let mut group = TimingHarness::new("crossbar_conv");
+    let mut rng = SeededRng::new(5);
+    // (label, channels, filters, kernel, padding, extent)
+    for &(label, c, f, k, p, hw) in &[
+        ("lenet5_conv0", 1usize, 6usize, 5usize, 2usize, 28usize),
+        ("lenet5_conv3", 6, 16, 5, 0, 14),
+        ("resnet8_block_conv", 12, 12, 3, 1, 16),
+        ("convnet7_conv2", 16, 16, 3, 1, 32),
+    ] {
+        let map = PatchMap::new(&[10, c, hw, hw], k, 1, p);
+        let w = Tensor::randn(&[map.rows(), f], &mut rng).map(|v| v * 0.3);
+        let mut matrix = SlicedMatrix::analog(&w, &CrossbarConfig::default(), &mut rng);
+        for slice in matrix.slices_mut() {
+            slice.drift(0.02, 1.0, &mut rng);
+            slice.inject_stuck_cells(CellFault::StuckLow, 0.001, &mut rng);
+        }
+        let x = Tensor::rand_uniform(&[10, c, hw, hw], 0.0, 1.0, &mut rng);
+        group.case(&format!("{label}/transposed"), || {
+            black_box(matrix.matmul(&map.unfold(&x).transpose()).transpose())
+        });
+        group.case(&format!("{label}/cols"), || black_box(matrix.matmul_cols(&map.unfold(&x))));
+        group.case(&format!("{label}/hook"), || black_box(matrix.matmul_patches(&x, &map)));
+    }
 }
 
 fn bench_model_passes() {
@@ -122,6 +156,7 @@ fn main() {
     bench_matmul();
     bench_conv_layers();
     bench_crossbar_matvec();
+    bench_crossbar_conv();
     bench_model_passes();
     healthmon_bench::timing::write_json_report();
 }

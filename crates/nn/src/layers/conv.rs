@@ -81,126 +81,41 @@ impl Conv2d {
         self.filters
     }
 
-    /// Spatial output extent for a given input extent.
-    fn out_extent(&self, input: usize) -> usize {
-        let padded = input + 2 * self.padding;
-        assert!(
-            padded >= self.kernel,
-            "conv kernel {} larger than padded input extent {padded}",
-            self.kernel
-        );
-        (padded - self.kernel) / self.stride + 1
+    /// The im2col geometry of this layer over an input of `input_shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel is larger than the padded input.
+    fn patch_map(&self, input_shape: &[usize]) -> PatchMap {
+        PatchMap::new(input_shape, self.kernel, self.stride, self.padding)
     }
 
     /// im2col: unfold input patches into a `[C·K·K, N·OH·OW]` matrix,
     /// reusing the retired workspace buffer when its shape still fits.
-    fn im2col(&mut self, input: &Tensor, oh: usize, ow: usize) -> Tensor {
-        let (n, c) = (input.shape()[0], input.shape()[1]);
-        let k = self.kernel;
-        let ckk = c * k * k;
-        let cols = n * oh * ow;
-        let col = match self.col_workspace.take() {
-            Some(mut ws) if ws.shape() == [ckk, cols] => {
+    fn im2col(&mut self, input: &Tensor, map: &PatchMap) -> Tensor {
+        let mut col = match self.col_workspace.take() {
+            Some(mut ws) if ws.shape() == [map.rows(), map.cols()] => {
                 // Padding positions are never written below, so the
                 // recycled buffer must start from zero like a fresh one.
                 ws.as_mut_slice().fill(0.0);
                 ws
             }
-            _ => Tensor::zeros(&[ckk, cols]),
+            _ => Tensor::zeros(&[map.rows(), map.cols()]),
         };
-        self.unfold_into(input, oh, ow, col)
-    }
-
-    /// The output positions `[lo, hi)` along one axis at which kernel tap
-    /// `tap` reads inside an input of this `extent`, i.e.
-    /// `0 ≤ o·stride + tap − padding < extent`. Every other position reads
-    /// padding.
-    fn tap_range(&self, tap: usize, extent: usize, out: usize) -> (usize, usize) {
-        let (s, p) = (self.stride, self.padding);
-        let hi = if extent + p > tap { (extent + p - tap).div_ceil(s).min(out) } else { 0 };
-        let lo = if p > tap { (p - tap).div_ceil(s).min(hi) } else { 0 };
-        (lo, hi)
-    }
-
-    /// Walks the im2col correspondence between a `[N, C, H, W]` input and
-    /// its `[C·K·K, N·OH·OW]` patch matrix one segment at a time: for each
-    /// kernel tap `(ci, kh, kw)`, sample and output row, calls
-    /// `f(col_start, x_start, len)`, meaning that matrix elements
-    /// `col_start + j` and input elements `x_start + j·stride` pair up for
-    /// `j < len`. Taps that read padding are left out, so each tap's valid
-    /// columns and rows are computed once, not tested per element. The
-    /// nesting, outermost first, is `ci, kh, kw, ni, ph`, then `j`.
-    fn for_each_segment(
-        &self,
-        input_shape: &[usize],
-        oh: usize,
-        ow: usize,
-        mut f: impl FnMut(usize, usize, usize),
-    ) {
-        let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        let cols = n * oh * ow;
-        for ci in 0..c {
-            for kh in 0..k {
-                let (ph_lo, ph_hi) = self.tap_range(kh, h, oh);
-                for kw in 0..k {
-                    let (pw_lo, pw_hi) = self.tap_range(kw, w, ow);
-                    // The tap reads only padding; its input offset below
-                    // would underflow.
-                    if pw_lo == pw_hi {
-                        continue;
-                    }
-                    let row_base = ((ci * k + kh) * k + kw) * cols;
-                    for ni in 0..n {
-                        let plane = (ni * c + ci) * h * w;
-                        let col_base = row_base + ni * oh * ow;
-                        for ph in ph_lo..ph_hi {
-                            let in_row = plane + (ph * s + kh - p) * w;
-                            f(
-                                col_base + ph * ow + pw_lo,
-                                in_row + pw_lo * s + kw - p,
-                                pw_hi - pw_lo,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fills the im2col matrix `col`, which must arrive zeroed: only the
-    /// taps that read inside the input are written, so padding stays 0.
-    /// Each segment is a slice copy at stride 1 and a strided gather
-    /// otherwise. Shared by the caching `im2col` (recycled workspace) and
-    /// the `&self` inference path (fresh buffer), so both produce
-    /// bit-identical patches.
-    fn unfold_into(&self, input: &Tensor, oh: usize, ow: usize, mut col: Tensor) -> Tensor {
-        let s = self.stride;
-        let x = input.as_slice();
-        let cm = col.as_mut_slice();
-        self.for_each_segment(input.shape(), oh, ow, |dst, src, len| {
-            let seg = &mut cm[dst..dst + len];
-            if s == 1 {
-                seg.copy_from_slice(&x[src..src + len]);
-            } else {
-                for (d, &v) in seg.iter_mut().zip(x[src..].iter().step_by(s)) {
-                    *d = v;
-                }
-            }
-        });
+        map.unfold_into(input.as_slice(), col.as_mut_slice());
         col
     }
 
     /// col2im: fold a `[C·K·K, N·OH·OW]` gradient matrix back onto the
     /// input, accumulating overlapping patches. Segments are added in
-    /// `for_each_segment`'s fixed order, so every input element sums its
-    /// terms in the same order on every call.
-    fn col2im(&self, col: &Tensor, input_shape: &[usize], oh: usize, ow: usize) -> Tensor {
-        let s = self.stride;
+    /// [`PatchMap::for_each_segment`]'s fixed order, so every input
+    /// element sums its terms in the same order on every call.
+    fn col2im(&self, col: &Tensor, map: &PatchMap) -> Tensor {
+        let s = map.stride;
         let cm = col.as_slice();
-        let mut out = Tensor::zeros(input_shape);
+        let mut out = Tensor::zeros(map.input_shape());
         let o = out.as_mut_slice();
-        self.for_each_segment(input_shape, oh, ow, |src, dst, len| {
+        map.for_each_segment(|src, dst, len| {
             let seg = &cm[src..src + len];
             if s == 1 {
                 for (d, &g) in o[dst..dst + len].iter_mut().zip(seg) {
@@ -253,6 +168,180 @@ impl Conv2d {
     }
 }
 
+/// The im2col correspondence of one convolution call: which element of
+/// the `[N, C, H, W]` input each entry of the `[C·K·K, N·OH·OW]` patch
+/// matrix `col(x)` reads. Entries at padding positions read nothing.
+///
+/// One walker, [`PatchMap::for_each_segment`], serves every element type:
+/// [`Conv2d`] unfolds `f32` activations and folds gradients back with it,
+/// and a crossbar engine unfolds the integer DAC codes of an input with
+/// the same segments (see [`MatmulEngine::matmul_patches`]).
+///
+/// # Example
+///
+/// ```
+/// use healthmon_nn::PatchMap;
+/// use healthmon_tensor::Tensor;
+///
+/// // One 3×3 plane, 2×2 kernel, stride 1, no padding: four patches.
+/// let x = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 1, 3, 3]).unwrap();
+/// let map = PatchMap::new(x.shape(), 2, 1, 0);
+/// assert_eq!((map.rows(), map.cols()), (4, 4));
+/// // Row 0 is the top-left tap of every patch.
+/// assert_eq!(&map.unfold(&x).as_slice()[..4], &[1.0, 2.0, 4.0, 5.0]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PatchMap {
+    /// `[N, C, H, W]`.
+    input: [usize; 4],
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    out_h: usize,
+    out_w: usize,
+}
+
+impl PatchMap {
+    /// The patch map of a `kernel`×`kernel` convolution at `stride` and
+    /// `padding` over an input of shape `[N, C, H, W]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_shape` is not 4-D, `kernel` or `stride` is zero,
+    /// or the kernel is larger than the padded input.
+    pub fn new(input_shape: &[usize], kernel: usize, stride: usize, padding: usize) -> Self {
+        assert_eq!(input_shape.len(), 4, "patch map expects [N,C,H,W], got {input_shape:?}");
+        assert!(kernel > 0 && stride > 0, "conv kernel/stride must be non-zero");
+        let extent = |input: usize| {
+            let padded = input + 2 * padding;
+            assert!(
+                padded >= kernel,
+                "conv kernel {kernel} larger than padded input extent {padded}"
+            );
+            (padded - kernel) / stride + 1
+        };
+        let (h, w) = (input_shape[2], input_shape[3]);
+        PatchMap {
+            input: [input_shape[0], input_shape[1], h, w],
+            kernel,
+            stride,
+            padding,
+            out_h: extent(h),
+            out_w: extent(w),
+        }
+    }
+
+    /// The `[N, C, H, W]` input shape.
+    pub fn input_shape(&self) -> &[usize] {
+        &self.input
+    }
+
+    /// The spatial output extent `(OH, OW)`.
+    pub fn out_extent(&self) -> (usize, usize) {
+        (self.out_h, self.out_w)
+    }
+
+    /// Rows of the patch matrix: `C·K·K`, one per kernel tap.
+    pub fn rows(&self) -> usize {
+        self.input[1] * self.kernel * self.kernel
+    }
+
+    /// Columns of the patch matrix: `N·OH·OW`, one per patch.
+    pub fn cols(&self) -> usize {
+        self.input[0] * self.out_h * self.out_w
+    }
+
+    /// The output positions `[lo, hi)` along one axis at which kernel tap
+    /// `tap` reads inside an input of this `extent`, i.e.
+    /// `0 ≤ o·stride + tap − padding < extent`. Every other position reads
+    /// padding.
+    fn tap_range(&self, tap: usize, extent: usize, out: usize) -> (usize, usize) {
+        let (s, p) = (self.stride, self.padding);
+        let hi = if extent + p > tap { (extent + p - tap).div_ceil(s).min(out) } else { 0 };
+        let lo = if p > tap { (p - tap).div_ceil(s).min(hi) } else { 0 };
+        (lo, hi)
+    }
+
+    /// Walks the correspondence one segment at a time: for each kernel tap
+    /// `(ci, kh, kw)`, sample and output row, calls `f(col_start,
+    /// x_start, len)`, meaning that patch-matrix elements `col_start + j`
+    /// (row-major, `N·OH·OW` columns) and input elements
+    /// `x_start + j·stride` pair up for `j < len`. Taps that read padding
+    /// are left out, so each tap's valid columns and rows are computed
+    /// once, not tested per element. The nesting, outermost first, is
+    /// `ci, kh, kw, ni, ph`, then `j`.
+    pub fn for_each_segment(&self, mut f: impl FnMut(usize, usize, usize)) {
+        let [n, c, h, w] = self.input;
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let (oh, ow) = (self.out_h, self.out_w);
+        let cols = self.cols();
+        for ci in 0..c {
+            for kh in 0..k {
+                let (ph_lo, ph_hi) = self.tap_range(kh, h, oh);
+                for kw in 0..k {
+                    let (pw_lo, pw_hi) = self.tap_range(kw, w, ow);
+                    // The tap reads only padding; its input offset below
+                    // would underflow.
+                    if pw_lo == pw_hi {
+                        continue;
+                    }
+                    let row_base = ((ci * k + kh) * k + kw) * cols;
+                    for ni in 0..n {
+                        let plane = (ni * c + ci) * h * w;
+                        let col_base = row_base + ni * oh * ow;
+                        for ph in ph_lo..ph_hi {
+                            let in_row = plane + (ph * s + kh - p) * w;
+                            f(
+                                col_base + ph * ow + pw_lo,
+                                in_row + pw_lo * s + kw - p,
+                                pw_hi - pw_lo,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Unfolds `x` (an `[N, C, H, W]` input, flat) into `col` (the
+    /// `[C·K·K, N·OH·OW]` patch matrix, flat). Only the entries that read
+    /// inside the input are written, so `col` must arrive filled with the
+    /// padding value. Each segment is a slice copy at stride 1 and a
+    /// strided gather otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `col` does not have the mapped length.
+    pub fn unfold_into<T: Copy>(&self, x: &[T], col: &mut [T]) {
+        assert_eq!(x.len(), self.input.iter().product::<usize>(), "input length mismatch");
+        assert_eq!(col.len(), self.rows() * self.cols(), "patch matrix length mismatch");
+        let s = self.stride;
+        self.for_each_segment(|dst, src, len| {
+            let seg = &mut col[dst..dst + len];
+            if s == 1 {
+                seg.copy_from_slice(&x[src..src + len]);
+            } else {
+                for (d, &v) in seg.iter_mut().zip(x[src..].iter().step_by(s)) {
+                    *d = v;
+                }
+            }
+        });
+    }
+
+    /// The patch matrix `col(x)` of an `[N, C, H, W]` tensor, with padding
+    /// reading 0.0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not have the mapped input shape.
+    pub fn unfold(&self, x: &Tensor) -> Tensor {
+        assert_eq!(x.shape(), self.input_shape(), "unfold input shape mismatch");
+        let mut col = Tensor::zeros(&[self.rows(), self.cols()]);
+        self.unfold_into(x.as_slice(), col.as_mut_slice());
+        col
+    }
+}
+
 impl Layer for Conv2d {
     fn name(&self) -> &'static str {
         "conv2d"
@@ -267,18 +356,17 @@ impl Layer for Conv2d {
             self.in_channels,
             input.shape()[1]
         );
-        let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
-        let oh = self.out_extent(h);
-        let ow = self.out_extent(w);
+        let map = self.patch_map(input.shape());
+        let (n, (oh, ow)) = (input.shape()[0], map.out_extent());
         // Forward-only callers (inference sweeps) never reach backward, so
         // retire the previous pass's unfolded patches here before they are
         // replaced — that buffer is what im2col recycles.
         if let Some(stale) = self.cached_col.take() {
             self.col_workspace = Some(stale);
         }
-        let col = self.im2col(input, oh, ow);
+        let col = self.im2col(input, &map);
         let mut out_mat = self.weight.matmul(&col); // [F, N*OH*OW]
-        let cols = n * oh * ow;
+        let cols = map.cols();
         let bias = self.bias.as_slice();
         let om = out_mat.as_mut_slice();
         for (fi, &b) in bias.iter().enumerate() {
@@ -303,14 +391,10 @@ impl Layer for Conv2d {
             self.in_channels,
             input.shape()[1]
         );
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let oh = self.out_extent(h);
-        let ow = self.out_extent(w);
-        let ckk = c * self.kernel * self.kernel;
-        let cols = n * oh * ow;
-        let col = self.unfold_into(input, oh, ow, Tensor::zeros(&[ckk, cols]));
-        let mut out_mat =
-            engine.matmul_wx(&format!("{key_prefix}.weight"), &self.weight, &col); // [F, N*OH*OW]
+        let map = self.patch_map(input.shape());
+        let (n, (oh, ow), cols) = (input.shape()[0], map.out_extent(), map.cols());
+        let key = format!("{key_prefix}.weight");
+        let mut out_mat = engine.matmul_patches(&key, &self.weight, input, &map); // [F, N*OH*OW]
         let bias = self.bias.as_slice();
         let om = out_mat.as_mut_slice();
         for (fi, &b) in bias.iter().enumerate() {
@@ -333,9 +417,8 @@ impl Layer for Conv2d {
             .cached_input_shape
             .clone()
             .expect("conv2d backward before forward");
-        let (n, h, w) = (input_shape[0], input_shape[2], input_shape[3]);
-        let oh = self.out_extent(h);
-        let ow = self.out_extent(w);
+        let map = self.patch_map(&input_shape);
+        let (n, (oh, ow)) = (input_shape[0], map.out_extent());
         assert_eq!(
             grad_out.shape(),
             &[n, self.filters, oh, ow],
@@ -352,7 +435,7 @@ impl Layer for Conv2d {
             }
         }
         let grad_col = self.weight.matmul_at(&g_mat); // [CKK, N*OH*OW]
-        let out = self.col2im(&grad_col, &input_shape, oh, ow);
+        let out = self.col2im(&grad_col, &map);
         // Retire the unfolded-patch buffer for the next forward pass.
         self.col_workspace = Some(col);
         out
@@ -620,10 +703,10 @@ mod tests {
                         for (pass, (hi, wi)) in [(h, w), (h, w), (w, h)].into_iter().enumerate() {
                             let what = format!("k{k} s{s} p{p} [{n},{c},{hi},{wi}] pass {pass}");
                             let x = with_specials(&[n, c, hi, wi], &mut rng);
-                            let (oh, ow) = (conv.out_extent(hi), conv.out_extent(wi));
+                            let map = conv.patch_map(x.shape());
+                            let (oh, ow) = map.out_extent();
                             let want = reference_unfold(&conv, &x, oh, ow);
-                            let fresh = Tensor::zeros(want.shape());
-                            assert_bits_eq(&conv.unfold_into(&x, oh, ow, fresh), &want, &what);
+                            assert_bits_eq(&map.unfold(&x), &want, &what);
 
                             let y = conv.forward(&x);
                             let cached = conv.cached_col.as_ref().unwrap();
@@ -633,7 +716,7 @@ mod tests {
 
                             let grad_col = with_specials(want.shape(), &mut rng);
                             assert_bits_eq(
-                                &conv.col2im(&grad_col, x.shape(), oh, ow),
+                                &conv.col2im(&grad_col, &map),
                                 &reference_col2im(&conv, &grad_col, x.shape(), oh, ow),
                                 &format!("{what} col2im"),
                             );
@@ -653,6 +736,36 @@ mod tests {
             }
         }
         assert!(cases > 300, "only {cases} geometries ran");
+    }
+
+    /// The walker pairs the same elements whatever the element type: an
+    /// `i32` unfold of element numbers, padded with 0, names exactly the
+    /// input element the `f32` reference loop copies to each entry.
+    #[test]
+    fn integer_unfold_reads_the_same_elements() {
+        let mut rng = SeededRng::new(8);
+        let (n, c, h, w) = (2, 3, 7, 5);
+        let numbers =
+            Tensor::from_vec((1..=n * c * h * w).map(|v| v as f32).collect(), &[n, c, h, w])
+                .unwrap();
+        let ints: Vec<i32> = (1..=(n * c * h * w) as i32).collect();
+        for k in 1..=5 {
+            for s in 1..=3 {
+                for p in 0..=k + 1 {
+                    if h.min(w) + 2 * p < k {
+                        continue;
+                    }
+                    let conv = Conv2d::new(c, 2, k, s, p, &mut rng);
+                    let map = conv.patch_map(numbers.shape());
+                    let (oh, ow) = map.out_extent();
+                    let want = reference_unfold(&conv, &numbers, oh, ow);
+                    let mut got = vec![0i32; map.rows() * map.cols()];
+                    map.unfold_into(&ints, &mut got);
+                    let want: Vec<i32> = want.as_slice().iter().map(|&v| v as i32).collect();
+                    assert_eq!(got, want, "k{k} s{s} p{p}");
+                }
+            }
+        }
     }
 
     #[test]

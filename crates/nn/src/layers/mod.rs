@@ -20,7 +20,7 @@ mod residual;
 pub use activation::{Relu, Sigmoid, Tanh};
 pub use attention::SelfAttention;
 pub use batchnorm::BatchNorm2d;
-pub use conv::Conv2d;
+pub use conv::{Conv2d, PatchMap};
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use flatten::Flatten;
@@ -63,6 +63,19 @@ pub trait MatmulEngine {
     /// Computes `w · x` for an [`MatmulOrientation::WX`] layer
     /// (`w: [F, K]`, `x: [K, cols]`).
     fn matmul_wx(&self, key: &str, w: &Tensor, x: &Tensor) -> Tensor;
+
+    /// Computes `w · col(x)` for a convolution: `x` is the layer's
+    /// `[N, C, H, W]` input and `patches` its im2col geometry, so `col(x)`
+    /// is the `[C·K·K, N·OH·OW]` patch matrix and the result is
+    /// `[F, N·OH·OW]`.
+    ///
+    /// The default unfolds `x` (padding reads 0.0) and calls
+    /// [`MatmulEngine::matmul_wx`]. An engine that does better with the
+    /// input itself overrides it: a crossbar converts each input pixel
+    /// once instead of every patch element that repeats it.
+    fn matmul_patches(&self, key: &str, w: &Tensor, x: &Tensor, patches: &PatchMap) -> Tensor {
+        self.matmul_wx(key, w, &patches.unfold(x))
+    }
 }
 
 /// The reference [`MatmulEngine`]: plain digital [`Tensor::matmul`].

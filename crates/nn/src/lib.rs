@@ -42,7 +42,7 @@ pub mod trainer;
 pub mod zoo;
 
 pub use backend::InferenceBackend;
-pub use layers::{DigitalEngine, Layer, MatmulEngine, MatmulOrientation};
+pub use layers::{DigitalEngine, Layer, MatmulEngine, MatmulOrientation, PatchMap};
 pub use loss::SoftmaxCrossEntropy;
 pub use network::{LoadStateError, Network, NonFiniteActivation, ParamStats};
 pub use trainer::{DropConnect, TrainConfig, TrainReport, Trainer};

@@ -25,7 +25,7 @@ use crate::{
     TiledMatrix,
 };
 use healthmon_nn::{
-    InferenceBackend, MatmulEngine, MatmulOrientation, Network, NonFiniteActivation,
+    InferenceBackend, MatmulEngine, MatmulOrientation, Network, NonFiniteActivation, PatchMap,
 };
 use healthmon_tensor::{SeededRng, Tensor};
 use std::borrow::Cow;
@@ -451,9 +451,17 @@ impl MatmulEngine for AnalogBackend<'_> {
 
     fn matmul_wx(&self, key: &str, w: &Tensor, x: &Tensor) -> Tensor {
         match self.layers.get(key) {
-            // W·X = (Xᵀ·Wᵀ)ᵀ with Wᵀ programmed on the tiles.
-            Some(layer) => layer.matrix.matmul(&x.transpose()).transpose(),
+            // W·X = (Xᵀ·Wᵀ)ᵀ with Wᵀ programmed on the tiles, read in
+            // place by the column-layout product.
+            Some(layer) => layer.matrix.matmul_cols(x),
             None => w.matmul(x),
+        }
+    }
+
+    fn matmul_patches(&self, key: &str, w: &Tensor, x: &Tensor, patches: &PatchMap) -> Tensor {
+        match self.layers.get(key) {
+            Some(layer) => layer.matrix.matmul_patches(x, patches),
+            None => w.matmul(&patches.unfold(x)),
         }
     }
 }
@@ -510,6 +518,12 @@ impl MatmulEngine for RecordingEngine<'_> {
 
     fn matmul_wx(&self, key: &str, w: &Tensor, x: &Tensor) -> Tensor {
         let out = self.inner.matmul_wx(key, w, x);
+        self.record(key, &out);
+        out
+    }
+
+    fn matmul_patches(&self, key: &str, w: &Tensor, x: &Tensor, patches: &PatchMap) -> Tensor {
+        let out = self.inner.matmul_patches(key, w, x, patches);
         self.record(key, &out);
         out
     }

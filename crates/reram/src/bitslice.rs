@@ -16,11 +16,17 @@
 //! [`SlicedMatrix::slices_mut`]. On integer-path-capable configs (see
 //! [`CrossbarConfig::integer_path_capable`]) every slice executes on the
 //! quantize-once `i32` fast path; the shift-add recombination stays in
-//! `f32`.
+//! `f32`. A convolution ([`SlicedMatrix::matmul_patches`]) quantizes its
+//! input pixels once for every slice and tile and unfolds the codes.
 
+use crate::crossbar::{DacGrid, PHASE_DAC_NS};
 use crate::quant::{narrow_code, round_fast};
 use crate::{CrossbarConfig, Quantizer, TiledMatrix};
+use healthmon_nn::PatchMap;
+use healthmon_telemetry as tel;
 use healthmon_tensor::{SeededRng, Tensor};
+use std::cell::OnceCell;
+use std::time::Instant;
 
 /// A weight matrix stored as one or more tiled crossbar images.
 ///
@@ -260,6 +266,78 @@ impl SlicedMatrix {
     #[inline]
     pub fn matmul(&self, input: &Tensor) -> Tensor {
         self.recombine(|slice| slice.matmul(input))
+    }
+
+    /// Column-layout product `Wᵀ·C` for `C` of shape `[rows, patches]`,
+    /// returning `[cols, patches]`: every slice runs
+    /// [`TiledMatrix::matmul_cols`], recombined as in
+    /// [`SlicedMatrix::matmul`]. Bit-identical to
+    /// `self.matmul(&c.transpose()).transpose()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not 2-D with `rows` rows.
+    pub fn matmul_cols(&self, c: &Tensor) -> Tensor {
+        self.recombine(|slice| slice.matmul_cols(c))
+    }
+
+    /// A convolution's crossbar product `Wᵀ·col(x)` from its
+    /// `[N, C, H, W]` input `x` and patch geometry, returning
+    /// `[cols, N·OH·OW]`, bit-identical to
+    /// `self.matmul_cols(&patches.unfold(x))`.
+    ///
+    /// DAC coding is elementwise, so the codes of the unfolded patches are
+    /// the unfolded codes of the input, with padding reading the code of
+    /// 0.0. When every tile of every slice shares one integer-capable DAC
+    /// grid, the input pixels are therefore quantized once and their codes
+    /// unfolded once for every slice and tile; a slice whose tiles lack
+    /// integer state runs on the unfolded `f32` patches. An input with a
+    /// NaN anywhere, or tiles without a shared grid, take
+    /// [`SlicedMatrix::matmul_cols`] on the unfolded patches, so a NaN
+    /// that no patch reads still leaves the integer path live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not have the shape `patches` maps or the patch
+    /// matrix does not have `rows` rows.
+    pub fn matmul_patches(&self, x: &Tensor, patches: &PatchMap) -> Tensor {
+        assert_eq!(x.shape(), patches.input_shape(), "conv input shape mismatch");
+        assert_eq!(patches.rows(), self.shape().0, "inner dimension mismatch");
+        let t_dac = tel::enabled().then(Instant::now);
+        let grid = self.shared_grid();
+        let pixels = grid.and_then(|g| g.centered_codes_for(x.as_slice()));
+        let (Some(grid), Some(pixels)) = (grid, pixels) else {
+            return self.matmul_cols(&patches.unfold(x));
+        };
+        // One spare row for an odd last word line to pair with.
+        let len = patches.rows() * patches.cols();
+        let mut codes = vec![grid.centered_zero(); len + patches.cols()];
+        patches.unfold_into(&pixels, &mut codes[..len]);
+        if let Some(t0) = t_dac {
+            PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        }
+        if tel::enabled() {
+            self.slices[0].tiles()[0].record_dac(x.as_slice());
+        }
+        let col = OnceCell::new();
+        self.recombine(|slice| {
+            let execs = slice.execs();
+            match slice.int_states(&execs) {
+                Some((_, ints)) => slice.int_matmul_cols(&grid, &ints, &codes, patches.cols()),
+                None => slice.matmul_cols_in(&execs, col.get_or_init(|| patches.unfold(x))),
+            }
+        })
+    }
+
+    /// The DAC grid every tile of every slice shares, when all of them are
+    /// integer-path capable.
+    fn shared_grid(&self) -> Option<DacGrid> {
+        let grid = self.slices[0].tiles()[0].dac_grid()?;
+        self.slices
+            .iter()
+            .flat_map(TiledMatrix::tiles)
+            .all(|t| t.config().integer_path_capable() && t.dac_grid() == Some(grid))
+            .then_some(grid)
     }
 }
 

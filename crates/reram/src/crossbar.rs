@@ -115,7 +115,7 @@ const ROW_BLOCK: usize = 32;
 
 /// Below this many multiply-accumulates the integer path stays on one
 /// thread (same rationale as the GEMM threshold in `healthmon-tensor`).
-const INT_PAR_THRESHOLD: usize = 1 << 18;
+pub(crate) const INT_PAR_THRESHOLD: usize = 1 << 18;
 
 /// Everything one inference through the tile needs, derived lazily from
 /// the conductance planes and invalidated as a unit by every conductance
@@ -187,6 +187,8 @@ pub(crate) struct DacGrid {
     hi: f32,
     step: f32,
     inv_step: f32,
+    /// The middle level, `2^(dac_bits − 1)`: codes minus it fit `i16`.
+    center: i32,
 }
 
 impl DacGrid {
@@ -232,6 +234,22 @@ impl DacGrid {
             None
         }
     }
+
+    /// The column kernel's input codes for `values`: the level indices of
+    /// [`DacGrid::codes_for`] minus the middle level, so that every code
+    /// fits `i16` (the kernel adds the offset back exactly), or `None` if
+    /// any value is NaN.
+    pub(crate) fn centered_codes_for(&self, values: &[f32]) -> Option<Vec<i16>> {
+        let codes = self.codes_for(values)?;
+        Some(codes.into_iter().map(|c| (c - self.center) as i16).collect())
+    }
+
+    /// The centered code of 0.0: what a padding entry of a patch matrix
+    /// reads, so that unfolding the codes of an input equals quantizing
+    /// its unfolded patches.
+    pub(crate) fn centered_zero(&self) -> i16 {
+        self.centered_codes_for(&[0.0]).expect("0.0 is not NaN")[0]
+    }
 }
 
 /// A permanent device fault affecting one cell.
@@ -249,8 +267,8 @@ pub enum CellFault {
 /// differential conductance pairs.
 ///
 /// The tile keeps the scaling needed to map analog bit-line currents back
-/// into weight-domain dot products, so [`Crossbar::matvec`] is directly
-/// comparable to an ideal `wᵀx`.
+/// into weight-domain dot products, so a row of [`Crossbar::matmul`] is
+/// directly comparable to an ideal `wᵀx`.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     config: CrossbarConfig,
@@ -495,7 +513,9 @@ impl Crossbar {
     }
 
     /// The execution state (differential matrix, integer codes), computed
-    /// on first use and cached until the next conductance mutation.
+    /// on first use and cached until the next conductance mutation. Each
+    /// call counts as one cache lookup, so a product fetches it once per
+    /// tile use and passes it down.
     pub(crate) fn exec(&self) -> &ExecState {
         CACHE_LOOKUPS.inc();
         let capable = self.config.integer_path_capable();
@@ -513,9 +533,8 @@ impl Crossbar {
 
     /// The effective weight matrix `(g_pos − g_neg) · scale` (IR drop
     /// folded in), shared by every inference through the tile. Built on
-    /// first use inside the cached execution state.
-    fn diff(&self) -> &Tensor {
-        let exec = self.exec();
+    /// first use inside the cached execution state `exec`.
+    fn diff<'s>(&'s self, exec: &'s ExecState) -> &'s Tensor {
         exec.diff.get_or_init(|| {
             let s = self.scale;
             match &self.ir_drop {
@@ -645,7 +664,7 @@ impl Crossbar {
         let levels = 1u32 << self.config.dac_bits;
         let (lo, hi) = (-self.input_range, self.input_range);
         let step = (hi - lo) / (levels - 1) as f32;
-        Some(DacGrid { lo, hi, step, inv_step: 1.0 / step })
+        Some(DacGrid { lo, hi, step, inv_step: 1.0 / step, center: (levels / 2) as i32 })
     }
 
     /// Records DAC saturation telemetry for one quantization pass over
@@ -681,7 +700,7 @@ impl Crossbar {
     /// Reads the effective weight matrix back from the conductances —
     /// what the analog computation actually uses.
     pub fn effective_weights(&self) -> Tensor {
-        self.diff().clone()
+        self.diff(self.exec()).clone()
     }
 
     /// The tile's configuration.
@@ -763,44 +782,27 @@ impl Crossbar {
         self.refresh_parity();
     }
 
-    /// Analog matrix-vector product `wᵀ·x` realized on the tile:
-    /// DAC-quantize the inputs, accumulate bit-line currents, ADC-quantize
-    /// the outputs. Input is indexed by word line (`rows` long), output by
-    /// bit line (`cols` long).
+    /// Batched analog inference `wᵀ·x` for `N` input patterns
+    /// (`[batch, rows]`, indexed by word line) in one pass, returning
+    /// `[batch, cols]` (indexed by bit line): DAC-quantize the inputs,
+    /// accumulate bit-line currents, ADC-quantize the outputs.
     ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != rows()`.
-    pub fn matvec(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.ndim(), 1, "matvec input must be 1-D");
-        assert_eq!(
-            input.len(),
-            self.rows,
-            "input length {} != word-line count {}",
-            input.len(),
-            self.rows
-        );
-        let batch = input
-            .reshape(&[1, self.rows])
-            .expect("1-D input reshapes to a single-row batch");
-        self.matmul(&batch)
-            .reshape(&[self.cols])
-            .expect("single-row output reshapes to 1-D")
-    }
-
-    /// Batched analog inference: `N` input patterns (`[batch, rows]`)
-    /// through the tile in one pass, returning `[batch, cols]`.
-    ///
-    /// The analog accumulate is a single GEMM against the cached
-    /// differential conductance matrix instead of `batch` matvec sweeps;
-    /// DAC and ADC quantization apply elementwise exactly as in
-    /// [`Crossbar::matvec`], which is itself the `batch == 1` case of this
-    /// method — so batched and per-row results are bit-identical.
+    /// The analog accumulate is a single product against the cached
+    /// conductance state instead of `batch` single-row sweeps; DAC and ADC
+    /// quantization apply elementwise and every output row is computed
+    /// independently, so a one-row batch returns bit for bit that row of
+    /// any larger batch.
     ///
     /// # Panics
     ///
     /// Panics if `input` is not 2-D with `rows()` columns.
     pub fn matmul(&self, input: &Tensor) -> Tensor {
+        self.matmul_in(self.exec(), input)
+    }
+
+    /// [`Crossbar::matmul`] against an execution state the caller already
+    /// fetched (one cache lookup per tile use).
+    pub(crate) fn matmul_in(&self, exec: &ExecState, input: &Tensor) -> Tensor {
         assert_eq!(input.ndim(), 2, "batched input must be [batch, rows]");
         assert_eq!(
             input.shape()[1],
@@ -810,7 +812,6 @@ impl Crossbar {
             self.rows
         );
         let batch = input.shape()[0];
-        let exec = self.exec();
         // Integer fast path: DAC codes × cached conductance codes in i32,
         // ADC scaling fused at the tile boundary.
         if let Some(int) = &exec.int {
@@ -861,7 +862,7 @@ impl Crossbar {
                 PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
             let t_acc = tel::enabled().then(std::time::Instant::now);
-            let out = v.matmul(self.diff());
+            let out = v.matmul(self.diff(exec));
             if let Some(t0) = t_acc {
                 PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
@@ -871,67 +872,48 @@ impl Crossbar {
             // differential matrix already carries the (g+ − g−)·scale fold,
             // so one GEMM yields I_bj·scale = Σ_i v_bi (g+_ij − g−_ij)·scale.
             let t_acc = tel::enabled().then(std::time::Instant::now);
-            let out = input.matmul(self.diff());
+            let out = input.matmul(self.diff(exec));
             if let Some(t0) = t_acc {
                 PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
             out
         };
         let t_adc = tel::enabled().then(std::time::Instant::now);
-        self.adc_quantize(&mut out);
+        self.adc_quantize(out.as_mut_slice());
         if let Some(t0) = t_adc {
             PHASE_ADC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
         out
     }
 
-    /// ADC stage shared by both execution paths: records saturation stats
-    /// and snaps outputs to the ADC grid when `adc_bits > 0`.
-    fn adc_quantize(&self, out: &mut Tensor) {
+    /// ADC stage shared by every execution path: records saturation stats
+    /// and snaps outputs to the ADC grid when `adc_bits > 0`. Elementwise,
+    /// so quantizing an output in pieces equals quantizing it whole, and
+    /// the recorded counts and worst ratio add up the same.
+    #[inline(always)]
+    fn adc_quantize(&self, out: &mut [f32]) {
         if self.config.adc_bits == 0 {
             return;
         }
         // ADC full scale sized to the worst-case current of the tile.
         let full_scale = self.adc_full_scale();
         if tel::enabled() {
-            record_converter(
-                out.as_slice(),
-                full_scale,
-                &ADC_SAMPLES,
-                &ADC_CLIPPED,
-                &ADC_SATURATION,
-            );
+            record_converter(out, full_scale, &ADC_SAMPLES, &ADC_CLIPPED, &ADC_SATURATION);
         }
         let q = Quantizer::new(-full_scale, full_scale, self.config.adc_bits);
-        q.quantize_slice(out.as_mut_slice());
+        q.quantize_slice(out);
     }
 
-    /// Runs the integer path against pre-quantized DAC codes laid out as
-    /// `batch` rows of `stride` codes, of which this tile consumes
-    /// `[offset, offset + rows)` — so a tiled caller quantizes its whole
-    /// input once and every row-block tile reads its slice in place.
-    /// Returns `None` when this tile has no integer state (caller falls
-    /// back to [`Crossbar::matmul`] on the raw segment).
-    pub(crate) fn int_matmul_codes(
-        &self,
-        codes: &[i32],
-        batch: usize,
-        stride: usize,
-        offset: usize,
-    ) -> Option<Tensor> {
-        let exec = self.exec();
-        let int = exec.int.as_ref()?;
-        let grid = self.dac_grid()?;
-        Some(self.int_matmul(int, &grid, codes, batch, stride, offset))
-    }
-
-    /// Integer-domain batched product: exact i32 accumulation per row
-    /// block, affine DAC/weight rescale at the tile boundary (f64
-    /// intermediates), then the shared ADC stage. Each batch row is
-    /// computed independently in a fixed block order, so results are
-    /// bit-identical at any thread count and between the batched and
-    /// matvec entry points.
-    fn int_matmul(
+    /// Integer-domain batched product against pre-quantized DAC codes
+    /// laid out as `batch` rows of `stride` codes, of which this tile
+    /// consumes `[offset, offset + rows)` — so a tiled caller quantizes
+    /// its whole input once and every row-block tile reads its slice in
+    /// place. Exact i32 accumulation per row block, affine DAC/weight
+    /// rescale at the tile boundary (f64 intermediates), then the shared
+    /// ADC stage. Each batch row is computed independently in a fixed
+    /// block order, so results are bit-identical at any thread count and
+    /// batch size.
+    pub(crate) fn int_matmul(
         &self,
         int: &IntState,
         grid: &DacGrid,
@@ -961,10 +943,143 @@ impl Crossbar {
                 int_rows(int, grid, codes, b0, b1, stride, offset, rows, cols, chunk);
             });
         }
-        let mut out = Tensor::from_vec(out, &[batch, cols])
-            .expect("integer-path output shape is consistent by construction");
         self.adc_quantize(&mut out);
-        out
+        Tensor::from_vec(out, &[batch, cols])
+            .expect("integer-path output shape is consistent by construction")
+    }
+
+    /// The tile's conductance codes as the column kernel reads them: one
+    /// [`intacc::pair_word`] per pair of word lines and bit line
+    /// (`[rows.div_ceil(2), cols]`), an odd last row paired with code 0.
+    pub(crate) fn col_pair_words(&self, int: &IntState) -> Vec<i32> {
+        let cp = int.cols_padded;
+        let code = |r: usize, c: usize| if r < self.rows { int.codes[r * cp + c] } else { 0 };
+        let word = move |q: usize, c: usize| intacc::pair_word(code(2 * q, c), code(2 * q + 1, c));
+        (0..self.rows.div_ceil(2)).flat_map(|q| (0..self.cols).map(move |c| word(q, c))).collect()
+    }
+
+    /// Column-layout integer product: this tile's outputs for `w`
+    /// patches, whose centered codes (see [`DacGrid::centered_codes_for`])
+    /// `x` holds as one row per word line of the tile, `stride` apart,
+    /// plus one more row for an odd last word line to pair with. `words`
+    /// is [`Crossbar::col_pair_words`]. Writes `[cols, w]` outputs, folded
+    /// and ADC-quantized, into `dst`; `acc` is `[cols, w]` scratch.
+    ///
+    /// The same arithmetic as [`Crossbar::int_matmul`] per output: exact
+    /// i32 sums per [`ROW_BLOCK`] (vector lanes over patches, see
+    /// [`intacc::accumulate_col_pairs`]) plus the centering offset times
+    /// the column sum, the same f64 fold, IR-drop factors applied per
+    /// block in the same order, and the same ADC — so each output equals,
+    /// bit for bit, the matching element of the batch-major product over
+    /// the transposed codes.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn int_cols(
+        &self,
+        int: &IntState,
+        grid: &DacGrid,
+        words: &[i32],
+        x: &[i16],
+        stride: usize,
+        w: usize,
+        acc: &mut [i32],
+        dst: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if intacc::avx2_available() {
+            // SAFETY: `avx2_available()` verified CPU support.
+            return unsafe { self.int_cols_avx2(int, grid, words, x, stride, w, acc, dst) };
+        }
+        self.int_cols_body(int, grid, words, x, stride, w, acc, dst);
+    }
+
+    /// [`Crossbar::int_cols`] compiled with AVX2, so the fold and the ADC
+    /// loops run four `f64` (eight `f32`) lanes wide. The same IEEE
+    /// operations per element as the baseline build (no fused
+    /// multiply-add), so the outputs match bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn int_cols_avx2(
+        &self,
+        int: &IntState,
+        grid: &DacGrid,
+        words: &[i32],
+        x: &[i16],
+        stride: usize,
+        w: usize,
+        acc: &mut [i32],
+        dst: &mut [f32],
+    ) {
+        self.int_cols_body(int, grid, words, x, stride, w, acc, dst);
+    }
+
+    /// The body of [`Crossbar::int_cols`], inlined into both builds.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn int_cols_body(
+        &self,
+        int: &IntState,
+        grid: &DacGrid,
+        words: &[i32],
+        x: &[i16],
+        stride: usize,
+        w: usize,
+        acc: &mut [i32],
+        dst: &mut [f32],
+    ) {
+        if w == 0 {
+            return;
+        }
+        let (rows, cols, cp) = (self.rows, self.cols, int.cols_padded);
+        INT_ROWBLOCKS.add((rows.div_ceil(ROW_BLOCK) * w) as u64);
+        let step_x = f64::from(grid.step);
+        let lo = f64::from(grid.lo);
+        let sw = f64::from(int.step_w);
+        // Word lines [r0, r1) of the tile; r0 is even, so pair q0 = r0/2.
+        let block = |r0: usize, r1: usize, acc: &mut [i32]| {
+            let words = &words[r0 / 2 * cols..r1.div_ceil(2) * cols];
+            intacc::accumulate_col_pairs(&x[r0 * stride..], stride, w, words, cols, acc);
+        };
+        match &int.drop {
+            None => {
+                acc.fill(0);
+                for r0 in (0..rows).step_by(ROW_BLOCK) {
+                    block(r0, (r0 + ROW_BLOCK).min(rows), acc);
+                }
+                let lines = dst.chunks_exact_mut(w).zip(acc.chunks_exact(w));
+                for ((d, a), &sum) in lines.zip(&int.colsums) {
+                    let (offset, bias) = (grid.center * sum, lo * f64::from(sum));
+                    for (d, &a) in d.iter_mut().zip(a) {
+                        *d = ((step_x * f64::from(a + offset) + bias) * sw) as f32;
+                    }
+                }
+            }
+            Some(drop) => {
+                // Per-block partial sums, each scaled by its block's mean
+                // IR-drop factor before the f32 accumulation.
+                dst.fill(0.0);
+                for (blk, r0) in (0..rows).step_by(ROW_BLOCK).enumerate() {
+                    acc.fill(0);
+                    block(r0, (r0 + ROW_BLOCK).min(rows), acc);
+                    let sums = &int.block_colsums[blk * cp..blk * cp + cols];
+                    let factors = &drop[blk * cp..blk * cp + cols];
+                    for (((d, a), &sum), &factor) in
+                        dst.chunks_exact_mut(w).zip(acc.chunks_exact(w)).zip(sums).zip(factors)
+                    {
+                        let (offset, bias) = (grid.center * sum, lo * f64::from(sum));
+                        let factor = f64::from(factor);
+                        for (d, &a) in d.iter_mut().zip(a) {
+                            *d += (factor * ((step_x * f64::from(a + offset) + bias) * sw)) as f32;
+                        }
+                    }
+                }
+            }
+        }
+        self.adc_quantize(dst);
     }
 
     /// Freezes a fraction of cells (chosen uniformly over both
@@ -1240,10 +1355,11 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let w = Tensor::randn(&[8, 5], &mut rng);
         let xbar = Crossbar::program(&w, &ideal_config(), &mut rng);
-        let x = Tensor::randn(&[8], &mut rng).map(|v| v.clamp(-1.0, 1.0));
-        let y = xbar.matvec(&x);
+        let x = Tensor::randn(&[1, 8], &mut rng).map(|v| v.clamp(-1.0, 1.0));
+        let y = xbar.matmul(&x);
+        assert_eq!(y.shape(), &[1, 5]);
         // Ideal: y_j = Σ_i w_ij x_i = (Wᵀ x)_j
-        let ideal = w.transpose().matvec(&x);
+        let ideal = w.transpose().matvec(&x.reshape(&[8]).unwrap());
         for (a, b) in y.as_slice().iter().zip(ideal.as_slice()) {
             assert!((a - b).abs() < 1e-3, "matvec mismatch {a} vs {b}");
         }
@@ -1337,8 +1453,8 @@ mod tests {
         let coarse_cfg = CrossbarConfig { dac_bits: 2, adc_bits: 0, cell_bits: 16, write_noise: 0.0, ..CrossbarConfig::default() };
         let xbar_c = Crossbar::program(&w, &coarse_cfg, &mut rng);
         let xbar_i = Crossbar::program(&w, &ideal_config(), &mut rng);
-        let x = Tensor::randn(&[8], &mut rng).map(|v| (v * 0.3).clamp(-1.0, 1.0));
-        let diff = xbar_c.matvec(&x).l1_distance(&xbar_i.matvec(&x));
+        let x = Tensor::randn(&[1, 8], &mut rng).map(|v| (v * 0.3).clamp(-1.0, 1.0));
+        let diff = xbar_c.matmul(&x).l1_distance(&xbar_i.matmul(&x));
         assert!(diff > 1e-4, "2-bit DAC should visibly distort the product");
     }
 
@@ -1352,8 +1468,7 @@ mod tests {
             let out = xbar.matmul(&batch);
             assert_eq!(out.shape(), &[5, 7]);
             for b in 0..5 {
-                let row = batch.row(b);
-                let single = xbar.matvec(&row);
+                let single = xbar.matmul(&batch.row(b).reshape(&[1, 12]).unwrap());
                 for (j, (x, y)) in out.row(b).as_slice().iter().zip(single.as_slice()).enumerate()
                 {
                     assert_eq!(

@@ -56,7 +56,7 @@ impl DeployReport {
 ///
 /// Because the crossbar MAC is linear in the conductances, running this
 /// deployed network's standard forward pass is equivalent to routing every
-/// matmul through [`TiledMatrix::matvec`] with ideal converters; DAC/ADC
+/// matmul through [`TiledMatrix::matmul`] with ideal converters; DAC/ADC
 /// effects are studied separately at the op level (see the crate docs).
 ///
 /// # Panics

@@ -11,8 +11,11 @@
 //!   lines, ADC output quantization, plus device-fault injection
 //!   (stuck-at cells, lognormal write noise, drift).
 //! * [`TiledMatrix`] — an arbitrary weight matrix partitioned over tiles,
-//!   with crossbar-backed `matvec`/`matmul`. Every conductance mutator
-//!   (drift, stuck cells, parity, IR drop) is written once, here.
+//!   with crossbar-backed products in two layouts: batch-major `matmul`
+//!   (one row per input) and column-layout `matmul_cols` (one column per
+//!   input, the layout of a convolution's patch matrix). Every
+//!   conductance mutator (drift, stuck cells, parity, IR drop) is written
+//!   once, here.
 //! * [`SlicedMatrix`] — the crossbar state of one mapped weight: a list of
 //!   tiled images, one for an analog matrix and one per digit for an
 //!   ISAAC-style bit-sliced matrix, recombined with radix weights.
@@ -39,9 +42,9 @@
 //! let mut rng = SeededRng::new(1);
 //! let w = Tensor::randn(&[8, 8], &mut rng);
 //! let xbar = Crossbar::program(&w, &config, &mut rng);
-//! let x = Tensor::randn(&[8], &mut rng);
-//! let y = xbar.matvec(&x);
-//! assert_eq!(y.shape(), &[8]);
+//! let x = Tensor::randn(&[1, 8], &mut rng);
+//! let y = xbar.matmul(&x);
+//! assert_eq!(y.shape(), &[1, 8]);
 //! ```
 
 #![warn(missing_docs)]

@@ -123,6 +123,7 @@ impl Quantizer {
     /// levels (every converter the config validator admits) take a
     /// branch-free `round_fast` loop the compiler can vectorize instead
     /// of `f32::round`'s serial scalar lowering.
+    #[inline(always)]
     pub fn quantize_slice(&self, values: &mut [f32]) {
         if (self.levels - 1) as f32 >= ROUND_MAGIC_LIMIT {
             for v in values {

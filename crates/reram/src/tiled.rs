@@ -1,10 +1,12 @@
 //! Tiled mapping of arbitrary weight matrices onto fixed-geometry
 //! crossbar tiles.
 
+use crate::crossbar::{DacGrid, ExecState, IntState, INT_PAR_THRESHOLD};
 use crate::crossbar::{PHASE_ACCUMULATE_NS, PHASE_DAC_NS};
 use crate::{CellFault, Crossbar, CrossbarConfig, IrDropModel, ScrubOutcome};
-use healthmon_tensor::{SeededRng, Tensor};
+use healthmon_tensor::{pool, SeededRng, Tensor};
 use healthmon_telemetry as tel;
+use std::time::Instant;
 
 // Tile mapping is a pure function of matrix shape and tile geometry, so
 // utilization counters are Stable. Utilization itself is derived at
@@ -17,12 +19,17 @@ static TILE_CELLS_ALLOCATED: tel::Counter =
 static TILE_UTILIZATION_MIN: tel::Gauge =
     tel::Gauge::new("reram.tile.utilization_min", tel::Stability::Stable);
 
+/// Patches per sweep of the column-layout product: a sweep's codes for
+/// one 32-word-line block (16 KB) and a conv tile's accumulators stay in
+/// L1 while every tile of the grid reads them.
+const COL_CHUNK: usize = 256;
+
 /// A weight matrix `[m, n]` partitioned across a grid of crossbar tiles.
 ///
 /// Row blocks map to word-line groups and column blocks to bit-line
-/// groups; a matvec accumulates the partial bit-line sums of every tile in
-/// a row block, exactly as ISAAC-class accelerators sum partial products
-/// across arrays.
+/// groups; a product accumulates the partial bit-line sums of every tile
+/// in a row block, exactly as ISAAC-class accelerators sum partial
+/// products across arrays.
 ///
 /// # Example
 ///
@@ -34,8 +41,8 @@ static TILE_UTILIZATION_MIN: tel::Gauge =
 /// let w = Tensor::randn(&[300, 50], &mut rng); // larger than one 128x128 tile
 /// let tiled = TiledMatrix::program(&w, &CrossbarConfig::ideal(), &mut rng);
 /// assert_eq!(tiled.tile_grid(), (3, 1));
-/// let x = Tensor::randn(&[300], &mut rng);
-/// assert_eq!(tiled.matvec(&x).shape(), &[50]);
+/// let x = Tensor::randn(&[1, 300], &mut rng);
+/// assert_eq!(tiled.matmul(&x).shape(), &[1, 50]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TiledMatrix {
@@ -146,36 +153,47 @@ impl TiledMatrix {
         self.tiles[0].cols()
     }
 
-    /// Crossbar-backed matrix-vector product `Wᵀ·x` over all tiles
-    /// (`x` has `m` elements, result has `n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != m`.
-    pub fn matvec(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.len(), self.rows, "input length {} != {}", input.len(), self.rows);
-        let batch = input
-            .reshape(&[1, self.rows])
-            .expect("1-D input reshapes to a single-row batch");
-        self.matmul(&batch)
-            .reshape(&[self.cols])
-            .expect("single-row output reshapes to 1-D")
-    }
-
     /// Crossbar-backed matrix product `X·W` for a batch `X` of shape
     /// `[batch, m]`, returning `[batch, n]`.
     ///
-    /// One GEMM per tile against its cached differential conductance
-    /// matrix — not `batch` matvec sweeps. Partial bit-line sums
-    /// accumulate across row blocks in ascending grid order, the same
-    /// per-element order a per-row sweep uses, and [`TiledMatrix::matvec`]
-    /// is the `batch == 1` case of this method — so batched and per-row
-    /// results are bit-identical.
+    /// One product per tile against its cached conductance state — not
+    /// `batch` single-row sweeps. Partial bit-line sums accumulate across
+    /// row blocks in ascending grid order, the same per-element order a
+    /// single-row product uses, so a one-row batch returns bit for bit
+    /// that row of any larger batch.
     ///
     /// # Panics
     ///
     /// Panics if `input` is not 2-D with `m` columns.
     pub fn matmul(&self, input: &Tensor) -> Tensor {
+        self.matmul_in(&self.execs(), input)
+    }
+
+    /// Every tile's execution state, fetched once per product: each tile
+    /// use counts one cache lookup.
+    pub(crate) fn execs(&self) -> Vec<&ExecState> {
+        self.tiles.iter().map(Crossbar::exec).collect()
+    }
+
+    /// The DAC grid every tile shares and each tile's integer state, or
+    /// `None` when a tile lacks integer state or the grids diverge (a
+    /// caller re-calibrated one tile via [`TiledMatrix::tiles_mut`]).
+    pub(crate) fn int_states<'e>(
+        &self,
+        execs: &[&'e ExecState],
+    ) -> Option<(DacGrid, Vec<&'e IntState>)> {
+        let grid = self.tiles[0].dac_grid()?;
+        let ints = self
+            .tiles
+            .iter()
+            .zip(execs)
+            .map(|(tile, exec)| exec.int.as_ref().filter(|_| tile.dac_grid() == Some(grid)))
+            .collect::<Option<Vec<_>>>()?;
+        Some((grid, ints))
+    }
+
+    /// [`TiledMatrix::matmul`] against execution states already fetched.
+    pub(crate) fn matmul_in(&self, execs: &[&ExecState], input: &Tensor) -> Tensor {
         assert_eq!(input.ndim(), 2, "batched matmul expects 2-D input");
         assert_eq!(input.shape()[1], self.rows, "inner dimension mismatch");
         let batch = input.shape()[0];
@@ -183,8 +201,10 @@ impl TiledMatrix {
         // integer state, the whole input quantizes to DAC codes ONCE and
         // each row-block tile reads its code segment in place — no
         // per-(row, column)-block segment copies, no per-tile re-quantization.
-        if let Some(out) = self.int_matmul(input, batch) {
-            return out;
+        if let Some((grid, ints)) = self.int_states(execs) {
+            if let Some(out) = self.int_matmul(&grid, &ints, input, batch) {
+                return out;
+            }
         }
         let x = input.as_slice();
         let row_extent = self.tiles[0].rows();
@@ -204,7 +224,7 @@ impl TiledMatrix {
                 }
                 let seg_t = Tensor::from_vec(std::mem::take(&mut seg), &[batch, tile.rows()])
                     .expect("segment shape matches tile rows");
-                let partial = tile.matmul(&seg_t);
+                let partial = tile.matmul_in(execs[br * self.tile_cols + bc], &seg_t);
                 seg = seg_t.into_vec(); // reclaim the buffer for the next tile
                 let p = partial.as_slice();
                 let o = out.as_mut_slice();
@@ -234,19 +254,19 @@ impl TiledMatrix {
     /// input to DAC codes once and hands every tile its code segment in
     /// place (`stride = m`, `offset = r0`), skipping the per-tile `f32`
     /// segment gather and re-quantization of the reference path. Returns
-    /// `None` — caller falls back to the reference path — when any tile
-    /// lacks integer state, the tiles' DAC grids diverge (a caller
-    /// re-calibrated one via [`TiledMatrix::tiles_mut`]), or the input
+    /// `None` — caller falls back to the reference path — when the input
     /// contains NaN. Accumulation across row blocks runs in the same
     /// ascending grid order as the reference path, and each tile's
     /// integer accumulation is order-fixed, so results are bit-identical
-    /// at any thread count and `matvec` stays the `batch == 1` case.
-    fn int_matmul(&self, input: &Tensor, batch: usize) -> Option<Tensor> {
-        let grid = self.tiles[0].dac_grid()?;
-        if !self.tiles.iter().all(|t| t.dac_grid() == Some(grid) && t.exec().int.is_some()) {
-            return None;
-        }
-        let t_dac = tel::enabled().then(std::time::Instant::now);
+    /// at any thread count and batch size.
+    fn int_matmul(
+        &self,
+        grid: &DacGrid,
+        ints: &[&IntState],
+        input: &Tensor,
+        batch: usize,
+    ) -> Option<Tensor> {
+        let t_dac = tel::enabled().then(Instant::now);
         let codes = grid.codes_for(input.as_slice())?;
         if let Some(t0) = t_dac {
             PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
@@ -256,18 +276,17 @@ impl TiledMatrix {
         }
         // ADC scaling is fused into each tile's integer kernel, so its time
         // lands in the accumulate phase (as in `Crossbar::matmul`).
-        let t_acc = tel::enabled().then(std::time::Instant::now);
+        let t_acc = tel::enabled().then(Instant::now);
         let row_extent = self.tiles[0].rows();
         let col_extent = self.tiles[0].cols();
         let mut out = Tensor::zeros(&[batch, self.cols]);
         for br in 0..self.tile_rows {
             let r0 = br * row_extent;
             for bc in 0..self.tile_cols {
-                let tile = &self.tiles[br * self.tile_cols + bc];
+                let k = br * self.tile_cols + bc;
+                let tile = &self.tiles[k];
                 let c0 = bc * col_extent;
-                let partial = tile
-                    .int_matmul_codes(&codes, batch, self.rows, r0)
-                    .expect("integer state verified for every tile");
+                let partial = tile.int_matmul(ints[k], grid, &codes, batch, self.rows, r0);
                 let p = partial.as_slice();
                 let o = out.as_mut_slice();
                 // Same first-row-block-assigns structure as the reference
@@ -291,6 +310,138 @@ impl TiledMatrix {
             PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
         Some(out)
+    }
+
+    /// Column-layout crossbar product `Wᵀ·C` for a matrix `C` of shape
+    /// `[m, patches]` whose columns are the inputs, returning
+    /// `[n, patches]` — a convolution's `W·col(x)` with `Wᵀ` programmed on
+    /// the tiles, without transposing `col(x)` in or the result out.
+    ///
+    /// Bit-identical to `self.matmul(&c.transpose()).transpose()`: on the
+    /// integer path every output is the same exact integer sum, folded and
+    /// ADC-quantized by the same arithmetic, with partial sums across row
+    /// blocks added in the same order. Without an integer path (converters
+    /// off, cells too fine for codes) or with a NaN in `C`, it runs exactly
+    /// that transposed product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not 2-D with `m` rows.
+    pub fn matmul_cols(&self, c: &Tensor) -> Tensor {
+        self.matmul_cols_in(&self.execs(), c)
+    }
+
+    /// [`TiledMatrix::matmul_cols`] against execution states already
+    /// fetched.
+    pub(crate) fn matmul_cols_in(&self, execs: &[&ExecState], c: &Tensor) -> Tensor {
+        assert_eq!(c.ndim(), 2, "column-layout product expects [m, patches]");
+        assert_eq!(c.shape()[0], self.rows, "inner dimension mismatch");
+        if let Some((grid, ints)) = self.int_states(execs) {
+            let t_dac = tel::enabled().then(Instant::now);
+            if let Some(mut codes) = grid.centered_codes_for(c.as_slice()) {
+                // The spare row an odd last word line pairs with.
+                codes.resize(codes.len() + c.shape()[1], grid.centered_zero());
+                if let Some(t0) = t_dac {
+                    PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+                }
+                if tel::enabled() {
+                    self.tiles[0].record_dac(c.as_slice());
+                }
+                return self.int_matmul_cols(&grid, &ints, &codes, c.shape()[1]);
+            }
+        }
+        self.matmul_in(execs, &c.transpose()).transpose()
+    }
+
+    /// The integer column-layout product over centered DAC codes (see
+    /// `DacGrid::centered_codes_for`) laid out `[m + 1, patches]`, the
+    /// last row a spare for an odd last word line to pair with:
+    /// [`Crossbar::int_cols`] on every tile per sweep of patches, partial
+    /// sums across row blocks added in ascending grid order, the first
+    /// row block assigning (as in [`TiledMatrix::matmul`]). Above the
+    /// integer-path threshold the patches split across the pool; every
+    /// output is computed whole by one thread in a fixed order, so
+    /// results are bit-identical at any thread count.
+    pub(crate) fn int_matmul_cols(
+        &self,
+        grid: &DacGrid,
+        ints: &[&IntState],
+        codes: &[i16],
+        patches: usize,
+    ) -> Tensor {
+        assert_eq!(codes.len(), (self.rows + 1) * patches, "column codes shape mismatch");
+        let t_acc = tel::enabled().then(Instant::now);
+        let words: Vec<Vec<i32>> =
+            self.tiles.iter().zip(ints).map(|(tile, int)| tile.col_pair_words(int)).collect();
+        let n = self.cols;
+        let threads = if patches * self.rows * n < INT_PAR_THRESHOLD {
+            1
+        } else {
+            pool::max_threads().min(patches.div_ceil(COL_CHUNK)).max(1)
+        };
+        let mut out = vec![0.0f32; n * patches];
+        if threads <= 1 {
+            self.cols_range(grid, ints, &words, codes, patches, 0, &mut out);
+        } else {
+            // Part k holds the `[n, width]` outputs of patches
+            // `[k·per, k·per + width)`; the parts are then laid side by side.
+            let per = patches.div_ceil(threads).next_multiple_of(16);
+            let mut parts = vec![0.0f32; n * patches];
+            pool::run_chunks(&mut parts, n * per, |k, part| {
+                self.cols_range(grid, ints, &words, codes, patches, k * per, part);
+            });
+            for (k, part) in parts.chunks(n * per).enumerate() {
+                let width = part.len() / n;
+                for (row, src) in out.chunks_exact_mut(patches).zip(part.chunks_exact(width)) {
+                    row[k * per..k * per + width].copy_from_slice(src);
+                }
+            }
+        }
+        if let Some(t0) = t_acc {
+            PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        }
+        Tensor::from_vec(out, &[n, patches]).expect("column product shape is consistent")
+    }
+
+    /// Outputs of patches `[p0, p0 + width)` into `out` (`[n, width]`),
+    /// from codes whose rows are `stride` patches long.
+    #[allow(clippy::too_many_arguments)]
+    fn cols_range(
+        &self,
+        grid: &DacGrid,
+        ints: &[&IntState],
+        words: &[Vec<i32>],
+        codes: &[i16],
+        stride: usize,
+        p0: usize,
+        out: &mut [f32],
+    ) {
+        let width = out.len() / self.cols;
+        let row_extent = self.tiles[0].rows();
+        let col_extent = self.tiles[0].cols();
+        let sweep = COL_CHUNK.min(width);
+        let mut acc = vec![0i32; col_extent * sweep];
+        let mut tile_out = vec![0.0f32; col_extent * sweep];
+        for c0 in (0..width).step_by(COL_CHUNK) {
+            let w = COL_CHUNK.min(width - c0);
+            for (k, tile) in self.tiles.iter().enumerate() {
+                let (br, bc) = (k / self.tile_cols, k % self.tile_cols);
+                let len = tile.cols() * w;
+                let x = &codes[br * row_extent * stride + p0 + c0..];
+                let (acc, tile_out) = (&mut acc[..len], &mut tile_out[..len]);
+                tile.int_cols(ints[k], grid, &words[k], x, stride, w, acc, tile_out);
+                for (j, part) in tile_out.chunks_exact(w).enumerate() {
+                    let o = &mut out[(bc * col_extent + j) * width + c0..][..w];
+                    if br == 0 {
+                        o.copy_from_slice(part);
+                    } else {
+                        for (o, &v) in o.iter_mut().zip(part) {
+                            *o += v;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Injects stuck cells into every tile.
@@ -391,9 +542,10 @@ mod tests {
         let w = Tensor::randn(&[10, 6], &mut rng);
         let tiled = TiledMatrix::program(&w, &CrossbarConfig::ideal(), &mut rng);
         assert_eq!(tiled.tile_count(), 1);
-        let x = Tensor::randn(&[10], &mut rng);
-        let ideal = w.transpose().matvec(&x);
-        let got = tiled.matvec(&x);
+        let x = Tensor::randn(&[1, 10], &mut rng);
+        let ideal = x.matmul(&w);
+        let got = tiled.matmul(&x);
+        assert_eq!(got.shape(), &[1, 6]);
         for (a, b) in got.as_slice().iter().zip(ideal.as_slice()) {
             assert!((a - b).abs() < 1e-3);
         }
@@ -407,9 +559,9 @@ mod tests {
         let tiled = TiledMatrix::program(&w, &CrossbarConfig::ideal(), &mut rng);
         assert_eq!(tiled.tile_grid(), (2, 2));
         assert_eq!(tiled.tile_count(), 4);
-        let x = Tensor::randn(&[130], &mut rng).map(|v| v.clamp(-1.0, 1.0));
-        let ideal = w.transpose().matvec(&x);
-        let got = tiled.matvec(&x);
+        let x = Tensor::randn(&[1, 130], &mut rng).map(|v| v.clamp(-1.0, 1.0));
+        let ideal = x.matmul(&w);
+        let got = tiled.matmul(&x);
         let rel = got.l1_distance(&ideal) / ideal.norm_l1().max(1e-6);
         assert!(rel < 1e-3, "tiled matvec relative error {rel}");
     }
@@ -421,9 +573,9 @@ mod tests {
         let w = Tensor::randn(&[10, 8], &mut rng);
         let tiled = TiledMatrix::program(&w, &config, &mut rng);
         assert_eq!(tiled.tile_grid(), (3, 3));
-        let x = Tensor::randn(&[10], &mut rng);
-        let ideal = w.transpose().matvec(&x);
-        let got = tiled.matvec(&x);
+        let x = Tensor::randn(&[1, 10], &mut rng);
+        let ideal = x.matmul(&w);
+        let got = tiled.matmul(&x);
         for (a, b) in got.as_slice().iter().zip(ideal.as_slice()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -437,15 +589,16 @@ mod tests {
         let x = Tensor::randn(&[3, 6], &mut rng);
         let batch = tiled.matmul(&x);
         for b in 0..3 {
-            let single = tiled.matvec(&x.row(b));
-            assert_eq!(batch.row(b), single);
+            let single = tiled.matmul(&x.row(b).reshape(&[1, 6]).unwrap());
+            assert_eq!(batch.row(b).reshape(&[1, 5]).unwrap(), single);
         }
     }
 
     #[test]
     fn quantized_batched_matmul_matches_rows() {
-        // The integer fast path must keep matvec as the batch == 1 case of
-        // matmul, bit for bit, on a multi-tile default (quantized) config.
+        // The integer fast path must give a one-row batch bit for bit the
+        // matching row of a larger one, on a multi-tile default
+        // (quantized) config.
         let mut rng = SeededRng::new(40);
         let w = Tensor::randn(&[130, 140], &mut rng);
         let tiled = TiledMatrix::program(&w, &CrossbarConfig::default(), &mut rng);
@@ -453,7 +606,8 @@ mod tests {
         let x = Tensor::randn(&[3, 130], &mut rng).map(|v| v.clamp(-1.0, 1.0));
         let batch = tiled.matmul(&x);
         for b in 0..3 {
-            assert_eq!(batch.row(b), tiled.matvec(&x.row(b)));
+            let single = tiled.matmul(&x.row(b).reshape(&[1, 130]).unwrap());
+            assert_eq!(batch.row(b).reshape(&[1, 140]).unwrap(), single);
         }
     }
 
@@ -509,7 +663,7 @@ mod tests {
         let tiled = TiledMatrix::program(&w, &CrossbarConfig::default(), &mut rng);
         let mut x = vec![0.5f32; 10];
         x[3] = f32::NAN;
-        let out = tiled.matvec(&Tensor::from_vec(x, &[10]).unwrap());
+        let out = tiled.matmul(&Tensor::from_vec(x, &[1, 10]).unwrap());
         assert!(out.as_slice().iter().all(|v| v.is_nan()), "NaN must poison the output row");
     }
 
@@ -585,10 +739,10 @@ mod tests {
         let mut rng = SeededRng::new(6);
         let w = Tensor::randn(&[20, 10], &mut rng);
         let mut tiled = TiledMatrix::program(&w, &CrossbarConfig::ideal(), &mut rng);
-        let x = Tensor::randn(&[20], &mut rng);
-        let clean = tiled.matvec(&x);
+        let x = Tensor::randn(&[1, 20], &mut rng);
+        let clean = tiled.matmul(&x);
         tiled.inject_stuck_cells(CellFault::StuckLow, 0.3, &mut rng);
-        let faulty = tiled.matvec(&x);
+        let faulty = tiled.matmul(&x);
         assert!(clean.l1_distance(&faulty) > 0.01);
     }
 }

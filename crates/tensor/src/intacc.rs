@@ -118,6 +118,194 @@ pub fn accumulate_rows_x4(x: [&[i32]; 4], w: &[i16], width: usize, acc: &mut [i3
     }
 }
 
+/// Packs the signed codes of two word lines into one pair word, the
+/// layout [`accumulate_col_pairs`] reads its weights in: `first` in the
+/// low 16 bits, `second` in the high 16 bits.
+pub fn pair_word(first: i16, second: i16) -> i32 {
+    i32::from(first as u16) | (i32::from(second) << 16)
+}
+
+/// Column-layout sibling of [`accumulate_rows`], for products whose
+/// inputs are the columns of a patch matrix: the vector lanes run over
+/// `n` input columns instead of over bit lines, and word lines go two at
+/// a time as 16-bit codes.
+///
+/// `x` holds one row of 16-bit input codes per word line, `x_stride`
+/// apart, of which columns `[0, n)` are read; `w` holds the block's
+/// signed conductance codes as pair words ([`pair_word`]), `lines` per
+/// pair of word lines; `acc` holds one row of `n` accumulators per bit
+/// line. For every bit line `j < lines` and column `p < n`, with `q`
+/// running over the `w.len() / lines` pairs:
+/// `acc[j·n + p] += Σ_q x[2q·x_stride + p]·lo(w[q·lines + j])
+///                  + x[(2q+1)·x_stride + p]·hi(w[q·lines + j])`.
+///
+/// A crossbar tile running a convolution has one bit line per filter
+/// (6–16 in the zoo) and one input column per patch (thousands), so
+/// lanes over patches stay full where lanes over bit lines would idle.
+/// Integer addition is exact, so the result is bit-identical to
+/// [`accumulate_rows`] over the transposed inputs. As for the other
+/// kernels, the caller keeps every sum inside `i32` (see the module docs).
+///
+/// # Panics
+///
+/// Panics if `lines` is zero, `w.len()` is not a multiple of `lines`,
+/// `acc.len() != lines * n`, or `x` is too short for the block's rows.
+pub fn accumulate_col_pairs(
+    x: &[i16],
+    x_stride: usize,
+    n: usize,
+    w: &[i32],
+    lines: usize,
+    acc: &mut [i32],
+) {
+    assert!(lines > 0 && w.len().is_multiple_of(lines), "pair-word block shape mismatch");
+    assert_eq!(acc.len(), lines * n, "accumulator shape mismatch");
+    let rows = 2 * (w.len() / lines);
+    if rows == 0 || n == 0 {
+        return;
+    }
+    assert!(n <= x_stride && x.len() >= (rows - 1) * x_stride + n, "input-code block too short");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        I32_BLOCKS_AVX2.inc();
+        // SAFETY: `avx2_available()` verified CPU support; the asserts
+        // above establish the exact bounds the vector loops walk.
+        unsafe { accumulate_col_pairs_avx2(x, x_stride, n, w, lines, acc) };
+        return;
+    }
+    I32_BLOCKS_SCALAR.inc();
+    col_pairs_scalar(x, x_stride, 0, n, w, lines, 0, lines, acc);
+}
+
+/// The portable [`accumulate_col_pairs`] loop over columns `[p0, n)` of
+/// bit lines `[j0, j1)` (bounds checked by the caller).
+#[allow(clippy::too_many_arguments)]
+fn col_pairs_scalar(
+    x: &[i16],
+    x_stride: usize,
+    p0: usize,
+    n: usize,
+    w: &[i32],
+    lines: usize,
+    j0: usize,
+    j1: usize,
+    acc: &mut [i32],
+) {
+    for (q, pairs) in w.chunks_exact(lines).enumerate() {
+        let first = &x[2 * q * x_stride..];
+        let second = &x[(2 * q + 1) * x_stride..];
+        for j in j0..j1 {
+            let (lo, hi) = (i32::from(pairs[j] as i16), pairs[j] >> 16);
+            for p in p0..n {
+                acc[j * n + p] += i32::from(first[p]) * lo + i32::from(second[p]) * hi;
+            }
+        }
+    }
+}
+
+/// [`accumulate_col_pairs`] on AVX2: bit lines in groups of four, each
+/// group's accumulators held in registers over 16 columns while the row
+/// pairs stream past. Interleaving two rows' codes makes each
+/// `vpmaddwd` two exact multiply-adds per lane, sixteen per instruction;
+/// the columns past the last full 16 run the portable loop. Same integer
+/// results as the scalar loop, bit for bit.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and the arguments must pass the checks of
+/// [`accumulate_col_pairs`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn accumulate_col_pairs_avx2(
+    x: &[i16],
+    x_stride: usize,
+    n: usize,
+    w: &[i32],
+    lines: usize,
+    acc: &mut [i32],
+) {
+    let mut j = 0;
+    while j + 4 <= lines {
+        // SAFETY: this function's contract, and bit lines j..j + 4 lie
+        // inside `lines`.
+        unsafe { col_pairs_group_avx2::<4>(x, x_stride, n, w, lines, j, acc) };
+        j += 4;
+    }
+    // SAFETY (all arms): this function's contract, and each group ends at
+    // `lines`.
+    match lines - j {
+        3 => unsafe { col_pairs_group_avx2::<3>(x, x_stride, n, w, lines, j, acc) },
+        2 => unsafe { col_pairs_group_avx2::<2>(x, x_stride, n, w, lines, j, acc) },
+        1 => unsafe { col_pairs_group_avx2::<1>(x, x_stride, n, w, lines, j, acc) },
+        _ => {}
+    }
+    let tail = n - n % 16;
+    col_pairs_scalar(x, x_stride, tail, n, w, lines, 0, lines, acc);
+}
+
+/// Bit lines `[j0, j0 + J)` of [`accumulate_col_pairs_avx2`] over the
+/// full 16-column blocks.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, the arguments must pass the checks of
+/// [`accumulate_col_pairs`], and `j0 + J <= lines`.
+#[cfg(target_arch = "x86_64")]
+// `jj` indexes the register arrays and the weight row at once.
+#[allow(clippy::needless_range_loop)]
+#[target_feature(enable = "avx2")]
+unsafe fn col_pairs_group_avx2<const J: usize>(
+    x: &[i16],
+    x_stride: usize,
+    n: usize,
+    w: &[i32],
+    lines: usize,
+    j0: usize,
+    acc: &mut [i32],
+) {
+    use core::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
+        _mm256_permute2x128_si256, _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256,
+        _mm256_unpackhi_epi16, _mm256_unpacklo_epi16,
+    };
+    let pairs = w.len() / lines;
+    let xp = x.as_ptr();
+    let ap = acc.as_mut_ptr();
+    for p in (0..n - n % 16).step_by(16) {
+        // SAFETY: every block has p + 16 <= n. The loads read x from
+        // 2q·x_stride + p to (2q + 1)·x_stride + p + 16 for q < pairs,
+        // inside the (2·pairs − 1)·x_stride + n codes the caller checked;
+        // the accumulator accesses stay inside row j0 + jj < lines of the
+        // lines·n accumulators.
+        unsafe {
+            // Within each 128-bit half, `lo` collects columns 0–3 (8–11)
+            // and `hi` columns 4–7 (12–15) of the block.
+            let mut lo = [_mm256_setzero_si256(); J];
+            let mut hi = [_mm256_setzero_si256(); J];
+            for q in 0..pairs {
+                let a = _mm256_loadu_si256(xp.add(2 * q * x_stride + p) as *const __m256i);
+                let b = _mm256_loadu_si256(xp.add((2 * q + 1) * x_stride + p) as *const __m256i);
+                let (xl, xh) = (_mm256_unpacklo_epi16(a, b), _mm256_unpackhi_epi16(a, b));
+                let words = &w[q * lines + j0..q * lines + j0 + J];
+                for jj in 0..J {
+                    let wv = _mm256_set1_epi32(words[jj]);
+                    lo[jj] = _mm256_add_epi32(lo[jj], _mm256_madd_epi16(xl, wv));
+                    hi[jj] = _mm256_add_epi32(hi[jj], _mm256_madd_epi16(xh, wv));
+                }
+            }
+            for jj in 0..J {
+                let dst = ap.add((j0 + jj) * n + p);
+                let first = _mm256_permute2x128_si256::<0x20>(lo[jj], hi[jj]);
+                let second = _mm256_permute2x128_si256::<0x31>(lo[jj], hi[jj]);
+                let old0 = _mm256_loadu_si256(dst as *const __m256i);
+                let old1 = _mm256_loadu_si256(dst.add(8) as *const __m256i);
+                _mm256_storeu_si256(dst as *mut __m256i, _mm256_add_epi32(old0, first));
+                _mm256_storeu_si256(dst.add(8) as *mut __m256i, _mm256_add_epi32(old1, second));
+            }
+        }
+    }
+}
+
 /// [`accumulate_rows_x4`] on AVX2: one widened weight load feeds four
 /// broadcast-multiply-adds, quadrupling the arithmetic per memory access.
 /// Same integer ops as the scalar loop, so results match bit-for-bit.
@@ -276,6 +464,103 @@ mod tests {
             }
             assert_eq!(got, want, "rows={rows} width={width}");
         }
+    }
+
+    /// The column-pair product element by element, from separate
+    /// per-row weight codes `w[i·lines + j]`.
+    fn col_pairs_reference(
+        x: &[i16],
+        stride: usize,
+        n: usize,
+        w: &[i16],
+        lines: usize,
+        acc: &mut [i32],
+    ) {
+        for i in 0..w.len() / lines {
+            for j in 0..lines {
+                for p in 0..n {
+                    acc[j * n + p] += i32::from(x[i * stride + p]) * i32::from(w[i * lines + j]);
+                }
+            }
+        }
+    }
+
+    /// Pair words of per-row codes `w` (`rows` even, `lines` per row).
+    fn pair_words(w: &[i16], lines: usize) -> Vec<i32> {
+        let rows = w.len() / lines;
+        (0..rows / 2)
+            .flat_map(|q| (0..lines).map(move |j| (q, j)))
+            .map(|(q, j)| pair_word(w[2 * q * lines + j], w[(2 * q + 1) * lines + j]))
+            .collect()
+    }
+
+    fn random_codes(len: usize, lo: f32, hi: f32, seed: u64) -> Vec<i16> {
+        let mut rng = SeededRng::new(seed);
+        (0..len).map(|_| rng.uniform(lo, hi) as i16).collect()
+    }
+
+    #[test]
+    fn pair_word_round_trips_both_halves() {
+        for &(a, b) in &[(0i16, 0i16), (-1, 1), (255, -255), (-32768, 32767), (32767, -32768)] {
+            let word = pair_word(a, b);
+            assert_eq!((word as i16, (word >> 16) as i16), (a, b));
+        }
+    }
+
+    #[test]
+    fn col_pairs_match_reference_on_odd_shapes() {
+        // Every group width (1–4 lines past the 4-line blocks), full
+        // 16-column blocks plus scalar tails, a stride wider than n,
+        // codes over the whole centered 16-bit range, and accumulation on
+        // top of existing values.
+        for &(rows, lines, n, stride) in &[
+            (2usize, 1usize, 1usize, 1usize),
+            (4, 6, 16, 16),
+            (26, 6, 40, 57),
+            (32, 16, 23, 23),
+            (18, 19, 8, 9),
+            (6, 7, 31, 40),
+            (64, 12, 48, 48),
+        ] {
+            let w = random_codes(rows * lines, -255.0, 255.0, 50 + rows as u64);
+            let x = random_codes(rows * stride, -32768.0, 32767.0, 60 + n as u64);
+            let mut got: Vec<i32> = (0..lines * n).map(|v| v as i32 * 7 - 30).collect();
+            let (mut scalar, mut want) = (got.clone(), got.clone());
+            let pairs = pair_words(&w, lines);
+            accumulate_col_pairs(&x, stride, n, &pairs, lines, &mut got);
+            col_pairs_scalar(&x, stride, 0, n, &pairs, lines, 0, lines, &mut scalar);
+            col_pairs_reference(&x, stride, n, &w, lines, &mut want);
+            let what = format!("rows={rows} lines={lines} n={n} stride={stride}");
+            assert_eq!(got, want, "{what}");
+            assert_eq!(scalar, want, "{what} (portable loop)");
+        }
+    }
+
+    #[test]
+    fn col_pairs_equal_rows_over_the_transpose() {
+        // The two layouts of one product: lanes over patches must give
+        // the accumulators lanes over bit lines give, transposed.
+        let (rows, width, lines, n) = (30usize, 16usize, 13usize, 37usize);
+        let (_, w) = random_case(rows, width, 70);
+        let (x, _) = random_case(rows * n, 8, 71);
+        let x16: Vec<i16> = x.iter().map(|&v| v as i16).collect();
+        let live: Vec<i16> = w.chunks_exact(width).flat_map(|row| row[..lines].to_vec()).collect();
+        let mut cols = vec![0i32; lines * n];
+        accumulate_col_pairs(&x16, n, n, &pair_words(&live, lines), lines, &mut cols);
+        for p in 0..n {
+            let column: Vec<i32> = (0..rows).map(|i| x[i * n + p]).collect();
+            let mut row = vec![0i32; width];
+            accumulate_rows(&column, &w, width, &mut row);
+            for j in 0..lines {
+                assert_eq!(cols[j * n + p], row[j], "patch {p} line {j}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator shape")]
+    fn col_pairs_reject_short_accumulator() {
+        accumulate_col_pairs(&[1; 16], 8, 8, &[0i32; 2], 2, &mut [0i32; 8]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Trains a small digit classifier, deploys it onto simulated ReRAM
 //! crossbars at several cell precisions and write-noise levels, and
 //! reports the resulting accuracy — then injects stuck-at cells tile by
-//! tile and shows a single crossbar `matvec` with DAC/ADC quantization.
+//! tile and shows a single-row crossbar product with DAC/ADC quantization.
 //!
 //! Run with:
 //! ```sh
@@ -93,9 +93,9 @@ fn main() {
     let w = Tensor::randn(&[8, 4], &mut xbar_rng);
     let analog = Crossbar::program(&w, &CrossbarConfig::default(), &mut xbar_rng);
     let digital = Crossbar::program(&w, &CrossbarConfig::ideal(), &mut xbar_rng);
-    let x = Tensor::randn(&[8], &mut xbar_rng).map(|v| v.clamp(-1.0, 1.0));
-    let ya = analog.matvec(&x);
-    let yd = digital.matvec(&x);
+    let x = Tensor::randn(&[1, 8], &mut xbar_rng).map(|v| v.clamp(-1.0, 1.0));
+    let ya = analog.matmul(&x);
+    let yd = digital.matmul(&x);
     for j in 0..4 {
         println!(
             "  bit line {j}: analog {:+.4}  ideal {:+.4}  (|err| {:.4})",

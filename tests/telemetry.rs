@@ -11,15 +11,21 @@
 //!    output: campaign rates and lifetime reports are byte-identical
 //!    with recording on and off.
 //! 4. **Phase attribution** — a checkup on the default analog config
-//!    fills the DAC and accumulate phase histograms.
+//!    fills the DAC and accumulate phase histograms, and a conv network
+//!    on the crossbar's column-layout kernel (fused fold and ADC) gives
+//!    the same logits with recording on and off.
+//! 5. **Honest cache counters** — each tile use records one DAC-cache
+//!    lookup: a miss when the tile's integer state is built, a hit when
+//!    it is reused.
 
 use healthmon::{
     AgingModel, AnalogBackend, BackendSpec, CrossbarConfig, Detector, LifetimeConfig,
     LifetimeRuntime, SdcCriterion, TestPatternSet,
 };
 use healthmon_faults::{par_map_models_with_threads, FaultModel};
-use healthmon_nn::models::tiny_mlp;
-use healthmon_nn::Network;
+use healthmon_nn::models::{lenet5, tiny_mlp};
+use healthmon_nn::{Network, PatchMap};
+use healthmon_reram::{Crossbar, SlicedMatrix, TiledMatrix};
 use healthmon_tensor::{SeededRng, Tensor};
 use healthmon_telemetry as tel;
 use std::sync::{Mutex, MutexGuard};
@@ -193,29 +199,113 @@ fn telemetry_is_purely_observational() {
 fn default_analog_checkup_records_dac_and_accumulate_phases() {
     let _guard = exclusive();
     let mut rng = SeededRng::new(41);
-    let net = tiny_mlp(8, 16, 4, &mut rng);
-    let patterns = TestPatternSet::new("t", Tensor::rand_uniform(&[10, 8], 0.0, 1.0, &mut rng));
-    let detector = Detector::new(&net, patterns.clone());
-    // The default config runs `TiledMatrix`'s integer path.
-    let spec = BackendSpec::analog(CrossbarConfig::default());
-    let checkup = || {
-        let backend = AnalogBackend::program(&net, &spec, &mut SeededRng::new(5));
-        let logits: Vec<u32> =
-            patterns.logits(&backend).as_slice().iter().map(|v| v.to_bits()).collect();
-        (logits, detector.is_faulty(&backend, SdcCriterion::Sdc1))
+    let mlp = tiny_mlp(8, 16, 4, &mut rng);
+    let mlp_patterns =
+        TestPatternSet::new("t", Tensor::rand_uniform(&[10, 8], 0.0, 1.0, &mut rng));
+    // lenet5's conv layers run the column-layout kernel with the fold and
+    // the ADC fused; with telemetry on, that ADC also records saturation.
+    // Both must produce the same bits, on one analog slice and on the
+    // shift-add recombination of a bit-sliced matrix.
+    let lenet = lenet5(&mut rng);
+    let lenet_patterns =
+        TestPatternSet::new("t", Tensor::rand_uniform(&[10, 1, 28, 28], 0.0, 1.0, &mut rng));
+    // The default config runs `TiledMatrix`'s integer paths.
+    let analog = BackendSpec::analog(CrossbarConfig::default());
+    let bitsliced = BackendSpec::bitsliced(CrossbarConfig::default(), 8);
+    let cases = [
+        ("mlp analog", &mlp, &mlp_patterns, analog),
+        ("lenet5 analog", &lenet, &lenet_patterns, analog),
+        ("lenet5 bitsliced", &lenet, &lenet_patterns, bitsliced),
+    ];
+    for (what, net, patterns, spec) in cases {
+        let detector = Detector::new(net, patterns.clone());
+        let checkup = || {
+            let backend = AnalogBackend::program(net, &spec, &mut SeededRng::new(5));
+            let logits: Vec<u32> =
+                patterns.logits(&backend).as_slice().iter().map(|v| v.to_bits()).collect();
+            (logits, detector.is_faulty(&backend, SdcCriterion::Sdc1))
+        };
+
+        tel::set_enabled(false);
+        let off = checkup();
+        tel::reset();
+        tel::set_enabled(true);
+        let on = checkup();
+        let recorded = tel::snapshot();
+        tel::set_enabled(false);
+
+        assert_eq!(off, on, "{what}: checkup outputs must not depend on telemetry");
+        for phase in ["phase.dac_ns", "phase.accumulate_ns"] {
+            let count =
+                recorded.histograms.iter().find(|h| h.name == phase).map_or(0, |h| h.count);
+            assert!(count > 0, "{what}: {phase} recorded no samples");
+        }
+        assert!(counter(&recorded, "reram.adc.samples") > 0, "{what}: no ADC samples recorded");
+    }
+}
+
+/// The value of counter `name` in `snapshot` (0 when never recorded).
+fn counter(snapshot: &tel::MetricsSnapshot, name: &str) -> u64 {
+    snapshot.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
+}
+
+#[test]
+fn dac_cache_counts_one_lookup_per_tile_use() {
+    let _guard = exclusive();
+    let mut rng = SeededRng::new(44);
+    // (hits, misses) recorded so far.
+    let traffic = |s: &tel::MetricsSnapshot| {
+        (counter(s, "reram.dac.cache.hits"), counter(s, "reram.dac.cache.misses"))
     };
 
-    tel::set_enabled(false);
-    let off = checkup();
+    // One tile, programmed and read once, then read again: as a bare
+    // tile and as the one tile of a tiled matrix.
+    let w = Tensor::randn(&[16, 8], &mut rng);
+    let x = Tensor::rand_uniform(&[3, 16], -1.0, 1.0, &mut rng);
+    let tile = Crossbar::program(&w, &CrossbarConfig::default(), &mut rng);
+    let tiled = TiledMatrix::program(&w, &CrossbarConfig::default(), &mut rng);
+    let reads: [(&str, &dyn Fn() -> Tensor); 2] =
+        [("tile", &|| tile.matmul(&x)), ("tiled matrix", &|| tiled.matmul(&x))];
+    for (what, read) in reads {
+        tel::reset();
+        tel::set_enabled(true);
+        read();
+        let once = tel::snapshot();
+        read();
+        let twice = tel::snapshot();
+        tel::set_enabled(false);
+        assert_eq!(traffic(&once), (0, 1), "{what}: a fresh tile read once is one miss");
+        assert_eq!(traffic(&twice), (1, 1), "{what}: read again, one hit");
+    }
+
+    // A 2×2 tile grid: each product looks every tile up once, on the
+    // batch-major and the column-layout path alike.
+    let config = CrossbarConfig { rows: 32, cols: 8, ..CrossbarConfig::default() };
+    let w = Tensor::randn(&[40, 12], &mut rng);
+    let tiled = TiledMatrix::program(&w, &config, &mut rng);
+    assert_eq!(tiled.tile_count(), 4);
     tel::reset();
     tel::set_enabled(true);
-    let on = checkup();
-    let recorded = tel::snapshot();
+    tiled.matmul(&Tensor::rand_uniform(&[2, 40], -1.0, 1.0, &mut rng));
+    let batch_major = tel::snapshot();
+    tiled.matmul_cols(&Tensor::rand_uniform(&[40, 50], -1.0, 1.0, &mut rng));
+    let column = tel::snapshot();
     tel::set_enabled(false);
+    assert_eq!(traffic(&batch_major), (0, 4));
+    assert_eq!(traffic(&column), (4, 4));
 
-    assert_eq!(off, on, "checkup outputs must not depend on telemetry");
-    for phase in ["phase.dac_ns", "phase.accumulate_ns"] {
-        let count = recorded.histograms.iter().find(|h| h.name == phase).map_or(0, |h| h.count);
-        assert!(count > 0, "{phase} recorded no samples");
-    }
+    // A conv call on a two-slice bit-sliced matrix: one DAC pass over the
+    // input, one lookup per tile of every slice.
+    let map = PatchMap::new(&[2, 4, 6, 6], 3, 1, 1);
+    let w = Tensor::randn(&[map.rows(), 12], &mut rng);
+    let sliced = SlicedMatrix::program(&w, 8, 4, &config, &mut rng);
+    assert_eq!(sliced.tile_count(), 8);
+    let x = Tensor::rand_uniform(&[2, 4, 6, 6], 0.0, 1.0, &mut rng);
+    tel::reset();
+    tel::set_enabled(true);
+    sliced.matmul_patches(&x, &map);
+    let conv = tel::snapshot();
+    tel::set_enabled(false);
+    assert_eq!(traffic(&conv), (0, 8));
+    assert_eq!(counter(&conv, "reram.dac.samples"), x.len() as u64, "one DAC sample per pixel");
 }
