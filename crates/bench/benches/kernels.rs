@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the numeric kernels underlying every experiment:
 //! matmul, whole conv layers, crossbar products vs ideal, crossbar conv
-//! layers, forward/backward passes.
+//! and dense layers, forward/backward passes.
 //!
 //! Runs on the in-tree [`healthmon_bench::timing`] harness
 //! (`cargo bench --bench kernels`).
@@ -105,13 +105,22 @@ fn bench_crossbar_matvec() {
     group.case("tiled_512x256_batch32", || black_box(tiled.matmul(&big_batch)));
 }
 
+/// A default-config matrix aged as the benchmark ages its checkup
+/// devices (drift and stuck-low cells).
+fn aged_matrix(w: &Tensor, rng: &mut SeededRng) -> SlicedMatrix {
+    let mut matrix = SlicedMatrix::analog(w, &CrossbarConfig::default(), rng);
+    for slice in matrix.slices_mut() {
+        slice.drift(0.02, 1.0, rng);
+        slice.inject_stuck_cells(CellFault::StuckLow, 0.001, rng);
+    }
+    matrix
+}
+
 /// Crossbar conv layers of the zoo models at the checkup's shapes (10
-/// test patterns), each on an aged default-config matrix (drift and
-/// stuck-low cells, as the benchmark ages its checkup devices). Each
-/// layer runs three routes to the same bits: transposed (unfold,
-/// transpose in, batch-major product, transpose out), the column-layout
-/// product on the finished patch matrix, and the conv hook (input pixels
-/// quantized once, codes unfolded).
+/// test patterns), each on an aged default-config matrix. Each layer runs
+/// two routes to the same bits: the column-layout product on the finished
+/// patch matrix, and the conv hook (input pixels quantized once, codes
+/// unfolded).
 fn bench_crossbar_conv() {
     let mut group = TimingHarness::new("crossbar_conv");
     let mut rng = SeededRng::new(5);
@@ -124,17 +133,26 @@ fn bench_crossbar_conv() {
     ] {
         let map = PatchMap::new(&[10, c, hw, hw], k, 1, p);
         let w = Tensor::randn(&[map.rows(), f], &mut rng).map(|v| v * 0.3);
-        let mut matrix = SlicedMatrix::analog(&w, &CrossbarConfig::default(), &mut rng);
-        for slice in matrix.slices_mut() {
-            slice.drift(0.02, 1.0, &mut rng);
-            slice.inject_stuck_cells(CellFault::StuckLow, 0.001, &mut rng);
-        }
+        let matrix = aged_matrix(&w, &mut rng);
         let x = Tensor::rand_uniform(&[10, c, hw, hw], 0.0, 1.0, &mut rng);
-        group.case(&format!("{label}/transposed"), || {
-            black_box(matrix.matmul(&map.unfold(&x).transpose()).transpose())
-        });
         group.case(&format!("{label}/cols"), || black_box(matrix.matmul_cols(&map.unfold(&x))));
         group.case(&format!("{label}/hook"), || black_box(matrix.matmul_patches(&x, &map)));
+    }
+}
+
+/// Crossbar dense layers of the zoo models on an aged default-config
+/// matrix, at the checkup's 10 patterns and at the 1–2 patterns a
+/// lifetime whose pattern budget has degraded toward its minimum sends.
+fn bench_crossbar_dense() {
+    let mut group = TimingHarness::new("crossbar_dense");
+    let mut rng = SeededRng::new(6);
+    for &(label, m, n) in &[("mlp4_fc0", 784usize, 256usize), ("lenet5_fc0", 400, 120)] {
+        let w = Tensor::randn(&[m, n], &mut rng).map(|v| v * 0.1);
+        let matrix = aged_matrix(&w, &mut rng);
+        for batch in [1usize, 2, 10] {
+            let x = Tensor::rand_uniform(&[batch, m], 0.0, 1.0, &mut rng);
+            group.case(&format!("{label}/batch{batch}"), || black_box(matrix.matmul(&x)));
+        }
     }
 }
 
@@ -157,6 +175,7 @@ fn main() {
     bench_conv_layers();
     bench_crossbar_matvec();
     bench_crossbar_conv();
+    bench_crossbar_dense();
     bench_model_passes();
     healthmon_bench::timing::write_json_report();
 }

@@ -163,10 +163,19 @@ fn load_model(arch: &str, path: &str, seed: u64) -> Result<Network, String> {
     Ok(net)
 }
 
-fn load_patterns(path: &str) -> Result<TestPatternSet, String> {
+/// Reads a pattern file and checks that its samples fit `arch`'s input.
+fn load_patterns(path: &str, arch: &str) -> Result<TestPatternSet, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))?;
     let images: Tensor =
         healthmon_serdes::from_str(&json).map_err(|e| format!("parsing `{path}`: {e}"))?;
+    let expected = zoo::lookup(arch).map_err(|e| e.to_string())?.input_shape;
+    let sample = images.shape().get(1..).unwrap_or_default();
+    if sample != expected {
+        return Err(format!(
+            "`{path}` holds samples of shape {sample:?}, but `{arch}` takes samples of shape \
+             {expected:?}"
+        ));
+    }
     Ok(TestPatternSet::new("file", images))
 }
 
@@ -339,7 +348,7 @@ fn cmd_check(args: &ParsedArgs) -> Result<ExitCode, String> {
     let arch = args.required("arch")?;
     let model = args.required("model")?;
     let target = args.required("target")?;
-    let patterns = load_patterns(args.required("patterns")?)?;
+    let patterns = load_patterns(args.required("patterns")?, arch)?;
     let threshold: f32 = args.get_or("threshold", 0.03)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let spec = parse_backend(args)?;
@@ -391,7 +400,7 @@ fn cmd_campaign(args: &ParsedArgs) -> Result<ExitCode, String> {
 
     let mut golden = load_model(arch, model, seed)?;
     let patterns = match args.get("patterns") {
-        Some(path) => load_patterns(path)?,
+        Some(path) => load_patterns(path, arch)?,
         None => {
             let pool = dataset_for(arch, seed ^ 0xC1D, 1000)?.test;
             CtpGenerator::new(10).select(&mut golden, &pool)
@@ -461,7 +470,7 @@ fn cmd_campaign_mitigation(args: &ParsedArgs) -> Result<ExitCode, String> {
     let mut plain = load_model(arch, model, seed)?;
     let hardened = load_model(arch, hardened_model, seed)?;
     let patterns = match args.get("patterns") {
-        Some(path) => load_patterns(path)?,
+        Some(path) => load_patterns(path, arch)?,
         None => {
             let pool = dataset_for(arch, seed ^ 0xC1D, 1000)?.test;
             CtpGenerator::new(10).select(&mut plain, &pool)
@@ -633,7 +642,7 @@ fn cmd_lifetime(args: &ParsedArgs) -> Result<ExitCode, String> {
     // The pattern set must be identical across resumes: either a fixed
     // file, or C-TP selection — a pure function of (model, arch, seed).
     let patterns = match args.get("patterns") {
-        Some(path) => load_patterns(path)?,
+        Some(path) => load_patterns(path, arch)?,
         None => {
             let pool = dataset_for(arch, seed ^ 0xC1D, count.max(50) * 20)?.test;
             CtpGenerator::new(count).select(&mut golden, &pool)
@@ -1299,6 +1308,41 @@ mod tests {
         )))
         .unwrap();
         assert_eq!(verdict, ExitCode::from(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pattern_files_that_do_not_fit_the_arch_are_rejected() {
+        // Samples of shape [3] (and a batch of none at all) for an arch
+        // that takes [784]: every reader of `--patterns` must return the
+        // error naming both shapes, not panic inside the network.
+        let dir = std::env::temp_dir().join("healthmon_cli_pattern_shape_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(str::to_owned).collect() };
+        let model = p("model.json");
+        run(&argv(&format!(
+            "train --arch mlp --out {model} --epochs 1 --train-size 100 --quiet true"
+        )))
+        .unwrap();
+        for (name, json) in
+            [("wrong.json", r#"{"shape":[2,3],"data":[1,2,3,4,5,6]}"#), ("flat.json", r#"{"shape":[3],"data":[1,2,3]}"#)]
+        {
+            let patterns = p(name);
+            std::fs::write(&patterns, json).unwrap();
+            for command in [
+                format!("check --arch mlp --model {model} --target {model} --patterns {patterns}"),
+                format!("campaign --arch mlp --model {model} --patterns {patterns} --fault pv:0.1 --count 2"),
+                format!(
+                    "campaign --arch mlp --model {model} --hardened true --hardened-model {model} \
+                     --patterns {patterns} --fault pv:0.1 --count 2"
+                ),
+                format!("lifetime --arch mlp --model {model} --patterns {patterns} --epochs 1"),
+            ] {
+                let err = run(&argv(&command)).expect_err(&command);
+                assert!(err.contains("[784]") && err.contains(name), "{command}: {err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

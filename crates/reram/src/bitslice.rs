@@ -15,7 +15,7 @@
 //! once, on [`TiledMatrix`]; callers reach every slice through
 //! [`SlicedMatrix::slices_mut`]. On integer-path-capable configs (see
 //! [`CrossbarConfig::integer_path_capable`]) every slice executes on the
-//! quantize-once `i32` fast path; the shift-add recombination stays in
+//! quantize-once integer path; the shift-add recombination stays in
 //! `f32`. A convolution ([`SlicedMatrix::matmul_patches`]) quantizes its
 //! input pixels once for every slice and tile and unfolds the codes.
 
@@ -323,7 +323,9 @@ impl SlicedMatrix {
         self.recombine(|slice| {
             let execs = slice.execs();
             match slice.int_states(&execs) {
-                Some((_, ints)) => slice.int_matmul_cols(&grid, &ints, &codes, patches.cols()),
+                Some((_, ints)) => {
+                    slice.int_matmul_cols(&grid, &ints, &codes, patches.cols(), patches.cols())
+                }
                 None => slice.matmul_cols_in(&execs, col.get_or_init(|| patches.unfold(x))),
             }
         })

@@ -1,9 +1,17 @@
 //! A single crossbar tile: differential conductance pairs, DAC/ADC
 //! conversion, and device-level fault injection.
+//!
+//! On integer-capable configs (see
+//! [`CrossbarConfig::integer_path_capable`]) every product runs one
+//! integer kernel, `Crossbar::int_cols`: centered DAC codes laid out one
+//! row per word line, the vector lanes over the inputs (a convolution's
+//! patches, or a dense batch padded to whole 16-lane blocks), the tile's
+//! codes cached as pair words, and the `f64` fold, IR drop and ADC fused
+//! per output. Configs without converters keep the `f32` product.
 
 use crate::quant::{narrow_i16, round_fast, ROUND_MAGIC_LIMIT};
 use crate::{CrossbarConfig, IrDropModel, ParityCheck, Quantizer, ScrubOutcome};
-use healthmon_tensor::{fastmath, intacc, pool, SeededRng, Tensor};
+use healthmon_tensor::{fastmath, intacc, SeededRng, Tensor};
 use healthmon_telemetry as tel;
 use std::sync::OnceLock;
 
@@ -138,9 +146,9 @@ pub(crate) struct ExecState {
     pub(crate) int: Option<IntState>,
 }
 
-
 /// Cached integer-domain image of the tile: differential conductance
-/// codes and the precomputed sums the affine DAC→weight mapping needs.
+/// codes in the layout the column kernel reads, and the precomputed sums
+/// the affine DAC→weight mapping needs.
 ///
 /// With DAC level `idx` representing voltage `lo + idx·step_x` and code
 /// `k` representing weight `k·step_w`, one output is
@@ -148,32 +156,52 @@ pub(crate) struct ExecState {
 /// per-column affine correction from the cached column sums.
 #[derive(Debug, Clone)]
 pub(crate) struct IntState {
-    /// `[rows × cols_padded]` signed differential codes, row-major,
-    /// zero-padded to a [`intacc::LANES`] multiple.
-    codes: Vec<i16>,
-    /// Per-row-block column sums `[n_blocks × cols_padded]`, for the
-    /// IR-drop path's per-block affine correction.
+    /// The signed differential codes as [`intacc::accumulate_col_pairs`]
+    /// reads them: one [`intacc::pair_word`] per pair of word lines and
+    /// bit line (`[rows.div_ceil(2), cols]`), an odd last word line paired
+    /// with code 0.
+    words: Vec<i32>,
+    /// Per-row-block column sums `[n_blocks, cols]`, for the IR-drop
+    /// path's per-block affine correction.
     block_colsums: Vec<i32>,
-    /// Whole-tile column sums `[cols_padded]`.
+    /// Whole-tile column sums `[cols]`.
     colsums: Vec<i32>,
-    /// Per-(row block, column) mean IR-drop factors, present when a model
-    /// with non-zero wire resistance is stored.
+    /// Per-(row block, column) mean IR-drop factors `[n_blocks, cols]`,
+    /// present when a model with non-zero wire resistance is stored.
     drop: Option<Vec<f32>>,
     /// Weight-domain value of one conductance-code step.
     step_w: f32,
-    cols_padded: usize,
 }
 
-/// Program-time integer image of a pristine tile: the signed differential
-/// conductance codes (`[rows, cols_padded]`) plus their column sums, laid
-/// out exactly as [`IntState`] consumes them. Valid only while the
-/// conductance planes are untouched since programming — every mutator
-/// drops it.
-#[derive(Debug, Clone)]
-struct IntSeed {
-    codes: Vec<i16>,
-    block_colsums: Vec<i32>,
-    colsums: Vec<i32>,
+impl IntState {
+    /// The integer state of a tile whose signed differential codes are
+    /// `codes` (`[rows, cols]`, row-major).
+    fn new(codes: &[i16], cols: usize, drop: Option<Vec<f32>>, step_w: f32) -> Self {
+        let rows = codes.len() / cols.max(1);
+        let mut words = Vec::with_capacity(rows.div_ceil(2) * cols);
+        for pair in codes.chunks(2 * cols.max(1)) {
+            let (first, second) = pair.split_at(cols);
+            if second.is_empty() {
+                words.extend(first.iter().map(|&k| intacc::pair_word(k, 0)));
+            } else {
+                words.extend(first.iter().zip(second).map(|(&a, &b)| intacc::pair_word(a, b)));
+            }
+        }
+        let mut block_colsums = vec![0i32; rows.div_ceil(ROW_BLOCK) * cols];
+        for (r, row) in codes.chunks_exact(cols.max(1)).enumerate() {
+            let block = &mut block_colsums[r / ROW_BLOCK * cols..][..cols];
+            for (sum, &k) in block.iter_mut().zip(row) {
+                *sum += i32::from(k);
+            }
+        }
+        let mut colsums = vec![0i32; cols];
+        for block in block_colsums.chunks_exact(cols.max(1)) {
+            for (sum, &k) in colsums.iter_mut().zip(block) {
+                *sum += k;
+            }
+        }
+        IntState { words, block_colsums, colsums, drop, step_w }
+    }
 }
 
 /// The DAC level grid of a tile: voltage of level `idx` is
@@ -192,21 +220,23 @@ pub(crate) struct DacGrid {
 }
 
 impl DacGrid {
-    /// Quantizes raw activations to DAC level indices, or `None` if any
+    /// The column kernel's input codes for `values`: each value's DAC
+    /// level index minus the middle level, so that every code fits `i16`
+    /// (the kernel's fold adds the offset back exactly), or `None` if any
     /// value is NaN — NaN must poison whole output rows, which only the
     /// `f32` reference path reproduces.
-    pub(crate) fn codes_for(&self, values: &[f32]) -> Option<Vec<i32>> {
+    pub(crate) fn centered_codes_for(&self, values: &[f32]) -> Option<Vec<i16>> {
         // 8-lane select loop with no early exit, so the compiler can keep
         // it branch-free. The ·0.0 probe goes sticky-NaN only for NaN
         // inputs: ±∞ clamps to a finite rail first, which is the allowed
         // saturation behaviour, while NaN survives `clamp` and must poison
         // whole output rows — only the `f32` reference path does that.
         // The level index is read straight out of the magic-add mantissa
-        // (codes are non-negative and < 2²², so the low bits ARE the
+        // (levels are non-negative and < 2²², so the low bits ARE the
         // rounded integer) — both `.round()` and an `as i32` cast lower
         // to serial scalar code that kept this loop at ~3 ns/element.
         const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
-        let mut codes = vec![0i32; values.len()];
+        let mut codes = vec![0i16; values.len()];
         let mut probe = [0.0f32; 8];
         let mut chunks = values.chunks_exact(8);
         let mut out = codes.chunks_exact_mut(8);
@@ -219,14 +249,14 @@ impl DacGrid {
                 // Ties-to-even from the magic add, bumped up on exact .5
                 // ties to match `round`'s half-away rule.
                 let bump = i32::from(v - (shifted - MAGIC) == 0.5);
-                dst[k] = (shifted.to_bits() & 0x3F_FFFF) as i32 + bump;
+                dst[k] = ((shifted.to_bits() & 0x3F_FFFF) as i32 + bump - self.center) as i16;
             }
         }
         let mut tail_ok = true;
         for (&v, dst) in chunks.remainder().iter().zip(out.into_remainder()) {
             let clamped = v.clamp(self.lo, self.hi);
             tail_ok &= !clamped.is_nan();
-            *dst = round_fast((clamped - self.lo) * self.inv_step) as i32;
+            *dst = (round_fast((clamped - self.lo) * self.inv_step) as i32 - self.center) as i16;
         }
         if tail_ok && probe.iter().all(|p| *p == 0.0) {
             Some(codes)
@@ -235,20 +265,34 @@ impl DacGrid {
         }
     }
 
-    /// The column kernel's input codes for `values`: the level indices of
-    /// [`DacGrid::codes_for`] minus the middle level, so that every code
-    /// fits `i16` (the kernel adds the offset back exactly), or `None` if
-    /// any value is NaN.
-    pub(crate) fn centered_codes_for(&self, values: &[f32]) -> Option<Vec<i16>> {
-        let codes = self.codes_for(values)?;
-        Some(codes.into_iter().map(|c| (c - self.center) as i16).collect())
-    }
-
     /// The centered code of 0.0: what a padding entry of a patch matrix
     /// reads, so that unfolding the codes of an input equals quantizing
     /// its unfolded patches.
     pub(crate) fn centered_zero(&self) -> i16 {
         self.centered_codes_for(&[0.0]).expect("0.0 is not NaN")[0]
+    }
+
+    /// A dense product's input for the column kernel: the centered codes
+    /// of `values` (`[batch, rows]`, row-major) transposed to one row per
+    /// word line plus a spare row for an odd last word line to pair with,
+    /// `[rows + 1, lanes]`, the batch padded to `lanes` = `batch` rounded
+    /// up to 16 so the kernel runs whole vector blocks. Padding holds code
+    /// 0; its sums are never folded. `None` if any value is NaN.
+    pub(crate) fn dense_codes_for(
+        &self,
+        values: &[f32],
+        batch: usize,
+        rows: usize,
+    ) -> Option<(Vec<i16>, usize)> {
+        let codes = self.centered_codes_for(values)?;
+        let lanes = batch.next_multiple_of(16);
+        let mut cols = vec![0i16; (rows + 1) * lanes];
+        for (b, row) in codes.chunks_exact(rows.max(1)).enumerate() {
+            for (dst, &code) in cols[b..].iter_mut().step_by(lanes).zip(row) {
+                *dst = code;
+            }
+        }
+        Some((cols, lanes))
     }
 }
 
@@ -291,18 +335,19 @@ pub struct Crossbar {
     /// (in exact cell mode bitwise the programmed weights, making the
     /// crossbar product bit-identical to the digital one) and — on
     /// integer-capable configs — the quantized conductance codes of the
-    /// i32 fast path. Every conductance mutator replaces the cell with a
+    /// integer path. Every conductance mutator replaces the cell with a
     /// fresh empty one, so stale state can never be read after fault
     /// injection.
     exec_cache: OnceLock<ExecState>,
-    /// Pristine integer image captured at program time: on noise-free
-    /// integer-capable configs every conductance lands exactly on the cell
-    /// grid, so programming emits the signed codes and their column sums
-    /// directly and the first execution-state build is a memcpy instead of
-    /// a full re-quantization scan of both planes. Any conductance
-    /// mutation clears it (see [`Crossbar::invalidate_cache`]); the planes
-    /// then become the only source of truth again.
-    int_seed: Option<Box<IntSeed>>,
+    /// Pristine integer image captured at program time, the signed
+    /// differential codes `[rows, cols]`: on noise-free integer-capable
+    /// configs every conductance lands exactly on the cell grid, so
+    /// programming emits the codes directly and the first execution-state
+    /// build derives its pair words and sums from them instead of
+    /// re-quantizing both planes. Any conductance mutation clears it (see
+    /// [`Crossbar::invalidate_cache`]); the planes then become the only
+    /// source of truth again.
+    int_seed: Option<Vec<i16>>,
     /// Optional online soft-error tolerance: XOR checksum state over the
     /// two conductance planes (`[g_pos, g_neg]`), modelling the spare
     /// checksum columns programmed alongside the weights. `None` (the
@@ -402,11 +447,9 @@ impl Crossbar {
                 && config.write_noise == 0.0
                 && step_w.is_finite()
                 && step_w > 0.0;
-            let cols_padded = cols.next_multiple_of(intacc::LANES);
             let gp = g_pos.as_mut_slice();
             let gn = g_neg.as_mut_slice();
             let ws = weights.as_slice();
-            let mut codes = None;
             if code_scale.is_finite() && all_finite && (max_code as f32) < ROUND_MAGIC_LIMIT {
                 // Branch-light select form the compiler can vectorize:
                 // zip iteration (indexed stores into the two planes leave
@@ -419,25 +462,16 @@ impl Crossbar {
                 // planes agree on every index.
                 let fmax = max_code as f32;
                 if seedable {
-                    let mut image = vec![0i16; rows * cols_padded];
-                    for r in 0..rows {
-                        let base = r * cols;
-                        let row = &mut image[r * cols_padded..r * cols_padded + cols];
-                        let wr = &ws[base..base + cols];
-                        let gpr = &mut gp[base..base + cols];
-                        let gnr = &mut gn[base..base + cols];
-                        for (((&w, p), n), code) in
-                            wr.iter().zip(gpr).zip(gnr).zip(row)
-                        {
-                            let idx = round_fast(w.abs() * code_scale).min(fmax);
-                            let g = config.g_min + idx * step_g;
-                            let pos = w >= 0.0;
-                            *p = if pos { g } else { config.g_min };
-                            *n = if pos { config.g_min } else { g };
-                            *code = narrow_i16(idx.copysign(w));
-                        }
+                    let mut codes = vec![0i16; rows * cols];
+                    for (((&w, p), n), code) in ws.iter().zip(gp).zip(gn).zip(&mut codes) {
+                        let idx = round_fast(w.abs() * code_scale).min(fmax);
+                        let g = config.g_min + idx * step_g;
+                        let pos = w >= 0.0;
+                        *p = if pos { g } else { config.g_min };
+                        *n = if pos { config.g_min } else { g };
+                        *code = narrow_i16(idx.copysign(w));
                     }
-                    codes = Some(image);
+                    int_seed = Some(codes);
                 } else {
                     for ((&w, p), n) in ws.iter().zip(gp.iter_mut()).zip(gn.iter_mut()) {
                         let g = config.g_min
@@ -466,20 +500,6 @@ impl Crossbar {
                     gn[i] = q.quantize(n);
                 }
             }
-            int_seed = codes.map(|codes| {
-                let n_blocks = rows.div_ceil(ROW_BLOCK);
-                let mut block_colsums = vec![0i32; n_blocks * cols_padded];
-                let mut colsums = vec![0i32; cols_padded];
-                for r in 0..rows {
-                    let block = &mut block_colsums[(r / ROW_BLOCK) * cols_padded..];
-                    for c in 0..cols_padded {
-                        let k = i32::from(codes[r * cols_padded + c]);
-                        block[c] += k;
-                        colsums[c] += k;
-                    }
-                }
-                Box::new(IntSeed { codes, block_colsums, colsums })
-            });
         }
         if config.write_noise > 0.0 {
             // Bulk write-noise pass: one block-sampled lognormal draw per
@@ -591,65 +611,39 @@ impl Crossbar {
         if !(step_w.is_finite() && step_w > 0.0) {
             return None;
         }
-        let cols_padded = self.cols.next_multiple_of(intacc::LANES);
-        let n_blocks = self.rows.div_ceil(ROW_BLOCK);
+        let drop = self.int_drop_factors();
+        // Pristine tile: the program-time image is authoritative.
         if let Some(seed) = &self.int_seed {
-            // Pristine tile: the program-time image is authoritative, so
-            // the build is three buffer copies plus the drop factors.
-            return Some(IntState {
-                codes: seed.codes.clone(),
-                block_colsums: seed.block_colsums.clone(),
-                colsums: seed.colsums.clone(),
-                drop: self.int_drop_factors(n_blocks, cols_padded),
-                step_w,
-                cols_padded,
-            });
+            return Some(IntState::new(seed, self.cols, drop, step_w));
         }
         let inv_step_g = 1.0 / step_g;
-        let gp = self.g_pos.as_slice();
-        let gn = self.g_neg.as_slice();
-        let mut codes = vec![0i16; self.rows * cols_padded];
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let d = gp[r * self.cols + c] - gn[r * self.cols + c];
-                if !d.is_finite() {
-                    return None;
-                }
-                let k = (d * inv_step_g).round() as i32;
-                codes[r * cols_padded + c] = k.clamp(-max_code, max_code) as i16;
+        let mut codes = vec![0i16; self.rows * self.cols];
+        for ((code, &p), &n) in codes.iter_mut().zip(self.g_pos.as_slice()).zip(self.g_neg.as_slice())
+        {
+            let d = p - n;
+            if !d.is_finite() {
+                return None;
             }
+            *code = ((d * inv_step_g).round() as i32).clamp(-max_code, max_code) as i16;
         }
-        let mut block_colsums = vec![0i32; n_blocks * cols_padded];
-        let mut colsums = vec![0i32; cols_padded];
-        for r in 0..self.rows {
-            let block = &mut block_colsums[(r / ROW_BLOCK) * cols_padded..];
-            for c in 0..cols_padded {
-                let k = i32::from(codes[r * cols_padded + c]);
-                block[c] += k;
-                colsums[c] += k;
-            }
-        }
-        let drop = self.int_drop_factors(n_blocks, cols_padded);
-        Some(IntState { codes, block_colsums, colsums, drop, step_w, cols_padded })
+        Some(IntState::new(&codes, self.cols, drop, step_w))
     }
 
-    /// Per-(row block, column) mean IR-drop factors for the integer path,
-    /// or `None` when no resistive model is stored. One combined loading
-    /// estimate over both planes: the int path attenuates the differential
-    /// partial sum, not each plane, so it sees one factor per cell group.
-    fn int_drop_factors(&self, n_blocks: usize, cols_padded: usize) -> Option<Vec<f32>> {
+    /// Per-(row block, column) mean IR-drop factors for the integer path
+    /// (`[n_blocks, cols]`), or `None` when no resistive model is stored.
+    /// One combined loading estimate over both planes: the int path
+    /// attenuates the differential partial sum, not each plane, so it sees
+    /// one factor per cell group.
+    fn int_drop_factors(&self) -> Option<Vec<f32>> {
         self.ir_drop.filter(|m| m.r_wire() > 0.0).map(|model| {
             let gp = self.g_pos.as_slice();
             let gn = self.g_neg.as_slice();
             let g_avg = gp.iter().chain(gn).map(|v| v.abs()).sum::<f32>()
                 / (gp.len() + gn.len()).max(1) as f32;
-            let mut factors = vec![0.0f32; n_blocks * cols_padded];
-            for blk in 0..n_blocks {
-                let r0 = blk * ROW_BLOCK;
+            let mut factors = Vec::with_capacity(self.rows.div_ceil(ROW_BLOCK) * self.cols);
+            for r0 in (0..self.rows).step_by(ROW_BLOCK) {
                 let r1 = (r0 + ROW_BLOCK).min(self.rows);
-                for c in 0..self.cols {
-                    factors[blk * cols_padded + c] = model.mean_factor(r0, r1, c, g_avg);
-                }
+                factors.extend((0..self.cols).map(|c| model.mean_factor(r0, r1, c, g_avg)));
             }
             factors
         })
@@ -812,34 +806,30 @@ impl Crossbar {
             self.rows
         );
         let batch = input.shape()[0];
-        // Integer fast path: DAC codes × cached conductance codes in i32,
-        // ADC scaling fused at the tile boundary.
+        // Integer fast path: the batch's DAC codes, transposed to one row
+        // per word line, through the column kernel with the fold and the
+        // ADC fused, and the `[cols, batch]` result transposed back.
         if let Some(int) = &exec.int {
             let grid = self.dac_grid().expect("integer-capable config implies a live DAC");
             let t_dac = tel::enabled().then(std::time::Instant::now);
-            let codes = grid.codes_for(input.as_slice());
-            if let Some(codes) = codes {
+            if let Some((codes, lanes)) = grid.dense_codes_for(input.as_slice(), batch, self.rows) {
                 if let Some(t0) = t_dac {
                     PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
                 }
                 if tel::enabled() {
-                    record_converter(
-                        input.as_slice(),
-                        self.input_range,
-                        &DAC_SAMPLES,
-                        &DAC_CLIPPED,
-                        &DAC_SATURATION,
-                    );
+                    self.record_dac(input.as_slice());
                 }
-                // The integer kernel fuses the ADC rescale into its tile
-                // boundary, so its time lands in the accumulate phase.
                 let t_acc = tel::enabled().then(std::time::Instant::now);
-                let out = self.int_matmul(int, &grid, &codes, batch, self.rows, 0);
+                let mut acc = vec![0i32; self.cols * lanes];
+                let mut out = vec![0.0f32; self.cols * batch];
+                self.int_cols(int, &grid, &codes, lanes, lanes, &mut acc, &mut out);
                 if let Some(t0) = t_acc {
                     PHASE_ACCUMULATE_NS
                         .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
                 }
-                return out;
+                return Tensor::from_vec(out, &[self.cols, batch])
+                    .expect("integer-path output shape is consistent by construction")
+                    .transpose();
             }
         }
         // f32 reference path (exact/ideal configs, NaN inputs, or
@@ -904,92 +894,38 @@ impl Crossbar {
         q.quantize_slice(out);
     }
 
-    /// Integer-domain batched product against pre-quantized DAC codes
-    /// laid out as `batch` rows of `stride` codes, of which this tile
-    /// consumes `[offset, offset + rows)` — so a tiled caller quantizes
-    /// its whole input once and every row-block tile reads its slice in
-    /// place. Exact i32 accumulation per row block, affine DAC/weight
-    /// rescale at the tile boundary (f64 intermediates), then the shared
-    /// ADC stage. Each batch row is computed independently in a fixed
-    /// block order, so results are bit-identical at any thread count and
-    /// batch size.
-    pub(crate) fn int_matmul(
-        &self,
-        int: &IntState,
-        grid: &DacGrid,
-        codes: &[i32],
-        batch: usize,
-        stride: usize,
-        offset: usize,
-    ) -> Tensor {
-        let cols = self.cols;
-        let rows = self.rows;
-        let n_blocks = rows.div_ceil(ROW_BLOCK);
-        INT_ROWBLOCKS.add((n_blocks * batch) as u64);
-        let mut out = vec![0.0f32; batch * cols];
-        let work = batch * rows * cols;
-        let threads = if work < INT_PAR_THRESHOLD {
-            1
-        } else {
-            pool::max_threads().min(batch).max(1)
-        };
-        if threads <= 1 {
-            int_rows(int, grid, codes, 0, batch, stride, offset, rows, cols, &mut out);
-        } else {
-            let rows_per = batch.div_ceil(threads);
-            pool::run_chunks(&mut out, rows_per * cols, |ci, chunk| {
-                let b0 = ci * rows_per;
-                let b1 = (b0 + rows_per).min(batch);
-                int_rows(int, grid, codes, b0, b1, stride, offset, rows, cols, chunk);
-            });
-        }
-        self.adc_quantize(&mut out);
-        Tensor::from_vec(out, &[batch, cols])
-            .expect("integer-path output shape is consistent by construction")
-    }
-
-    /// The tile's conductance codes as the column kernel reads them: one
-    /// [`intacc::pair_word`] per pair of word lines and bit line
-    /// (`[rows.div_ceil(2), cols]`), an odd last row paired with code 0.
-    pub(crate) fn col_pair_words(&self, int: &IntState) -> Vec<i32> {
-        let cp = int.cols_padded;
-        let code = |r: usize, c: usize| if r < self.rows { int.codes[r * cp + c] } else { 0 };
-        let word = move |q: usize, c: usize| intacc::pair_word(code(2 * q, c), code(2 * q + 1, c));
-        (0..self.rows.div_ceil(2)).flat_map(|q| (0..self.cols).map(move |c| word(q, c))).collect()
-    }
-
-    /// Column-layout integer product: this tile's outputs for `w`
-    /// patches, whose centered codes (see [`DacGrid::centered_codes_for`])
-    /// `x` holds as one row per word line of the tile, `stride` apart,
-    /// plus one more row for an odd last word line to pair with. `words`
-    /// is [`Crossbar::col_pair_words`]. Writes `[cols, w]` outputs, folded
-    /// and ADC-quantized, into `dst`; `acc` is `[cols, w]` scratch.
+    /// The integer product of this tile: the outputs of `w` inputs whose
+    /// centered codes (see [`DacGrid::centered_codes_for`]) `x` holds as
+    /// one row per word line of the tile, `stride` apart, plus one more
+    /// row for an odd last word line to pair with. The kernel runs over
+    /// `lanes ≥ w` columns of `x` (a dense batch padded to whole vector
+    /// blocks) into `acc` (`[cols, lanes]` scratch); only the first `w`
+    /// columns are folded, ADC-quantized and counted, into `dst`
+    /// (`[cols, w]`).
     ///
-    /// The same arithmetic as [`Crossbar::int_matmul`] per output: exact
-    /// i32 sums per [`ROW_BLOCK`] (vector lanes over patches, see
-    /// [`intacc::accumulate_col_pairs`]) plus the centering offset times
-    /// the column sum, the same f64 fold, IR-drop factors applied per
-    /// block in the same order, and the same ADC — so each output equals,
-    /// bit for bit, the matching element of the batch-major product over
-    /// the transposed codes.
+    /// Per output: exact i32 sums per [`ROW_BLOCK`] (vector lanes over
+    /// the inputs, see [`intacc::accumulate_col_pairs`]) plus the
+    /// centering offset times the column sum, one f64 fold, IR-drop
+    /// factors applied per block in ascending order, then the ADC. Each
+    /// output depends on its own input column alone, so it is the same
+    /// bits at any batch size, padding or split of the columns.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn int_cols(
         &self,
         int: &IntState,
         grid: &DacGrid,
-        words: &[i32],
         x: &[i16],
         stride: usize,
-        w: usize,
+        lanes: usize,
         acc: &mut [i32],
         dst: &mut [f32],
     ) {
         #[cfg(target_arch = "x86_64")]
         if intacc::avx2_available() {
             // SAFETY: `avx2_available()` verified CPU support.
-            return unsafe { self.int_cols_avx2(int, grid, words, x, stride, w, acc, dst) };
+            return unsafe { self.int_cols_avx2(int, grid, x, stride, lanes, acc, dst) };
         }
-        self.int_cols_body(int, grid, words, x, stride, w, acc, dst);
+        self.int_cols_body(int, grid, x, stride, lanes, acc, dst);
     }
 
     /// [`Crossbar::int_cols`] compiled with AVX2, so the fold and the ADC
@@ -1007,14 +943,13 @@ impl Crossbar {
         &self,
         int: &IntState,
         grid: &DacGrid,
-        words: &[i32],
         x: &[i16],
         stride: usize,
-        w: usize,
+        lanes: usize,
         acc: &mut [i32],
         dst: &mut [f32],
     ) {
-        self.int_cols_body(int, grid, words, x, stride, w, acc, dst);
+        self.int_cols_body(int, grid, x, stride, lanes, acc, dst);
     }
 
     /// The body of [`Crossbar::int_cols`], inlined into both builds.
@@ -1024,25 +959,25 @@ impl Crossbar {
         &self,
         int: &IntState,
         grid: &DacGrid,
-        words: &[i32],
         x: &[i16],
         stride: usize,
-        w: usize,
+        lanes: usize,
         acc: &mut [i32],
         dst: &mut [f32],
     ) {
+        let (rows, cols) = (self.rows, self.cols);
+        let w = dst.len() / cols.max(1);
         if w == 0 {
             return;
         }
-        let (rows, cols, cp) = (self.rows, self.cols, int.cols_padded);
         INT_ROWBLOCKS.add((rows.div_ceil(ROW_BLOCK) * w) as u64);
         let step_x = f64::from(grid.step);
         let lo = f64::from(grid.lo);
         let sw = f64::from(int.step_w);
         // Word lines [r0, r1) of the tile; r0 is even, so pair q0 = r0/2.
         let block = |r0: usize, r1: usize, acc: &mut [i32]| {
-            let words = &words[r0 / 2 * cols..r1.div_ceil(2) * cols];
-            intacc::accumulate_col_pairs(&x[r0 * stride..], stride, w, words, cols, acc);
+            let words = &int.words[r0 / 2 * cols..r1.div_ceil(2) * cols];
+            intacc::accumulate_col_pairs(&x[r0 * stride..], stride, lanes, words, cols, acc);
         };
         match &int.drop {
             None => {
@@ -1050,10 +985,10 @@ impl Crossbar {
                 for r0 in (0..rows).step_by(ROW_BLOCK) {
                     block(r0, (r0 + ROW_BLOCK).min(rows), acc);
                 }
-                let lines = dst.chunks_exact_mut(w).zip(acc.chunks_exact(w));
+                let lines = dst.chunks_exact_mut(w).zip(acc.chunks_exact(lanes));
                 for ((d, a), &sum) in lines.zip(&int.colsums) {
                     let (offset, bias) = (grid.center * sum, lo * f64::from(sum));
-                    for (d, &a) in d.iter_mut().zip(a) {
+                    for (d, &a) in d.iter_mut().zip(&a[..w]) {
                         *d = ((step_x * f64::from(a + offset) + bias) * sw) as f32;
                     }
                 }
@@ -1065,14 +1000,14 @@ impl Crossbar {
                 for (blk, r0) in (0..rows).step_by(ROW_BLOCK).enumerate() {
                     acc.fill(0);
                     block(r0, (r0 + ROW_BLOCK).min(rows), acc);
-                    let sums = &int.block_colsums[blk * cp..blk * cp + cols];
-                    let factors = &drop[blk * cp..blk * cp + cols];
+                    let sums = &int.block_colsums[blk * cols..][..cols];
+                    let factors = &drop[blk * cols..][..cols];
                     for (((d, a), &sum), &factor) in
-                        dst.chunks_exact_mut(w).zip(acc.chunks_exact(w)).zip(sums).zip(factors)
+                        dst.chunks_exact_mut(w).zip(acc.chunks_exact(lanes)).zip(sums).zip(factors)
                     {
                         let (offset, bias) = (grid.center * sum, lo * f64::from(sum));
                         let factor = f64::from(factor);
-                        for (d, &a) in d.iter_mut().zip(a) {
+                        for (d, &a) in d.iter_mut().zip(&a[..w]) {
                             *d += (factor * ((step_x * f64::from(a + offset) + bias) * sw)) as f32;
                         }
                     }
@@ -1233,110 +1168,160 @@ impl Crossbar {
     }
 }
 
-/// Computes output rows `[b0, b1)` of the integer-domain product into
-/// `out` (`(b1-b0) × cols`, caller-sliced). Row blocks accumulate in i32
-/// via [`intacc::accumulate_rows`]; the DAC voltage affine
-/// (`v = lo + idx·step`) and the weight-code scale `step_w` apply once per
-/// block boundary in f64, against the cached column sums.
-#[allow(clippy::too_many_arguments)]
-fn int_rows(
-    int: &IntState,
-    grid: &DacGrid,
-    codes: &[i32],
-    b0: usize,
-    b1: usize,
-    stride: usize,
-    offset: usize,
-    rows: usize,
-    cols: usize,
-    out: &mut [f32],
-) {
-    let cp = int.cols_padded;
-    let n_blocks = rows.div_ceil(ROW_BLOCK);
-    let step_x = f64::from(grid.step);
-    let lo = f64::from(grid.lo);
-    let sw = f64::from(int.step_w);
-    // Affine DAC→weight fold shared by the blocked and per-row paths.
-    let fold = |acc: &[i32], dst: &mut [f32]| {
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = ((step_x * f64::from(acc[j]) + lo * f64::from(int.colsums[j])) * sw) as f32;
-        }
-    };
-    let mut next = b0;
-    if int.drop.is_none() {
-        // Blocked main loop: four batch rows per sweep, so each widened
-        // weight-code load feeds four multiply-adds. Integer addition is
-        // exact, so this is bit-identical to the per-row remainder loop
-        // below at any batch size or thread split.
-        let mut acc4 = vec![0i32; 4 * cp];
-        while next + 4 <= b1 {
-            acc4.fill(0);
-            let x = |k: usize| {
-                &codes[(next + k) * stride + offset..(next + k) * stride + offset + rows]
-            };
-            for blk in 0..n_blocks {
-                let r0 = blk * ROW_BLOCK;
-                let r1 = (r0 + ROW_BLOCK).min(rows);
-                intacc::accumulate_rows_x4(
-                    [&x(0)[r0..r1], &x(1)[r0..r1], &x(2)[r0..r1], &x(3)[r0..r1]],
-                    &int.codes[r0 * cp..r1 * cp],
-                    cp,
-                    &mut acc4,
-                );
-            }
-            for k in 0..4 {
-                let dst = &mut out[(next - b0 + k) * cols..(next - b0 + k + 1) * cols];
-                fold(&acc4[k * cp..(k + 1) * cp], dst);
-            }
-            next += 4;
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TiledMatrix;
+
+    fn ideal_config() -> CrossbarConfig {
+        CrossbarConfig::ideal()
     }
-    let mut acc = vec![0i32; cp];
-    for b in next..b1 {
-        let x = &codes[b * stride + offset..b * stride + offset + rows];
-        let dst = &mut out[(b - b0) * cols..(b - b0 + 1) * cols];
-        match &int.drop {
-            None => {
-                // One exact i32 accumulate over all word lines, one
-                // affine conversion per bit line.
-                acc.fill(0);
-                for blk in 0..n_blocks {
-                    let r0 = blk * ROW_BLOCK;
-                    let r1 = (r0 + ROW_BLOCK).min(rows);
-                    intacc::accumulate_rows(&x[r0..r1], &int.codes[r0 * cp..r1 * cp], cp, &mut acc);
-                }
-                fold(&acc, dst);
-            }
-            Some(drop) => {
-                // Per-block partial sums so each block's mean IR-drop
-                // factor can scale its contribution before the f32 fold.
-                for d in dst.iter_mut() {
-                    *d = 0.0;
-                }
-                for blk in 0..n_blocks {
-                    let r0 = blk * ROW_BLOCK;
-                    let r1 = (r0 + ROW_BLOCK).min(rows);
-                    acc.fill(0);
-                    intacc::accumulate_rows(&x[r0..r1], &int.codes[r0 * cp..r1 * cp], cp, &mut acc);
-                    let block_sums = &int.block_colsums[blk * cp..(blk + 1) * cp];
-                    let factors = &drop[blk * cp..(blk + 1) * cp];
-                    for (j, d) in dst.iter_mut().enumerate() {
-                        let partial =
-                            (step_x * f64::from(acc[j]) + lo * f64::from(block_sums[j])) * sw;
-                        *d += (f64::from(factors[j]) * partial) as f32;
+
+    /// One tile's integer product as a plain scalar loop, independent of
+    /// the column kernel and its layouts: exact `i32` sums of DAC level
+    /// indices times the tile's codes scanned from its conductance
+    /// planes, the `f64` fold per output, IR drop per 32-row block in
+    /// ascending order, then the ADC. `None` without an integer path or
+    /// for a NaN input.
+    fn reference_product(tile: &Crossbar, input: &Tensor) -> Option<Tensor> {
+        let config = tile.config();
+        if !config.integer_path_capable() {
+            return None;
+        }
+        let grid = tile.dac_grid()?;
+        let (rows, cols, batch) = (tile.rows(), tile.cols(), input.shape()[0]);
+        let levels: Vec<i32> = grid
+            .centered_codes_for(input.as_slice())?
+            .iter()
+            .map(|&c| i32::from(c) + grid.center)
+            .collect();
+        let max_code = (1i32 << config.cell_bits) - 1;
+        let step_g = (config.g_max - config.g_min) / max_code as f32;
+        let inv_step_g = 1.0 / step_g;
+        let codes: Vec<i32> = tile
+            .g_pos
+            .as_slice()
+            .iter()
+            .zip(tile.g_neg.as_slice())
+            .map(|(&p, &n)| (((p - n) * inv_step_g).round() as i32).clamp(-max_code, max_code))
+            .collect();
+        let (step_x, lo) = (f64::from(grid.step), f64::from(grid.lo));
+        let step_w = f64::from(step_g * tile.scale);
+        let drop = tile.int_drop_factors();
+        let mut out = vec![0.0f32; batch * cols];
+        for b in 0..batch {
+            let x = &levels[b * rows..(b + 1) * rows];
+            for j in 0..cols {
+                // The exact sum over word lines [r0, r1) and their codes' sum.
+                let sums = |r0: usize, r1: usize| {
+                    (r0..r1).fold((0i32, 0i32), |(acc, sum), i| {
+                        let k = codes[i * cols + j];
+                        (acc + x[i] * k, sum + k)
+                    })
+                };
+                let fold = |(acc, sum): (i32, i32)| {
+                    (step_x * f64::from(acc) + lo * f64::from(sum)) * step_w
+                };
+                let dst = &mut out[b * cols + j];
+                match &drop {
+                    None => *dst = fold(sums(0, rows)) as f32,
+                    Some(factors) => {
+                        *dst = 0.0;
+                        for (blk, r0) in (0..rows).step_by(ROW_BLOCK).enumerate() {
+                            let partial = fold(sums(r0, (r0 + ROW_BLOCK).min(rows)));
+                            *dst += (f64::from(factors[blk * cols + j]) * partial) as f32;
+                        }
                     }
                 }
             }
         }
+        tile.adc_quantize(&mut out);
+        Some(Tensor::from_vec(out, &[batch, cols]).unwrap())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// [`reference_product`] over a tile grid: each tile on its word
+    /// lines' inputs, partial sums added across row blocks in ascending
+    /// order, the first row block assigning.
+    fn tiled_reference(tiled: &TiledMatrix, input: &Tensor) -> Tensor {
+        let ((m, n), batch) = (tiled.shape(), input.shape()[0]);
+        let grid_cols = tiled.tile_grid().1;
+        let (row_extent, col_extent) = (tiled.tiles()[0].rows(), tiled.tiles()[0].cols());
+        let mut out = vec![0.0f32; batch * n];
+        for (k, tile) in tiled.tiles().iter().enumerate() {
+            let (br, bc) = (k / grid_cols, k % grid_cols);
+            let segment: Vec<f32> = (0..batch)
+                .flat_map(|b| input.as_slice()[b * m + br * row_extent..][..tile.rows()].to_vec())
+                .collect();
+            let segment = Tensor::from_vec(segment, &[batch, tile.rows()]).unwrap();
+            let partial = reference_product(tile, &segment).expect("an integer-path tile");
+            for b in 0..batch {
+                for j in 0..tile.cols() {
+                    let p = partial.as_slice()[b * tile.cols() + j];
+                    let o = &mut out[b * n + bc * col_extent + j];
+                    *o = if br == 0 { p } else { *o + p };
+                }
+            }
+        }
+        Tensor::from_vec(out, &[batch, n]).unwrap()
+    }
 
-    fn ideal_config() -> CrossbarConfig {
-        CrossbarConfig::ideal()
+    fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn integer_products_match_the_scalar_reference_bit_for_bit() {
+        // A 101 × 12 matrix on 96 × 8 and on 97 × 8 tiles (2 × 2 grids
+        // whose row blocks hold odd word-line counts and up to four
+        // 32-row blocks), and alone on one 128 × 16 tile, with the 8-bit
+        // ADC and without one (whose outputs show every bit of the fold).
+        // Pristine tiles read their program-time codes; IR drop and aging
+        // (drift plus stuck cells) make them rescan the planes. Batches
+        // straddle every 16-lane boundary, and 600 rows split across the
+        // pool when more than one thread is configured.
+        let mut rng = SeededRng::new(50);
+        for (tile_rows, adc_bits) in [(96usize, 8u32), (97, 8), (96, 0), (97, 0)] {
+            let base = CrossbarConfig { adc_bits, ..CrossbarConfig::default() };
+            let single = CrossbarConfig { rows: 128, cols: 16, ..base };
+            let config = CrossbarConfig { rows: tile_rows, cols: 8, ..base };
+            for (ir_drop, aged) in [(false, false), (true, false), (false, true), (true, true)] {
+                let w = Tensor::randn(&[101, 12], &mut rng).map(|v| v * 0.3);
+                let mut tiled = TiledMatrix::program(&w, &config, &mut rng);
+                let mut tile = Crossbar::program(&w, &single, &mut rng);
+                assert_eq!(tiled.tile_grid(), (2, 2));
+                if ir_drop {
+                    tiled.apply_ir_drop(&IrDropModel::new(0.05));
+                    tile.apply_ir_drop(&IrDropModel::new(0.05));
+                }
+                if aged {
+                    tiled.drift(0.3, 1.0, &mut rng);
+                    tiled.inject_stuck_cells(CellFault::StuckLow, 0.05, &mut rng);
+                    tiled.inject_stuck_cells(CellFault::StuckHigh, 0.02, &mut rng);
+                    tile.drift(0.3, 1.0, &mut rng);
+                    tile.inject_stuck_cells(CellFault::StuckLow, 0.05, &mut rng);
+                    tile.inject_stuck_cells(CellFault::StuckHigh, 0.02, &mut rng);
+                }
+                assert_eq!(tile.int_seed.is_some(), !ir_drop && !aged);
+                for batch in [1usize, 2, 3, 15, 16, 17, 33, 600] {
+                    let mut x = Tensor::randn(&[batch, 101], &mut rng).map(|v| v * 0.6);
+                    // ±∞ clamp to the DAC rails and stay on the integer path.
+                    x.as_mut_slice()[0] = f32::INFINITY;
+                    x.as_mut_slice()[batch * 101 - 1] = f32::NEG_INFINITY;
+                    let what = format!(
+                        "{tile_rows}-row tiles adc={adc_bits} ir={ir_drop} aged={aged} batch {batch}"
+                    );
+                    let want = reference_product(&tile, &x).expect("integer path");
+                    assert_bits_eq(&tile.matmul(&x), &want, &format!("{what}: one tile"));
+                    let want = tiled_reference(&tiled, &x);
+                    assert_bits_eq(&tiled.matmul(&x), &want, &format!("{what}: grid"));
+                    let cols = tiled.matmul_cols(&x.transpose());
+                    assert_bits_eq(&cols, &want.transpose(), &format!("{what}: grid, columns"));
+                }
+            }
+        }
     }
 
     #[test]

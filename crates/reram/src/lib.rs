@@ -11,9 +11,10 @@
 //!   lines, ADC output quantization, plus device-fault injection
 //!   (stuck-at cells, lognormal write noise, drift).
 //! * [`TiledMatrix`] — an arbitrary weight matrix partitioned over tiles,
-//!   with crossbar-backed products in two layouts: batch-major `matmul`
-//!   (one row per input) and column-layout `matmul_cols` (one column per
-//!   input, the layout of a convolution's patch matrix). Every
+//!   with crossbar-backed products in two layouts: `matmul` (one row per
+//!   input) and column-layout `matmul_cols` (one column per input, the
+//!   layout of a convolution's patch matrix), which run one integer
+//!   kernel on integer-capable configs. Every
 //!   conductance mutator (drift, stuck cells, parity, IR drop) is written
 //!   once, here.
 //! * [`SlicedMatrix`] — the crossbar state of one mapped weight: a list of

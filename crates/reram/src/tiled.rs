@@ -157,10 +157,14 @@ impl TiledMatrix {
     /// `[batch, m]`, returning `[batch, n]`.
     ///
     /// One product per tile against its cached conductance state — not
-    /// `batch` single-row sweeps. Partial bit-line sums accumulate across
-    /// row blocks in ascending grid order, the same per-element order a
-    /// single-row product uses, so a one-row batch returns bit for bit
-    /// that row of any larger batch.
+    /// `batch` single-row sweeps. On the integer path the whole batch is
+    /// quantized once and runs [`TiledMatrix::matmul_cols`]'s kernel on
+    /// its codes transposed to `[m + 1, batch]`, the batch padded to whole
+    /// vector blocks whose padding is never folded, ADC-quantized or
+    /// counted. Partial bit-line sums accumulate across row blocks in
+    /// ascending grid order, the same per-element order a single-row
+    /// product uses, so a one-row batch returns bit for bit that row of
+    /// any larger batch.
     ///
     /// # Panics
     ///
@@ -199,11 +203,20 @@ impl TiledMatrix {
         let batch = input.shape()[0];
         // Integer fast path: when every tile shares one DAC grid and has
         // integer state, the whole input quantizes to DAC codes ONCE and
-        // each row-block tile reads its code segment in place — no
-        // per-(row, column)-block segment copies, no per-tile re-quantization.
+        // every tile reads its word lines' rows of the transposed codes in
+        // place. A NaN input instead goes tile by tile below, so tiles
+        // whose word lines saw no NaN still take the integer path.
         if let Some((grid, ints)) = self.int_states(execs) {
-            if let Some(out) = self.int_matmul(&grid, &ints, input, batch) {
-                return out;
+            let t_dac = tel::enabled().then(Instant::now);
+            if let Some((codes, lanes)) = grid.dense_codes_for(input.as_slice(), batch, self.rows)
+            {
+                if let Some(t0) = t_dac {
+                    PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+                }
+                if tel::enabled() {
+                    self.tiles[0].record_dac(input.as_slice());
+                }
+                return self.int_matmul_cols(&grid, &ints, &codes, lanes, batch).transpose();
             }
         }
         let x = input.as_slice();
@@ -250,68 +263,6 @@ impl TiledMatrix {
         out
     }
 
-    /// Integer fast path for [`TiledMatrix::matmul`]: quantizes the whole
-    /// input to DAC codes once and hands every tile its code segment in
-    /// place (`stride = m`, `offset = r0`), skipping the per-tile `f32`
-    /// segment gather and re-quantization of the reference path. Returns
-    /// `None` — caller falls back to the reference path — when the input
-    /// contains NaN. Accumulation across row blocks runs in the same
-    /// ascending grid order as the reference path, and each tile's
-    /// integer accumulation is order-fixed, so results are bit-identical
-    /// at any thread count and batch size.
-    fn int_matmul(
-        &self,
-        grid: &DacGrid,
-        ints: &[&IntState],
-        input: &Tensor,
-        batch: usize,
-    ) -> Option<Tensor> {
-        let t_dac = tel::enabled().then(Instant::now);
-        let codes = grid.codes_for(input.as_slice())?;
-        if let Some(t0) = t_dac {
-            PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
-        if tel::enabled() {
-            self.tiles[0].record_dac(input.as_slice());
-        }
-        // ADC scaling is fused into each tile's integer kernel, so its time
-        // lands in the accumulate phase (as in `Crossbar::matmul`).
-        let t_acc = tel::enabled().then(Instant::now);
-        let row_extent = self.tiles[0].rows();
-        let col_extent = self.tiles[0].cols();
-        let mut out = Tensor::zeros(&[batch, self.cols]);
-        for br in 0..self.tile_rows {
-            let r0 = br * row_extent;
-            for bc in 0..self.tile_cols {
-                let k = br * self.tile_cols + bc;
-                let tile = &self.tiles[k];
-                let c0 = bc * col_extent;
-                let partial = tile.int_matmul(ints[k], grid, &codes, batch, self.rows, r0);
-                let p = partial.as_slice();
-                let o = out.as_mut_slice();
-                // Same first-row-block-assigns structure as the reference
-                // path (preserves negative-zero partial sums).
-                if br == 0 {
-                    for b in 0..batch {
-                        for j in 0..tile.cols() {
-                            o[b * self.cols + c0 + j] = p[b * tile.cols() + j];
-                        }
-                    }
-                } else {
-                    for b in 0..batch {
-                        for j in 0..tile.cols() {
-                            o[b * self.cols + c0 + j] += p[b * tile.cols() + j];
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(t0) = t_acc {
-            PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
-        Some(out)
-    }
-
     /// Column-layout crossbar product `Wᵀ·C` for a matrix `C` of shape
     /// `[m, patches]` whose columns are the inputs, returning
     /// `[n, patches]` — a convolution's `W·col(x)` with `Wᵀ` programmed on
@@ -347,32 +298,36 @@ impl TiledMatrix {
                 if tel::enabled() {
                     self.tiles[0].record_dac(c.as_slice());
                 }
-                return self.int_matmul_cols(&grid, &ints, &codes, c.shape()[1]);
+                return self.int_matmul_cols(&grid, &ints, &codes, c.shape()[1], c.shape()[1]);
             }
         }
         self.matmul_in(execs, &c.transpose()).transpose()
     }
 
     /// The integer column-layout product over centered DAC codes (see
-    /// `DacGrid::centered_codes_for`) laid out `[m + 1, patches]`, the
-    /// last row a spare for an odd last word line to pair with:
-    /// [`Crossbar::int_cols`] on every tile per sweep of patches, partial
-    /// sums across row blocks added in ascending grid order, the first
-    /// row block assigning (as in [`TiledMatrix::matmul`]). Above the
-    /// integer-path threshold the patches split across the pool; every
-    /// output is computed whole by one thread in a fixed order, so
-    /// results are bit-identical at any thread count.
+    /// `DacGrid::centered_codes_for`) laid out `[m + 1, stride]`, the last
+    /// row a spare for an odd last word line to pair with, of which the
+    /// first `patches` columns are outputs: [`Crossbar::int_cols`] on
+    /// every tile per sweep of patches, partial sums across row blocks
+    /// added in ascending grid order, the first row block assigning (as
+    /// in [`TiledMatrix::matmul`]). The kernel also runs the columns past
+    /// `patches`, up to whole 16-lane blocks, where the rows have room; it
+    /// never folds them. Above the integer-path threshold the patches
+    /// split across the pool; every output is computed whole by one thread
+    /// in a fixed order, so results are bit-identical at any thread count.
     pub(crate) fn int_matmul_cols(
         &self,
         grid: &DacGrid,
         ints: &[&IntState],
         codes: &[i16],
+        stride: usize,
         patches: usize,
     ) -> Tensor {
-        assert_eq!(codes.len(), (self.rows + 1) * patches, "column codes shape mismatch");
+        assert!(
+            patches <= stride && codes.len() == (self.rows + 1) * stride,
+            "column codes shape mismatch"
+        );
         let t_acc = tel::enabled().then(Instant::now);
-        let words: Vec<Vec<i32>> =
-            self.tiles.iter().zip(ints).map(|(tile, int)| tile.col_pair_words(int)).collect();
         let n = self.cols;
         let threads = if patches * self.rows * n < INT_PAR_THRESHOLD {
             1
@@ -381,14 +336,14 @@ impl TiledMatrix {
         };
         let mut out = vec![0.0f32; n * patches];
         if threads <= 1 {
-            self.cols_range(grid, ints, &words, codes, patches, 0, &mut out);
+            self.cols_range(grid, ints, codes, stride, 0, &mut out);
         } else {
             // Part k holds the `[n, width]` outputs of patches
             // `[k·per, k·per + width)`; the parts are then laid side by side.
             let per = patches.div_ceil(threads).next_multiple_of(16);
             let mut parts = vec![0.0f32; n * patches];
             pool::run_chunks(&mut parts, n * per, |k, part| {
-                self.cols_range(grid, ints, &words, codes, patches, k * per, part);
+                self.cols_range(grid, ints, codes, stride, k * per, part);
             });
             for (k, part) in parts.chunks(n * per).enumerate() {
                 let width = part.len() / n;
@@ -405,12 +360,10 @@ impl TiledMatrix {
 
     /// Outputs of patches `[p0, p0 + width)` into `out` (`[n, width]`),
     /// from codes whose rows are `stride` patches long.
-    #[allow(clippy::too_many_arguments)]
     fn cols_range(
         &self,
         grid: &DacGrid,
         ints: &[&IntState],
-        words: &[Vec<i32>],
         codes: &[i16],
         stride: usize,
         p0: usize,
@@ -419,17 +372,19 @@ impl TiledMatrix {
         let width = out.len() / self.cols;
         let row_extent = self.tiles[0].rows();
         let col_extent = self.tiles[0].cols();
-        let sweep = COL_CHUNK.min(width);
-        let mut acc = vec![0i32; col_extent * sweep];
-        let mut tile_out = vec![0.0f32; col_extent * sweep];
+        let most = COL_CHUNK.min(width).next_multiple_of(16);
+        let mut acc = vec![0i32; col_extent * most];
+        let mut tile_out = vec![0.0f32; col_extent * most];
         for c0 in (0..width).step_by(COL_CHUNK) {
             let w = COL_CHUNK.min(width - c0);
+            // Whole 16-lane blocks where the code rows have room.
+            let lanes = w.next_multiple_of(16).min(stride - p0 - c0);
             for (k, tile) in self.tiles.iter().enumerate() {
                 let (br, bc) = (k / self.tile_cols, k % self.tile_cols);
-                let len = tile.cols() * w;
                 let x = &codes[br * row_extent * stride + p0 + c0..];
-                let (acc, tile_out) = (&mut acc[..len], &mut tile_out[..len]);
-                tile.int_cols(ints[k], grid, &words[k], x, stride, w, acc, tile_out);
+                let acc = &mut acc[..tile.cols() * lanes];
+                let tile_out = &mut tile_out[..tile.cols() * w];
+                tile.int_cols(ints[k], grid, x, stride, lanes, acc, tile_out);
                 for (j, part) in tile_out.chunks_exact(w).enumerate() {
                     let o = &mut out[(bc * col_extent + j) * width + c0..][..w];
                     if br == 0 {

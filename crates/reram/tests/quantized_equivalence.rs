@@ -6,14 +6,15 @@
 //! (`dac_bits == 0 && adc_bits == 0`, where the `f32` path runs by
 //! construction) and within one quantization step otherwise.
 //!
-//! The column-layout kernel a convolution runs on (lanes over patches,
-//! the input pixels quantized once and their codes unfolded) must equal
-//! the batch-major product over the transposed patch matrix bit for bit.
+//! A convolution's route to the integer kernel (the input pixels quantized
+//! once and their codes unfolded) must equal the product over the
+//! transposed patch matrix bit for bit. The kernel itself is pinned to a
+//! plain scalar loop by the crate's `crossbar` unit tests.
 //!
-//! `scripts/ci.sh` runs this suite at `HEALTHMON_THREADS=1`, `2` and `7`;
-//! every assertion here is thread-count invariant, and the batched and
-//! convolution tests drive enough work through the tiles to engage the
-//! threaded integer kernels.
+//! `scripts/ci.sh` runs this crate's tests at `HEALTHMON_THREADS=1`, `2`
+//! and `7`; every assertion here is thread-count invariant, and the
+//! batched and convolution tests drive enough work through the tiles to
+//! engage the threaded integer kernel.
 
 use healthmon_nn::models::tiny_mlp;
 use healthmon_nn::{InferenceBackend, PatchMap};
@@ -152,17 +153,17 @@ fn backends_agree_with_digital_within_quantization_tolerance() {
 
 #[test]
 fn batched_integer_path_bit_identical_to_per_row() {
-    // A batch large enough to engage the threaded integer kernel inside
-    // each tile (batch · rows · cols > the parallel threshold) must still
-    // be bit-identical to one-row-at-a-time execution, at any
+    // A batch large enough to split across the pool (batch · m · n above
+    // the parallel threshold, and more than one 256-column sweep) must
+    // still be bit-identical to one-row-at-a-time execution, at any
     // HEALTHMON_THREADS setting.
     let mut rng = SeededRng::new(14);
     let w = Tensor::randn(&[260, 140], &mut rng);
     let tiled = TiledMatrix::program(&w, &CrossbarConfig::default(), &mut rng);
     assert_eq!(tiled.tile_grid(), (3, 2));
-    let x = Tensor::randn(&[40, 260], &mut rng).map(|v| v.clamp(-1.0, 1.0));
+    let x = Tensor::randn(&[300, 260], &mut rng).map(|v| v.clamp(-1.0, 1.0));
     let batch = tiled.matmul(&x);
-    for b in 0..40 {
+    for b in 0..300 {
         let single = tiled.matmul(&x.row(b).reshape(&[1, 260]).unwrap());
         assert_eq!(batch.row(b).reshape(&[1, 140]).unwrap(), single, "batch row {b}");
     }

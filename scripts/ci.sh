@@ -23,23 +23,24 @@ echo "== offline tests =="
 cargo test -q --offline --workspace
 
 echo "== kernel equivalence (HEALTHMON_THREADS=1/2/7) =="
-# The i32 crossbar fast path must match the f32 reference semantics —
-# bitwise with converters off, within one quantization step otherwise —
-# the column-layout crossbar kernel a conv layer runs on (pixels
-# quantized once, codes unfolded, lanes over patches, fold and ADC
-# fused) must match the batch-major product over the transposed patch
-# matrix bit for bit, the f32 GEMM must match the naive loop bit for bit,
-# and the conv layer's segment unfold/fold must match the per-element
-# loops bit for bit through forward and backward, which run the pooled
-# GEMM, at every thread count. A divergence here fails CI before any
-# benchmark of these fast paths is taken seriously.
+# The one integer crossbar kernel (lanes over a conv layer's patches or a
+# dense layer's padded batch, fold and ADC fused) must match a plain
+# scalar loop of the tile's integer product bit for bit, on one tile,
+# on tile grids and in the column layout, and the f32 reference
+# semantics — bitwise with converters off, within one quantization step
+# otherwise; the conv hook (pixels quantized once, codes unfolded) must
+# match the product over the unfolded patches bit for bit; the f32 GEMM
+# must match the naive loop bit for bit; and the conv layer's segment
+# unfold/fold must match the per-element loops bit for bit through
+# forward and backward, which run the pooled GEMM, at every thread count.
+# A divergence here fails CI before any benchmark of these fast paths is
+# taken seriously.
 for t in 1 2 7; do
-    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-reram \
-        --test quantized_equivalence > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-reram > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-tensor > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-nn > /dev/null
 done
-echo "ok: integer paths (batch-major and column), f32 GEMM and conv unfold/fold equivalent to their references"
+echo "ok: integer crossbar kernel, f32 GEMM and conv unfold/fold equivalent to their references"
 echo "    under HEALTHMON_THREADS=1/2/7"
 
 echo "== offline clippy (warnings are errors) =="

@@ -17,6 +17,9 @@
 //! 5. **Honest cache counters** — each tile use records one DAC-cache
 //!    lookup: a miss when the tile's integer state is built, a hit when
 //!    it is reused.
+//! 6. **Padding is never counted** — a dense product pads its batch to
+//!    whole vector blocks, and the ADC and row-block counters still see
+//!    the real batch alone.
 
 use healthmon::{
     AgingModel, AnalogBackend, BackendSpec, CrossbarConfig, Detector, LifetimeConfig,
@@ -278,8 +281,8 @@ fn dac_cache_counts_one_lookup_per_tile_use() {
         assert_eq!(traffic(&twice), (1, 1), "{what}: read again, one hit");
     }
 
-    // A 2×2 tile grid: each product looks every tile up once, on the
-    // batch-major and the column-layout path alike.
+    // A 2×2 tile grid: each product looks every tile up once, through
+    // the dense and the column-layout entry alike.
     let config = CrossbarConfig { rows: 32, cols: 8, ..CrossbarConfig::default() };
     let w = Tensor::randn(&[40, 12], &mut rng);
     let tiled = TiledMatrix::program(&w, &config, &mut rng);
@@ -287,11 +290,11 @@ fn dac_cache_counts_one_lookup_per_tile_use() {
     tel::reset();
     tel::set_enabled(true);
     tiled.matmul(&Tensor::rand_uniform(&[2, 40], -1.0, 1.0, &mut rng));
-    let batch_major = tel::snapshot();
+    let dense = tel::snapshot();
     tiled.matmul_cols(&Tensor::rand_uniform(&[40, 50], -1.0, 1.0, &mut rng));
     let column = tel::snapshot();
     tel::set_enabled(false);
-    assert_eq!(traffic(&batch_major), (0, 4));
+    assert_eq!(traffic(&dense), (0, 4));
     assert_eq!(traffic(&column), (4, 4));
 
     // A conv call on a two-slice bit-sliced matrix: one DAC pass over the
@@ -308,4 +311,26 @@ fn dac_cache_counts_one_lookup_per_tile_use() {
     tel::set_enabled(false);
     assert_eq!(traffic(&conv), (0, 8));
     assert_eq!(counter(&conv, "reram.dac.samples"), x.len() as u64, "one DAC sample per pixel");
+}
+
+#[test]
+fn dense_padding_lanes_are_never_counted() {
+    let _guard = exclusive();
+    // A 70 × 12 matrix on 64 × 8 tiles: a 2×2 grid of 64 × 8, 64 × 4,
+    // 6 × 8 and 6 × 4 tiles, with two, two, one and one 32-row blocks. A
+    // batch of 3 runs the kernel over 16 lanes; the counters must see 3
+    // samples per bit line and 3 per row block of every tile.
+    let mut rng = SeededRng::new(45);
+    let config = CrossbarConfig { rows: 64, cols: 8, ..CrossbarConfig::default() };
+    let tiled = TiledMatrix::program(&Tensor::randn(&[70, 12], &mut rng), &config, &mut rng);
+    assert_eq!(tiled.tile_grid(), (2, 2));
+    let x = Tensor::rand_uniform(&[3, 70], -1.0, 1.0, &mut rng);
+    tel::reset();
+    tel::set_enabled(true);
+    tiled.matmul(&x);
+    let dense = tel::snapshot();
+    tel::set_enabled(false);
+    assert_eq!(counter(&dense, "reram.adc.samples"), 3 * (8 + 4 + 8 + 4));
+    assert_eq!(counter(&dense, "reram.int8.rowblocks"), 3 * (2 + 2 + 1 + 1));
+    assert_eq!(counter(&dense, "reram.dac.samples"), 3 * 70);
 }
