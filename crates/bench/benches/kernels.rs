@@ -1,15 +1,20 @@
 //! Micro-benchmarks for the numeric kernels underlying every experiment:
 //! matmul, whole conv layers, crossbar products vs ideal, crossbar conv
-//! and dense layers, forward/backward passes.
+//! and dense layers, forward/backward passes, and the repair path's
+//! diagnosis and drift.
 //!
 //! Runs on the in-tree [`healthmon_bench::timing`] harness
 //! (`cargo bench --bench kernels`).
 
+use healthmon::{diagnose, Detector, TestPatternSet};
 use healthmon_bench::timing::TimingHarness;
+use healthmon_faults::FaultModel;
 use healthmon_nn::layers::{Conv2d, Layer};
-use healthmon_nn::models::lenet5;
-use healthmon_nn::{DigitalEngine, PatchMap};
-use healthmon_reram::{CellFault, Crossbar, CrossbarConfig, SlicedMatrix, TiledMatrix};
+use healthmon_nn::models::{lenet5, resnet8};
+use healthmon_nn::{DigitalEngine, Network, PatchMap};
+use healthmon_reram::{
+    AnalogBackend, BackendSpec, CellFault, Crossbar, CrossbarConfig, SlicedMatrix, TiledMatrix,
+};
 use healthmon_tensor::{SeededRng, Tensor};
 use std::hint::black_box;
 
@@ -170,6 +175,42 @@ fn bench_model_passes() {
     });
 }
 
+/// A detector over 10 random patterns shaped for `net`.
+fn detector_for(net: &Network, rng: &mut SeededRng) -> Detector {
+    let mut shape = vec![10];
+    shape.extend_from_slice(net.input_shape());
+    let images = Tensor::rand_uniform(&shape, 0.0, 1.0, rng);
+    Detector::new(net, TestPatternSet::new("bench", images))
+}
+
+/// The repair path at the checkup's 10 patterns: one diagnosis of an aged
+/// device (a digital lenet5 with drifted weights and stuck-at-zero cells,
+/// an analog default-config resnet8 aged like `aged_matrix`), and one
+/// epoch of weight drift on a lenet5 that keeps aging.
+fn bench_repair() {
+    let mut group = TimingHarness::new("repair");
+    let mut rng = SeededRng::new(7);
+    let drift = FaultModel::Drift { nu: 0.02, time: 1.0 };
+
+    let golden = lenet5(&mut rng);
+    let detector = detector_for(&golden, &mut rng);
+    let mut device = golden.clone();
+    drift.apply(&mut device, &mut rng);
+    FaultModel::StuckAt { sa0: 0.001, sa1: 0.0 }.apply(&mut device, &mut rng);
+    group.case("diagnose/lenet5_digital", || black_box(diagnose(&detector, &golden, &device)));
+
+    let golden = resnet8(&mut rng);
+    let detector = detector_for(&golden, &mut rng);
+    let spec = BackendSpec::analog(CrossbarConfig::default());
+    let mut device = AnalogBackend::program(&golden, &spec, &mut rng);
+    device.drift(0.02, 1.0, &mut rng);
+    device.inject_stuck_cells(CellFault::StuckLow, 0.001, &mut rng);
+    group.case("diagnose/resnet8_analog", || black_box(diagnose(&detector, &golden, &device)));
+
+    let mut aging = lenet5(&mut rng);
+    group.case("faults/drift_lenet5", || drift.apply(&mut aging, &mut rng));
+}
+
 fn main() {
     bench_matmul();
     bench_conv_layers();
@@ -177,5 +218,6 @@ fn main() {
     bench_crossbar_conv();
     bench_crossbar_dense();
     bench_model_passes();
+    bench_repair();
     healthmon_bench::timing::write_json_report();
 }

@@ -116,7 +116,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         "flight" => cmd_flight(&args),
         "models" => cmd_models(&args),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown subcommand `{other}`")),
@@ -228,7 +228,7 @@ fn telemetry_finish(metrics: Option<&str>) -> Result<(), String> {
         std::fs::write(path, tel::render_jsonl(&snapshot))
             .map_err(|e| format!("writing `{path}`: {e}"))?;
     }
-    eprint!("{}", tel::render_report(&snapshot));
+    err!("{}", tel::render_report(&snapshot));
     Ok(())
 }
 
@@ -280,7 +280,7 @@ fn cmd_train(args: &ParsedArgs) -> Result<ExitCode, String> {
         Some((&split.test.images, &split.test.labels)),
     );
     net.save_weights(out).map_err(|e| format!("writing `{out}`: {e}"))?;
-    println!(
+    outln!(
         "trained {arch}: test accuracy {:.2}%, saved to {out}",
         report.test_accuracy.expect("test set provided") * 100.0
     );
@@ -298,7 +298,7 @@ fn cmd_inject(args: &ParsedArgs) -> Result<ExitCode, String> {
     let net = load_model(arch, model, seed)?;
     let faulty = FaultCampaign::new(&net, seed).model(&fault, 0);
     faulty.save_weights(out).map_err(|e| format!("writing `{out}`: {e}"))?;
-    println!("injected {} into {model}, saved to {out}", fault.describe());
+    outln!("injected {} into {model}, saved to {out}", fault.describe());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -325,7 +325,7 @@ fn cmd_generate(args: &ParsedArgs) -> Result<ExitCode, String> {
             let (set, outcomes) = OtpGenerator::new()
                 .per_class(per_class)
                 .generate(&net, &reference, &mut rng);
-            eprintln!(
+            errln!(
                 "O-TP: {}/{} patterns fully converged",
                 outcomes.iter().filter(|o| o.converged).count(),
                 outcomes.len()
@@ -336,7 +336,7 @@ fn cmd_generate(args: &ParsedArgs) -> Result<ExitCode, String> {
     };
     let json = healthmon_serdes::to_string(set.images());
     std::fs::write(out, json).map_err(|e| format!("writing `{out}`: {e}"))?;
-    println!("generated {} {} patterns, saved to {out}", set.len(), set.method());
+    outln!("generated {} {} patterns, saved to {out}", set.len(), set.method());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -359,19 +359,19 @@ fn cmd_check(args: &ParsedArgs) -> Result<ExitCode, String> {
     let mut backend_rng = SeededRng::new(seed).fork(1);
     let backend = spec.instantiate(&device, &mut backend_rng);
     if spec.kind != BackendKind::Digital {
-        println!("backend: {}", spec.kind.label());
+        outln!("backend: {}", spec.kind.label());
     }
     let distance = detector.confidence_distance(&backend);
     let faulty = detector.is_faulty(&backend, SdcCriterion::SdcA { threshold });
-    println!(
+    outln!(
         "confidence distance: all-class {:.4}, top-ranked {:.4} (threshold {threshold})",
         distance.all_classes, distance.top_ranked
     );
     let code = if faulty {
-        println!("verdict: FAULTY");
+        outln!("verdict: FAULTY");
         ExitCode::from(2)
     } else {
-        println!("verdict: healthy");
+        outln!("verdict: healthy");
         ExitCode::SUCCESS
     };
     telemetry_finish(metrics.as_deref())?;
@@ -412,11 +412,11 @@ fn cmd_campaign(args: &ParsedArgs) -> Result<ExitCode, String> {
         SdcCriterion::SdcT { threshold },
     ];
     let rates = detector.detection_rates_with(&golden, &fault, count, seed, &criteria, &spec);
-    println!("backend: {}", spec.kind.label());
-    println!("fault: {}", fault.describe());
-    println!("campaign: {count} faulty models, {} patterns", detector.patterns().len());
-    println!("detection rate SDC-A (threshold {threshold}): {:.4}", rates[0]);
-    println!("detection rate SDC-T (threshold {threshold}): {:.4}", rates[1]);
+    outln!("backend: {}", spec.kind.label());
+    outln!("fault: {}", fault.describe());
+    outln!("campaign: {count} faulty models, {} patterns", detector.patterns().len());
+    outln!("detection rate SDC-A (threshold {threshold}): {:.4}", rates[0]);
+    outln!("detection rate SDC-T (threshold {threshold}): {:.4}", rates[1]);
     telemetry_finish(metrics.as_deref())?;
     Ok(ExitCode::SUCCESS)
 }
@@ -509,13 +509,13 @@ fn cmd_campaign_mitigation(args: &ParsedArgs) -> Result<ExitCode, String> {
         },
     };
     let report = run_mitigation(&plain, &hardened, &patterns, &eval, &scenario);
-    println!("backend: {}", spec.kind.label());
-    println!("fault: {}", fault.describe());
-    println!(
+    outln!("backend: {}", spec.kind.label());
+    outln!("fault: {}", fault.describe());
+    outln!(
         "mitigation analysis: {count} faulty models, {} patterns, {epochs} lifetime epochs",
         patterns.len()
     );
-    print!("{}", report.render());
+    out!("{}", report.render());
     if let Some(path) = args.get("json") {
         std::fs::write(path, healthmon_serdes::to_string(&report))
             .map_err(|e| format!("writing `{path}`: {e}"))?;
@@ -559,9 +559,9 @@ fn cmd_deploy(args: &ParsedArgs) -> Result<ExitCode, String> {
         .clone();
     let mut backend_rng = SeededRng::new(seed).fork(0);
     let report = AnalogBackend::program(&golden, &spec, &mut backend_rng).deploy_report(&probe);
-    println!("backend: {}", spec.kind.label());
+    outln!("backend: {}", spec.kind.label());
     for m in &report.mappings {
-        println!(
+        outln!(
             "  {}: {}x{}, {} tiles, utilization {:.1}%, adc range {:.1}%, error l1 {:.4}",
             m.key,
             m.shape.0,
@@ -572,11 +572,11 @@ fn cmd_deploy(args: &ParsedArgs) -> Result<ExitCode, String> {
             m.mapping_error_l1
         );
     }
-    println!("total tiles: {}", report.total_tiles());
-    println!("total mapping error l1: {:.4}", report.total_error_l1());
+    outln!("total tiles: {}", report.total_tiles());
+    outln!("total mapping error l1: {:.4}", report.total_error_l1());
     match report.logit_divergence {
-        Some(d) => println!("logit divergence vs digital ({probes} probes): {d:.6}"),
-        None => println!("logit divergence vs digital: not profiled"),
+        Some(d) => outln!("logit divergence vs digital ({probes} probes): {d:.6}"),
+        None => outln!("logit divergence vs digital: not profiled"),
     }
     telemetry_finish(metrics.as_deref())?;
     Ok(ExitCode::SUCCESS)
@@ -682,7 +682,7 @@ fn cmd_lifetime(args: &ParsedArgs) -> Result<ExitCode, String> {
             let json = healthmon::store::read_checkpoint(path).map_err(|e| e.to_string())?;
             let runtime = LifetimeRuntime::resume(&golden, patterns, config, train, &json)
                 .map_err(|e| format!("resuming: {}", healthmon::store::mark_corrupt(path, e)))?;
-            eprintln!("resumed from {path} at epoch {}", runtime.epoch());
+            errln!("resumed from {path} at epoch {}", runtime.epoch());
             runtime
         }
         _ => LifetimeRuntime::new(&golden, patterns, config, train),
@@ -697,7 +697,7 @@ fn cmd_lifetime(args: &ParsedArgs) -> Result<ExitCode, String> {
             .map_err(|e| format!("writing `{path}`: {e}"))?;
     }
     if !runtime.is_finished() {
-        println!(
+        outln!(
             "checkpointed at epoch {}/{} (state: {})",
             runtime.epoch(),
             runtime.config().epochs,
@@ -707,7 +707,7 @@ fn cmd_lifetime(args: &ParsedArgs) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     let report = runtime.render_report();
-    print!("{report}");
+    out!("{report}");
     if let Some(path) = args.get("report") {
         std::fs::write(path, &report).map_err(|e| format!("writing `{path}`: {e}"))?;
     }
@@ -808,7 +808,7 @@ fn cmd_fleet(args: &ParsedArgs) -> Result<ExitCode, String> {
                 .map_err(|e| format!("binding metrics server on `{addr}`: {e}"))?;
             // Stderr, like the telemetry report: stdout stays
             // byte-identical to an unobserved run.
-            eprintln!("serving Prometheus metrics on http://{}/metrics", server.local_addr());
+            errln!("serving Prometheus metrics on http://{}/metrics", server.local_addr());
             Some(server)
         }
         None => None,
@@ -894,7 +894,7 @@ fn cmd_fleet(args: &ParsedArgs) -> Result<ExitCode, String> {
         Some(dir) if std::path::Path::new(dir).join("shard-000.json").exists() => {
             let fleet = FleetSupervisor::resume(&golden, patterns, config, dir)
                 .map_err(|e| format!("resuming fleet from `{dir}`: {e}"))?;
-            eprintln!(
+            errln!(
                 "resumed fleet from {dir} at epoch {} ({} damaged shards)",
                 fleet.fleet_epoch(),
                 fleet.damaged_shards().len()
@@ -937,14 +937,14 @@ fn cmd_fleet(args: &ParsedArgs) -> Result<ExitCode, String> {
         fleet.save_checkpoint(dir).map_err(|e| format!("checkpointing to `{dir}`: {e}"))?;
     }
     let report = fleet.render_report();
-    print!("{report}");
+    out!("{report}");
     if let Some(path) = args.get("report") {
         std::fs::write(path, &report).map_err(|e| format!("writing `{path}`: {e}"))?;
     }
     if bench {
         // Wall-clock line, deliberately outside the deterministic report.
         let done = fleet.total_device_epochs() - before_epochs;
-        println!(
+        outln!(
             "throughput: {:.1} device-epochs/sec ({done} device-epochs in {elapsed:.3}s)",
             done as f64 / elapsed.max(1e-9)
         );
@@ -1025,7 +1025,7 @@ fn cmd_metrics(args: &ParsedArgs) -> Result<ExitCode, String> {
                     if stable_only { " (stable only)" } else { "" }
                 );
                 if plain {
-                    println!("{path}: {counts}");
+                    outln!("{path}: {counts}");
                 } else {
                     let meta = frame
                         .meta
@@ -1033,22 +1033,22 @@ fn cmd_metrics(args: &ParsedArgs) -> Result<ExitCode, String> {
                         .map(|(k, v)| format!("{k}={v}"))
                         .collect::<Vec<_>>()
                         .join(" ");
-                    println!("{path}[{}] epoch {}: {counts} ({meta})", frame.seq, frame.epoch);
+                    outln!("{path}[{}] epoch {}: {counts} ({meta})", frame.seq, frame.epoch);
                 }
             }
         }
         "jsonl" => {
             if plain {
-                print!("{}", tel::render_jsonl(&frames[0].snap));
+                out!("{}", tel::render_jsonl(&frames[0].snap));
             } else {
                 for frame in &frames {
-                    print!("{}", tel::render_frame(frame));
+                    out!("{}", tel::render_frame(frame));
                 }
             }
         }
         "prometheus" => {
             let newest = frames.last().expect("frames is never empty here");
-            print!("{}", tel::render_prometheus(&newest.snap));
+            out!("{}", tel::render_prometheus(&newest.snap));
         }
         other => return Err(format!("unknown format `{other}` (summary|jsonl|prometheus)")),
     }
@@ -1125,10 +1125,10 @@ fn cmd_top(args: &ParsedArgs) -> Result<ExitCode, String> {
         if watch {
             // Clear and home; the stream file is written atomically, so
             // every refresh sees a complete set of frames.
-            print!("\x1b[2J\x1b[H");
+            out!("\x1b[2J\x1b[H");
         }
-        print!("{}", render_top(path, &frames));
-        if !watch {
+        out!("{}", render_top(path, &frames));
+        if !watch || crate::output::stdout_closed() {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(refresh_ms.max(50)));
@@ -1146,15 +1146,15 @@ fn cmd_flight(args: &ParsedArgs) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))?;
     let record =
         FlightRecord::from_str(&text).map_err(|e| format!("parsing `{path}`: {e}"))?;
-    println!("{}", record.summary());
-    println!("config digest: {}", record.config_digest);
-    println!("phases: {}", record.phases.join(" -> "));
-    println!("tallies:");
+    outln!("{}", record.summary());
+    outln!("config digest: {}", record.config_digest);
+    outln!("phases: {}", record.phases.join(" -> "));
+    outln!("tallies:");
     for (name, value) in &record.tallies {
-        println!("  {name:<20} {value}");
+        outln!("  {name:<20} {value}");
     }
     if let Some(tail) = record.timeline.last() {
-        println!("last timeline point: {}", healthmon_serdes::to_string(tail));
+        outln!("last timeline point: {}", healthmon_serdes::to_string(tail));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1165,7 +1165,7 @@ fn cmd_flight(args: &ParsedArgs) -> Result<ExitCode, String> {
 /// can never drift from the registry.
 fn cmd_models(args: &ParsedArgs) -> Result<ExitCode, String> {
     args.expect_only(&[])?;
-    println!("{:<10} {:>9} {:<12} {:<7} description", "model", "params", "input", "data");
+    outln!("{:<10} {:>9} {:<12} {:<7} description", "model", "params", "input", "data");
     for spec in zoo::ZOO {
         let mut rng = SeededRng::new(0);
         let net = spec.build(&mut rng);
@@ -1179,7 +1179,7 @@ fn cmd_models(args: &ParsedArgs) -> Result<ExitCode, String> {
             DataFamily::Digits => "digits",
             DataFamily::Objects => "objects",
         };
-        println!(
+        outln!(
             "{:<10} {:>9} {:<12} {:<7} {}",
             spec.name,
             net.num_params(),
@@ -1199,7 +1199,7 @@ fn cmd_accuracy(args: &ParsedArgs) -> Result<ExitCode, String> {
     let mut net = load_model(arch, model, seed)?;
     let split = dataset_for(arch, seed, 2000)?;
     let acc = accuracy(&mut net, &split.test.images, &split.test.labels, 64);
-    println!("test accuracy: {:.2}%", acc * 100.0);
+    outln!("test accuracy: {:.2}%", acc * 100.0);
     Ok(ExitCode::SUCCESS)
 }
 

@@ -16,6 +16,8 @@
 //! tensors. Exit code of `check` is 0 for healthy, 2 for faulty, so it
 //! can gate a maintenance cron job directly.
 
+#[macro_use]
+mod output;
 mod args;
 mod commands;
 
@@ -26,9 +28,9 @@ fn main() -> ExitCode {
     match commands::run(&argv) {
         Ok(code) => code,
         Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!();
-            eprintln!("{}", commands::USAGE);
+            errln!("error: {message}");
+            errln!();
+            errln!("{}", commands::USAGE);
             ExitCode::FAILURE
         }
     }

@@ -129,10 +129,13 @@ impl FaultModel {
                 STUCK_AT_CELLS.add(stuck);
             }
             FaultModel::Drift { nu, time } => {
+                // By value: read through the captured references, the
+                // per-weight `exp` loop below does not vectorize.
+                let (nu, time) = (*nu, *time);
                 let mut rates = Vec::new();
                 for_each_weight(net, |t| {
                     rates.resize(t.len(), 0.0);
-                    rng.fill_normal(&mut rates, 0.0, *nu);
+                    rng.fill_normal(&mut rates, 0.0, nu);
                     for (w, &z) in t.as_mut_slice().iter_mut().zip(&rates) {
                         *w *= fastmath::exp(-z.abs() * time);
                     }
@@ -382,6 +385,40 @@ mod tests {
         FaultModel::Drift { nu: 0.3, time: 1.0 }.apply(&mut net, &mut SeededRng::new(6));
         let after: f32 = weight_vec(&net).iter().map(|v| v.abs()).sum();
         assert!(mid < before && after < mid, "drift must decay: {before} -> {mid} -> {after}");
+    }
+
+    /// `Drift` as a plain scalar loop: one `fill_normal` draw per weight
+    /// tensor, then `w *= exp(-|z|·t)` one element at a time (`black_box`
+    /// keeps the compiler from vectorizing it).
+    fn scalar_drift(net: &mut Network, nu: f32, time: f32, rng: &mut SeededRng) {
+        for_each_weight(net, |t| {
+            let mut rates = vec![0.0; t.len()];
+            rng.fill_normal(&mut rates, 0.0, nu);
+            for (i, w) in t.as_mut_slice().iter_mut().enumerate() {
+                let z = std::hint::black_box(rates[i]);
+                *w *= fastmath::exp(-z.abs() * time);
+            }
+        });
+    }
+
+    #[test]
+    fn drift_matches_a_scalar_loop_bit_for_bit() {
+        let lenet5 = healthmon_nn::models::lenet5(&mut SeededRng::new(8));
+        for net in [golden(), lenet5] {
+            for (nu, time) in [(0.02, 1.0), (0.3, 2.5), (1.5, 40.0)] {
+                let (mut fast, mut slow) = (net.clone(), net.clone());
+                let (mut fast_rng, mut slow_rng) = (SeededRng::new(12), SeededRng::new(12));
+                FaultModel::Drift { nu, time }.apply(&mut fast, &mut fast_rng);
+                scalar_drift(&mut slow, nu, time, &mut slow_rng);
+                let bits = |n: &Network| -> Vec<u32> {
+                    let mut v = Vec::new();
+                    n.for_each_param(|_, t| v.extend(t.as_slice().iter().map(|w| w.to_bits())));
+                    v
+                };
+                assert_eq!(bits(&fast), bits(&slow), "drift(nu={nu}, t={time})");
+                assert_eq!(fast_rng.unit(), slow_rng.unit(), "RNG streams diverged");
+            }
+        }
     }
 
     #[test]

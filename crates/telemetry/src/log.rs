@@ -13,6 +13,7 @@
 //! stderr.
 
 use std::fmt;
+use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Diagnostic severity, ordered from most to least urgent.
@@ -59,7 +60,9 @@ pub fn verbosity() -> Level {
 /// [`log_debug!`](crate::log_debug) macros.
 pub fn log(level: Level, args: fmt::Arguments<'_>) {
     if level <= verbosity() {
-        eprintln!("{args}");
+        // Unlike `eprintln!`, a stderr whose reader has gone drops the
+        // line instead of panicking the process.
+        let _ = writeln!(std::io::stderr(), "{args}");
     }
 }
 

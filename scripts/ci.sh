@@ -32,16 +32,21 @@ echo "== kernel equivalence (HEALTHMON_THREADS=1/2/7) =="
 # match the product over the unfolded patches bit for bit; the f32 GEMM
 # must match the naive loop bit for bit; and the conv layer's segment
 # unfold/fold must match the per-element loops bit for bit through
-# forward and backward, which run the pooled GEMM, at every thread count.
+# forward and backward, which run the pooled GEMM, at every thread count;
+# diagnosis's one golden walk must rank every zoo model's layers exactly
+# as cloning the golden network per probe did, and the drift fault's
+# vectorized loop must match a plain scalar loop bit for bit.
 # A divergence here fails CI before any benchmark of these fast paths is
 # taken seriously.
 for t in 1 2 7; do
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-reram > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-tensor > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-nn > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib diagnose > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-faults > /dev/null
 done
-echo "ok: integer crossbar kernel, f32 GEMM and conv unfold/fold equivalent to their references"
-echo "    under HEALTHMON_THREADS=1/2/7"
+echo "ok: integer crossbar kernel, f32 GEMM, conv unfold/fold, diagnosis walk and drift"
+echo "    equivalent to their references under HEALTHMON_THREADS=1/2/7"
 
 echo "== offline clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
