@@ -1,16 +1,20 @@
 //! Micro-benchmarks for the numeric kernels underlying every experiment:
 //! matmul, whole conv layers, crossbar products vs ideal, crossbar conv
-//! and dense layers, forward/backward passes, and the repair path's
-//! diagnosis and drift.
+//! and dense layers, forward/backward passes, the repair path's
+//! diagnosis and drift, and the checkpoint store's codec, save and
+//! resume.
 //!
 //! Runs on the in-tree [`healthmon_bench::timing`] harness
 //! (`cargo bench --bench kernels`).
 
-use healthmon::{diagnose, Detector, TestPatternSet};
+use healthmon::{
+    diagnose, AgingModel, Detector, FleetConfig, FleetSupervisor, LifetimeConfig,
+    LifetimeRuntime, TestPatternSet,
+};
 use healthmon_bench::timing::TimingHarness;
 use healthmon_faults::FaultModel;
 use healthmon_nn::layers::{Conv2d, Layer};
-use healthmon_nn::models::{lenet5, resnet8};
+use healthmon_nn::models::{lenet5, resnet8, tiny_mlp};
 use healthmon_nn::{DigitalEngine, Network, PatchMap};
 use healthmon_reram::{
     AnalogBackend, BackendSpec, CellFault, Crossbar, CrossbarConfig, SlicedMatrix, TiledMatrix,
@@ -211,6 +215,48 @@ fn bench_repair() {
     group.case("faults/drift_lenet5", || drift.apply(&mut aging, &mut rng));
 }
 
+/// The checkpoint store on the benchmark's `fleet_durable` fleet (250
+/// tiny-MLP devices, seed 2020) after its first 4-epoch leg: one shard
+/// parsed and rendered, the whole fleet saved and resumed; and one
+/// lenet5 device checkpoint (about 1.2 MB) resumed.
+fn bench_store() {
+    let mut group = TimingHarness::new("store").samples(5);
+    let mut rng = SeededRng::new(2020 ^ 0xF1EE7);
+    let golden = tiny_mlp(16, 24, 6, &mut rng);
+    let patterns = TestPatternSet::new("fleet-synth", Tensor::randn(&[8, 16], &mut rng));
+    let aging = AgingModel { drift_nu: 0.05, drift_time: 1.0, ..AgingModel::default() };
+    let config = FleetConfig {
+        seed: 2020,
+        devices: 250,
+        device: LifetimeConfig { epochs: 12, aging, ..LifetimeConfig::default() },
+        ..FleetConfig::default()
+    };
+    let mut fleet = FleetSupervisor::new(&golden, patterns.clone(), config).expect("valid fleet");
+    fleet.run(Some(4));
+    let dir = std::env::temp_dir().join("healthmon_bench_store");
+    fleet.save_checkpoint(&dir).expect("the temp dir is writable");
+    let shard = std::fs::read_to_string(dir.join("shard-000.json")).expect("shard 0 was written");
+    let value = healthmon_serdes::parse(&shard).expect("the shard parses");
+    group.case("serdes/parse_shard", || black_box(healthmon_serdes::parse(&shard)));
+    group.case("serdes/render_shard", || black_box(value.render()));
+    group.case("fleet/save_250", || fleet.save_checkpoint(&dir));
+    group.case("fleet/resume_250", || {
+        black_box(FleetSupervisor::resume(&golden, patterns.clone(), config, &dir))
+    });
+    std::fs::remove_dir_all(&dir).ok();
+
+    let golden = lenet5(&mut rng);
+    let images = Tensor::rand_uniform(&[10, 1, 28, 28], 0.0, 1.0, &mut rng);
+    let patterns = TestPatternSet::new("bench", images);
+    let config = LifetimeConfig::default();
+    let mut runtime = LifetimeRuntime::new(&golden, patterns.clone(), config, None);
+    runtime.run(Some(1));
+    let checkpoint = runtime.checkpoint_json();
+    group.case("lifetime/resume_lenet5", || {
+        black_box(LifetimeRuntime::resume(&golden, patterns.clone(), config, None, &checkpoint))
+    });
+}
+
 fn main() {
     bench_matmul();
     bench_conv_layers();
@@ -219,5 +265,6 @@ fn main() {
     bench_crossbar_dense();
     bench_model_passes();
     bench_repair();
+    bench_store();
     healthmon_bench::timing::write_json_report();
 }

@@ -494,6 +494,17 @@ impl FleetSupervisor {
         patterns: TestPatternSet,
         config: FleetConfig,
     ) -> Result<Self, HealthmonError> {
+        let mut fleet = FleetSupervisor::empty(golden, patterns, config)?;
+        fleet.deploy((0..config.devices).map(|_| None).collect());
+        Ok(fleet)
+    }
+
+    /// A fleet over checked inputs, with no device yet.
+    fn empty(
+        golden: &Network,
+        patterns: TestPatternSet,
+        config: FleetConfig,
+    ) -> Result<Self, HealthmonError> {
         config.validate()?;
         if patterns.len() < config.device.min_patterns {
             return Err(HealthmonError::InvalidPolicy(format!(
@@ -502,42 +513,44 @@ impl FleetSupervisor {
                 config.device.min_patterns
             )));
         }
-        let mut slots: Vec<Option<DeviceRecord>> = (0..config.devices).map(|_| None).collect();
-        let golden_ref = golden;
-        let patterns_ref = &patterns;
-        pool::run_chunks(&mut slots, 1, |id, chunk| {
-            let runtime = LifetimeRuntime::new(
-                golden_ref,
-                patterns_ref.clone(),
-                config.device_config(id),
-                None,
-            );
-            chunk[0] = Some(DeviceRecord {
-                id,
-                runtime,
-                offenses: 0,
-                quarantined_at: None,
-                retries: 0,
-                shed_depth: 0,
-                shed_skipped: 0,
-                backoff_ms: 0,
-                poisoned: false,
-                incidents: Vec::new(),
-            });
-        });
-        let devices = slots
-            .into_iter()
-            .map(|slot| slot.expect("every construction chunk ran"))
-            .collect();
         Ok(FleetSupervisor {
             config,
             golden: golden.clone(),
             patterns,
-            devices,
+            devices: Vec::new(),
             fleet_epoch: 0,
             damaged_shards: Vec::new(),
             flight_dir: None,
         })
+    }
+
+    /// Fills the registry from `slots`, one per device id, giving each
+    /// empty slot a freshly deployed device; the devices are built in
+    /// parallel on the pool as in [`FleetSupervisor::new`].
+    fn deploy(&mut self, mut slots: Vec<Option<DeviceRecord>>) {
+        let (golden, patterns, config) = (&self.golden, &self.patterns, &self.config);
+        pool::run_chunks(&mut slots, 1, |id, chunk| {
+            if chunk[0].is_none() {
+                let runtime =
+                    LifetimeRuntime::new(golden, patterns.clone(), config.device_config(id), None);
+                chunk[0] = Some(DeviceRecord {
+                    id,
+                    runtime,
+                    offenses: 0,
+                    quarantined_at: None,
+                    retries: 0,
+                    shed_depth: 0,
+                    shed_skipped: 0,
+                    backoff_ms: 0,
+                    poisoned: false,
+                    incidents: Vec::new(),
+                });
+            }
+        });
+        self.devices = slots
+            .into_iter()
+            .map(|slot| slot.expect("every construction chunk ran"))
+            .collect();
     }
 
     /// Arms the incident flight recorder: every incident, quarantine
@@ -864,12 +877,15 @@ impl FleetSupervisor {
     /// bit-identically; torn, bit-flipped or missing shards are recorded
     /// in [`FleetSupervisor::damaged_shards`] and their devices are
     /// reinitialized fresh — a damaged shard never takes the fleet down.
+    /// The shards are restored first; only the devices of damaged shards
+    /// are then built and deployed.
     ///
     /// # Errors
     ///
     /// [`HealthmonError::CheckpointMismatch`] when a digest-clean shard
     /// was written under a different config, golden network, pattern set
-    /// or shard layout (that is operator error, not media corruption);
+    /// or shard layout, or does not list each of its devices exactly once
+    /// (that is operator error, not media corruption);
     /// [`HealthmonError::InvalidPolicy`] on an invalid config.
     pub fn resume(
         golden: &Network,
@@ -878,7 +894,9 @@ impl FleetSupervisor {
         dir: impl AsRef<Path>,
     ) -> Result<Self, HealthmonError> {
         let dir = dir.as_ref();
-        let mut fleet = FleetSupervisor::new(golden, patterns, config)?;
+        let mut fleet = FleetSupervisor::empty(golden, patterns, config)?;
+        let identity = fleet.identity();
+        let mut slots: Vec<Option<DeviceRecord>> = (0..config.devices).map(|_| None).collect();
         // The *minimum* healthy-shard epoch, not the maximum: a kill
         // mid-save leaves shards at mixed epochs, and resuming from the
         // slowest one replays only what it missed (devices already ahead
@@ -887,9 +905,14 @@ impl FleetSupervisor {
         let mut fleet_epoch: Option<usize> = None;
         for shard in 0..config.shards {
             let path = shard_path(dir, shard);
-            match fleet.load_shard(&path, shard).map_err(|e| store::mark_corrupt(&path, e)) {
-                Ok(epoch) => {
+            let loaded = fleet.load_shard(&path, shard, &identity);
+            match loaded.map_err(|e| store::mark_corrupt(&path, e)) {
+                Ok((epoch, records)) => {
                     fleet_epoch = Some(fleet_epoch.map_or(epoch, |e| e.min(epoch)));
+                    for rec in records {
+                        let id = rec.id;
+                        slots[id] = Some(rec);
+                    }
                 }
                 Err(HealthmonError::CheckpointCorrupt { detail, .. }) => {
                     fleet.damaged_shards.push((shard, detail));
@@ -897,16 +920,23 @@ impl FleetSupervisor {
                 Err(other) => return Err(other),
             }
         }
+        fleet.deploy(slots);
         fleet.fleet_epoch = fleet_epoch.unwrap_or(0);
         Ok(fleet)
     }
 
-    /// Loads one shard into the registry, returning its fleet epoch.
-    /// Damage (unreadable, unsealed or undecodable bytes) surfaces as
-    /// [`HealthmonError::CheckpointCorrupt`] or as a JSON error the caller
-    /// rewraps so; a sealed shard written for other inputs surfaces as
-    /// [`HealthmonError::CheckpointMismatch`].
-    fn load_shard(&mut self, path: &Path, shard: usize) -> Result<usize, HealthmonError> {
+    /// Loads one shard: its fleet epoch and the restored records of its
+    /// devices. Damage (unreadable, unsealed or undecodable bytes)
+    /// surfaces as [`HealthmonError::CheckpointCorrupt`] or as a JSON
+    /// error the caller rewraps so; a sealed shard written for other
+    /// inputs, or one that does not list each of its devices exactly
+    /// once, surfaces as [`HealthmonError::CheckpointMismatch`].
+    fn load_shard(
+        &self,
+        path: &Path,
+        shard: usize,
+        identity: &Identity,
+    ) -> Result<(usize, Vec<DeviceRecord>), HealthmonError> {
         let value = unseal(&store::read_checkpoint(path)?)?;
         let format = value.field("format")?.as_str()?;
         if format != SHARD_FORMAT {
@@ -917,7 +947,7 @@ impl FleetSupervisor {
         }
         // Sealed from here on: the bytes are exactly what a supervisor
         // wrote, so a shard for other inputs is operator error.
-        self.identity().verify(&value, "fleet configuration", &self.golden)?;
+        identity.verify(&value, "fleet configuration", &self.golden)?;
         let body = ShardBody::from_json(&value)?;
         if body.shards != self.config.shards || body.shard != shard {
             return Err(HealthmonError::CheckpointMismatch(format!(
@@ -928,38 +958,48 @@ impl FleetSupervisor {
                 self.config.shards
             )));
         }
-        // Every member resumes before any is committed, so a shard that
-        // fails part-way leaves all of its devices fresh.
-        let mut restored = Vec::with_capacity(body.devices.len());
-        for entry in body.devices {
+        self.check_members(&body.devices, shard)?;
+        // Every device resumes before any is returned, so a shard that
+        // fails part-way leaves all of its devices to be built fresh.
+        let records = body
+            .devices
+            .into_iter()
+            .map(|entry| {
+                let runtime = LifetimeRuntime::resume(
+                    &self.golden,
+                    self.patterns.clone(),
+                    self.config.device_config(entry.id),
+                    None,
+                    &entry.checkpoint,
+                )?;
+                Ok(entry.into_record(runtime))
+            })
+            .collect::<Result<_, HealthmonError>>()?;
+        Ok((body.fleet_epoch, records))
+    }
+
+    /// Checks that `entries` list each device of `shard` exactly once,
+    /// naming the first stray, repeated or missing id.
+    fn check_members(&self, entries: &[DeviceEntry], shard: usize) -> Result<(), HealthmonError> {
+        let (devices, shards) = (self.config.devices, self.config.shards);
+        let mut listed = vec![false; devices];
+        for entry in entries {
             let id = entry.id;
-            if id >= self.config.devices || id % self.config.shards != shard {
-                return Err(HealthmonError::CheckpointMismatch(format!(
-                    "device id {id} does not belong to shard {shard}"
-                )));
-            }
-            let runtime = LifetimeRuntime::resume(
-                &self.golden,
-                self.patterns.clone(),
-                self.config.device_config(id),
-                None,
-                &entry.checkpoint,
-            )?;
-            restored.push((entry, runtime));
+            let detail = if id >= devices || id % shards != shard {
+                format!("device id {id} does not belong to shard {shard}")
+            } else if std::mem::replace(&mut listed[id], true) {
+                format!("shard {shard} lists device id {id} twice")
+            } else {
+                continue;
+            };
+            return Err(HealthmonError::CheckpointMismatch(detail));
         }
-        for (entry, runtime) in restored {
-            let rec = &mut self.devices[entry.id];
-            rec.runtime = runtime;
-            rec.offenses = entry.offenses;
-            rec.quarantined_at = entry.quarantined_at;
-            rec.retries = entry.retries;
-            rec.shed_depth = entry.shed_depth;
-            rec.shed_skipped = entry.shed_skipped;
-            rec.backoff_ms = entry.backoff_ms;
-            rec.poisoned = entry.poisoned;
-            rec.incidents = entry.incidents;
+        match (shard..devices).step_by(shards).find(|&id| !listed[id]) {
+            Some(id) => Err(HealthmonError::CheckpointMismatch(format!(
+                "shard {shard} omits device id {id}"
+            ))),
+            None => Ok(()),
         }
-        Ok(body.fleet_epoch)
     }
 
     /// The identity of this fleet's inputs, stored in every shard.
@@ -1000,6 +1040,22 @@ healthmon_serdes::json_codec! {
 }
 
 impl DeviceEntry {
+    /// The record this entry restores, around its resumed runtime.
+    fn into_record(self, runtime: LifetimeRuntime) -> DeviceRecord {
+        DeviceRecord {
+            id: self.id,
+            runtime,
+            offenses: self.offenses,
+            quarantined_at: self.quarantined_at,
+            retries: self.retries,
+            shed_depth: self.shed_depth,
+            shed_skipped: self.shed_skipped,
+            backoff_ms: self.backoff_ms,
+            poisoned: self.poisoned,
+            incidents: self.incidents,
+        }
+    }
+
     fn of(rec: &DeviceRecord) -> Self {
         DeviceEntry {
             id: rec.id,

@@ -55,6 +55,7 @@ use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
 use healthmon_tensor::{SeededRng, Tensor};
 use healthmon_telemetry as tel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 // The lifetime is a pure function of (config, golden, patterns), so the
 // event-stream tallies are Stable; only the wall-clock histogram is
@@ -502,6 +503,9 @@ pub struct LifetimeRuntime {
     /// Flight-recorder sink: `(directory, device id)`. When set, a park
     /// dumps a postmortem artifact there. Never serialized.
     flight: Option<(std::path::PathBuf, u32)>,
+    /// The identity of the inputs, computed on first use: every save
+    /// after the first, and every save after a resume, reuses it.
+    identity: OnceLock<Identity>,
 }
 
 impl LifetimeRuntime {
@@ -516,6 +520,32 @@ impl LifetimeRuntime {
     /// Panics if the config is invalid, the pattern set is smaller than
     /// the degradation floor, or `train` labels mismatch its images.
     pub fn new(
+        golden: &Network,
+        patterns: TestPatternSet,
+        config: LifetimeConfig,
+        train: Option<TrainData>,
+    ) -> Self {
+        let mut runtime = LifetimeRuntime::build(golden, patterns, config, train);
+        let report = runtime.device.deploy_report(runtime.patterns.images());
+        runtime.push_event(LifetimeEvent::Deployed {
+            tiles: report.total_tiles(),
+            mapping_error_l1: report.total_error_l1(),
+        });
+        let baseline = runtime.run_checkup();
+        runtime.push_event(LifetimeEvent::CheckupDone {
+            epoch: 0,
+            distance: baseline.distance,
+            state: baseline.state,
+        });
+        runtime.record_timeline(0);
+        runtime
+    }
+
+    /// Validates the inputs, builds the golden detector and programs the
+    /// device: all of [`LifetimeRuntime::new`] but the deploy report, the
+    /// baseline checkup and their events, which a resume takes from its
+    /// checkpoint instead.
+    fn build(
         golden: &Network,
         patterns: TestPatternSet,
         config: LifetimeConfig,
@@ -539,7 +569,6 @@ impl LifetimeRuntime {
         let full_detector = Detector::new(&golden, patterns.clone());
         let mut deploy_rng = SeededRng::new(config.seed).fork(0);
         let device = device::program(&golden, &config, &mut deploy_rng);
-        let report = device.deploy_report(patterns.images());
         let layers = golden
             .state_dict()
             .into_iter()
@@ -553,7 +582,7 @@ impl LifetimeRuntime {
             .collect();
         let monitor = HealthMonitor::new(full_detector.clone(), config.policy);
         let active_patterns = patterns.len();
-        let mut runtime = LifetimeRuntime {
+        LifetimeRuntime {
             config,
             golden,
             patterns,
@@ -575,19 +604,8 @@ impl LifetimeRuntime {
             timeline: tel::HealthTimeline::default(),
             retries: 0,
             flight: None,
-        };
-        runtime.push_event(LifetimeEvent::Deployed {
-            tiles: report.total_tiles(),
-            mapping_error_l1: report.total_error_l1(),
-        });
-        let baseline = runtime.run_checkup();
-        runtime.push_event(LifetimeEvent::CheckupDone {
-            epoch: 0,
-            distance: baseline.distance,
-            state: baseline.state,
-        });
-        runtime.record_timeline(0);
-        runtime
+            identity: OnceLock::new(),
+        }
     }
 
     /// The configuration.
@@ -1272,7 +1290,9 @@ impl LifetimeRuntime {
 
     /// The identity of this runtime's inputs, stored in its checkpoints.
     fn identity(&self) -> Identity {
-        Identity::of(self.config.digest(), &self.golden, &self.patterns)
+        *self
+            .identity
+            .get_or_init(|| Identity::of(self.config.digest(), &self.golden, &self.patterns))
     }
 
     /// Rebuilds a runtime from a checkpoint produced by
@@ -1288,6 +1308,10 @@ impl LifetimeRuntime {
     /// or its internal state is inconsistent with them — and always when
     /// `config.backend` is not digital, because checkpoints capture
     /// weight-space device state, not live conductance planes.
+    ///
+    /// # Panics
+    ///
+    /// On the inputs [`LifetimeRuntime::new`] panics on.
     pub fn resume(
         golden: &Network,
         patterns: TestPatternSet,
@@ -1302,14 +1326,16 @@ impl LifetimeRuntime {
                 config.backend.kind.label()
             )));
         }
-        let value: Json = healthmon_serdes::from_str(checkpoint)?;
+        let value = healthmon_serdes::parse(checkpoint)?;
         let format = value.field("format")?.as_str()?;
         if format != CHECKPOINT_FORMAT {
             return Err(HealthmonError::CheckpointMismatch(format!(
                 "unknown checkpoint format `{format}` (expected `{CHECKPOINT_FORMAT}`)"
             )));
         }
-        let mut runtime = LifetimeRuntime::new(golden, patterns, config, train);
+        // Everything the deploy report and baseline checkup of `new`
+        // would produce, the checkpoint overwrites.
+        let mut runtime = LifetimeRuntime::build(golden, patterns, config, train);
         runtime.identity().verify(&value, "configuration", &runtime.golden)?;
         let body = CheckpointBody::from_json(&value)?;
         runtime.check_layers(&body.layers)?;
@@ -1335,9 +1361,6 @@ impl LifetimeRuntime {
         runtime.next_repair_epoch = body.next_repair_epoch;
         runtime.events = body.events;
         runtime.incident = body.incident;
-        // Timelines are never checkpointed: drop the construction-time
-        // baseline point and restart history at the resume epoch.
-        runtime.timeline = tel::HealthTimeline::default();
         let mut parity = Vec::new();
         if runtime.config.hardened {
             let hardened = HardenedState::from_json(&value)?;

@@ -2,7 +2,9 @@
 //!
 //! Accepts standard JSON (RFC 8259). Errors report the byte offset of the
 //! failure. Weight snapshots can be tens of megabytes of numbers, so the
-//! number fast path avoids allocation.
+//! number fast path avoids allocation, and a fleet shard embeds each
+//! device checkpoint as one long escaped string, so strings are copied a
+//! run of plain bytes at a time.
 
 use crate::error::JsonError;
 use crate::value::Json;
@@ -14,7 +16,7 @@ use crate::value::Json;
 /// Returns [`JsonError::Parse`] (with byte offset) on malformed input or
 /// trailing garbage.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -29,6 +31,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -142,6 +145,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // A run of bytes that needs no decoding is copied whole. It
+            // stops only at ASCII bytes, which never occur inside a
+            // multi-byte scalar, so both ends are char boundaries.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -169,17 +182,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.error("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar; the input is a &str, so
-                    // byte boundaries are always valid.
-                    let rest = &self.bytes[self.pos..];
-                    let ch_len = utf8_len(rest[0]);
-                    let s = std::str::from_utf8(&rest[..ch_len])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos += ch_len;
-                }
+                Some(_) => return Err(self.error("control character in string")),
             }
         }
     }
@@ -254,25 +257,143 @@ impl<'a> Parser<'a> {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
-        let n: f64 = text.parse().map_err(|_| self.error("unparseable number"))?;
+        let n: f64 = self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.error("unparseable number"))?;
         Ok(Json::Number(n))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use healthmon_check::{run_cases, Gen};
+
+    /// The string decoder before runs were copied whole: one UTF-8
+    /// scalar at a time. The property tests pin `Parser::string` to it.
+    impl Parser<'_> {
+        fn string_reference(&mut self) -> Result<String, JsonError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.error("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                self.pos += 1;
+                                let c = self.unicode_escape()?;
+                                out.push(c);
+                                continue;
+                            }
+                            _ => return Err(self.error("invalid escape sequence")),
+                        }
+                        self.pos += 1;
+                    }
+                    Some(c) if c < 0x20 => {
+                        return Err(self.error("control character in string"))
+                    }
+                    Some(_) => {
+                        let rest = &self.bytes[self.pos..];
+                        let ch_len = utf8_len(rest[0]);
+                        let s = std::str::from_utf8(&rest[..ch_len])
+                            .map_err(|_| self.error("invalid UTF-8 in string"))?;
+                        out.push_str(s);
+                        self.pos += ch_len;
+                    }
+                }
+            }
+        }
+    }
+
+    fn utf8_len(first: u8) -> usize {
+        match first {
+            0x00..=0x7F => 1,
+            0xC0..=0xDF => 2,
+            0xE0..=0xEF => 3,
+            _ => 4,
+        }
+    }
+
+    /// Pieces of string source text: plain ASCII (DEL included), every
+    /// escape, 2- to 4-byte UTF-8, raw control bytes, paired and lone
+    /// surrogate escapes, malformed escapes and an early closing quote.
+    const PIECES: &[&str] = &[
+        "plain", "a", "0.125,-3e-7", "{}[]:, ", "~\u{7f}", "é", "ж", "€", "中", "😀",
+        "\u{10ffff}", "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t",
+        "\\u0041", "\\u00e9", "\\u20AC", "\\u0000", "\\u001f", "\\uD83D\\uDE00",
+        "\\ud83d\\ude00", "\\uD83D", "\\uDE00", "\\uD83Dx", "\\uD83D\\u0041",
+        "\\uD83D\\n", "\\u12G4", "\\x", "\\", "\\u", "\u{0}", "\u{1}", "\n", "\t",
+        "\u{1f}", "\"",
+    ];
+
+    /// A drawn string source: an opening quote, up to 12 pieces, usually
+    /// a closing quote, and sometimes cut at a drawn char boundary.
+    fn string_source(g: &mut Gen) -> String {
+        let mut text = String::from("\"");
+        for _ in 0..g.usize_in(0, 13) {
+            text.push_str(PIECES[g.usize_in(0, PIECES.len())]);
+        }
+        if g.usize_in(0, 4) > 0 {
+            text.push('"');
+        }
+        if g.usize_in(0, 3) == 0 {
+            let cut = g.usize_in(0, text.len() + 1);
+            let cut = (0..=cut).rev().find(|&i| text.is_char_boundary(i)).unwrap_or(0);
+            text.truncate(cut);
+        }
+        text
+    }
+
+    /// Decodes `text` as one string with both decoders; they must agree
+    /// on the value or the error, and on where the cursor stops.
+    fn assert_decoders_agree(text: &str) -> Result<String, JsonError> {
+        let start = |text| Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let (mut fast, mut reference) = (start(text), start(text));
+        let got = fast.string();
+        assert_eq!(got, reference.string_reference(), "decoding {text:?}");
+        assert_eq!(fast.pos, reference.pos, "cursor after {text:?}");
+        got
+    }
+
+    #[test]
+    fn string_runs_decode_like_the_scalar_reference() {
+        run_cases(2048, |g| {
+            let _ = assert_decoders_agree(&string_source(g));
+        });
+    }
+
+    #[test]
+    fn string_runs_keep_every_error_kind_and_offset() {
+        let cases = [
+            ("\"abc", "unterminated string", 4),
+            ("\"ab\u{1}c\"", "control character in string", 3),
+            ("\"é\nx\"", "control character in string", 3),
+            ("\"ab\\x\"", "invalid escape sequence", 4),
+            ("\"ab\\", "invalid escape sequence", 4),
+            ("\"\\u12G4\"", "expected 4 hex digits", 5),
+            ("\"😀\\uD83D\"", "unpaired surrogate", 11),
+            ("\"\\uD83D\\u0041\"", "unpaired surrogate", 13),
+            ("\"\\uDE00\"", "invalid unicode escape", 7),
+        ];
+        for (text, message, offset) in cases {
+            let expected = JsonError::Parse { offset, message: message.to_owned() };
+            assert_eq!(assert_decoders_agree(text), Err(expected), "{text:?}");
+        }
+    }
 
     #[test]
     fn parses_scalars() {

@@ -170,27 +170,75 @@ fn render_number(n: f64, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Each run of bytes that needs no
+/// escape is copied whole; the bytes that do are all ASCII, so every run
+/// ends on a char boundary.
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use healthmon_check::run_cases;
+
+    /// The string writer before runs were copied whole: one char at a
+    /// time. The property test pins `render_string` to it.
+    fn render_string_reference(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn string_runs_render_like_the_scalar_reference() {
+        // Every control char, the two escaped printables, DEL, plain
+        // ASCII and 2- to 4-byte scalars.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['"', '\\', '\u{7f}', 'a', 'Z', '0', ' ', '/', '{']);
+        alphabet.extend(['é', '€', '\u{2028}', '😀']);
+        run_cases(2048, |g| {
+            let len = g.usize_in(0, 48);
+            let s: String = (0..len).map(|_| alphabet[g.usize_in(0, alphabet.len())]).collect();
+            let (mut fast, mut reference) = (String::from("x"), String::from("x"));
+            render_string(&s, &mut fast);
+            render_string_reference(&s, &mut reference);
+            assert_eq!(fast, reference, "rendering {s:?}");
+            assert_eq!(crate::parse(&fast[1..]), Ok(Json::String(s)), "round trip of {fast:?}");
+        });
+    }
 
     #[test]
     fn renders_scalars() {

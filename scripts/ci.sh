@@ -371,16 +371,29 @@ echo "    across reruns and HEALTHMON_THREADS=1/2/7, with stdout untouched"
     --checkpoint-dir "$fleet_dir/kill_cp" > "$fleet_dir/resumed.txt" 2> /dev/null
 cmp "$fleet_dir/resumed.txt" "$fleet_dir/straight.txt"
 echo "ok: kill-9 mid-run, resume byte-identical to the uninterrupted fleet"
+# Checkpoint shards are byte-identical at any thread count.
+for t in 1 2 7; do
+    HEALTHMON_THREADS=$t "$hm" fleet --devices 24 --epochs 6 --seed 23 \
+        --checkpoint-dir "$fleet_dir/torn_cp_$t" --stop-after 3 > /dev/null
+done
+diff -r "$fleet_dir/torn_cp_1" "$fleet_dir/torn_cp_2"
+diff -r "$fleet_dir/torn_cp_1" "$fleet_dir/torn_cp_7"
+echo "ok: --stop-after checkpoint shards byte-identical under HEALTHMON_THREADS=1/2/7"
 # Torn-shard containment: truncate one shard, the resume must report it
-# and keep going instead of failing wholesale.
-"$hm" fleet --devices 24 --epochs 6 --seed 23 \
-    --checkpoint-dir "$fleet_dir/torn_cp" --stop-after 3 > /dev/null
-head -c 100 "$fleet_dir/torn_cp/shard-001.json" > "$fleet_dir/torn_cp/shard-001.json.t" \
-    && mv "$fleet_dir/torn_cp/shard-001.json.t" "$fleet_dir/torn_cp/shard-001.json"
-"$hm" fleet --devices 24 --epochs 6 --seed 23 \
-    --checkpoint-dir "$fleet_dir/torn_cp" > "$fleet_dir/torn.txt" 2> /dev/null
-grep -q "damaged shards: 1" "$fleet_dir/torn.txt"
-echo "ok: torn shard reported and contained; healthy shards resumed"
+# and keep going instead of failing wholesale. The resume builds the torn
+# shard's devices fresh after the healthy shards load, and its report
+# must not depend on the thread count either.
+for t in 1 2 7; do
+    torn_shard="$fleet_dir/torn_cp_$t/shard-001.json"
+    head -c 100 "$torn_shard" > "$torn_shard.t" && mv "$torn_shard.t" "$torn_shard"
+    HEALTHMON_THREADS=$t "$hm" fleet --devices 24 --epochs 6 --seed 23 \
+        --checkpoint-dir "$fleet_dir/torn_cp_$t" > "$fleet_dir/torn_$t.txt" 2> /dev/null
+done
+grep -q "damaged shards: 1" "$fleet_dir/torn_1.txt"
+cmp "$fleet_dir/torn_1.txt" "$fleet_dir/torn_2.txt"
+cmp "$fleet_dir/torn_1.txt" "$fleet_dir/torn_7.txt"
+echo "ok: torn shard reported and contained; healthy shards resumed, and the resumed"
+echo "    report byte-identical under HEALTHMON_THREADS=1/2/7"
 # Header corruption is contained the same way: one changed digit in a
 # shard's config_digest breaks that shard's seal, so the resume reports
 # it damaged instead of refusing the whole fleet as operator error.

@@ -6,13 +6,17 @@
 //! incident report), a campaign checkpoint, every fault-model variant, a
 //! flight-recorder artifact and one snapshot-stream frame. They were
 //! captured before the codecs moved to `healthmon_serdes::json_codec!`,
-//! so byte identity here proves the move changed no persisted byte.
+//! so byte identity here proves the move changed no persisted byte. The
+//! fleet-shard golden was captured before strings were copied in runs,
+//! and pins a shard whose escaped device checkpoints hold a repair, its
+//! defect maps and a permuted row assignment.
 //!
 //! Past the goldens, every persisted reader meets damaged and hostile
 //! input: random truncations and single-bit flips (a damaged shard costs
 //! exactly that shard, a damaged flight record is an error, nothing
-//! panics), and out-of-range numbers or mistyped maps that must come back
-//! as typed JSON errors instead of being cast into range.
+//! panics), out-of-range numbers or mistyped maps that must come back
+//! as typed JSON errors instead of being cast into range, and sealed
+//! shards that omit or repeat a device.
 
 use healthmon::{
     AgingModel, CampaignCheckpoint, FleetConfig, FleetSupervisor, FlightRecord, HealthmonError,
@@ -23,7 +27,7 @@ use healthmon_faults::FaultModel;
 use healthmon_nn::models::tiny_mlp;
 use healthmon_nn::Network;
 use healthmon_reram::CrossbarConfig;
-use healthmon_serdes::JsonError;
+use healthmon_serdes::{Json, JsonError};
 use healthmon_telemetry as tel;
 use healthmon_tensor::{SeededRng, Tensor};
 use std::str::FromStr;
@@ -148,6 +152,118 @@ fn snapshot_frame() -> String {
     tel::render_frame(&frame)
 }
 
+/// A chaos-free tiny-MLP fleet of four devices in two shards. Its first
+/// epoch repairs device 2, so shard 0 saved after it holds defect maps, a
+/// permuted row assignment and the repair's events.
+fn shard_fleet() -> (Network, TestPatternSet, FleetConfig) {
+    let mut rng = SeededRng::new(7);
+    let net = tiny_mlp(8, 12, 4, &mut rng);
+    let patterns = TestPatternSet::new("shard", Tensor::rand_uniform(&[6, 8], 0.0, 1.0, &mut rng));
+    let aging = AgingModel { drift_nu: 0.02, drift_time: 1.0, soft_error_p: 0.0, stuck_lambda: 2.0 };
+    let config = FleetConfig {
+        seed: 0,
+        devices: 4,
+        shards: 2,
+        device: LifetimeConfig { epochs: 4, aging, ..LifetimeConfig::default() },
+        ..FleetConfig::default()
+    };
+    (net, patterns, config)
+}
+
+/// `shard_fleet` after one epoch, saved under a fresh `dir`.
+fn saved_shard_fleet(dir: &std::path::Path) -> (Network, TestPatternSet, FleetConfig) {
+    let (net, patterns, config) = shard_fleet();
+    let mut fleet = FleetSupervisor::new(&net, patterns.clone(), config).unwrap();
+    fleet.run(Some(1));
+    let _ = std::fs::remove_dir_all(dir);
+    fleet.save_checkpoint(dir).unwrap();
+    (net, patterns, config)
+}
+
+fn shard_dir(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("healthmon_persisted_{name}"))
+}
+
+#[test]
+fn fleet_shard_matches_its_golden() {
+    let golden = include_str!("golden/fleet_shard.json");
+    let dir = shard_dir("golden_shard");
+    saved_shard_fleet(&dir);
+    let written = std::fs::read_to_string(dir.join("shard-000.json")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(written, golden, "fleet shard bytes moved");
+    // The golden holds what it is meant to pin: a device repaired in
+    // epoch 1, its defect maps and a permuted row assignment.
+    let field = |v: &Json, key: &str| v.field(key).unwrap().clone();
+    let list = |v: Json| v.as_array().unwrap().to_vec();
+    let repaired = list(field(&healthmon_serdes::parse(golden).unwrap(), "devices"))
+        .iter()
+        .map(|d| healthmon_serdes::parse(field(d, "checkpoint").as_str().unwrap()).unwrap())
+        .find(|c| c.render().contains(r#""kind":"repair","epoch":1,"#))
+        .expect("a device of the golden shard was repaired in epoch 1");
+    let layers = list(field(&repaired, "layers"));
+    assert!(layers.iter().all(|l| !list(field(l, "defects")).is_empty()));
+    let permuted = |l: &Json| {
+        let rows = list(field(l, "assignment"));
+        rows.iter().enumerate().any(|(i, r)| r.as_number().unwrap() != i as f64)
+    };
+    assert!(layers.iter().any(permuted));
+}
+
+#[test]
+fn resuming_the_golden_shard_reproduces_the_uninterrupted_report() {
+    let dir = shard_dir("golden_resume");
+    let (net, patterns, config) = saved_shard_fleet(&dir);
+    std::fs::write(dir.join("shard-000.json"), include_str!("golden/fleet_shard.json")).unwrap();
+    let mut resumed = FleetSupervisor::resume(&net, patterns.clone(), config, &dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(resumed.damaged_shards().is_empty(), "{:?}", resumed.damaged_shards());
+    resumed.run(None);
+    let mut straight = FleetSupervisor::new(&net, patterns, config).unwrap();
+    straight.run(None);
+    assert_eq!(resumed.render_report(), straight.render_report());
+}
+
+/// Resumes `shard_fleet` after its shard 1 (devices 1 and 3) had its
+/// device list edited and resealed; the mismatch detail, if refused.
+fn resume_with_edited_shard_1(name: &str, edit: impl FnOnce(&mut Vec<Json>)) -> String {
+    let dir = shard_dir(name);
+    let (net, patterns, config) = saved_shard_fleet(&dir);
+    let path = dir.join("shard-001.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut shard = healthmon_serdes::parse(&text).unwrap();
+    let Json::Object(fields) = &mut shard else { panic!("a shard is an object") };
+    let Some((_, Json::Array(devices))) = fields.iter_mut().find(|(k, _)| k == "devices") else {
+        panic!("a shard lists its devices")
+    };
+    edit(devices);
+    let edited = reseal(&shard.render());
+    assert_ne!(edited, text, "the edit must land");
+    std::fs::write(&path, edited).unwrap();
+    let resumed = FleetSupervisor::resume(&net, patterns, config, &dir);
+    std::fs::remove_dir_all(&dir).ok();
+    match resumed {
+        Err(HealthmonError::CheckpointMismatch(detail)) => detail,
+        Err(other) => panic!("expected a checkpoint mismatch, got {other}"),
+        Ok(fleet) => panic!("resumed with damaged shards {:?}", fleet.damaged_shards()),
+    }
+}
+
+#[test]
+fn a_sealed_shard_that_omits_a_device_is_refused() {
+    let detail = resume_with_edited_shard_1("omit", |devices| {
+        devices.pop();
+    });
+    assert_eq!(detail, "shard 1 omits device id 3");
+}
+
+#[test]
+fn a_sealed_shard_that_repeats_a_device_is_refused() {
+    // Device 1 listed twice in place of device 3.
+    let detail = resume_with_edited_shard_1("repeat", |devices| devices[1] = devices[0].clone());
+    assert_eq!(detail, "shard 1 lists device id 1 twice");
+}
+
 #[test]
 fn parked_lifetime_checkpoint_matches_its_golden() {
     let golden = include_str!("golden/parked_checkpoint.json");
@@ -252,9 +368,9 @@ fn damaged_checkpoints_and_streams_never_panic() {
     });
 }
 
-/// Re-seals an edited flight record the way a writer would: FNV-1a over
-/// the stored bytes up to the final `digest` field, plus the closing
-/// brace, so the reader gets past the digest to the edited values.
+/// Re-seals an edited flight record or shard the way a writer would:
+/// FNV-1a over the stored bytes up to the final `digest` field, plus the
+/// closing brace, so the reader gets past the digest to the edited values.
 fn reseal(text: &str) -> String {
     let at = text.rfind(",\"digest\":\"").expect("sealed");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

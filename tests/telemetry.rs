@@ -20,10 +20,13 @@
 //! 6. **Padding is never counted** — a dense product pads its batch to
 //!    whole vector blocks, and the ADC and row-block counters still see
 //!    the real batch alone.
+//! 7. **Resume deploys only what it lost** — a fleet resume restores its
+//!    shards without deploying anything, and deploys fresh exactly the
+//!    devices of a damaged shard.
 
 use healthmon::{
-    AgingModel, AnalogBackend, BackendSpec, CrossbarConfig, Detector, LifetimeConfig,
-    LifetimeRuntime, SdcCriterion, TestPatternSet,
+    AgingModel, AnalogBackend, BackendSpec, CrossbarConfig, Detector, FleetConfig,
+    FleetSupervisor, LifetimeConfig, LifetimeRuntime, SdcCriterion, TestPatternSet,
 };
 use healthmon_faults::{par_map_models_with_threads, FaultModel};
 use healthmon_nn::models::{lenet5, tiny_mlp};
@@ -333,4 +336,40 @@ fn dense_padding_lanes_are_never_counted() {
     assert_eq!(counter(&dense, "reram.adc.samples"), 3 * (8 + 4 + 8 + 4));
     assert_eq!(counter(&dense, "reram.int8.rowblocks"), 3 * (2 + 2 + 1 + 1));
     assert_eq!(counter(&dense, "reram.dac.samples"), 3 * 70);
+}
+
+#[test]
+fn fleet_resume_deploys_only_the_devices_of_damaged_shards() {
+    let _guard = exclusive();
+    // Seven devices in three shards: shard 1 holds devices 1 and 4.
+    let mut rng = SeededRng::new(46);
+    let net = tiny_mlp(8, 12, 4, &mut rng);
+    let patterns = TestPatternSet::new("t", Tensor::rand_uniform(&[6, 8], 0.0, 1.0, &mut rng));
+    let config = FleetConfig {
+        seed: 5,
+        devices: 7,
+        shards: 3,
+        device: LifetimeConfig { epochs: 3, ..LifetimeConfig::default() },
+        ..FleetConfig::default()
+    };
+    let dir = std::env::temp_dir().join("healthmon_telemetry_fleet_resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fleet = FleetSupervisor::new(&net, patterns.clone(), config).unwrap();
+    fleet.run(Some(1));
+    fleet.save_checkpoint(&dir).unwrap();
+    // (damaged shards, devices deployed) of one resume.
+    let resume = || {
+        tel::reset();
+        tel::set_enabled(true);
+        let resumed = FleetSupervisor::resume(&net, patterns.clone(), config, &dir).unwrap();
+        let deployed = counter(&tel::snapshot(), "lifetime.events.deployed");
+        tel::set_enabled(false);
+        (resumed.damaged_shards().len(), deployed)
+    };
+    assert_eq!(resume(), (0, 0), "a healthy checkpoint deploys nothing");
+    let torn = dir.join("shard-001.json");
+    let bytes = std::fs::read(&torn).unwrap();
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+    assert_eq!(resume(), (1, 2), "a torn shard deploys exactly its own devices");
+    std::fs::remove_dir_all(&dir).ok();
 }
