@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the numeric kernels underlying every experiment:
-//! matmul, whole conv layers, crossbar products vs ideal, crossbar conv
-//! and dense layers, forward/backward passes, the repair path's
-//! diagnosis and drift, and the checkpoint store's codec, save and
+//! matmul, whole conv layers, max-pools, crossbar products vs ideal,
+//! crossbar conv and dense layers, forward/backward passes, the repair
+//! path's diagnosis and drift, and the checkpoint store's codec, save and
 //! resume.
 //!
 //! Runs on the in-tree [`healthmon_bench::timing`] harness
@@ -13,7 +13,7 @@ use healthmon::{
 };
 use healthmon_bench::timing::TimingHarness;
 use healthmon_faults::FaultModel;
-use healthmon_nn::layers::{Conv2d, Layer};
+use healthmon_nn::layers::{Conv2d, Layer, MaxPool2d, ResidualConv2d};
 use healthmon_nn::models::{lenet5, resnet8, tiny_mlp};
 use healthmon_nn::{DigitalEngine, Network, PatchMap};
 use healthmon_reram::{
@@ -58,8 +58,10 @@ fn bench_matmul() {
 }
 
 /// Whole conv layers at the campaign's shapes (10 test patterns per
-/// model) through `Layer::infer`, the path every backend's inference
-/// takes: im2col unfold, GEMM, bias and output gather. Then one training
+/// model) through `Layer::infer` on the digital engine: the blocked
+/// patch product (unfold a block of samples, GEMM), bias and output
+/// gather. Every conv layer of lenet5 and convnet7, and one resnet8
+/// residual block (two 3×3 convs and the identity add). Then one training
 /// step of LeNet-5's padded first layer, whose backward folds the patch
 /// gradient back with col2im.
 fn bench_conv_layers() {
@@ -68,12 +70,18 @@ fn bench_conv_layers() {
     for &(label, c, f, k, p, hw) in &[
         ("lenet5_conv0_infer", 1usize, 6usize, 5usize, 2usize, 28usize),
         ("lenet5_conv3_infer", 6, 16, 5, 0, 14),
+        ("convnet7_conv0_infer", 3, 16, 3, 1, 32),
         ("convnet7_conv2_infer", 16, 16, 3, 1, 32),
+        ("convnet7_conv5_infer", 16, 32, 3, 1, 16),
+        ("convnet7_conv7_infer", 32, 32, 3, 1, 16),
     ] {
         let conv = Conv2d::new(c, f, k, 1, p, &mut rng);
         let x = Tensor::rand_uniform(&[10, c, hw, hw], 0.0, 1.0, &mut rng);
         group.case(label, || black_box(conv.infer(&x, "layer0", &DigitalEngine)));
     }
+    let block = ResidualConv2d::new(12, &mut rng);
+    let x = Tensor::rand_uniform(&[10, 12, 16, 16], 0.0, 1.0, &mut rng);
+    group.case("resnet8_block_infer", || black_box(block.infer(&x, "layer3", &DigitalEngine)));
     let mut conv = Conv2d::new(1, 6, 5, 1, 2, &mut rng);
     let x = Tensor::rand_uniform(&[16, 1, 28, 28], 0.0, 1.0, &mut rng);
     let g = Tensor::randn(&[16, 6, 28, 28], &mut rng);
@@ -81,6 +89,22 @@ fn bench_conv_layers() {
         black_box(conv.forward(&x));
         black_box(conv.backward(&g))
     });
+}
+
+/// The zoo's 2×2 max-pools over post-ReLU maps at the campaign's 10
+/// patterns: lenet5 layer 2, convnet7 layer 4, resnet8 layer 2.
+fn bench_pools() {
+    let mut group = TimingHarness::new("pool");
+    let mut rng = SeededRng::new(9);
+    let pool = MaxPool2d::new(2, 2);
+    for &(label, c, hw) in &[
+        ("lenet5_pool2_infer", 6usize, 28usize),
+        ("convnet7_pool4_infer", 16, 32),
+        ("resnet8_pool2_infer", 12, 32),
+    ] {
+        let x = Tensor::randn(&[10, c, hw, hw], &mut rng).map(|v| v.max(0.0));
+        group.case(label, || black_box(pool.infer(&x, "layer0", &DigitalEngine)));
+    }
 }
 
 fn bench_crossbar_matvec() {
@@ -260,6 +284,7 @@ fn bench_store() {
 fn main() {
     bench_matmul();
     bench_conv_layers();
+    bench_pools();
     bench_crossbar_matvec();
     bench_crossbar_conv();
     bench_crossbar_dense();

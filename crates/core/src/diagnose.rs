@@ -25,7 +25,7 @@
 
 use crate::confidence::{ConfidenceDistance, ResponseSet};
 use crate::detect::Detector;
-use healthmon_nn::{DigitalEngine, InferenceBackend, MatmulEngine, Network};
+use healthmon_nn::{DigitalEngine, InferenceBackend, MatmulEngine, Network, PatchMap};
 use healthmon_repair::{DefectMap, StuckCell};
 use healthmon_tensor::Tensor;
 use healthmon_telemetry as tel;
@@ -200,6 +200,10 @@ impl MatmulEngine for Substitute<'_> {
 
     fn matmul_wx(&self, key: &str, w: &Tensor, x: &Tensor) -> Tensor {
         self.tensor_for(key, w).matmul(x)
+    }
+
+    fn matmul_patches(&self, key: &str, w: &Tensor, x: &Tensor, patches: &PatchMap) -> Tensor {
+        patches.matmul(self.tensor_for(key, w), x)
     }
 }
 

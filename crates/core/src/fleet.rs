@@ -40,6 +40,7 @@
 //! a chaos RNG keyed by `(device, epoch, attempt)` — independent of
 //! scheduling, so a chaos run is as deterministic as a clean one.
 
+use crate::detect::Detector;
 use crate::error::HealthmonError;
 use crate::monitor::HealthState;
 use crate::patterns::TestPatternSet;
@@ -467,7 +468,9 @@ enum Plan {
 pub struct FleetSupervisor {
     config: FleetConfig,
     golden: Network,
-    patterns: TestPatternSet,
+    /// The golden responses over the fleet's patterns, recorded once and
+    /// shared by every device (they hold the same golden and patterns).
+    detector: Detector,
     devices: Vec<DeviceRecord>,
     fleet_epoch: usize,
     /// Shards reported damaged by the last [`FleetSupervisor::resume`]:
@@ -516,7 +519,7 @@ impl FleetSupervisor {
         Ok(FleetSupervisor {
             config,
             golden: golden.clone(),
-            patterns,
+            detector: Detector::new(golden, patterns),
             devices: Vec::new(),
             fleet_epoch: 0,
             damaged_shards: Vec::new(),
@@ -528,11 +531,11 @@ impl FleetSupervisor {
     /// empty slot a freshly deployed device; the devices are built in
     /// parallel on the pool as in [`FleetSupervisor::new`].
     fn deploy(&mut self, mut slots: Vec<Option<DeviceRecord>>) {
-        let (golden, patterns, config) = (&self.golden, &self.patterns, &self.config);
+        let (golden, detector, config) = (&self.golden, &self.detector, &self.config);
         pool::run_chunks(&mut slots, 1, |id, chunk| {
             if chunk[0].is_none() {
-                let runtime =
-                    LifetimeRuntime::new(golden, patterns.clone(), config.device_config(id), None);
+                let config = config.device_config(id);
+                let runtime = LifetimeRuntime::with_detector(golden, detector.clone(), config, None);
                 chunk[0] = Some(DeviceRecord {
                     id,
                     runtime,
@@ -965,9 +968,9 @@ impl FleetSupervisor {
             .devices
             .into_iter()
             .map(|entry| {
-                let runtime = LifetimeRuntime::resume(
+                let runtime = LifetimeRuntime::resume_with_detector(
                     &self.golden,
-                    self.patterns.clone(),
+                    self.detector.clone(),
                     self.config.device_config(entry.id),
                     None,
                     &entry.checkpoint,
@@ -1004,7 +1007,7 @@ impl FleetSupervisor {
 
     /// The identity of this fleet's inputs, stored in every shard.
     fn identity(&self) -> Identity {
-        Identity::of(self.config.digest(), &self.golden, &self.patterns)
+        Identity::of(self.config.digest(), &self.golden, self.detector.patterns())
     }
 }
 
@@ -1425,8 +1428,8 @@ mod tests {
         assert_eq!(resumed.damaged_shards().len(), 1);
         assert_eq!(resumed.damaged_shards()[0].0, 1);
         // Healthy-shard devices restored bit-identically...
-        let mut reference = FleetSupervisor::new(&net,
-            TestPatternSet::new("test", resumed.patterns.images().clone()), config).unwrap();
+        let patterns = TestPatternSet::new("test", resumed.detector.patterns().images().clone());
+        let mut reference = FleetSupervisor::new(&net, patterns, config).unwrap();
         reference.run(Some(2));
         for id in [0usize, 2, 3, 5, 6] {
             assert_eq!(

@@ -525,7 +525,19 @@ impl LifetimeRuntime {
         config: LifetimeConfig,
         train: Option<TrainData>,
     ) -> Self {
-        let mut runtime = LifetimeRuntime::build(golden, patterns, config, train);
+        LifetimeRuntime::with_detector(golden, Detector::new(golden, patterns), config, train)
+    }
+
+    /// [`LifetimeRuntime::new`] with the golden detector of `golden` over
+    /// its patterns already recorded, as a fleet records it once for all
+    /// its devices.
+    pub(crate) fn with_detector(
+        golden: &Network,
+        detector: Detector,
+        config: LifetimeConfig,
+        train: Option<TrainData>,
+    ) -> Self {
+        let mut runtime = LifetimeRuntime::build(golden, detector, config, train);
         let report = runtime.device.deploy_report(runtime.patterns.images());
         runtime.push_event(LifetimeEvent::Deployed {
             tiles: report.total_tiles(),
@@ -541,16 +553,18 @@ impl LifetimeRuntime {
         runtime
     }
 
-    /// Validates the inputs, builds the golden detector and programs the
-    /// device: all of [`LifetimeRuntime::new`] but the deploy report, the
-    /// baseline checkup and their events, which a resume takes from its
-    /// checkpoint instead.
+    /// Validates the inputs and programs the device, with `full_detector`
+    /// recorded on `golden` over the runtime's patterns: all of
+    /// [`LifetimeRuntime::new`] but the deploy report, the baseline
+    /// checkup and their events, which a resume takes from its checkpoint
+    /// instead.
     fn build(
         golden: &Network,
-        patterns: TestPatternSet,
+        full_detector: Detector,
         config: LifetimeConfig,
         train: Option<TrainData>,
     ) -> Self {
+        let patterns = full_detector.patterns().clone();
         config.validate();
         assert!(
             patterns.len() >= config.min_patterns,
@@ -566,7 +580,6 @@ impl LifetimeRuntime {
             );
         }
         let golden = golden.clone();
-        let full_detector = Detector::new(&golden, patterns.clone());
         let mut deploy_rng = SeededRng::new(config.seed).fork(0);
         let device = device::program(&golden, &config, &mut deploy_rng);
         let layers = golden
@@ -1319,6 +1332,19 @@ impl LifetimeRuntime {
         train: Option<TrainData>,
         checkpoint: &str,
     ) -> Result<Self, HealthmonError> {
+        let detector = Detector::new(golden, patterns);
+        LifetimeRuntime::resume_with_detector(golden, detector, config, train, checkpoint)
+    }
+
+    /// [`LifetimeRuntime::resume`] with the golden detector already
+    /// recorded, as [`LifetimeRuntime::with_detector`] takes it.
+    pub(crate) fn resume_with_detector(
+        golden: &Network,
+        detector: Detector,
+        config: LifetimeConfig,
+        train: Option<TrainData>,
+        checkpoint: &str,
+    ) -> Result<Self, HealthmonError> {
         if config.backend.kind != healthmon_reram::BackendKind::Digital {
             return Err(HealthmonError::CheckpointMismatch(format!(
                 "lifetime checkpoints capture digital device state only; \
@@ -1335,7 +1361,7 @@ impl LifetimeRuntime {
         }
         // Everything the deploy report and baseline checkup of `new`
         // would produce, the checkpoint overwrites.
-        let mut runtime = LifetimeRuntime::build(golden, patterns, config, train);
+        let mut runtime = LifetimeRuntime::build(golden, detector, config, train);
         runtime.identity().verify(&value, "configuration", &runtime.golden)?;
         let body = CheckpointBody::from_json(&value)?;
         runtime.check_layers(&body.layers)?;

@@ -3,6 +3,13 @@
 use super::{Layer, MatmulEngine, MatmulOrientation};
 use crate::init::Init;
 use healthmon_tensor::{SeededRng, Tensor};
+use std::ops::Range;
+
+/// Bytes of `f32` patches [`PatchMap::matmul`] unfolds per block: a
+/// quarter of a 2 MB L2, so the block, the output rows it writes and the
+/// weights stay resident while the GEMM streams the block `⌈F/4⌉` times.
+/// DESIGN §8 records the sweep behind the figure.
+const BLOCK_BYTES: usize = 512 * 1024;
 
 /// A 2-D convolution layer over `[N, C, H, W]` inputs.
 ///
@@ -174,8 +181,9 @@ impl Conv2d {
 ///
 /// One walker, [`PatchMap::for_each_segment`], serves every element type:
 /// [`Conv2d`] unfolds `f32` activations and folds gradients back with it,
-/// and a crossbar engine unfolds the integer DAC codes of an input with
-/// the same segments (see [`MatmulEngine::matmul_patches`]).
+/// [`PatchMap::matmul`] unfolds a block of whole samples at a time for the
+/// digital product, and a crossbar engine unfolds the integer DAC codes of
+/// an input with the same segments (see [`MatmulEngine::matmul_patches`]).
 ///
 /// # Example
 ///
@@ -270,11 +278,17 @@ impl PatchMap {
     /// are left out, so each tap's valid columns and rows are computed
     /// once, not tested per element. The nesting, outermost first, is
     /// `ci, kh, kw, ni, ph`, then `j`.
-    pub fn for_each_segment(&self, mut f: impl FnMut(usize, usize, usize)) {
-        let [n, c, h, w] = self.input;
+    pub fn for_each_segment(&self, f: impl FnMut(usize, usize, usize)) {
+        self.segments(0..self.input[0], self.cols(), f);
+    }
+
+    /// [`PatchMap::for_each_segment`] over the samples `ni` in `samples`
+    /// only, into a patch block of row stride `ld` whose column 0 is the
+    /// first patch of sample `samples.start`.
+    fn segments(&self, samples: Range<usize>, ld: usize, mut f: impl FnMut(usize, usize, usize)) {
+        let [_, c, h, w] = self.input;
         let (k, s, p) = (self.kernel, self.stride, self.padding);
         let (oh, ow) = (self.out_h, self.out_w);
-        let cols = self.cols();
         for ci in 0..c {
             for kh in 0..k {
                 let (ph_lo, ph_hi) = self.tap_range(kh, h, oh);
@@ -285,10 +299,10 @@ impl PatchMap {
                     if pw_lo == pw_hi {
                         continue;
                     }
-                    let row_base = ((ci * k + kh) * k + kw) * cols;
-                    for ni in 0..n {
+                    let row_base = ((ci * k + kh) * k + kw) * ld;
+                    for ni in samples.clone() {
                         let plane = (ni * c + ci) * h * w;
-                        let col_base = row_base + ni * oh * ow;
+                        let col_base = row_base + (ni - samples.start) * oh * ow;
                         for ph in ph_lo..ph_hi {
                             let in_row = plane + (ph * s + kh - p) * w;
                             f(
@@ -315,8 +329,14 @@ impl PatchMap {
     pub fn unfold_into<T: Copy>(&self, x: &[T], col: &mut [T]) {
         assert_eq!(x.len(), self.input.iter().product::<usize>(), "input length mismatch");
         assert_eq!(col.len(), self.rows() * self.cols(), "patch matrix length mismatch");
+        self.unfold_samples(x, 0..self.input[0], col, self.cols());
+    }
+
+    /// Unfolds the patches of `samples` into `col`, rows of stride `ld`,
+    /// writing only the entries that read inside the input.
+    fn unfold_samples<T: Copy>(&self, x: &[T], samples: Range<usize>, col: &mut [T], ld: usize) {
         let s = self.stride;
-        self.for_each_segment(|dst, src, len| {
+        self.segments(samples, ld, |dst, src, len| {
             let seg = &mut col[dst..dst + len];
             if s == 1 {
                 seg.copy_from_slice(&x[src..src + len]);
@@ -326,6 +346,54 @@ impl PatchMap {
                 }
             }
         });
+    }
+
+    /// The digital conv product `w · col(x)` for a `[F, C·K·K]` weight and
+    /// an `[N, C, H, W]` input, bit-identical to
+    /// `w.matmul(&self.unfold(x))` but without the whole patch matrix:
+    /// [`Tensor::matmul_blocks`] multiplies a block of whole samples at a
+    /// time, as many as fit about 512 KB and at least one, unfolded into
+    /// one buffer that stays in cache. Every block then has its
+    /// padding at the same positions, so the buffer is zeroed once and
+    /// each block writes only the entries that read the input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not have the mapped input shape or `w` is not
+    /// `[F, C·K·K]`.
+    pub fn matmul(&self, w: &Tensor, x: &Tensor) -> Tensor {
+        assert_eq!(x.shape(), self.input_shape(), "conv input shape mismatch");
+        assert!(
+            w.ndim() == 2 && w.shape()[1] == self.rows(),
+            "conv weight {:?} does not take {} patch rows",
+            w.shape(),
+            self.rows()
+        );
+        let samples = self.block_samples(BLOCK_BYTES);
+        w.matmul_blocks(self.cols(), samples * self.out_h * self.out_w, self.block_fill(x))
+    }
+
+    /// Whole samples per patch block: as many as fit `budget` bytes of
+    /// `f32` patches, at least one, at most the batch.
+    fn block_samples(&self, budget: usize) -> usize {
+        let sample_bytes = self.rows() * self.out_h * self.out_w * std::mem::size_of::<f32>();
+        (budget / sample_bytes.max(1)).clamp(1, self.input[0].max(1))
+    }
+
+    /// The [`Tensor::matmul_blocks`] fill that unfolds `x`'s patches for
+    /// columns `[c0, c1)`, which must cover whole samples.
+    fn block_fill<'a>(
+        &'a self,
+        x: &'a Tensor,
+    ) -> impl Fn(usize, usize, &mut [f32], usize) + 'a {
+        let plane = self.out_h * self.out_w;
+        move |c0, c1, buf, ldb| {
+            debug_assert!(
+                c0.is_multiple_of(plane) && c1.is_multiple_of(plane),
+                "patch blocks hold whole samples"
+            );
+            self.unfold_samples(x.as_slice(), c0 / plane..c1 / plane, buf, ldb);
+        }
     }
 
     /// The patch matrix `col(x)` of an `[N, C, H, W]` tensor, with padding
@@ -765,6 +833,78 @@ mod tests {
                     assert_eq!(got, want, "k{k} s{s} p{p}");
                 }
             }
+        }
+    }
+
+    /// Random pixels with one NaN, +∞ or −∞ in every sample, so each
+    /// patch block carries non-finite values into the next one's buffer.
+    fn with_special_per_sample(shape: &[usize], rng: &mut SeededRng) -> Tensor {
+        let mut t = Tensor::randn(shape, rng);
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let sample = shape[1..].iter().product::<usize>();
+        for (i, pixels) in t.as_mut_slice().chunks_exact_mut(sample).enumerate() {
+            pixels[rng.below(sample)] = specials[i % 3];
+        }
+        t
+    }
+
+    /// The blocked digital product against `w · unfold(x)` over the whole
+    /// patch matrix, to the bit: kernel 1–5, stride 1–3, padding 0 through
+    /// kernel + 1, batches 1–11 split into blocks of 1–4 samples or one
+    /// block (so the last block is often short), planes that are rarely a
+    /// multiple of 16, at 1, 2 and 7 threads.
+    #[test]
+    fn blocked_product_matches_the_whole_patch_matrix() {
+        let mut rng = SeededRng::new(10);
+        let mut cases = 0;
+        for k in 1..=5 {
+            for s in 1..=3 {
+                for p in 0..=k + 1 {
+                    let (n, c) = (1 + cases % 11, 1 + cases % 3);
+                    let (h, w) = (5 + cases % 5, 4 + cases % 7);
+                    if h.min(w) + 2 * p < k {
+                        continue;
+                    }
+                    cases += 1;
+                    let x = with_special_per_sample(&[n, c, h, w], &mut rng);
+                    let map = PatchMap::new(x.shape(), k, s, p);
+                    let wt = Tensor::randn(&[1 + cases % 9, map.rows()], &mut rng);
+                    let want = wt.matmul(&map.unfold(&x));
+                    let plane = map.cols() / n;
+                    for (spb, threads) in [(1, 1), (2, 2), (3, 7), (4, 1), (n, 2)] {
+                        let what =
+                            format!("k{k} s{s} p{p} [{n},{c},{h},{w}] {spb}/block {threads}t");
+                        let got = wt.matmul_blocks_with_threads(
+                            map.cols(),
+                            spb * plane,
+                            threads,
+                            map.block_fill(&x),
+                        );
+                        assert_bits_eq(&got, &want, &what);
+                    }
+                    let engine = DigitalEngine.matmul_patches("layer0.weight", &wt, &x, &map);
+                    assert_bits_eq(&engine, &want, &format!("k{k} s{s} p{p} engine"));
+                }
+            }
+        }
+        assert!(cases > 70, "only {cases} geometries ran");
+    }
+
+    /// At the real block budget: lenet5's first conv over 11 samples
+    /// unfolds 6 per block (a short second block of 5), convnet7's second
+    /// one sample per block.
+    #[test]
+    fn zoo_shaped_products_block_as_budgeted() {
+        let mut rng = SeededRng::new(11);
+        for (shape, k, p, filters, per_block) in
+            [([11, 1, 28, 28], 5, 2, 6, 6), ([3, 16, 32, 32], 3, 1, 32, 1)]
+        {
+            let x = with_special_per_sample(&shape, &mut rng);
+            let map = PatchMap::new(&shape, k, 1, p);
+            assert_eq!(map.block_samples(BLOCK_BYTES), per_block, "{shape:?}");
+            let wt = Tensor::randn(&[filters, map.rows()], &mut rng);
+            let got = DigitalEngine.matmul_patches("layer0.weight", &wt, &x, &map);
+            assert_bits_eq(&got, &wt.matmul(&map.unfold(&x)), &format!("{shape:?}"));
         }
     }
 

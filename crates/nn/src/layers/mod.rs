@@ -81,7 +81,10 @@ pub trait MatmulEngine {
 /// The reference [`MatmulEngine`]: plain digital [`Tensor::matmul`].
 ///
 /// Bit-identical to the layers' own `forward` arithmetic at any thread
-/// count — it calls the very same GEMM the training path uses.
+/// count — it calls the very same GEMM the training path uses. A
+/// convolution's product runs block by block over its unfolded patches
+/// ([`PatchMap::matmul`]) instead of over the whole patch matrix, with the
+/// same bits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DigitalEngine;
 
@@ -92,6 +95,10 @@ impl MatmulEngine for DigitalEngine {
 
     fn matmul_wx(&self, _key: &str, w: &Tensor, x: &Tensor) -> Tensor {
         w.matmul(x)
+    }
+
+    fn matmul_patches(&self, _key: &str, w: &Tensor, x: &Tensor, patches: &PatchMap) -> Tensor {
+        patches.matmul(w, x)
     }
 }
 

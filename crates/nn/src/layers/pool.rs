@@ -69,11 +69,11 @@ impl Layer for MaxPool2d {
                         for kh in 0..self.kernel {
                             let row = window + kh * w;
                             for kw in 0..self.kernel {
+                                // Selects, not a branch, as in `infer`.
                                 let v = x[row + kw];
-                                if v > best {
-                                    best = v;
-                                    best_idx = row + kw;
-                                }
+                                let better = v > best;
+                                best = if better { v } else { best };
+                                best_idx = if better { row + kw } else { best_idx };
                             }
                         }
                         o[oi] = best;
@@ -94,6 +94,26 @@ impl Layer for MaxPool2d {
         let ow = pooled_extent(w, self.kernel, self.stride);
         let x = input.as_slice();
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        // Every output visits its taps in `kh, kw` order, and `v > best`
+        // is a select, not a branch. Which tap wins depends on the
+        // activations, so a branch mispredicts; the select lowers to
+        // `maxps`, which keeps `best` on a NaN `v` and on equal zeros
+        // exactly as the branch did.
+        let select = |best: f32, v: f32| if v > best { v } else { best };
+        if self.kernel == 2 && self.stride == 2 {
+            // Every zoo pool: both input rows of an output row in one pass,
+            // each output's four taps folded in registers, which vectorizes
+            // across outputs (DESIGN.md §8).
+            for (i, best) in out.as_mut_slice().chunks_exact_mut(ow).enumerate() {
+                let top = (i / oh) * h * w + (i % oh) * 2 * w;
+                let bottom = x[top + w..][..2 * ow].chunks_exact(2);
+                let rows = x[top..][..2 * ow].chunks_exact(2).zip(bottom);
+                for (b, (t, u)) in best.iter_mut().zip(rows) {
+                    *b = [t[0], t[1], u[0], u[1]].into_iter().fold(f32::NEG_INFINITY, select);
+                }
+            }
+            return out;
+        }
         let o = out.as_mut_slice();
         let mut oi = 0usize;
         for ni in 0..n {
@@ -105,10 +125,7 @@ impl Layer for MaxPool2d {
                         for kh in 0..self.kernel {
                             let row = plane + (ph * self.stride + kh) * w + pw * self.stride;
                             for kw in 0..self.kernel {
-                                let v = x[row + kw];
-                                if v > best {
-                                    best = v;
-                                }
+                                best = select(best, x[row + kw]);
                             }
                         }
                         o[oi] = best;
@@ -358,6 +375,88 @@ mod tests {
         let y = pool.forward(&x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[5.0, 6.0, 8.0, 9.0]);
+    }
+
+    /// The branching per-window loops the selects replaced, kept
+    /// as their reference: `(output, winner index)` of each window.
+    fn reference_maxpool(x: &Tensor, kernel: usize, stride: usize) -> (Vec<f32>, Vec<usize>) {
+        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let oh = pooled_extent(h, kernel, stride);
+        let ow = pooled_extent(w, kernel, stride);
+        let x = x.as_slice();
+        let (mut out, mut argmax) = (Vec::new(), Vec::new());
+        for ni in 0..n {
+            for ci in 0..c {
+                let plane = (ni * c + ci) * h * w;
+                for ph in 0..oh {
+                    for pw in 0..ow {
+                        let window = plane + ph * stride * w + pw * stride;
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_idx = window;
+                        for kh in 0..kernel {
+                            let row = window + kh * w;
+                            for kw in 0..kernel {
+                                let v = x[row + kw];
+                                if v > best {
+                                    best = v;
+                                    best_idx = row + kw;
+                                }
+                            }
+                        }
+                        out.push(best);
+                        argmax.push(best_idx);
+                    }
+                }
+            }
+        }
+        (out, argmax)
+    }
+
+    /// Random maps where ties, NaN, ±0 and −∞ decide windows: values are
+    /// drawn from a small set, so many windows hold equal maxima, zeros of
+    /// both signs, NaNs before and after finite values, or nothing above
+    /// −∞.
+    fn adversarial_map(shape: &[usize], rng: &mut SeededRng) -> Tensor {
+        let specials = [f32::NAN, 0.0, -0.0, f32::NEG_INFINITY, 1.0, -1.0, 0.5];
+        let mut t = Tensor::randn(shape, rng);
+        for v in t.as_mut_slice() {
+            let pick = rng.below(10);
+            if pick < specials.len() {
+                *v = specials[pick];
+            }
+        }
+        t
+    }
+
+    /// `infer`, `forward` and the winner indices `backward` routes to,
+    /// against the branching reference, to the bit.
+    #[test]
+    fn selects_match_the_branching_reference() {
+        let mut rng = SeededRng::new(9);
+        let shapes = [[1, 1, 4, 4], [2, 3, 7, 9], [3, 2, 28, 28], [1, 4, 6, 5], [2, 1, 1, 8]];
+        let mut cases = 0;
+        for shape in shapes {
+            for kernel in 1..=3 {
+                for stride in 1..=3 {
+                    if shape[2].min(shape[3]) < kernel {
+                        continue;
+                    }
+                    cases += 1;
+                    let x = adversarial_map(&shape, &mut rng);
+                    let (want, want_idx) = reference_maxpool(&x, kernel, stride);
+                    let mut pool = MaxPool2d::new(kernel, stride);
+                    let what = format!("{shape:?} k{kernel} s{stride}");
+                    let bits =
+                        |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    let inferred = pool.infer(&x, "layer0", &crate::DigitalEngine);
+                    assert_eq!(bits(&inferred), want_bits, "{what} infer");
+                    assert_eq!(bits(&pool.forward(&x)), want_bits, "{what} forward");
+                    assert_eq!(pool.cached_argmax, want_idx, "{what} argmax");
+                }
+            }
+        }
+        assert!(cases >= 35, "only {cases} cases ran");
     }
 
     #[test]

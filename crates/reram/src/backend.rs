@@ -461,7 +461,7 @@ impl MatmulEngine for AnalogBackend<'_> {
     fn matmul_patches(&self, key: &str, w: &Tensor, x: &Tensor, patches: &PatchMap) -> Tensor {
         match self.layers.get(key) {
             Some(layer) => layer.matrix.matmul_patches(x, patches),
-            None => w.matmul(&patches.unfold(x)),
+            None => patches.matmul(w, x),
         }
     }
 }

@@ -555,21 +555,23 @@ impl Crossbar {
     /// folded in), shared by every inference through the tile. Built on
     /// first use inside the cached execution state `exec`.
     fn diff<'s>(&'s self, exec: &'s ExecState) -> &'s Tensor {
-        exec.diff.get_or_init(|| {
-            let s = self.scale;
-            match &self.ir_drop {
-                // Per-cell attenuation of both planes — the same math the
-                // destructive application used, now recomputed from
-                // pristine conductances so repeated model changes never
-                // compound.
-                Some(model) => {
-                    let gp = model.attenuate(&self.g_pos);
-                    let gn = model.attenuate(&self.g_neg);
-                    gp.zip_map(&gn, move |p, n| (p - n) * s)
-                }
-                None => self.g_pos.zip_map(&self.g_neg, move |p, n| (p - n) * s),
+        exec.diff.get_or_init(|| self.compute_diff())
+    }
+
+    /// `(g_pos − g_neg) · scale` with IR drop folded in, computed afresh.
+    fn compute_diff(&self) -> Tensor {
+        let s = self.scale;
+        match &self.ir_drop {
+            // Per-cell attenuation of both planes — the same math the
+            // destructive application used, now recomputed from pristine
+            // conductances so repeated model changes never compound.
+            Some(model) => {
+                let gp = model.attenuate(&self.g_pos);
+                let gn = model.attenuate(&self.g_neg);
+                gp.zip_map(&gn, move |p, n| (p - n) * s)
             }
-        })
+            None => self.g_pos.zip_map(&self.g_neg, move |p, n| (p - n) * s),
+        }
     }
 
     /// Drops the cached execution state after a conductance (or IR-drop
@@ -692,9 +694,15 @@ impl Crossbar {
     }
 
     /// Reads the effective weight matrix back from the conductances —
-    /// what the analog computation actually uses.
+    /// what the analog computation actually uses. A tile whose execution
+    /// state is cached reads its differential matrix from there; any other
+    /// computes the matrix directly, without building the integer state a
+    /// read-back never uses.
     pub fn effective_weights(&self) -> Tensor {
-        self.diff(self.exec()).clone()
+        match self.exec_cache.get() {
+            Some(_) => self.diff(self.exec()).clone(),
+            None => self.compute_diff(),
+        }
     }
 
     /// The tile's configuration.

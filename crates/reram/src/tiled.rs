@@ -127,16 +127,16 @@ impl TiledMatrix {
     /// The effective weight matrix the tiles actually store.
     pub fn effective_weights(&self) -> Tensor {
         let mut out = Tensor::zeros(&[self.rows, self.cols]);
+        let (row_extent, col_extent) = (self.tile_rows_extent(), self.tile_cols_extent());
+        let o = out.as_mut_slice();
         for br in 0..self.tile_rows {
             for bc in 0..self.tile_cols {
-                let tile = &self.tiles[br * self.tile_cols + bc];
-                let block = tile.effective_weights();
-                let (bh, bw) = (block.shape()[0], block.shape()[1]);
-                for r in 0..bh {
-                    for c in 0..bw {
-                        *out.at_mut(&[br * self.tile_rows_extent() + r, bc * self.tile_cols_extent() + c]) =
-                            block.at(&[r, c]);
-                    }
+                let block = self.tiles[br * self.tile_cols + bc].effective_weights();
+                let bw = block.shape()[1];
+                let rows = block.as_slice().chunks_exact(bw.max(1));
+                for (r, src) in rows.enumerate() {
+                    let dst = (br * row_extent + r) * self.cols + bc * col_extent;
+                    o[dst..dst + bw].copy_from_slice(src);
                 }
             }
         }

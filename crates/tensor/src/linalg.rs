@@ -2,35 +2,50 @@
 //!
 //! Three variants cover everything backprop needs: `A·B`, `Aᵀ·B`, and
 //! `A·Bᵀ`. All three funnel into one register-tiled GEMM that reads the
-//! row-major right operand in place: an `MR`×`NR` (4×16) tile keeps
-//! eight AVX accumulators live and streams each `NR`-column strip of B
-//! straight from its rows. Only the `n % NR` tail columns are
-//! copied, into one zero-padded strip, so they run through the same
-//! vector tile. `Aᵀ·B` and `A·Bᵀ` materialize the transposed operand
-//! first. Large problems fan out across the persistent [`crate::pool`] by
-//! row block.
+//! row-major right operand in place, on the widest of three tiers the CPU
+//! supports:
+//!
+//! - **AVX-512**: a 4×32 (`MR`×`NR_WIDE`) tile keeps eight zmm
+//!   accumulators live for every 32-column strip that fits inside the
+//!   `n − n % NR` columns of whole 16-wide strips; the AVX tile takes a
+//!   16-column strip left over there, and the tail below.
+//! - **AVX**: a 4×16 (`MR`×`NR`) tile of eight ymm accumulators streams
+//!   each 16-column strip of B straight from its rows.
+//! - **portable**: a row loop the compiler vectorizes as it can.
+//!
+//! On the vector tiers only the `n % NR` tail columns are copied, into one
+//! zero-padded strip, so they run through the 16-wide tile instead of a
+//! scalar loop. A product narrower than 32 columns therefore takes the
+//! same path on both vector tiers. `Aᵀ·B` and `A·Bᵀ` materialize the
+//! transposed operand first. Large problems fan out across the persistent
+//! [`crate::pool`] by row band.
 //!
 //! B is never packed. The workspace's products have few output rows (6
-//! to 32 test patterns or conv filters against an im2col matrix that can
-//! be 10k columns wide), so a packed copy of B would be read only
-//! `⌈m/MR⌉` times, and copying it cost more than the arithmetic.
+//! to 32 test patterns or conv filters against a patch matrix that can be
+//! 10k columns wide), so a packed copy of B would be read only `⌈m/MR⌉`
+//! times, and copying it cost more than the arithmetic.
+//! [`Tensor::matmul_blocks`] goes one step further for an operand that is
+//! itself built for the product (a convolution's unfolded patches): B
+//! arrives one column block at a time in a reused buffer that stays in
+//! cache, and each block is multiplied as it lands.
 //!
 //! # Bit-exactness
 //!
 //! Each output element is produced by a single `f32` accumulator walking
 //! the shared dimension in ascending order — exactly the naive triple
-//! loop's order. Tiling only changes which elements are computed
-//! together, never the float operation order, so the kernels are
-//! bit-identical to the naive reference, and row-parallel execution is
-//! bit-identical at any thread count (chunks own disjoint output rows).
-//! Multiply and add stay separate operations (never a fused FMA). The
-//! kernels also make no zero-skip shortcuts: `0.0 · NaN` and `0.0 · ∞`
-//! contribute `NaN` to the accumulator exactly as IEEE 754 (and the naive
-//! loop) demand.
+//! loop's order. Tiers, tile widths, strips, column blocks and row bands
+//! only change which elements are computed together, never the float
+//! operation order, so every tier is bit-identical to the naive
+//! reference, and row-parallel execution is bit-identical at any thread
+//! count (bands own disjoint output rows). Multiply and add stay separate
+//! operations (never a fused FMA). The kernels also make no zero-skip
+//! shortcuts: `0.0 · NaN` and `0.0 · ∞` contribute `NaN` to the
+//! accumulator exactly as IEEE 754 (and the naive loop) demand.
 
 use crate::pool;
 use crate::Tensor;
 use healthmon_telemetry as tel;
+use std::sync::OnceLock;
 
 // GEMM call and flop counts are per-work-item and thread-count-invariant
 // (Stable); the chosen fan-out and per-block kernel dispatch counts vary
@@ -39,6 +54,8 @@ static GEMM_CALLS: tel::Counter = tel::Counter::new("gemm.calls", tel::Stability
 static GEMM_FLOPS: tel::Counter = tel::Counter::new("gemm.flops", tel::Stability::Stable);
 static GEMM_THREADS: tel::Histogram =
     tel::Histogram::new("gemm.threads", tel::Stability::Volatile);
+static GEMM_BLOCKS_AVX512: tel::Counter =
+    tel::Counter::new("gemm.row_blocks.avx512", tel::Stability::Volatile);
 static GEMM_BLOCKS_AVX: tel::Counter =
     tel::Counter::new("gemm.row_blocks.avx", tel::Stability::Volatile);
 static GEMM_BLOCKS_SCALAR: tel::Counter =
@@ -47,8 +64,10 @@ static MATVEC_CALLS: tel::Counter = tel::Counter::new("gemm.matvec_calls", tel::
 
 /// Register-tile height: output rows carried per kernel call.
 const MR: usize = 4;
-/// Register-tile width: output columns per kernel call (two 8-lane vectors).
+/// AVX tile width: output columns per kernel call (two 8-lane vectors).
 const NR: usize = 16;
+/// AVX-512 tile width (two 16-lane vectors).
+const NR_WIDE: usize = 32;
 
 /// Below this many multiply-accumulates, threading costs more than it saves.
 const PAR_THRESHOLD: usize = 1 << 18;
@@ -60,17 +79,64 @@ fn thread_count(rows: usize, work: usize) -> usize {
     pool::max_threads().min(rows).max(1)
 }
 
-/// The right operand as the kernel reads it: row-major `b` (`k×n`) in
-/// place for every full `NR`-column strip, and a zero-padded `k×NR` copy
-/// of the `n % NR` tail columns, so the tail runs through the same vector
-/// tile instead of a scalar loop.
+/// A kernel family. Every tier computes the same bits; the widest one the
+/// CPU supports runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Avx512,
+    Avx,
+    Portable,
+}
+
+impl Tier {
+    /// The widest tier the running CPU supports (checked once per process).
+    fn best() -> Tier {
+        static BEST: OnceLock<Tier> = OnceLock::new();
+        *BEST.get_or_init(|| {
+            [Tier::Avx512, Tier::Avx].into_iter().find(|t| t.supported()).unwrap_or(Tier::Portable)
+        })
+    }
+
+    fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx => std::arch::is_x86_feature_detected!("avx"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Avx512 | Tier::Avx => false,
+            Tier::Portable => true,
+        }
+    }
+}
+
+/// The right operand as the kernel reads it: `k` rows of stride `ldb`,
+/// of which the first `full` columns are read in place in whole
+/// `NR`-column strips, and a zero-padded `k×NR` copy of the remaining
+/// `n − full` tail columns, so the tail runs through the same vector tile
+/// instead of a scalar loop.
 struct Rhs<'a> {
     b: &'a [f32],
+    ldb: usize,
     n: usize,
+    full: usize,
     tail: Vec<f32>,
 }
 
+/// One column strip of the right operand: `b` from its first column, row
+/// stride `ldb`, the strip's first output column `j0`, the `lanes` a tile
+/// reads (`NR` or `NR_WIDE`) and the `w ≤ lanes` columns it stores.
+struct Strip<'a> {
+    b: &'a [f32],
+    ldb: usize,
+    j0: usize,
+    lanes: usize,
+    w: usize,
+}
+
 impl<'a> Rhs<'a> {
+    /// Row-major `b` (`k×n`): whole `NR`-column strips in place, the
+    /// `n % NR` tail columns copied.
     fn new(b: &'a [f32], k: usize, n: usize) -> Rhs<'a> {
         let full = n - n % NR;
         let mut tail = Vec::new();
@@ -80,16 +146,46 @@ impl<'a> Rhs<'a> {
                 dst[..n - full].copy_from_slice(&src[full..]);
             }
         }
-        Rhs { b, n, tail }
+        Rhs { b, ldb: n, n, full, tail }
     }
 
-    /// Every column strip as `(b from its first column, row stride,
-    /// first output column, columns to store)`.
-    fn strips(&self) -> impl Iterator<Item = (&[f32], usize, usize, usize)> {
-        let full = self.n - self.n % NR;
-        let body = (0..full).step_by(NR).map(move |j0| (&self.b[j0..], self.n, j0, NR));
-        let tail = (full < self.n).then(|| (&self.tail[..], NR, full, self.n - full));
+    /// The first `n` columns of a buffer of rows of stride `ldb`, a
+    /// multiple of `NR_WIDE`, so that every strip reads in place. Lanes past
+    /// `n` are computed and never stored, whatever they hold.
+    fn block(b: &'a [f32], ldb: usize, n: usize) -> Rhs<'a> {
+        debug_assert!(ldb.is_multiple_of(NR_WIDE) && n <= ldb);
+        Rhs { b, ldb, n, full: n.next_multiple_of(NR), tail: Vec::new() }
+    }
+
+    /// Every column strip, at most `wide` lanes each: `wide`-lane strips
+    /// while one fits inside the in-place columns, an `NR`-lane strip for
+    /// what is left there, then the copied tail.
+    fn strips(&self, wide: usize) -> impl Iterator<Item = Strip<'_>> {
+        let body = (0..self.full).step_by(wide).map(move |j0| {
+            let lanes = wide.min(self.full - j0);
+            Strip { b: &self.b[j0..], ldb: self.ldb, j0, lanes, w: lanes.min(self.n - j0) }
+        });
+        let tail = (self.full < self.n).then(|| Strip {
+            b: &self.tail[..],
+            ldb: NR,
+            j0: self.full,
+            lanes: NR,
+            w: self.n - self.full,
+        });
         body.chain(tail)
+    }
+}
+
+/// Calls `f(first row, rows)` for each register tile of a `rows`-row
+/// band: `MR`-row tiles, then one tile of the remaining `rows % MR`.
+fn row_tiles(rows: usize, mut f: impl FnMut(usize, usize)) {
+    let mut i = 0;
+    while i + MR <= rows {
+        f(i, MR);
+        i += MR;
+    }
+    if i < rows {
+        f(i, rows - i);
     }
 }
 
@@ -99,38 +195,24 @@ impl<'a> Rhs<'a> {
 /// sequence and results stay bit-identical to the portable path.
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{Rhs, MR, NR};
+    use super::{row_tiles, Rhs, Strip, NR};
     use core::arch::x86_64::{
         _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
 
-    /// Whether the running CPU supports AVX (checked once per process).
-    pub fn available() -> bool {
-        static AVX: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
-    }
-
     /// One `ROWS×NR` register tile: `a` holds the tile's rows (`ROWS×k`,
-    /// row-major), `b` the strip from its first column with row stride
-    /// `ldb`. Stores the first `w` columns of each row into `c` (row
-    /// stride `ldc`).
+    /// row-major), `s` the strip. Stores the first `s.w` columns of each
+    /// row into `c` (row stride `ldc`).
     ///
     /// # Safety
     ///
     /// The CPU must support AVX.
     #[target_feature(enable = "avx")]
-    unsafe fn tile<const ROWS: usize>(
-        a: &[f32],
-        k: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        w: usize,
-    ) {
-        assert!(a.len() >= ROWS * k && (k == 0 || b.len() >= (k - 1) * ldb + NR) && w <= NR);
-        let (a, b) = (a.as_ptr(), b.as_ptr());
+    unsafe fn tile<const ROWS: usize>(a: &[f32], k: usize, s: &Strip, c: &mut [f32], ldc: usize) {
+        let (ldb, w) = (s.ldb, s.w);
+        assert!(a.len() >= ROWS * k && (k == 0 || s.b.len() >= (k - 1) * ldb + NR) && w <= NR);
+        let (a, b) = (a.as_ptr(), s.b.as_ptr());
         let mut acc = [[_mm256_setzero_ps(); 2]; ROWS];
         for p in 0..k {
             // SAFETY: the assert bounds every read: row `r < ROWS` of `a`
@@ -166,91 +248,269 @@ mod avx {
         }
     }
 
-    /// Output rows `[r0, r1)` into `c` (those rows only), strip by strip:
-    /// `MR`-row tiles, then one tile of the remaining `(r1 − r0) % MR`
-    /// rows.
+    /// The `rows`-row (`1..=MR`) tile over strip `s`.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn gemm_rows(a: &[f32], rhs: &Rhs, c: &mut [f32], r0: usize, r1: usize, k: usize) {
-        let n = rhs.n;
-        for (b, ldb, j0, w) in rhs.strips() {
-            let mut i = r0;
-            while i + MR <= r1 {
-                let c = &mut c[(i - r0) * n + j0..];
+    pub unsafe fn tile_rows(
+        rows: usize,
+        a: &[f32],
+        k: usize,
+        s: &Strip,
+        c: &mut [f32],
+        ldc: usize,
+    ) {
+        // SAFETY: AVX support is this function's own precondition.
+        unsafe {
+            match rows {
+                4 => tile::<4>(a, k, s, c, ldc),
+                3 => tile::<3>(a, k, s, c, ldc),
+                2 => tile::<2>(a, k, s, c, ldc),
+                _ => tile::<1>(a, k, s, c, ldc),
+            }
+        }
+    }
+
+    /// The rows of `a` (`rows×k`) times `rhs` into `c` (row stride `ldc`),
+    /// strip by strip.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
+    pub unsafe fn gemm_rows(a: &[f32], k: usize, rhs: &Rhs, c: &mut [f32], ldc: usize) {
+        for s in rhs.strips(NR) {
+            row_tiles(a.len() / k, |i, rows| {
                 // SAFETY: AVX support is this function's own precondition.
-                unsafe { tile::<MR>(&a[i * k..], k, b, ldb, c, n, w) };
-                i += MR;
-            }
-            if i < r1 {
-                let (a, c) = (&a[i * k..], &mut c[(i - r0) * n + j0..]);
-                // SAFETY: as above.
-                unsafe {
-                    match r1 - i {
-                        3 => tile::<3>(a, k, b, ldb, c, n, w),
-                        2 => tile::<2>(a, k, b, ldb, c, n, w),
-                        _ => tile::<1>(a, k, b, ldb, c, n, w),
-                    }
-                }
-            }
+                unsafe { tile_rows(rows, &a[i * k..], k, &s, &mut c[i * ldc + s.j0..], ldc) };
+            });
         }
     }
 }
 
-/// Sequential GEMM for output rows `[r0, r1)`: `c` holds those rows only
-/// (`(r1-r0)×n`, zero-initialized), `a` is the full `m×k` left operand.
-fn gemm_rows(a: &[f32], rhs: &Rhs, c: &mut [f32], r0: usize, r1: usize, k: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx::available() {
-        GEMM_BLOCKS_AVX.inc();
-        // SAFETY: `avx::available()` verified CPU support.
-        unsafe { avx::gemm_rows(a, rhs, c, r0, r1, k) };
-        return;
+/// AVX-512 kernel: the AVX kernel's scheme on 512-bit accumulators, two
+/// per row for a 32-column strip. Each lane still walks `k` in ascending
+/// order with a separate `mul` and `add`, so results are bit-identical to
+/// the other tiers.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{avx, row_tiles, Rhs, Strip, NR, NR_WIDE};
+    use core::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+
+    /// One `ROWS×NR_WIDE` register tile: `a` holds the tile's rows
+    /// (`ROWS×k`, row-major), `s` the strip. Stores the first `s.w`
+    /// columns of each row into `c` (row stride `ldc`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile<const ROWS: usize>(a: &[f32], k: usize, s: &Strip, c: &mut [f32], ldc: usize) {
+        const HALF: usize = NR_WIDE / 2;
+        let (ldb, w) = (s.ldb, s.w);
+        assert!(
+            a.len() >= ROWS * k && (k == 0 || s.b.len() >= (k - 1) * ldb + NR_WIDE) && w <= NR_WIDE
+        );
+        let (a, b) = (a.as_ptr(), s.b.as_ptr());
+        let mut acc = [[_mm512_setzero_ps(); 2]; ROWS];
+        for p in 0..k {
+            // SAFETY: the assert bounds every read: row `r < ROWS` of `a`
+            // ends by `ROWS·k`, and B row `p < k` spans `NR_WIDE` lanes
+            // from `p·ldb`.
+            unsafe {
+                let b_lo = _mm512_loadu_ps(b.add(p * ldb));
+                let b_hi = _mm512_loadu_ps(b.add(p * ldb + HALF));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let a_v = _mm512_set1_ps(*a.add(r * k + p));
+                    acc_r[0] = _mm512_add_ps(acc_r[0], _mm512_mul_ps(a_v, b_lo));
+                    acc_r[1] = _mm512_add_ps(acc_r[1], _mm512_mul_ps(a_v, b_hi));
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let dst = &mut c[r * ldc..r * ldc + w];
+            if w == NR_WIDE {
+                // SAFETY: `dst` is exactly the two 16-lane stores wide.
+                unsafe {
+                    _mm512_storeu_ps(dst.as_mut_ptr(), acc_r[0]);
+                    _mm512_storeu_ps(dst.as_mut_ptr().add(HALF), acc_r[1]);
+                }
+            } else {
+                let mut buf = [0.0f32; NR_WIDE];
+                // SAFETY: `buf` is exactly the two 16-lane stores wide.
+                unsafe {
+                    _mm512_storeu_ps(buf.as_mut_ptr(), acc_r[0]);
+                    _mm512_storeu_ps(buf.as_mut_ptr().add(HALF), acc_r[1]);
+                }
+                dst.copy_from_slice(&buf[..w]);
+            }
+        }
     }
-    GEMM_BLOCKS_SCALAR.inc();
-    gemm_rows_portable(a, rhs.b, c, r0, k, rhs.n);
+
+    /// The rows of `a` (`rows×k`) times `rhs` into `c` (row stride `ldc`):
+    /// `NR_WIDE`-lane strips on this tile, `NR`-lane strips on the AVX one.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (which implies AVX).
+    pub unsafe fn gemm_rows(a: &[f32], k: usize, rhs: &Rhs, c: &mut [f32], ldc: usize) {
+        for s in rhs.strips(NR_WIDE) {
+            row_tiles(a.len() / k, |i, rows| {
+                let (a, c) = (&a[i * k..], &mut c[i * ldc + s.j0..]);
+                // SAFETY: AVX-512F support is this function's own
+                // precondition, and it implies AVX.
+                unsafe {
+                    match (s.lanes == NR_WIDE, rows) {
+                        (true, 4) => tile::<4>(a, k, &s, c, ldc),
+                        (true, 3) => tile::<3>(a, k, &s, c, ldc),
+                        (true, 2) => tile::<2>(a, k, &s, c, ldc),
+                        (true, _) => tile::<1>(a, k, &s, c, ldc),
+                        (false, _) => {
+                            debug_assert_eq!(s.lanes, NR);
+                            avx::tile_rows(rows, a, k, &s, c, ldc)
+                        }
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// Sequential GEMM on `tier` for a band of output rows: `a` holds the
+/// band's rows of the left operand (`rows×k`, `k > 0`), and `c` the
+/// band's output rows at row stride `ldc`, from the column `rhs` starts
+/// at. Adds each product into `c`'s zeros.
+fn gemm_rows(tier: Tier, a: &[f32], k: usize, rhs: &Rhs, c: &mut [f32], ldc: usize) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            GEMM_BLOCKS_AVX512.inc();
+            // SAFETY: `Tier::best()` (or the test that names the tier)
+            // verified CPU support.
+            unsafe { avx512::gemm_rows(a, k, rhs, c, ldc) };
+        }
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx => {
+            GEMM_BLOCKS_AVX.inc();
+            // SAFETY: as above.
+            unsafe { avx::gemm_rows(a, k, rhs, c, ldc) };
+        }
+        _ => {
+            GEMM_BLOCKS_SCALAR.inc();
+            gemm_rows_portable(a, k, rhs, c, ldc);
+        }
+    }
 }
 
 /// Portable kernel: each output element accumulates in place in `c`
 /// (starting from its zero), over `k` in ascending order — the same
-/// per-element operation sequence as the AVX tiles and the naive loop.
-fn gemm_rows_portable(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, k: usize, n: usize) {
-    for (ci, c_row) in c.chunks_exact_mut(n).enumerate() {
-        let a_row = &a[(r0 + ci) * k..(r0 + ci + 1) * k];
-        for (&a_ip, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-            for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
+/// per-element operation sequence as the vector tiles and the naive loop.
+/// Reads B's `n` columns in place; the vector tiers' tail copy is unused.
+fn gemm_rows_portable(a: &[f32], k: usize, rhs: &Rhs, c: &mut [f32], ldc: usize) {
+    let (b, ldb, n) = (rhs.b, rhs.ldb, rhs.n);
+    for (i, a_row) in a.chunks_exact(k).enumerate() {
+        let c_row = &mut c[i * ldc..i * ldc + n];
+        for (p, &a_ip) in a_row.iter().enumerate() {
+            for (c_v, &b_v) in c_row.iter_mut().zip(&b[p * ldb..p * ldb + n]) {
                 *c_v += a_ip * b_v;
             }
         }
     }
 }
 
-/// Shared driver: multiplies row-major `a` (`m×k`) by row-major `b`
-/// (`k×n`), splitting output rows across the pool in `MR`-aligned chunks
-/// when `threads > 1`.
-fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    if m * n == 0 {
-        return out;
-    }
+/// Counts one GEMM call of `m×k` times `k×n` and returns its thread count,
+/// clamped to `[1, m]`.
+fn count_call(m: usize, k: usize, n: usize, threads: usize) -> usize {
     GEMM_CALLS.inc();
     GEMM_FLOPS.add(2 * (m * k * n) as u64);
     let threads = threads.clamp(1, m);
     GEMM_THREADS.record(threads as u64);
+    threads
+}
+
+/// Runs `f(r0, r1, band)` over the output (`m` rows of `n` columns):
+/// once over all of it when `threads <= 1`, otherwise over `MR`-aligned
+/// row bands `[r0, r1)` across the pool, `band` holding those rows only.
+fn row_bands(
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+    threads: usize,
+    f: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    if threads <= 1 {
+        f(0, m, out);
+        return;
+    }
+    let rows_per = m.div_ceil(threads).next_multiple_of(MR);
+    pool::run_chunks(out, rows_per * n, |ci, band| {
+        let r0 = ci * rows_per;
+        f(r0, (r0 + rows_per).min(m), band);
+    });
+}
+
+/// Shared driver: multiplies row-major `a` (`m×k`) by row-major `b`
+/// (`k×n`) on `tier`, splitting output rows across the pool when
+/// `threads > 1`.
+fn gemm(
+    tier: Tier,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    if m * n == 0 {
+        return out;
+    }
+    let threads = count_call(m, k, n, threads);
     if k == 0 {
         return out;
     }
     let rhs = Rhs::new(b, k, n);
-    if threads <= 1 {
-        gemm_rows(a, &rhs, &mut out, 0, m, k);
-    } else {
-        let rows_per = m.div_ceil(threads).next_multiple_of(MR);
-        pool::run_chunks(&mut out, rows_per * n, |ci, chunk| {
-            let r0 = ci * rows_per;
-            let r1 = (r0 + rows_per).min(m);
-            gemm_rows(a, &rhs, chunk, r0, r1, k);
+    row_bands(&mut out, m, n, threads, |r0, r1, band| {
+        gemm_rows(tier, &a[r0 * k..r1 * k], k, &rhs, band, n);
+    });
+    out
+}
+
+/// [`gemm`] fed by blocks, behind [`Tensor::matmul_blocks`]: `a` is `m×k`,
+/// and B (`k×n`) arrives `block` columns at a time through `fill` into one
+/// buffer, each block multiplied as it lands, across the pool by row band
+/// when `threads > 1`.
+fn gemm_blocks<F>(
+    tier: Tier,
+    a: &[f32],
+    (m, k, n): (usize, usize, usize),
+    block: usize,
+    threads: usize,
+    mut fill: F,
+) -> Vec<f32>
+where
+    F: FnMut(usize, usize, &mut [f32], usize),
+{
+    let mut out = vec![0.0f32; m * n];
+    if m * n == 0 {
+        return out;
+    }
+    let threads = count_call(m, k, n, threads);
+    if k == 0 {
+        return out;
+    }
+    let block = block.clamp(1, n);
+    let ldb = block.next_multiple_of(NR_WIDE);
+    let mut buf = vec![0.0f32; k * ldb];
+    for c0 in (0..n).step_by(block) {
+        let c1 = (c0 + block).min(n);
+        fill(c0, c1, &mut buf, ldb);
+        let rhs = Rhs::block(&buf, ldb, c1 - c0);
+        row_bands(&mut out, m, n, threads, |r0, r1, band| {
+            gemm_rows(tier, &a[r0 * k..r1 * k], k, &rhs, &mut band[c0..], n);
         });
     }
     out
@@ -281,8 +541,61 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
         assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let out = gemm(self.as_slice(), rhs.as_slice(), m, k, n, threads);
+        let out = gemm(Tier::best(), self.as_slice(), rhs.as_slice(), m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul output shape is consistent by construction")
+    }
+
+    /// Matrix product `self · B` (`m×k` times `k×n`) for a right operand
+    /// that is never materialized whole: B arrives in column blocks, and
+    /// each is multiplied as it lands.
+    ///
+    /// `fill(c0, c1, buf, ldb)` writes columns `[c0, c1)` of B into `buf`:
+    /// `k` rows of stride `ldb` (a multiple of 32), row `p` holding
+    /// `B[p][c0..c1]` at `buf[p·ldb..p·ldb + (c1 − c0)]`. Blocks are
+    /// `block` columns wide (clamped to `[1, n]`; the last one may be
+    /// shorter) and arrive in ascending order. The buffer is zeroed once
+    /// and then reused, so an entry `fill` skips keeps what the previous
+    /// block left there: a fill that writes the same positions of every
+    /// block may leave the rest zero. Entries past column `c1 − c0` never
+    /// reach the output. `fill` runs on the calling thread, once per block;
+    /// when the product fans out across the pool, each block's product is
+    /// split by row band.
+    ///
+    /// Bit-identical to [`Tensor::matmul`] over the assembled B at any
+    /// thread count and block width, and counted as one GEMM call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not 2-D.
+    pub fn matmul_blocks<F>(&self, n: usize, block: usize, fill: F) -> Tensor
+    where
+        F: FnMut(usize, usize, &mut [f32], usize),
+    {
+        let threads = if self.ndim() == 2 {
+            let (m, k) = (self.shape()[0], self.shape()[1]);
+            thread_count(m, m * k * n)
+        } else {
+            1 // the shape assert below produces the real error
+        };
+        self.matmul_blocks_with_threads(n, block, threads, fill)
+    }
+
+    /// [`Tensor::matmul_blocks`] with an explicit thread count (clamped to
+    /// `[1, m]`); bit-identical at any thread count.
+    pub fn matmul_blocks_with_threads<F>(
+        &self,
+        n: usize,
+        block: usize,
+        threads: usize,
+        fill: F,
+    ) -> Tensor
+    where
+        F: FnMut(usize, usize, &mut [f32], usize),
+    {
+        assert_eq!(self.ndim(), 2, "matmul_blocks lhs must be 2-D, got {:?}", self.shape());
+        let (m, k) = (self.shape()[0], self.shape()[1]);
+        let out = gemm_blocks(Tier::best(), self.as_slice(), (m, k, n), block, threads, fill);
+        Tensor::from_vec(out, &[m, n]).expect("matmul_blocks output shape is consistent")
     }
 
     /// Matrix product `selfᵀ · rhs` (`k×m`ᵀ times `k×n` → `m×n`).
@@ -311,7 +624,7 @@ impl Tensor {
         // Materializing the m×k transpose costs O(mk) — negligible next to
         // the O(mkn) product — and buys the contiguous-row fast path.
         let at = self.transpose();
-        let out = gemm(at.as_slice(), rhs.as_slice(), m, k, n, threads);
+        let out = gemm(Tier::best(), at.as_slice(), rhs.as_slice(), m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul_at output shape is consistent")
     }
 
@@ -344,10 +657,12 @@ impl Tensor {
         // `n×m` result. Either way each element sums the same products in
         // the same order, and IEEE multiplication is commutative.
         if m < n {
-            let ct = gemm(rhs.as_slice(), self.transpose().as_slice(), n, k, m, threads);
+            let at = self.transpose();
+            let ct = gemm(Tier::best(), rhs.as_slice(), at.as_slice(), n, k, m, threads);
             Tensor::from_vec(ct, &[n, m]).expect("matmul_bt output shape is consistent").transpose()
         } else {
-            let out = gemm(self.as_slice(), rhs.transpose().as_slice(), m, k, n, threads);
+            let bt = rhs.transpose();
+            let out = gemm(Tier::best(), self.as_slice(), bt.as_slice(), m, k, n, threads);
             Tensor::from_vec(out, &[m, n]).expect("matmul_bt output shape is consistent")
         }
     }
@@ -412,7 +727,8 @@ mod tests {
     /// Odd shapes that exercise every tiling edge: unit, tall/skinny,
     /// wide, and non-multiples of both MR and NR — plus every `m % MR`
     /// row remainder (m = 1..=9) against every `n % NR` column tail
-    /// (n = 1..=17, 31, 33) at k ∈ {1, 3, 150}.
+    /// (n = 1..=17) and the widths around one and two 32-column strips
+    /// (n = 31..=34, 47..=49, 63..=65) at k ∈ {1, 3, 150}.
     fn shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = vec![
             (1, 1, 1),
@@ -425,7 +741,7 @@ mod tests {
             (33, 17, 41),
         ];
         for m in 1..=9 {
-            for n in (1..=17).chain([31, 33]) {
+            for n in (1..=17).chain(31..=34).chain(47..=49).chain(63..=65) {
                 for k in [1, 3, 150] {
                     shapes.push((m, k, n));
                 }
@@ -491,6 +807,54 @@ mod tests {
         assert_close(&eye.matmul(&a), &a, 1e-6);
     }
 
+    /// Every tier, widest first.
+    const TIERS: [Tier; 3] = [Tier::Avx512, Tier::Avx, Tier::Portable];
+
+    /// The tiers this CPU can run, naming each one it skips.
+    fn runnable_tiers() -> Vec<Tier> {
+        TIERS
+            .into_iter()
+            .filter(|tier| {
+                let ok = tier.supported();
+                if !ok {
+                    eprintln!("skipping the {tier:?} GEMM tier: this CPU lacks it");
+                }
+                ok
+            })
+            .collect()
+    }
+
+    /// `a · b` on one named tier, whichever one the CPU would dispatch to.
+    fn matmul_on(tier: Tier, a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
+        let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+        let c = gemm(tier, a.as_slice(), b.as_slice(), m, k, n, threads);
+        Tensor::from_vec(c, &[m, n]).unwrap()
+    }
+
+    /// `a · b` with B fed `block` columns at a time on one named tier. The
+    /// fill writes NaN into every lane past the block, so a stored lane
+    /// the block does not own shows.
+    fn matmul_blocks_on(
+        tier: Tier,
+        a: &Tensor,
+        b: &Tensor,
+        block: usize,
+        threads: usize,
+    ) -> Tensor {
+        let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+        let bs = b.as_slice();
+        let fill = |c0: usize, c1: usize, buf: &mut [f32], ldb: usize| {
+            assert_eq!(ldb % NR_WIDE, 0, "block row stride {ldb}");
+            assert_eq!(buf.len(), k * ldb);
+            for (dst, src) in buf.chunks_exact_mut(ldb).zip(bs.chunks_exact(n)) {
+                dst[..c1 - c0].copy_from_slice(&src[c0..c1]);
+                dst[c1 - c0..].fill(f32::NAN);
+            }
+        };
+        let c = gemm_blocks(tier, a.as_slice(), (m, k, n), block, threads, fill);
+        Tensor::from_vec(c, &[m, n]).unwrap()
+    }
+
     #[test]
     fn matmul_bit_identical_to_naive() {
         for (a, b) in operands(11) {
@@ -498,12 +862,65 @@ mod tests {
             for threads in THREADS {
                 assert_bit_identical(&a.matmul_with_threads(&b, threads), &want, "matmul");
             }
-            // The portable kernel, whichever one this CPU dispatches to.
-            let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
-            let mut c = vec![0.0f32; m * n];
-            gemm_rows_portable(a.as_slice(), b.as_slice(), &mut c, 0, k, n);
-            let portable = Tensor::from_vec(c, &[m, n]).unwrap();
-            assert_bit_identical(&portable, &want, "portable matmul");
+        }
+    }
+
+    /// Each tier on its own, not only the one this CPU dispatches to, on
+    /// every shape at every thread count.
+    #[test]
+    fn every_tier_is_bit_identical_to_naive() {
+        let tiers = runnable_tiers();
+        assert!(tiers.contains(&Tier::Portable));
+        for (a, b) in operands(23) {
+            let want = reference(&a, &b);
+            for &tier in &tiers {
+                for threads in THREADS {
+                    let what = format!("{tier:?} at {threads} threads, {:?}", want.shape());
+                    assert_bit_identical(&matmul_on(tier, &a, &b, threads), &want, &what);
+                }
+            }
+        }
+    }
+
+    /// The block-fed product on each tier, at block widths from one column
+    /// to the whole operand: one- and two-strip blocks, blocks that end
+    /// mid-strip and a short last block.
+    #[test]
+    fn block_fed_products_are_bit_identical_to_naive() {
+        for (a, b) in operands(29) {
+            let want = reference(&a, &b);
+            let n = b.shape()[1];
+            for tier in runnable_tiers() {
+                for (block, threads) in [(1, 1), (5, 2), (16, 7), (33, 1), (n, 2)] {
+                    let what =
+                        format!("{tier:?} block {block} at {threads} threads, {:?}", want.shape());
+                    let got = matmul_blocks_on(tier, &a, &b, block, threads);
+                    assert_bit_identical(&got, &want, &what);
+                }
+            }
+        }
+        // Through the public entry points, fanned out across the pool: each
+        // block is filled once, in ascending order, however many row bands
+        // share its product.
+        let mut rng = SeededRng::new(31);
+        let a = Tensor::randn(&[37, 96], &mut rng);
+        let b = Tensor::randn(&[96, 250], &mut rng);
+        let want = naive_matmul(&a, &b);
+        let blocks: Vec<_> = (0..250).step_by(40).map(|c0| (c0, (c0 + 40).min(250))).collect();
+        for threads in [None, Some(7)] {
+            let mut filled = Vec::new();
+            let fill = |c0: usize, c1: usize, buf: &mut [f32], ldb: usize| {
+                filled.push((c0, c1));
+                for (dst, src) in buf.chunks_exact_mut(ldb).zip(b.as_slice().chunks_exact(250)) {
+                    dst[..c1 - c0].copy_from_slice(&src[c0..c1]);
+                }
+            };
+            let got = match threads {
+                None => a.matmul_blocks(250, 40, fill),
+                Some(t) => a.matmul_blocks_with_threads(250, 40, t, fill),
+            };
+            assert_eq!(filled, blocks, "fills at {threads:?} threads");
+            assert_bit_identical(&got, &want, "public matmul_blocks");
         }
     }
 

@@ -128,15 +128,16 @@ pub fn max_threads() -> usize {
 ///
 /// Campaign, checkup and fleet loops build and drop megabytes of
 /// model-sized buffers for every fault model or device: crossbar planes,
-/// im2col and transposed activations, fault-noise vectors. glibc's
-/// defaults adapt to allocation history: a buffer above a threshold that
-/// tracks the largest mapping freed so far gets a fresh mapping, and free
-/// memory above twice that threshold at the top of the heap goes back to
-/// the kernel. Whether a loop re-faults its whole working set on every
-/// model then depends on which buffers happened to be freed before it
-/// started (DESIGN.md §6c and §8). Fixed thresholds, above the largest
-/// per-model buffer (convnet7's 5.9 MB im2col matrix), let every model
-/// reuse the same heap pages.
+/// activations, fault-noise vectors, and in training the im2col matrix.
+/// glibc's defaults adapt to allocation history: a buffer above a
+/// threshold that tracks the largest mapping freed so far gets a fresh
+/// mapping, and free memory above twice that threshold at the top of the
+/// heap goes back to the kernel. Whether a loop re-faults its whole
+/// working set on every model then depends on which buffers happened to
+/// be freed before it started (DESIGN.md §6c and §8). Fixed thresholds,
+/// above the largest per-model buffer (the crossbar planes and
+/// activations in inference; convnet7's 5.9 MB im2col matrix at 10
+/// samples in training), let every model reuse the same heap pages.
 fn pin_heap_thresholds() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {

@@ -29,15 +29,20 @@ echo "== kernel equivalence (HEALTHMON_THREADS=1/2/7) =="
 # on tile grids and in the column layout, and the f32 reference
 # semantics — bitwise with converters off, within one quantization step
 # otherwise; the conv hook (pixels quantized once, codes unfolded) must
-# match the product over the unfolded patches bit for bit; the f32 GEMM
-# must match the naive loop bit for bit; and the conv layer's segment
-# unfold/fold must match the per-element loops bit for bit through
-# forward and backward, which run the pooled GEMM, at every thread count;
-# diagnosis's one golden walk must rank every zoo model's layers exactly
-# as cloning the golden network per probe did, and the drift fault's
-# vectorized loop must match a plain scalar loop bit for bit.
-# A divergence here fails CI before any benchmark of these fast paths is
-# taken seriously.
+# match the product over the unfolded patches bit for bit; each f32 GEMM
+# tier (AVX-512, AVX, portable; a tier the CPU lacks is skipped by name)
+# and the block-fed product must match the naive loop bit for bit; the
+# conv layer's segment unfold/fold must match the per-element loops bit
+# for bit through forward and backward, which run the pooled GEMM, and
+# the blocked digital conv product must match the product over the whole
+# patch matrix, at every thread count; max-pooling's selects must match
+# the branching loops they replaced; diagnosis's one golden walk must
+# rank every zoo model's layers exactly as cloning the golden network per
+# probe did, and the drift fault's vectorized loop must match a plain
+# scalar loop bit for bit. A divergence here fails CI before any
+# benchmark of these fast paths is taken seriously; the zoo smoke below
+# then compares every model's digital campaign with its golden
+# (tests/golden/zoo_campaign_*.txt).
 for t in 1 2 7; do
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-reram > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-tensor > /dev/null
@@ -45,8 +50,9 @@ for t in 1 2 7; do
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib diagnose > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-faults > /dev/null
 done
-echo "ok: integer crossbar kernel, f32 GEMM, conv unfold/fold, diagnosis walk and drift"
-echo "    equivalent to their references under HEALTHMON_THREADS=1/2/7"
+echo "ok: integer crossbar kernel, f32 GEMM tiers and blocks, conv unfold/fold and"
+echo "    blocked product, max-pool, diagnosis walk and drift equivalent to their"
+echo "    references under HEALTHMON_THREADS=1/2/7"
 
 echo "== offline clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -279,15 +285,22 @@ for arch in resnet8 mlp4 attention; do
     [[ "$rc" == "0" || "$rc" == "2" ]]  # healthy or parked, never a usage error
     grep -q "final state:" "$zoo_dir/lifetime_$arch.txt"
 done
-# Seed-model regression goldens: the digital campaign outputs for lenet5
-# and convnet7 below were captured from the pre-registry build — routing
-# the seed architectures through the model zoo must not move a byte.
-for arch in lenet5 convnet7; do
+# Regression goldens for every model's digital campaign: lenet5 and
+# convnet7 were captured from the pre-registry build (routing the seed
+# architectures through the model zoo must not move a byte); mlp, resnet8,
+# mlp4 and attention from the build before the blocked conv product and
+# the AVX-512 GEMM tile. Each golden pins the two detection rates of 4
+# faulty models at 4 decimals, so it fails on a deterministic kernel
+# error that flips one of those verdicts, which the thread-count
+# comparison above cannot see; an error that moves logits without
+# flipping a verdict still passes.
+for arch in lenet5 convnet7 mlp resnet8 mlp4 attention; do
     cmp "$zoo_dir/campaign_${arch}_digital_1.txt" "tests/golden/zoo_campaign_$arch.txt"
 done
 echo "ok: every zoo model trained and campaigned on digital/analog/bitsliced,"
-echo "    byte-identical under HEALTHMON_THREADS=1/2/7; seed models match the"
-echo "    pre-registry goldens"
+echo "    byte-identical under HEALTHMON_THREADS=1/2/7; every digital campaign"
+echo "    matches its golden (lenet5, convnet7 pre-registry; mlp, resnet8,"
+echo "    mlp4, attention before the blocked conv and AVX-512 GEMM)"
 
 echo "== fleet smoke (chaos supervision + kill-9 crash recovery) =="
 fleet_dir=target/fleet-smoke
