@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the numeric kernels underlying every experiment:
 //! matmul, whole conv layers, max-pools, crossbar products vs ideal,
 //! crossbar conv and dense layers, forward/backward passes, the repair
-//! path's diagnosis and drift, and the checkpoint store's codec, save and
-//! resume.
+//! path's diagnosis and drift, deriving and programming campaign fault
+//! models, and the checkpoint store's codec, save and resume.
 //!
 //! Runs on the in-tree [`healthmon_bench::timing`] harness
 //! (`cargo bench --bench kernels`).
@@ -14,7 +14,7 @@ use healthmon::{
 use healthmon_bench::timing::TimingHarness;
 use healthmon_faults::FaultModel;
 use healthmon_nn::layers::{Conv2d, Layer, MaxPool2d, ResidualConv2d};
-use healthmon_nn::models::{lenet5, resnet8, tiny_mlp};
+use healthmon_nn::models::{lenet5, mlp4, resnet8, tiny_mlp};
 use healthmon_nn::{DigitalEngine, Network, PatchMap};
 use healthmon_reram::{
     AnalogBackend, BackendSpec, CellFault, Crossbar, CrossbarConfig, SlicedMatrix, TiledMatrix,
@@ -239,6 +239,57 @@ fn bench_repair() {
     group.case("faults/drift_lenet5", || drift.apply(&mut aging, &mut rng));
 }
 
+/// What a crossbar campaign pays per fault model besides its test
+/// inference: deriving the model (the golden weights copied, then σ = 0.3
+/// programming variation or a campaign-scale drift applied) on lenet5 and
+/// mlp4, the bulk normal sampler behind both, and programming: one
+/// default-config 128×128 tile, a whole PV-faulted mlp4 on default-config
+/// crossbars, and lenet5's first dense layer (400×120) bit-sliced at 8
+/// bits over 4-bit cells.
+fn bench_fault_path() {
+    let mut rng = SeededRng::new(9);
+    let pv = FaultModel::ProgrammingVariation { sigma: 0.3 };
+    let drift = FaultModel::Drift { nu: 0.02, time: 1.0 };
+    let golden_lenet5 = lenet5(&mut rng);
+    let golden_mlp4 = mlp4(&mut rng);
+    let mut group = TimingHarness::new("faults");
+    for (label, fault, golden) in [
+        ("pv_lenet5", &pv, &golden_lenet5),
+        ("pv_mlp4", &pv, &golden_mlp4),
+        ("drift_mlp4", &drift, &golden_mlp4),
+    ] {
+        let mut net = golden.clone();
+        group.case(label, || {
+            net.copy_params_from(golden);
+            fault.apply(&mut net, &mut rng);
+        });
+    }
+
+    let mut group = TimingHarness::new("rng");
+    let mut buf = vec![0.0f32; 1 << 16];
+    group.case("fill_normal_64k", || rng.fill_normal(black_box(&mut buf), 0.0, 1.0));
+
+    let mut group = TimingHarness::new("crossbar");
+    let config = CrossbarConfig::default();
+    let w = Tensor::randn(&[128, 128], &mut rng).map(|v| v * 0.1);
+    group.case("program_tile_128", || black_box(Crossbar::program(&w, &config, &mut rng)));
+    let mut faulty = golden_mlp4.clone();
+    pv.apply(&mut faulty, &mut rng);
+    let spec = BackendSpec::analog(config);
+    group.case("program_mlp4", || black_box(AnalogBackend::program(&faulty, &spec, &mut rng)));
+
+    let mut group = TimingHarness::new("bitslice");
+    let fc0 = golden_lenet5
+        .state_dict()
+        .into_iter()
+        .find(|(key, t)| key.ends_with("weight") && t.shape() == [400, 120])
+        .expect("lenet5's first dense layer maps 400 inputs to 120 outputs")
+        .1;
+    group.case("program_lenet5_fc0", || {
+        black_box(SlicedMatrix::program(&fc0, 8, config.cell_bits, &config, &mut rng))
+    });
+}
+
 /// The checkpoint store on the benchmark's `fleet_durable` fleet (250
 /// tiny-MLP devices, seed 2020) after its first 4-epoch leg: one shard
 /// parsed and rendered, the whole fleet saved and resumed; and one
@@ -290,6 +341,7 @@ fn main() {
     bench_crossbar_dense();
     bench_model_passes();
     bench_repair();
+    bench_fault_path();
     bench_store();
     healthmon_bench::timing::write_json_report();
 }

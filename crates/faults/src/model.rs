@@ -82,16 +82,11 @@ impl FaultModel {
         self.validate();
         match self {
             FaultModel::ProgrammingVariation { sigma } => {
-                // One bulk draw per tensor: the block sampler is several
-                // times faster than a per-weight `lognormal()` call, and
-                // this loop is the dominant cost of a fault campaign.
-                let mut factors = Vec::new();
+                // The block sampler applies w·e^θ as it draws each θ: the
+                // dominant cost of a fault campaign, and several times
+                // faster than a per-weight `lognormal()` call.
                 for_each_weight(net, |t| {
-                    factors.resize(t.len(), 0.0);
-                    rng.fill_lognormal(&mut factors, 0.0, *sigma);
-                    for (w, &f) in t.as_mut_slice().iter_mut().zip(&factors) {
-                        *w *= f;
-                    }
+                    rng.apply_normal(t.as_mut_slice(), 0.0, *sigma, pv_update);
                 });
                 PV_APPLIED.inc();
             }
@@ -129,16 +124,12 @@ impl FaultModel {
                 STUCK_AT_CELLS.add(stuck);
             }
             FaultModel::Drift { nu, time } => {
-                // By value: read through the captured references, the
-                // per-weight `exp` loop below does not vectorize.
-                let (nu, time) = (*nu, *time);
-                let mut rates = Vec::new();
+                // `time` by value: read through a captured reference, the
+                // per-weight update would not vectorize.
+                let time = *time;
                 for_each_weight(net, |t| {
-                    rates.resize(t.len(), 0.0);
-                    rng.fill_normal(&mut rates, 0.0, nu);
-                    for (w, &z) in t.as_mut_slice().iter_mut().zip(&rates) {
-                        *w *= fastmath::exp(-z.abs() * time);
-                    }
+                    let update = move |w, z| drift_update(w, z, time);
+                    rng.apply_normal(t.as_mut_slice(), 0.0, *nu, update);
                 });
                 DRIFT_APPLIED.inc();
             }
@@ -254,6 +245,18 @@ impl FromJson for FaultModel {
     }
 }
 
+/// Programming variation's per-weight update: `w·e^θ`.
+#[inline(always)]
+fn pv_update(w: f32, theta: f32) -> f32 {
+    w * fastmath::exp(theta)
+}
+
+/// Drift's per-weight update for rate draw `z`: `w·e^(−|z|·t)`.
+#[inline(always)]
+fn drift_update(w: f32, z: f32, time: f32) -> f32 {
+    w * fastmath::exp(-z.abs() * time)
+}
+
 /// Applies `f` to every conductance-mapped parameter tensor (keys ending
 /// in `weight`).
 fn for_each_weight(net: &mut Network, mut f: impl FnMut(&mut Tensor)) {
@@ -272,6 +275,7 @@ fn max_abs(t: &Tensor) -> f32 {
 mod tests {
     use super::*;
     use healthmon_nn::models::tiny_mlp;
+    use healthmon_tensor::simd::Tier;
 
     fn golden() -> Network {
         let mut rng = SeededRng::new(7);
@@ -385,6 +389,91 @@ mod tests {
         FaultModel::Drift { nu: 0.3, time: 1.0 }.apply(&mut net, &mut SeededRng::new(6));
         let after: f32 = weight_vec(&net).iter().map(|v| v.abs()).sum();
         assert!(mid < before && after < mid, "drift must decay: {before} -> {mid} -> {after}");
+    }
+
+    /// Programming variation as it was before the sampler took its
+    /// update: one `fill_lognormal` per weight tensor into a factor
+    /// buffer, then `w *= f`.
+    fn two_pass_pv(net: &mut Network, sigma: f32, rng: &mut SeededRng) {
+        for_each_weight(net, |t| {
+            let mut factors = vec![0.0; t.len()];
+            rng.fill_lognormal(&mut factors, 0.0, sigma);
+            for (w, &f) in t.as_mut_slice().iter_mut().zip(&factors) {
+                *w *= f;
+            }
+        });
+    }
+
+    /// Every parameter bit of `net`.
+    fn all_bits(net: &Network) -> Vec<u32> {
+        let mut v = Vec::new();
+        net.for_each_param(|_, t| v.extend(t.as_slice().iter().map(|w| w.to_bits())));
+        v
+    }
+
+    /// A tiny network whose weights include NaN, ±∞, −0.0, +0.0 and
+    /// subnormals.
+    fn special_valued() -> Network {
+        let mut net = golden();
+        let tiny = f32::from_bits(1);
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, tiny, -tiny];
+        net.for_each_param_mut(|k, t| {
+            if k.ends_with("weight") {
+                for (w, &v) in t.as_mut_slice().iter_mut().step_by(5).zip(specials.iter().cycle()) {
+                    *w = v;
+                }
+            }
+        });
+        net
+    }
+
+    /// Programming variation and drift, fused into the block sampler, on
+    /// every zoo model and on special values: through `FaultModel::apply`
+    /// and with the fused update built for each tier by name, every
+    /// weight bit and the stream position match the two-pass references.
+    #[test]
+    fn fused_pv_and_drift_match_their_two_pass_references_on_every_tier() {
+        let mut nets: Vec<Network> = healthmon_nn::zoo::ZOO
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| spec.build(&mut SeededRng::new(90 + i as u64)))
+            .collect();
+        nets.push(special_valued());
+        let tiers = Tier::runnable(&Tier::ALL);
+        for (n, net) in nets.iter().enumerate() {
+            for seed in [3u64, 4] {
+                for sigma in [0.0f32, 0.3] {
+                    let (mut want, mut want_rng) = (net.clone(), SeededRng::new(seed));
+                    two_pass_pv(&mut want, sigma, &mut want_rng);
+                    let (mut got, mut rng) = (net.clone(), SeededRng::new(seed));
+                    FaultModel::ProgrammingVariation { sigma }.apply(&mut got, &mut rng);
+                    let what = format!("net {n}, seed {seed}, pv sigma {sigma}");
+                    assert_eq!(all_bits(&got), all_bits(&want), "{what}");
+                    assert_eq!(rng.unit(), want_rng.unit(), "{what}: stream");
+                    for &tier in &tiers {
+                        let (mut got, mut rng) = (net.clone(), SeededRng::new(seed));
+                        for_each_weight(&mut got, |t| {
+                            rng.apply_normal_on(tier, t.as_mut_slice(), 0.0, sigma, pv_update)
+                        });
+                        assert_eq!(all_bits(&got), all_bits(&want), "{what}, {tier:?}");
+                    }
+                }
+                for (nu, time) in [(0.02f32, 1.0f32), (1.5, 40.0)] {
+                    let (mut want, mut want_rng) = (net.clone(), SeededRng::new(seed));
+                    scalar_drift(&mut want, nu, time, &mut want_rng);
+                    let what = format!("net {n}, seed {seed}, drift({nu}, {time})");
+                    for &tier in &tiers {
+                        let (mut got, mut rng) = (net.clone(), SeededRng::new(seed));
+                        for_each_weight(&mut got, |t| {
+                            let update = move |w, z| drift_update(w, z, time);
+                            rng.apply_normal_on(tier, t.as_mut_slice(), 0.0, nu, update)
+                        });
+                        assert_eq!(all_bits(&got), all_bits(&want), "{what}, {tier:?}");
+                        assert_eq!(rng.unit(), SeededRng::clone(&want_rng).unit(), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     /// `Drift` as a plain scalar loop: one `fill_normal` draw per weight

@@ -19,7 +19,7 @@
 //! `f32`. A convolution ([`SlicedMatrix::matmul_patches`]) quantizes its
 //! input pixels once for every slice and tile and unfolds the codes.
 
-use crate::crossbar::{DacGrid, PHASE_DAC_NS};
+use crate::crossbar::{full_scale, DacGrid, PHASE_DAC_NS};
 use crate::quant::{narrow_code, round_fast};
 use crate::{CrossbarConfig, Quantizer, TiledMatrix};
 use healthmon_nn::PatchMap;
@@ -101,16 +101,15 @@ impl SlicedMatrix {
         assert!(total_bits <= 16, "more than 16 weight bits is not supported");
         let (rows, cols) = (weights.shape()[0], weights.shape()[1]);
         let num_slices = (total_bits / cell_bits) as usize;
-        let w_max = weights
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |m, &v| m.max(v.abs()))
-            .max(f32::MIN_POSITIVE);
+        let w_max = full_scale(weights.as_slice()).0.max(f32::MIN_POSITIVE);
         let levels = (1u32 << total_bits) - 1;
         let q = Quantizer::new(0.0, w_max, total_bits);
         let digit_radix = 1u32 << cell_bits;
 
-        // Decompose each |w| into digits, keep sign on every digit.
+        // Decompose each |w| into digits, keep sign on every digit. A NaN
+        // weight's "sign" is NaN, so the NaN reaches every digit plane and
+        // each slice programs it as `Crossbar::program` programs a
+        // non-finite weight: it poisons its column, as on an analog matrix.
         //
         // Lowered per the DESIGN.md §8 checklist: quantize once into a
         // code vector with the branch-free round/narrow helpers (instead
@@ -126,8 +125,10 @@ impl SlicedMatrix {
             .iter()
             .map(|&w| narrow_code(round_fast(w.abs().min(w_max) / qstep)))
             .collect();
-        let signs: Vec<f32> =
-            src.iter().map(|&w| if w < 0.0 { -1.0f32 } else { 1.0 }).collect();
+        let signs: Vec<f32> = src
+            .iter()
+            .map(|&w| if w < 0.0 { -1.0f32 } else if w.is_nan() { f32::NAN } else { 1.0 })
+            .collect();
         let mut digit_planes: Vec<Tensor> =
             (0..num_slices).map(|_| Tensor::zeros(&[rows, cols])).collect();
         let mask = digit_radix - 1;
@@ -509,6 +510,32 @@ mod tests {
             slice.apply_ir_drop(&IrDropModel::new(0.05));
         }
         assert!(before.l1_distance(&s.effective_weights()) > 1e-3);
+    }
+
+    /// A NaN weight poisons its column on a bit-sliced matrix exactly as
+    /// on an analog one: the product's column and the read-back cell are
+    /// NaN, everything else stays finite.
+    #[test]
+    fn a_nan_weight_poisons_its_column_as_on_analog() {
+        let mut rng = SeededRng::new(12);
+        let mut w = Tensor::randn(&[8, 4], &mut rng).map(|v| v * 0.1);
+        w.as_mut_slice()[3 * 4 + 2] = f32::NAN;
+        let x = Tensor::rand_uniform(&[3, 8], 0.0, 1.0, &mut rng);
+        let config = CrossbarConfig::default();
+        for matrix in [
+            SlicedMatrix::analog(&w, &config, &mut rng),
+            SlicedMatrix::program(&w, 8, config.cell_bits, &config, &mut rng),
+        ] {
+            let slices = matrix.num_slices();
+            let y = matrix.matmul(&x);
+            for (i, v) in y.as_slice().iter().enumerate() {
+                assert_eq!(v.is_nan(), i % 4 == 2, "{slices} slices: output {i} = {v}");
+            }
+            let back = matrix.effective_weights();
+            for (i, v) in back.as_slice().iter().enumerate() {
+                assert_eq!(v.is_nan(), i == 3 * 4 + 2, "{slices} slices: cell {i} reads {v}");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::quant::{narrow_i16, round_fast, ROUND_MAGIC_LIMIT};
 use crate::{CrossbarConfig, IrDropModel, ParityCheck, Quantizer, ScrubOutcome};
+use healthmon_tensor::simd::{self, Tier};
 use healthmon_tensor::{fastmath, intacc, SeededRng, Tensor};
 use healthmon_telemetry as tel;
 use std::sync::OnceLock;
@@ -121,6 +122,57 @@ fn round_up_pow2(x: f32) -> f32 {
 /// this granularity, and `reram.int8.rowblocks` counts these units.
 const ROW_BLOCK: usize = 32;
 
+/// The tiers the per-cell programming loops are built for, widest first
+/// (see [`healthmon_tensor::simd`]): [`Crossbar::program`], the
+/// full-scale scan it shares with bit slicing, and the pair words and
+/// column sums of [`IntState`].
+const PROGRAM_TIERS: [Tier; 1] = [Tier::Avx512];
+
+/// Lanes of the full-scale scan's max and finiteness accumulators.
+const SCAN_LANES: usize = 16;
+
+/// The full scale of a weight matrix: its largest `|w|` with NaN
+/// skipped (0 for an empty or all-NaN matrix), and whether every weight
+/// is finite. Built for the widest of [`PROGRAM_TIERS`] the CPU has.
+pub(crate) fn full_scale(ws: &[f32]) -> (f32, bool) {
+    full_scale_on(Tier::best_of(&PROGRAM_TIERS), ws)
+}
+
+/// [`full_scale`] built for a named `tier`.
+fn full_scale_on(tier: Tier, ws: &[f32]) -> (f32, bool) {
+    simd::run(tier, #[inline(always)] || full_scale_body(ws))
+}
+
+/// The body of [`full_scale`]: one fused sweep with a max accumulator
+/// per lane (a single-accumulator fold must stay serial) and a `·0.0`
+/// probe per lane that turns any NaN or ∞ into a sticky NaN. Every value
+/// either accumulates is `|w| ≥ +0` or NaN, where max skips NaN and the
+/// probe sum is +0 unless a NaN entered, so how the lanes split the
+/// weights never changes the result.
+#[inline(always)]
+fn full_scale_body(ws: &[f32]) -> (f32, bool) {
+    let mut max_lanes = [0.0f32; SCAN_LANES];
+    let mut probe = [0.0f32; SCAN_LANES];
+    let mut chunks = ws.chunks_exact(SCAN_LANES);
+    for ch in chunks.by_ref() {
+        for k in 0..SCAN_LANES {
+            let a = ch[k].abs();
+            max_lanes[k] = max_lanes[k].max(a);
+            probe[k] += a * 0.0;
+        }
+    }
+    let mut raw_max = 0.0f32;
+    let mut tail_finite = true;
+    for &v in chunks.remainder() {
+        raw_max = raw_max.max(v.abs());
+        tail_finite &= v.is_finite();
+    }
+    for &m in &max_lanes {
+        raw_max = raw_max.max(m);
+    }
+    (raw_max, tail_finite && probe.iter().all(|p| *p == 0.0))
+}
+
 /// Below this many multiply-accumulates the integer path stays on one
 /// thread (same rationale as the GEMM threshold in `healthmon-tensor`).
 pub(crate) const INT_PAR_THRESHOLD: usize = 1 << 18;
@@ -177,6 +229,17 @@ impl IntState {
     /// The integer state of a tile whose signed differential codes are
     /// `codes` (`[rows, cols]`, row-major).
     fn new(codes: &[i16], cols: usize, drop: Option<Vec<f32>>, step_w: f32) -> Self {
+        Self::new_on(Tier::best_of(&PROGRAM_TIERS), codes, cols, drop, step_w)
+    }
+
+    /// [`IntState::new`] built for a named `tier`.
+    fn new_on(tier: Tier, codes: &[i16], cols: usize, drop: Option<Vec<f32>>, step_w: f32) -> Self {
+        simd::run(tier, #[inline(always)] || Self::new_body(codes, cols, drop, step_w))
+    }
+
+    /// The body of [`IntState::new`], inlined into every tier's build.
+    #[inline(always)]
+    fn new_body(codes: &[i16], cols: usize, drop: Option<Vec<f32>>, step_w: f32) -> Self {
         let rows = codes.len() / cols.max(1);
         let mut words = Vec::with_capacity(rows.div_ceil(2) * cols);
         for pair in codes.chunks(2 * cols.max(1)) {
@@ -366,6 +429,23 @@ impl Crossbar {
     /// Panics if `weights` is not 2-D, exceeds the tile geometry, or the
     /// config is invalid.
     pub fn program(weights: &Tensor, config: &CrossbarConfig, rng: &mut SeededRng) -> Self {
+        Self::program_on(Tier::best_of(&PROGRAM_TIERS), weights, config, rng)
+    }
+
+    /// [`Crossbar::program`] with its per-cell loops built for a named
+    /// `tier`; every tier programs the same bits.
+    fn program_on(
+        tier: Tier,
+        weights: &Tensor,
+        config: &CrossbarConfig,
+        rng: &mut SeededRng,
+    ) -> Self {
+        simd::run(tier, #[inline(always)] || Self::program_body(weights, config, rng))
+    }
+
+    /// The body of [`Crossbar::program`], inlined into every tier's build.
+    #[inline(always)]
+    fn program_body(weights: &Tensor, config: &CrossbarConfig, rng: &mut SeededRng) -> Self {
         config.validate();
         assert_eq!(weights.ndim(), 2, "crossbar stores a 2-D weight matrix");
         let (rows, cols) = (weights.shape()[0], weights.shape()[1]);
@@ -375,32 +455,9 @@ impl Crossbar {
             config.rows,
             config.cols
         );
-        // Fused 8-lane sweep: the per-lane max reduction vectorizes
-        // (unlike a single-accumulator fold, which LLVM must keep serial),
-        // and the ·0.0 probe turns any NaN/∞ into a sticky NaN per lane —
-        // one pass yields both the programming full scale and the
+        // One pass yields both the programming full scale and the
         // finiteness verdict the quantized path branches on.
-        let ws_all = weights.as_slice();
-        let mut max_lanes = [0.0f32; 8];
-        let mut probe = [0.0f32; 8];
-        let mut chunks = ws_all.chunks_exact(8);
-        for ch in chunks.by_ref() {
-            for k in 0..8 {
-                let a = ch[k].abs();
-                max_lanes[k] = max_lanes[k].max(a);
-                probe[k] += a * 0.0;
-            }
-        }
-        let mut raw_max = 0.0f32;
-        let mut tail_finite = true;
-        for &v in chunks.remainder() {
-            raw_max = raw_max.max(v.abs());
-            tail_finite &= v.is_finite();
-        }
-        for &m in &max_lanes {
-            raw_max = raw_max.max(m);
-        }
-        let all_finite = tail_finite && probe.iter().all(|p| *p == 0.0);
+        let (raw_max, all_finite) = full_scale_body(weights.as_slice());
         let raw_max = raw_max.max(f32::MIN_POSITIVE);
         // Exact cell mode: snapping the full scale to a power of two makes
         // |w|/w_max and the later ·scale re-expansion pure exponent
@@ -451,15 +508,17 @@ impl Crossbar {
             let gn = g_neg.as_mut_slice();
             let ws = weights.as_slice();
             if code_scale.is_finite() && all_finite && (max_code as f32) < ROUND_MAGIC_LIMIT {
-                // Branch-light select form the compiler can vectorize:
-                // zip iteration (indexed stores into the two planes leave
-                // bounds checks that block the vectorizer), `round_fast`
-                // instead of `.round()`'s serial scalar lowering, and on
-                // the seeded path `narrow_i16` instead of a scalarizing
-                // float→i16 cast. One fused pass derives the conductance
-                // grid point and the signed seed code from the same
-                // rounded level, so the seed and a later scan of the
-                // planes agree on every index.
+                // Branch-light select form, so that each tier's build runs
+                // these loops as wide as it is (4 lanes on baseline SSE2,
+                // 16 with AVX-512's mask-register selects): zip iteration
+                // (indexed stores into the two planes leave bounds checks
+                // that block the vectorizer), `round_fast` instead of
+                // `.round()`'s serial scalar lowering, and on the seeded
+                // path `narrow_i16` instead of a scalarizing float→i16
+                // cast. One fused pass derives the conductance grid point
+                // and the signed seed code from the same rounded level, so
+                // the seed and a later scan of the planes agree on every
+                // index.
                 let fmax = max_code as f32;
                 if seedable {
                     let mut codes = vec![0i16; rows * cols];
@@ -929,8 +988,8 @@ impl Crossbar {
         dst: &mut [f32],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if intacc::avx2_available() {
-            // SAFETY: `avx2_available()` verified CPU support.
+        if Tier::Avx2.supported() {
+            // SAFETY: the shared CPU probe verified AVX2 support.
             return unsafe { self.int_cols_avx2(int, grid, x, stride, lanes, acc, dst) };
         }
         self.int_cols_body(int, grid, x, stride, lanes, acc, dst);
@@ -939,7 +998,9 @@ impl Crossbar {
     /// [`Crossbar::int_cols`] compiled with AVX2, so the fold and the ADC
     /// loops run four `f64` (eight `f32`) lanes wide. The same IEEE
     /// operations per element as the baseline build (no fused
-    /// multiply-add), so the outputs match bit for bit.
+    /// multiply-add), so the outputs match bit for bit. An explicit
+    /// wrapper rather than `simd::run`: passing the seven arguments
+    /// through a closure cost the checkup about 1% (DESIGN.md §8).
     ///
     /// # Safety
     ///
@@ -1328,6 +1389,225 @@ mod tests {
                     let cols = tiled.matmul_cols(&x.transpose());
                     assert_bits_eq(&cols, &want.transpose(), &format!("{what}: grid, columns"));
                 }
+            }
+        }
+    }
+
+    /// `Crossbar::program`'s per-cell work as it was written before the
+    /// loops were built per tier: the 8-lane full-scale scan, then the
+    /// exact, seeded or unseeded quantize loop (with `round_fast` spelled
+    /// as the `f32::round` it equals on its domain) or the cell quantizer,
+    /// then the write noise. Returns both planes, the scale and the seed.
+    fn reference_program(
+        w: &Tensor,
+        config: &CrossbarConfig,
+        rng: &mut SeededRng,
+    ) -> (Vec<f32>, Vec<f32>, f32, Option<Vec<i16>>) {
+        let ws = w.as_slice();
+        let (mut max_lanes, mut probe) = ([0.0f32; 8], [0.0f32; 8]);
+        let mut chunks = ws.chunks_exact(8);
+        for ch in chunks.by_ref() {
+            for k in 0..8 {
+                let a = ch[k].abs();
+                max_lanes[k] = max_lanes[k].max(a);
+                probe[k] += a * 0.0;
+            }
+        }
+        let (mut raw_max, mut tail_finite) = (0.0f32, true);
+        for &v in chunks.remainder() {
+            raw_max = raw_max.max(v.abs());
+            tail_finite &= v.is_finite();
+        }
+        for &m in &max_lanes {
+            raw_max = raw_max.max(m);
+        }
+        let all_finite = tail_finite && probe.iter().all(|p| *p == 0.0);
+        let raw_max = raw_max.max(f32::MIN_POSITIVE);
+        let w_max = if config.exact_cells() { round_up_pow2(raw_max) } else { raw_max };
+        let window = config.g_max - config.g_min;
+        let scale = w_max / window;
+        let (mut gp, mut gn) = (vec![0.0f32; ws.len()], vec![0.0f32; ws.len()]);
+        let mut seed = None;
+        let max_code = (1i32 << config.cell_bits) - 1;
+        let (step_g, code_scale) = (window / max_code as f32, max_code as f32 / w_max);
+        let fast = code_scale.is_finite() && all_finite && (max_code as f32) < ROUND_MAGIC_LIMIT;
+        for (i, &w) in ws.iter().enumerate() {
+            let pos = w >= 0.0;
+            if config.exact_cells() {
+                let magnitude = (w.abs() / w_max) * window;
+                gp[i] = if pos { config.g_min + magnitude } else { config.g_min };
+                gn[i] = if pos { config.g_min } else { config.g_min + magnitude };
+            } else if fast {
+                let idx = (w.abs() * code_scale).round().min(max_code as f32);
+                let g = config.g_min + idx * step_g;
+                gp[i] = if pos { g } else { config.g_min };
+                gn[i] = if pos { config.g_min } else { g };
+            } else {
+                let q = Quantizer::new(config.g_min, config.g_max, config.cell_bits);
+                let magnitude = (w.abs() / w_max) * window;
+                gp[i] = q.quantize(if pos { config.g_min + magnitude } else { config.g_min });
+                gn[i] = q.quantize(if pos { config.g_min } else { config.g_min + magnitude });
+            }
+        }
+        let step_w = step_g * scale;
+        if !config.exact_cells()
+            && fast
+            && config.integer_path_capable()
+            && config.write_noise == 0.0
+            && step_w.is_finite()
+            && step_w > 0.0
+        {
+            let code = |w: f32| ((w.abs() * code_scale).round().min(max_code as f32)).copysign(w);
+            seed = Some(ws.iter().map(|&w| code(w) as i16).collect());
+        }
+        if config.write_noise > 0.0 {
+            let mut noise = vec![0.0f32; 2 * ws.len()];
+            rng.fill_lognormal(&mut noise, 0.0, config.write_noise);
+            for (g, &f) in gp.iter_mut().chain(gn.iter_mut()).zip(&noise) {
+                *g = (*g * f).clamp(config.g_min, config.g_max);
+            }
+        }
+        (gp, gn, scale, seed)
+    }
+
+    /// `IntState::new` as written before it was built per tier.
+    fn reference_int_state(codes: &[i16], cols: usize) -> (Vec<i32>, Vec<i32>, Vec<i32>) {
+        let rows = codes.len() / cols;
+        let mut words = Vec::new();
+        for pair in codes.chunks(2 * cols) {
+            let (first, second) = pair.split_at(cols);
+            for (j, &a) in first.iter().enumerate() {
+                words.push(intacc::pair_word(a, second.get(j).copied().unwrap_or(0)));
+            }
+        }
+        let mut block_colsums = vec![0i32; rows.div_ceil(ROW_BLOCK) * cols];
+        for (i, &k) in codes.iter().enumerate() {
+            block_colsums[i / cols / ROW_BLOCK * cols + i % cols] += i32::from(k);
+        }
+        let mut colsums = vec![0i32; cols];
+        for (i, &k) in codes.iter().enumerate() {
+            colsums[i % cols] += i32::from(k);
+        }
+        (words, block_colsums, colsums)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Weight matrices that reach every branch of programming: shapes
+    /// around the 8-, 16- and 32-lane boundaries, a 1 × 1 and an all-zero
+    /// tile, exact `.5` ties of the 4-bit and 8-bit cell grids, and NaN,
+    /// ±∞, −0.0 and subnormal weights.
+    fn programming_cases(rng: &mut SeededRng) -> Vec<Tensor> {
+        let mut cases = Vec::new();
+        for (r, c) in [(1usize, 1usize), (1, 7), (1, 8), (3, 5), (4, 4), (2, 16), (17, 33), (31, 1)] {
+            cases.push(Tensor::randn(&[r, c], rng).map(|v| v * 0.2));
+        }
+        cases.push(Tensor::zeros(&[9, 13]));
+        cases.push(Tensor::randn(&[128, 128], rng).map(|v| v * 0.1));
+        // Full scale 30/16 makes the 4-bit code scale exactly 8 (and
+        // 255/16 the 8-bit one 16), so m/16 and m/32 sit on `.5` ties.
+        let ladder = |n: usize, step: f32| -> Vec<f32> {
+            (0..n).map(|m| (m as f32 * step).copysign(if m % 3 == 0 { -1.0 } else { 1.0 })).collect()
+        };
+        cases.push(Tensor::from_vec(ladder(31, 1.0 / 16.0), &[1, 31]).unwrap());
+        cases.push(Tensor::from_vec(ladder(511, 1.0 / 32.0), &[7, 73]).unwrap());
+        let mut special = Tensor::randn(&[5, 19], rng).map(|v| v * 0.3);
+        let tiny = f32::from_bits(1);
+        for (i, v) in [-0.0, tiny, -tiny, f32::MIN_POSITIVE / 4.0, 0.0].into_iter().enumerate() {
+            special.as_mut_slice()[7 * i] = v;
+        }
+        cases.push(special.clone());
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut w = special.clone();
+            w.as_mut_slice()[40] = poison;
+            cases.push(w);
+        }
+        cases.push(Tensor::from_vec(vec![tiny, -tiny, -0.0], &[1, 3]).unwrap());
+        cases
+    }
+
+    /// Every tier of `Crossbar::program` (scan, quantize loops, seed codes
+    /// and the write-noise pass) programs exactly what the loops it
+    /// replaced did, on every config's path.
+    #[test]
+    fn every_programming_tier_matches_the_reference_loops_bit_for_bit() {
+        let mut rng = SeededRng::new(70);
+        let cases = programming_cases(&mut rng);
+        let configs = [
+            CrossbarConfig::default(),
+            CrossbarConfig { cell_bits: 8, ..CrossbarConfig::default() },
+            CrossbarConfig { write_noise: 0.05, ..CrossbarConfig::default() },
+            CrossbarConfig { dac_bits: 0, adc_bits: 0, ..CrossbarConfig::default() },
+            CrossbarConfig { g_min: 0.1, g_max: 0.9, ..CrossbarConfig::default() },
+            CrossbarConfig::ideal(),
+            CrossbarConfig::exact(),
+        ];
+        for tier in Tier::runnable(&Tier::ALL) {
+            for (ci, config) in configs.iter().enumerate() {
+                for (wi, w) in cases.iter().enumerate() {
+                    let what = format!("{tier:?}, config {ci}, case {wi} {:?}", w.shape());
+                    let (mut a, mut b) = (SeededRng::new(wi as u64), SeededRng::new(wi as u64));
+                    let (gp, gn, scale, seed) = reference_program(w, config, &mut a);
+                    let tile = Crossbar::program_on(tier, w, config, &mut b);
+                    assert_eq!(bits(tile.g_pos.as_slice()), bits(&gp), "{what}: g_pos");
+                    assert_eq!(bits(tile.g_neg.as_slice()), bits(&gn), "{what}: g_neg");
+                    assert_eq!(tile.scale.to_bits(), scale.to_bits(), "{what}: scale");
+                    assert_eq!(tile.int_seed, seed, "{what}: seed codes");
+                    assert_eq!(a.unit(), b.unit(), "{what}: RNG streams diverged");
+                }
+            }
+        }
+    }
+
+    /// The shared full-scale scan on every tier: the largest `|w|` with
+    /// NaN skipped and the finiteness verdict, at lengths around the lane
+    /// counts and with a poison value at every position of a 33-wide row.
+    #[test]
+    fn every_full_scale_tier_matches_a_serial_fold() {
+        let mut rng = SeededRng::new(71);
+        let mut rows: Vec<Vec<f32>> = [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100]
+            .into_iter()
+            .map(|n| Tensor::randn(&[n.max(1)], &mut rng).as_slice()[..n].to_vec())
+            .collect();
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, f32::from_bits(1)] {
+            for at in 0..33 {
+                let mut row = Tensor::randn(&[33], &mut rng).as_slice().to_vec();
+                row[at] = poison;
+                rows.push(row);
+            }
+        }
+        rows.push(vec![f32::NAN; 20]);
+        for tier in Tier::runnable(&Tier::ALL) {
+            for row in &rows {
+                let want_max = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+                let want_finite = row.iter().all(|v| v.is_finite());
+                let (max, finite) = full_scale_on(tier, row);
+                assert_eq!(max.to_bits(), want_max.to_bits(), "{tier:?}: max of {row:?}");
+                assert_eq!(finite, want_finite, "{tier:?}: finiteness of {row:?}");
+            }
+        }
+    }
+
+    /// `IntState`'s pair words and column sums on every tier, for odd and
+    /// even word-line counts across several 32-row blocks and the
+    /// extreme codes of an 8-bit cell.
+    #[test]
+    fn every_int_state_tier_matches_the_reference_loops() {
+        let mut rng = SeededRng::new(72);
+        for tier in Tier::runnable(&Tier::ALL) {
+            for (rows, cols) in [(1usize, 1usize), (2, 1), (3, 5), (32, 16), (33, 17), (97, 8), (128, 128)] {
+                let mut codes: Vec<i16> =
+                    (0..rows * cols).map(|_| rng.below(511) as i16 - 255).collect();
+                codes[0] = -255;
+                codes[rows * cols - 1] = 255;
+                let (words, block_colsums, colsums) = reference_int_state(&codes, cols);
+                let int = IntState::new_on(tier, &codes, cols, None, 0.5);
+                let what = format!("{tier:?}, {rows}x{cols}");
+                assert_eq!(int.words, words, "{what}: pair words");
+                assert_eq!(int.block_colsums, block_colsums, "{what}: block column sums");
+                assert_eq!(int.colsums, colsums, "{what}: column sums");
             }
         }
     }

@@ -24,6 +24,7 @@
 //! crossbar layer gates the integer path on `max_code · max_level · rows`
 //! staying far below `i32::MAX`).
 
+use crate::simd::Tier;
 use healthmon_telemetry as tel;
 
 // Dispatch tallies mirror `gemm.row_blocks.*`: which kernel ran is a
@@ -34,17 +35,11 @@ static I32_BLOCKS_AVX2: tel::Counter =
 static I32_BLOCKS_SCALAR: tel::Counter =
     tel::Counter::new("gemm.i32_blocks.scalar", tel::Stability::Volatile);
 
-/// Whether the running CPU supports AVX2 (checked once per process).
-#[cfg(target_arch = "x86_64")]
+/// Whether the running CPU supports AVX2, the tier the vector kernel
+/// needs: [`Tier::Avx2`] of the workspace's one CPU probe
+/// ([`crate::simd`]).
 pub fn avx2_available() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// Whether the running CPU supports AVX2 (always false off x86-64).
-#[cfg(not(target_arch = "x86_64"))]
-pub fn avx2_available() -> bool {
-    false
+    Tier::Avx2.supported()
 }
 
 /// Packs the signed codes of two word lines into one pair word, the

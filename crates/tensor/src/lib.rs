@@ -35,6 +35,7 @@ pub mod pool;
 mod random;
 mod serdes;
 mod shape;
+pub mod simd;
 mod stats;
 mod tensor;
 

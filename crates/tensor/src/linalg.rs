@@ -43,9 +43,9 @@
 //! accumulator exactly as IEEE 754 (and the naive loop) demand.
 
 use crate::pool;
+use crate::simd::Tier;
 use crate::Tensor;
 use healthmon_telemetry as tel;
-use std::sync::OnceLock;
 
 // GEMM call and flop counts are per-work-item and thread-count-invariant
 // (Stable); the chosen fan-out and per-block kernel dispatch counts vary
@@ -79,35 +79,14 @@ fn thread_count(rows: usize, work: usize) -> usize {
     pool::max_threads().min(rows).max(1)
 }
 
-/// A kernel family. Every tier computes the same bits; the widest one the
-/// CPU supports runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Avx512,
-    Avx,
-    Portable,
-}
+/// The tiers the GEMM has a kernel for besides the portable loop, widest
+/// first. Every tier computes the same bits; the widest one the CPU
+/// supports runs (see [`crate::simd`]).
+const GEMM_TIERS: [Tier; 2] = [Tier::Avx512, Tier::Avx];
 
-impl Tier {
-    /// The widest tier the running CPU supports (checked once per process).
-    fn best() -> Tier {
-        static BEST: OnceLock<Tier> = OnceLock::new();
-        *BEST.get_or_init(|| {
-            [Tier::Avx512, Tier::Avx].into_iter().find(|t| t.supported()).unwrap_or(Tier::Portable)
-        })
-    }
-
-    fn supported(self) -> bool {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx => std::arch::is_x86_feature_detected!("avx"),
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Avx512 | Tier::Avx => false,
-            Tier::Portable => true,
-        }
-    }
+/// The GEMM tier this CPU runs.
+fn best_tier() -> Tier {
+    Tier::best_of(&GEMM_TIERS)
 }
 
 /// The right operand as the kernel reads it: `k` rows of stride `ldb`,
@@ -388,7 +367,7 @@ fn gemm_rows(tier: Tier, a: &[f32], k: usize, rhs: &Rhs, c: &mut [f32], ldc: usi
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => {
             GEMM_BLOCKS_AVX512.inc();
-            // SAFETY: `Tier::best()` (or the test that names the tier)
+            // SAFETY: `best_tier()` (or the test that names the tier)
             // verified CPU support.
             unsafe { avx512::gemm_rows(a, k, rhs, c, ldc) };
         }
@@ -541,7 +520,7 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
         assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let out = gemm(Tier::best(), self.as_slice(), rhs.as_slice(), m, k, n, threads);
+        let out = gemm(best_tier(), self.as_slice(), rhs.as_slice(), m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul output shape is consistent by construction")
     }
 
@@ -594,7 +573,7 @@ impl Tensor {
     {
         assert_eq!(self.ndim(), 2, "matmul_blocks lhs must be 2-D, got {:?}", self.shape());
         let (m, k) = (self.shape()[0], self.shape()[1]);
-        let out = gemm_blocks(Tier::best(), self.as_slice(), (m, k, n), block, threads, fill);
+        let out = gemm_blocks(best_tier(), self.as_slice(), (m, k, n), block, threads, fill);
         Tensor::from_vec(out, &[m, n]).expect("matmul_blocks output shape is consistent")
     }
 
@@ -624,7 +603,7 @@ impl Tensor {
         // Materializing the m×k transpose costs O(mk) — negligible next to
         // the O(mkn) product — and buys the contiguous-row fast path.
         let at = self.transpose();
-        let out = gemm(Tier::best(), at.as_slice(), rhs.as_slice(), m, k, n, threads);
+        let out = gemm(best_tier(), at.as_slice(), rhs.as_slice(), m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul_at output shape is consistent")
     }
 
@@ -658,11 +637,11 @@ impl Tensor {
         // the same order, and IEEE multiplication is commutative.
         if m < n {
             let at = self.transpose();
-            let ct = gemm(Tier::best(), rhs.as_slice(), at.as_slice(), n, k, m, threads);
+            let ct = gemm(best_tier(), rhs.as_slice(), at.as_slice(), n, k, m, threads);
             Tensor::from_vec(ct, &[n, m]).expect("matmul_bt output shape is consistent").transpose()
         } else {
             let bt = rhs.transpose();
-            let out = gemm(Tier::best(), self.as_slice(), bt.as_slice(), m, k, n, threads);
+            let out = gemm(best_tier(), self.as_slice(), bt.as_slice(), m, k, n, threads);
             Tensor::from_vec(out, &[m, n]).expect("matmul_bt output shape is consistent")
         }
     }
@@ -807,21 +786,9 @@ mod tests {
         assert_close(&eye.matmul(&a), &a, 1e-6);
     }
 
-    /// Every tier, widest first.
-    const TIERS: [Tier; 3] = [Tier::Avx512, Tier::Avx, Tier::Portable];
-
-    /// The tiers this CPU can run, naming each one it skips.
+    /// The GEMM tiers this CPU can run, naming each one it skips.
     fn runnable_tiers() -> Vec<Tier> {
-        TIERS
-            .into_iter()
-            .filter(|tier| {
-                let ok = tier.supported();
-                if !ok {
-                    eprintln!("skipping the {tier:?} GEMM tier: this CPU lacks it");
-                }
-                ok
-            })
-            .collect()
+        Tier::runnable(&GEMM_TIERS)
     }
 
     /// `a · b` on one named tier, whichever one the CPU would dispatch to.

@@ -5,8 +5,12 @@
 //! is exactly reproducible from the seeds recorded in its report.
 //!
 //! The generator is an in-tree xoshiro256++ seeded through SplitMix64:
-//! no registry dependency, identical streams on every platform, and fast
-//! enough that fault-campaign cloning dominates, not sampling.
+//! no registry dependency and identical streams on every platform. The
+//! bulk samplers behind the per-weight fault models run their Box–Muller
+//! math on the widest vector tier the CPU supports ([`crate::simd`]);
+//! what remains is the serial xoshiro chain, about 2 ns per draw.
+
+use crate::simd::{self, Tier};
 
 /// A seeded pseudo-random number generator with the samplers the ReRAM
 /// error models need.
@@ -37,6 +41,10 @@ pub struct SeededRng {
 /// Pairs of Box–Muller variates computed per block by the bulk samplers;
 /// sized so the scratch buffers live comfortably in L1.
 const BM_BLOCK: usize = 64;
+
+/// The tiers the block sampler is built for, widest first (see
+/// [`crate::simd`]).
+const SAMPLER_TIERS: [Tier; 1] = [Tier::Avx512];
 
 /// One Box–Muller pair from two raw 64-bit draws, on the fast polynomial
 /// transcendentals. `u1 ∈ (0, 1]` (so `ln` never sees zero) and
@@ -199,37 +207,7 @@ impl SeededRng {
     ///
     /// Panics if `std_dev < 0`.
     pub fn fill_normal(&mut self, out: &mut [f32], mean: f32, std_dev: f32) {
-        assert!(std_dev >= 0.0, "negative standard deviation {std_dev}");
-        const SCALE: f32 = 1.0 / (1u64 << 24) as f32;
-        let mut u1 = [0f32; BM_BLOCK];
-        let mut u2 = [0f32; BM_BLOCK];
-        let mut chunks = out.chunks_exact_mut(2 * BM_BLOCK);
-        for chunk in &mut chunks {
-            // Raw draws first (a serial dependency chain, converted to f32
-            // here so the block below is float-only), then the pure math,
-            // which LLVM auto-vectorizes.
-            for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
-                *a = ((self.next_u64() >> 40) as f32 + 1.0) * SCALE;
-                *b = (self.next_u64() >> 40) as f32 * SCALE;
-            }
-            let (lo, hi) = chunk.split_at_mut(BM_BLOCK);
-            for i in 0..BM_BLOCK {
-                let r = (-2.0 * crate::fastmath::ln(u1[i])).sqrt();
-                let (s, c) = crate::fastmath::sincos_2pi(u2[i]);
-                lo[i] = mean + std_dev * (r * c);
-                hi[i] = mean + std_dev * (r * s);
-            }
-        }
-        let rem = chunks.into_remainder();
-        let mut i = 0;
-        while i < rem.len() {
-            let (z0, z1) = box_muller(self.next_u64(), self.next_u64());
-            rem[i] = mean + std_dev * z0;
-            if i + 1 < rem.len() {
-                rem[i + 1] = mean + std_dev * z1;
-            }
-            i += 2;
-        }
+        self.apply_normal(out, mean, std_dev, |_, x| x);
     }
 
     /// Fills `out` with independent lognormal samples `e^N(mu, sigma²)` —
@@ -240,9 +218,96 @@ impl SeededRng {
     ///
     /// Panics if `sigma < 0`.
     pub fn fill_lognormal(&mut self, out: &mut [f32], mu: f32, sigma: f32) {
-        self.fill_normal(out, mu, sigma);
-        for v in out.iter_mut() {
-            *v = crate::fastmath::exp(*v);
+        self.apply_normal(out, mu, sigma, |_, x| crate::fastmath::exp(x));
+    }
+
+    /// Applies `out[i] = f(out[i], x_i)` in place, with `x_i` the `i`-th
+    /// variate [`SeededRng::fill_normal`] would write: the same draws, in
+    /// the same order, and the same bits. A per-weight error model folds
+    /// its update into the sampler this way (`f = |w, θ| w·e^θ` for
+    /// programming variation) instead of filling a buffer as long as the
+    /// tensor and reading it back.
+    ///
+    /// The variates are made 128 at a time: 64 pairs of raw draws, then
+    /// the Box–Muller math and `f` over the block, compiled for the
+    /// widest tier the CPU supports. `f` should be a short, branch-free
+    /// expression, so that it vectorizes with the block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `std_dev < 0`.
+    pub fn apply_normal(
+        &mut self,
+        out: &mut [f32],
+        mean: f32,
+        std_dev: f32,
+        f: impl Fn(f32, f32) -> f32,
+    ) {
+        self.apply_normal_on(Tier::best_of(&SAMPLER_TIERS), out, mean, std_dev, f);
+    }
+
+    /// [`SeededRng::apply_normal`] compiled for a named `tier`, which
+    /// returns the same bits on every tier; for tests that run each one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `std_dev < 0` or the CPU does not support `tier`.
+    pub fn apply_normal_on(
+        &mut self,
+        tier: Tier,
+        out: &mut [f32],
+        mean: f32,
+        std_dev: f32,
+        f: impl Fn(f32, f32) -> f32,
+    ) {
+        assert!(std_dev >= 0.0, "negative standard deviation {std_dev}");
+        simd::run(tier, #[inline(always)] move || self.normal_blocks(out, mean, std_dev, f));
+    }
+
+    /// The body of [`SeededRng::apply_normal`], inlined into every tier's
+    /// build. A whole block draws its 64 pairs first (a serial dependency
+    /// chain that keeps only each draw's top 24 bits), then computes its
+    /// 128 variates, the first of each pair into the lower half and the
+    /// second into the upper half. A last, shorter block takes one scalar
+    /// [`box_muller`] pair at a time, dropping the second variate of an
+    /// odd last pair. `f` then runs over the block.
+    #[inline(always)]
+    fn normal_blocks(
+        &mut self,
+        out: &mut [f32],
+        mean: f32,
+        std_dev: f32,
+        f: impl Fn(f32, f32) -> f32,
+    ) {
+        const SCALE: f32 = 1.0 / (1u64 << 24) as f32;
+        let mut a = [0i32; BM_BLOCK];
+        let mut b = [0i32; BM_BLOCK];
+        let mut x = [0f32; 2 * BM_BLOCK];
+        for block in out.chunks_mut(2 * BM_BLOCK) {
+            if block.len() == 2 * BM_BLOCK {
+                for (a, b) in a.iter_mut().zip(b.iter_mut()) {
+                    *a = (self.next_u64() >> 40) as i32;
+                    *b = (self.next_u64() >> 40) as i32;
+                }
+                let (lo, hi) = x.split_at_mut(BM_BLOCK);
+                for i in 0..BM_BLOCK {
+                    let u1 = (a[i] as f32 + 1.0) * SCALE;
+                    let u2 = b[i] as f32 * SCALE;
+                    let r = (-2.0 * crate::fastmath::ln(u1)).sqrt();
+                    let (s, c) = crate::fastmath::sincos_2pi(u2);
+                    lo[i] = mean + std_dev * (r * c);
+                    hi[i] = mean + std_dev * (r * s);
+                }
+            } else {
+                for pair in x[..block.len().next_multiple_of(2)].chunks_exact_mut(2) {
+                    let (z0, z1) = box_muller(self.next_u64(), self.next_u64());
+                    pair[0] = mean + std_dev * z0;
+                    pair[1] = mean + std_dev * z1;
+                }
+            }
+            for (o, &x) in block.iter_mut().zip(&x) {
+                *o = f(*o, x);
+            }
         }
     }
 
@@ -405,6 +470,135 @@ mod tests {
         let mut samples = vec![0.0f32; 130];
         SeededRng::new(9).fill_lognormal(&mut samples, 0.0, 0.0);
         assert!(samples.iter().all(|&v| v == 1.0));
+    }
+
+    /// `fill_normal` as written before the block sampler took an update:
+    /// uniforms converted inside the draw loop, the transform written
+    /// straight into `out` 128 variates at a time (the hard-coded sizes
+    /// keep a change of the block size visible), and a scalar tail.
+    fn two_loop_fill_normal(rng: &mut SeededRng, out: &mut [f32], mean: f32, std_dev: f32) {
+        const SCALE: f32 = 1.0 / (1u64 << 24) as f32;
+        let (mut u1, mut u2) = ([0f32; 64], [0f32; 64]);
+        let mut chunks = out.chunks_exact_mut(128);
+        for chunk in &mut chunks {
+            for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
+                *a = ((rng.next_u64() >> 40) as f32 + 1.0) * SCALE;
+                *b = (rng.next_u64() >> 40) as f32 * SCALE;
+            }
+            let (lo, hi) = chunk.split_at_mut(64);
+            for i in 0..64 {
+                let r = (-2.0 * crate::fastmath::ln(u1[i])).sqrt();
+                let (s, c) = crate::fastmath::sincos_2pi(u2[i]);
+                lo[i] = mean + std_dev * (r * c);
+                hi[i] = mean + std_dev * (r * s);
+            }
+        }
+        let rem = chunks.into_remainder();
+        let mut i = 0;
+        while i < rem.len() {
+            let (z0, z1) = box_muller(rng.next_u64(), rng.next_u64());
+            rem[i] = mean + std_dev * z0;
+            if i + 1 < rem.len() {
+                rem[i + 1] = mean + std_dev * z1;
+            }
+            i += 2;
+        }
+    }
+
+    /// `fill_lognormal` as written before: the normal fill, then `exp`.
+    fn two_loop_fill_lognormal(rng: &mut SeededRng, out: &mut [f32], mu: f32, sigma: f32) {
+        two_loop_fill_normal(rng, out, mu, sigma);
+        for v in out.iter_mut() {
+            *v = crate::fastmath::exp(*v);
+        }
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: variate {i}: {g} vs {w}");
+        }
+    }
+
+    /// Lengths around the 8-, 16- and 32-lane vector boundaries, the
+    /// 128-variate blocks and the odd tail.
+    const LENGTHS: [usize; 24] =
+        [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000, 4097];
+
+    /// Every tier of the block sampler, and the dispatched bulk samplers,
+    /// draw the same stream and write the same bits as the two loops they
+    /// replaced; σ = 0 gives the mean (the factor 1.0) exactly.
+    #[test]
+    fn every_sampler_tier_matches_the_two_loop_samplers_bit_for_bit() {
+        for tier in Tier::runnable(&Tier::ALL) {
+            for len in LENGTHS {
+                for sigma in [0.0f32, 0.3, 2.0] {
+                    let what = format!("{tier:?}, length {len}, sigma {sigma}");
+                    let seed = 1000 + len as u64;
+                    let mut want = vec![f32::NAN; len];
+                    let mut reference = SeededRng::new(seed);
+                    two_loop_fill_normal(&mut reference, &mut want, 0.5, sigma);
+                    let mut got = vec![f32::NAN; len];
+                    let mut rng = SeededRng::new(seed);
+                    rng.apply_normal_on(tier, &mut got, 0.5, sigma, |_, x| x);
+                    assert_same_bits(&got, &want, &format!("normal, {what}"));
+                    assert_eq!(rng.next_u64(), reference.next_u64(), "normal stream, {what}");
+
+                    let mut want = vec![f32::NAN; len];
+                    two_loop_fill_lognormal(&mut reference, &mut want, 0.0, sigma);
+                    let mut got = vec![f32::NAN; len];
+                    let exp = |_, x| crate::fastmath::exp(x);
+                    rng.apply_normal_on(tier, &mut got, 0.0, sigma, exp);
+                    assert_same_bits(&got, &want, &format!("lognormal, {what}"));
+                    assert_eq!(rng.next_u64(), reference.next_u64(), "lognormal stream, {what}");
+                    if sigma == 0.0 {
+                        assert!(got.iter().all(|&f| f == 1.0), "σ = 0 factor, {what}");
+                    }
+                }
+            }
+        }
+        for len in LENGTHS {
+            let (mut want, mut got) = (vec![0.0f32; len], vec![0.0f32; len]);
+            let (mut reference, mut rng) = (SeededRng::new(len as u64), SeededRng::new(len as u64));
+            two_loop_fill_normal(&mut reference, &mut want, -1.0, 0.7);
+            rng.fill_normal(&mut got, -1.0, 0.7);
+            assert_same_bits(&got, &want, &format!("fill_normal, length {len}"));
+            two_loop_fill_lognormal(&mut reference, &mut want, 0.1, 0.7);
+            rng.fill_lognormal(&mut got, 0.1, 0.7);
+            assert_same_bits(&got, &want, &format!("fill_lognormal, length {len}"));
+            assert_eq!(rng.next_u64(), reference.next_u64(), "stream, length {len}");
+        }
+    }
+
+    /// The update sees each element's old value: `f(w, x)` on every tier
+    /// equals filling a buffer and combining it with `out` afterwards.
+    #[test]
+    fn apply_normal_passes_each_old_value_to_the_update() {
+        let tiny = f32::from_bits(1);
+        let old: Vec<f32> = (0..300)
+            .map(|i| match i % 7 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => -0.0,
+                3 => tiny,
+                4 => f32::NEG_INFINITY,
+                _ => i as f32 * 0.01 - 1.5,
+            })
+            .collect();
+        let update = |w: f32, t: f32| w * crate::fastmath::exp(t);
+        for tier in Tier::runnable(&Tier::ALL) {
+            for sigma in [0.0f32, 0.3] {
+                let mut factors = vec![0.0f32; old.len()];
+                two_loop_fill_lognormal(&mut SeededRng::new(4), &mut factors, 0.0, sigma);
+                let want: Vec<f32> = old.iter().zip(&factors).map(|(&w, &f)| w * f).collect();
+                let mut got = old.clone();
+                SeededRng::new(4).apply_normal_on(tier, &mut got, 0.0, sigma, update);
+                assert_same_bits(&got, &want, &format!("{tier:?}, sigma {sigma}"));
+                if sigma == 0.0 {
+                    assert_same_bits(&got, &old, &format!("{tier:?}: σ = 0 leaves w as it is"));
+                }
+            }
+        }
     }
 
     #[test]

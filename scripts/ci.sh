@@ -39,20 +39,31 @@ echo "== kernel equivalence (HEALTHMON_THREADS=1/2/7) =="
 # the branching loops they replaced; diagnosis's one golden walk must
 # rank every zoo model's layers exactly as cloning the golden network per
 # probe did, and the drift fault's vectorized loop must match a plain
-# scalar loop bit for bit. A divergence here fails CI before any
-# benchmark of these fast paths is taken seriously; the zoo smoke below
-# then compares every model's digital campaign with its golden
-# (tests/golden/zoo_campaign_*.txt).
+# scalar loop bit for bit. Every tier of the per-weight fault kernels
+# (AVX-512, AVX2, AVX, portable; a tier the CPU lacks is skipped by name)
+# must match the loops it replaced bit for bit: the block sampler against
+# the two-loop fill_normal/fill_lognormal, fused programming variation and
+# drift against fill-then-multiply, and Crossbar::program's scan, quantize
+# loops, seed codes and IntState words and column sums against the old
+# loops; tests/fault_path.rs pins every zoo model's faulted weights, the
+# samplers' variates and the faulted logits on four backends to digests
+# of the build before those kernels were vectorized. A divergence here
+# fails CI before any benchmark of these fast paths is taken seriously;
+# the zoo smoke below then compares every model's digital campaign with
+# its golden (tests/golden/zoo_campaign_*.txt).
 for t in 1 2 7; do
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-reram > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-tensor > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-nn > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib diagnose > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-faults > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --test fault_path > /dev/null
 done
 echo "ok: integer crossbar kernel, f32 GEMM tiers and blocks, conv unfold/fold and"
-echo "    blocked product, max-pool, diagnosis walk and drift equivalent to their"
-echo "    references under HEALTHMON_THREADS=1/2/7"
+echo "    blocked product, max-pool, diagnosis walk, drift, and every tier of the"
+echo "    block sampler, fused PV/drift and crossbar programming equivalent to"
+echo "    their references, and the fault path on its pinned digests, under"
+echo "    HEALTHMON_THREADS=1/2/7"
 
 echo "== offline clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
