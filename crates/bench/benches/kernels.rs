@@ -2,20 +2,23 @@
 //! matmul, whole conv layers, max-pools, crossbar products vs ideal,
 //! crossbar conv and dense layers, forward/backward passes, the repair
 //! path's diagnosis and drift, deriving and programming campaign fault
-//! models, and the checkpoint store's codec, save and resume.
+//! models, the checkpoint store's codec, save and resume, and whole
+//! training steps and C-TP selection.
 //!
 //! Runs on the in-tree [`healthmon_bench::timing`] harness
 //! (`cargo bench --bench kernels`).
 
 use healthmon::{
-    diagnose, AgingModel, Detector, FleetConfig, FleetSupervisor, LifetimeConfig,
+    diagnose, AgingModel, CtpGenerator, Detector, FleetConfig, FleetSupervisor, LifetimeConfig,
     LifetimeRuntime, TestPatternSet,
 };
 use healthmon_bench::timing::TimingHarness;
+use healthmon_data::{DatasetSpec, SynthDigits};
 use healthmon_faults::FaultModel;
 use healthmon_nn::layers::{Conv2d, Layer, MaxPool2d, ResidualConv2d};
 use healthmon_nn::models::{lenet5, mlp4, resnet8, tiny_mlp};
-use healthmon_nn::{DigitalEngine, Network, PatchMap};
+use healthmon_nn::optim::{Optimizer, Sgd};
+use healthmon_nn::{zoo, DigitalEngine, Network, PatchMap, SoftmaxCrossEntropy};
 use healthmon_reram::{
     AnalogBackend, BackendSpec, CellFault, Crossbar, CrossbarConfig, SlicedMatrix, TiledMatrix,
 };
@@ -203,6 +206,37 @@ fn bench_model_passes() {
     });
 }
 
+/// The training path, a whole step per case: forward, backward and an
+/// SGD-with-momentum update at batch 32 on four zoo models, and C-TP's
+/// selection of 10 patterns from 200 lenet5 candidates, which ranks them
+/// through `forward`.
+fn bench_training() {
+    let mut group = TimingHarness::new("train").samples(5);
+    let mut rng = SeededRng::new(11);
+    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    for name in ["lenet5", "resnet8", "mlp4", "attention"] {
+        let spec = zoo::lookup(name).expect("zoo model");
+        let mut net = spec.build(&mut rng);
+        let mut shape = vec![32];
+        shape.extend_from_slice(spec.input_shape);
+        let x = Tensor::rand_uniform(&shape, 0.0, 1.0, &mut rng);
+        let mut sgd = Sgd::new(0.01).momentum(0.9);
+        group.case(&format!("sgd_step_{name}_b32"), || {
+            net.zero_grads();
+            let loss = SoftmaxCrossEntropy::with_labels(&net.forward(&x), &labels);
+            net.backward(&loss.grad);
+            sgd.step(&mut net);
+        });
+    }
+    let pool = SynthDigits::new(DatasetSpec { train: 1, test: 200, seed: 5, noise: 0.1 })
+        .generate()
+        .test;
+    let mut net = lenet5(&mut rng);
+    group.case("ctp_select_10_of_200_lenet5", || {
+        black_box(CtpGenerator::new(10).select(&mut net, &pool))
+    });
+}
+
 /// A detector over 10 random patterns shaped for `net`.
 fn detector_for(net: &Network, rng: &mut SeededRng) -> Detector {
     let mut shape = vec![10];
@@ -343,5 +377,5 @@ fn main() {
     bench_repair();
     bench_fault_path();
     bench_store();
-    healthmon_bench::timing::write_json_report();
+    bench_training();
 }

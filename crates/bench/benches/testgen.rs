@@ -143,5 +143,4 @@ fn main() {
     bench_detection();
     bench_fault_injection();
     bench_campaign();
-    healthmon_bench::timing::write_json_report();
 }

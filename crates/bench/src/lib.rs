@@ -5,5 +5,4 @@
 //! formatting) lives here. See `DESIGN.md` §4 for the experiment index.
 
 pub mod harness;
-#[cfg(feature = "timing")]
 pub mod timing;

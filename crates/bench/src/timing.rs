@@ -6,10 +6,6 @@
 //! point is a stable relative ordering of the kernels under `--offline`
 //! builds, not publication-grade confidence intervals.
 //!
-//! Enabled by the crate's default `timing` feature; the bench targets
-//! declare `required-features = ["timing"]` so `--no-default-features`
-//! builds skip them entirely.
-//!
 //! # Example
 //!
 //! ```
@@ -20,7 +16,6 @@
 //! ```
 
 use std::hint::black_box;
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Collects timing cases under a group name and prints one line per case.
@@ -29,61 +24,6 @@ pub struct TimingHarness {
     group: String,
     samples: usize,
     iters: usize,
-}
-
-/// One recorded measurement, kept for the optional JSON report.
-#[derive(Debug, Clone)]
-struct Record {
-    group: String,
-    name: String,
-    median_ns: u128,
-    min_ns: u128,
-    samples: usize,
-    iters: usize,
-}
-
-fn records() -> &'static Mutex<Vec<Record>> {
-    static RECORDS: OnceLock<Mutex<Vec<Record>>> = OnceLock::new();
-    RECORDS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Whether the benches run in short "smoke" mode
-/// (`HEALTHMON_BENCH_SMOKE=1`): samples are capped at 2 and calibration
-/// budgets shrink, so a full bench binary finishes in seconds, enough to
-/// prove it runs without panicking.
-pub fn smoke_mode() -> bool {
-    static SMOKE: OnceLock<bool> = OnceLock::new();
-    *SMOKE.get_or_init(|| {
-        std::env::var("HEALTHMON_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false)
-    })
-}
-
-/// Writes every measurement recorded so far as a JSON array to the path
-/// named by `HEALTHMON_BENCH_JSON` (no-op when the variable is unset).
-///
-/// Each bench binary calls this at the end of `main`; the
-/// `artifacts/bench_pr*_ab_*.json` baselines were written this way.
-pub fn write_json_report() {
-    let Ok(path) = std::env::var("HEALTHMON_BENCH_JSON") else { return };
-    let recs = records().lock().unwrap();
-    let mut out = String::from("[\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"group\": \"{}\", \"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \
-             \"samples\": {}, \"iters\": {}}}{}\n",
-            r.group,
-            r.name,
-            r.median_ns,
-            r.min_ns,
-            r.samples,
-            r.iters,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    if let Err(e) = std::fs::write(&path, out) {
-        healthmon_telemetry::log_warn!("warning: could not write bench report to {path}: {e}");
-    }
 }
 
 /// One case's measurement: the median and min of the per-sample mean
@@ -99,14 +39,12 @@ pub struct Measurement {
 impl TimingHarness {
     /// Creates a harness for a named benchmark group.
     pub fn new(group: impl Into<String>) -> Self {
-        let samples = if smoke_mode() { 2 } else { 10 };
-        TimingHarness { group: group.into(), samples, iters: 0 }
+        TimingHarness { group: group.into(), samples: 10, iters: 0 }
     }
 
-    /// Number of timed samples per case (default 10; capped at 2 in
-    /// [`smoke_mode`]).
+    /// Number of timed samples per case (default 10).
     pub fn samples(mut self, samples: usize) -> Self {
-        self.samples = if smoke_mode() { samples.clamp(1, 2) } else { samples.max(1) };
+        self.samples = samples.max(1);
         self
     }
 
@@ -121,11 +59,11 @@ impl TimingHarness {
     /// returns the measurement.
     pub fn case<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> Measurement {
         // Warmup and calibration: run until ~10 ms have elapsed to size
-        // the per-sample iteration count (~1 ms in smoke mode).
+        // the per-sample iteration count.
         let iters = if self.iters > 0 {
             self.iters
         } else {
-            let budget = Duration::from_millis(if smoke_mode() { 1 } else { 10 });
+            let budget = Duration::from_millis(10);
             let started = Instant::now();
             let mut warmup_iters = 0usize;
             while started.elapsed() < budget {
@@ -150,14 +88,6 @@ impl TimingHarness {
             "{}/{name}: median {:>12?}  min {:>12?}  ({} samples x {iters} iters)",
             self.group, m.median, m.min, self.samples
         );
-        records().lock().unwrap().push(Record {
-            group: self.group.clone(),
-            name: name.to_owned(),
-            median_ns: m.median.as_nanos(),
-            min_ns: m.min.as_nanos(),
-            samples: self.samples,
-            iters,
-        });
         m
     }
 }

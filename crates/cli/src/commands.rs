@@ -466,6 +466,25 @@ fn cmd_campaign_mitigation(args: &ParsedArgs) -> Result<ExitCode, String> {
     let critical: f32 = args.get_or("critical", 1e-3)?;
     let budget: usize = args.get_or("budget", 3)?;
     let spec = parse_backend(args)?;
+    let lifetime = LifetimeConfig {
+        seed,
+        epochs,
+        aging: AgingModel { drift_nu: drift, drift_time: 1.0, soft_error_p: soft, stuck_lambda },
+        policy: MonitorPolicy {
+            watch_threshold: watch,
+            critical_threshold: critical,
+            escalation_count: 1,
+        },
+        // The scrub path restores flipped cells bitwise only when the
+        // digital deploy is exact; keep the demonstration free of
+        // quantization-floor escalations.
+        crossbar: CrossbarConfig::exact(),
+        backend: spec,
+        repair_budget: budget,
+        ..LifetimeConfig::default()
+    };
+    // Checked before anything is loaded or built.
+    lifetime.validate().map_err(|e| e.to_string())?;
 
     let mut plain = load_model(arch, model, seed)?;
     let hardened = load_model(arch, hardened_model, seed)?;
@@ -476,6 +495,7 @@ fn cmd_campaign_mitigation(args: &ParsedArgs) -> Result<ExitCode, String> {
             CtpGenerator::new(10).select(&mut plain, &pool)
         }
     };
+    lifetime.check_pattern_floor(patterns.len()).map_err(|e| e.to_string())?;
     let eval_split = dataset_for(arch, seed ^ 0xE7A, 640)?;
     let eval = TrainData { images: eval_split.test.images, labels: eval_split.test.labels };
 
@@ -485,28 +505,7 @@ fn cmd_campaign_mitigation(args: &ParsedArgs) -> Result<ExitCode, String> {
         threshold,
         faults: vec![fault.clone()],
         backends: vec![spec],
-        lifetime: LifetimeConfig {
-            seed,
-            epochs,
-            aging: AgingModel {
-                drift_nu: drift,
-                drift_time: 1.0,
-                soft_error_p: soft,
-                stuck_lambda,
-            },
-            policy: MonitorPolicy {
-                watch_threshold: watch,
-                critical_threshold: critical,
-                escalation_count: 1,
-            },
-            // The scrub path restores flipped cells bitwise only when
-            // the digital deploy is exact; keep the demonstration free
-            // of quantization-floor escalations.
-            crossbar: CrossbarConfig::exact(),
-            backend: spec,
-            repair_budget: budget,
-            ..LifetimeConfig::default()
-        },
+        lifetime,
     };
     let report = run_mitigation(&plain, &hardened, &patterns, &eval, &scenario);
     outln!("backend: {}", spec.kind.label());
@@ -637,23 +636,6 @@ fn cmd_lifetime(args: &ParsedArgs) -> Result<ExitCode, String> {
             backend.kind.label()
         ));
     }
-
-    let mut golden = load_model(arch, model, seed)?;
-    // The pattern set must be identical across resumes: either a fixed
-    // file, or C-TP selection — a pure function of (model, arch, seed).
-    let patterns = match args.get("patterns") {
-        Some(path) => load_patterns(path, arch)?,
-        None => {
-            let pool = dataset_for(arch, seed ^ 0xC1D, count.max(50) * 20)?.test;
-            CtpGenerator::new(count).select(&mut golden, &pool)
-        }
-    };
-    let train = if train_size > 0 {
-        let split = dataset_for(arch, seed, train_size)?;
-        Some(TrainData { images: split.train.images, labels: split.train.labels })
-    } else {
-        None
-    };
     let config = LifetimeConfig {
         seed,
         epochs,
@@ -672,6 +654,30 @@ fn cmd_lifetime(args: &ParsedArgs) -> Result<ExitCode, String> {
         backend,
         hardened,
         ..LifetimeConfig::default()
+    };
+    // Every flag is checked before anything is loaded or built: C-TP will
+    // select `count` patterns, and a pattern file is checked once read.
+    config.validate().map_err(|e| e.to_string())?;
+    if args.get("patterns").is_none() {
+        config.check_pattern_floor(count).map_err(|e| e.to_string())?;
+    }
+
+    let mut golden = load_model(arch, model, seed)?;
+    // The pattern set must be identical across resumes: either a fixed
+    // file, or C-TP selection — a pure function of (model, arch, seed).
+    let patterns = match args.get("patterns") {
+        Some(path) => load_patterns(path, arch)?,
+        None => {
+            let pool = dataset_for(arch, seed ^ 0xC1D, count.max(50) * 20)?.test;
+            CtpGenerator::new(count).select(&mut golden, &pool)
+        }
+    };
+    config.check_pattern_floor(patterns.len()).map_err(|e| e.to_string())?;
+    let train = if train_size > 0 {
+        let split = dataset_for(arch, seed, train_size)?;
+        Some(TrainData { images: split.train.images, labels: split.train.labels })
+    } else {
+        None
     };
 
     let checkpoint_path = args.get("checkpoint");

@@ -137,9 +137,10 @@ mod tests {
             use healthmon_nn::Layer;
             // Identity weights: logits = input.
             dense.params_mut()[0]
+                .1
                 .as_mut_slice()
                 .copy_from_slice(&[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
-            dense.params_mut()[1].as_mut_slice().copy_from_slice(&[0.0; 3]);
+            dense.params_mut()[1].1.as_mut_slice().copy_from_slice(&[0.0; 3]);
         }
         net.push(dense);
         let images = Tensor::from_vec(

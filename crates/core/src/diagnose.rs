@@ -152,13 +152,13 @@ pub fn diagnose<B: InferenceBackend + ?Sized>(
 fn substitutions<'d>(golden: &Network, device: &'d Network) -> Vec<(usize, String, &'d Tensor)> {
     let mut probes = Vec::new();
     for (i, layer) in device.layers().iter().enumerate() {
-        for (name, weight) in layer.param_names().into_iter().zip(layer.params()) {
+        for (name, weight) in layer.params() {
             if !name.ends_with("weight") {
                 continue;
             }
             let key = format!("layer{i}.{name}");
             let reference = golden.layers().get(i).and_then(|g| {
-                g.param_names().iter().position(|n| *n == name).map(|p| g.params()[p])
+                g.params().into_iter().find(|(n, _)| *n == name).map(|(_, t)| t)
             });
             let reference = reference
                 .unwrap_or_else(|| panic!("device parameter `{key}` missing from the golden model"));
@@ -245,7 +245,7 @@ mod tests {
     use super::*;
     use crate::patterns::TestPatternSet;
     use healthmon_faults::FaultModel;
-    use healthmon_nn::layers::{Dense, Layer};
+    use healthmon_nn::layers::{Dense, Layer, ParamName};
     use healthmon_nn::models::tiny_mlp;
     use healthmon_nn::zoo::ZOO;
     use healthmon_reram::{AnalogBackend, BackendSpec, CellFault, CrossbarConfig};
@@ -418,6 +418,7 @@ mod tests {
     #[derive(Debug, Clone)]
     struct OffEngineScale {
         weight: Tensor,
+        grad: Tensor,
     }
 
     impl Layer for OffEngineScale {
@@ -438,16 +439,12 @@ mod tests {
             input.map(|v| v * s)
         }
 
-        fn params(&self) -> Vec<&Tensor> {
-            vec![&self.weight]
+        fn params(&self) -> Vec<(ParamName, &Tensor)> {
+            vec![("weight".into(), &self.weight)]
         }
 
-        fn params_mut(&mut self) -> Vec<&mut Tensor> {
-            vec![&mut self.weight]
-        }
-
-        fn param_names(&self) -> Vec<&'static str> {
-            vec!["weight"]
+        fn params_mut(&mut self) -> Vec<(ParamName, &mut Tensor, &mut Tensor)> {
+            vec![("weight".into(), &mut self.weight, &mut self.grad)]
         }
 
         fn clone_box(&self) -> Box<dyn Layer> {
@@ -461,7 +458,8 @@ mod tests {
         let mut rng = SeededRng::new(31);
         let mut net = Network::new(vec![8]);
         net.push(Dense::new(8, 6, &mut rng));
-        net.push(OffEngineScale { weight: Tensor::full(&[1], 0.5) });
+        let (weight, grad) = (Tensor::full(&[1], 0.5), Tensor::zeros(&[1]));
+        net.push(OffEngineScale { weight, grad });
         net.push(Dense::new(6, 4, &mut rng));
         let patterns =
             TestPatternSet::new("t", Tensor::rand_uniform(&[4, 8], 0.0, 1.0, &mut rng));

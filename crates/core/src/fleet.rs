@@ -292,7 +292,7 @@ impl FleetConfig {
     ///
     /// [`HealthmonError::InvalidPolicy`] naming the first invalid knob.
     pub fn validate(&self) -> Result<(), HealthmonError> {
-        self.device.validate();
+        self.device.validate()?;
         self.chaos.validate()?;
         let positive = [
             ("devices", self.devices),
@@ -509,13 +509,7 @@ impl FleetSupervisor {
         config: FleetConfig,
     ) -> Result<Self, HealthmonError> {
         config.validate()?;
-        if patterns.len() < config.device.min_patterns {
-            return Err(HealthmonError::InvalidPolicy(format!(
-                "pattern set ({}) smaller than the degradation floor ({})",
-                patterns.len(),
-                config.device.min_patterns
-            )));
-        }
+        config.device.check_pattern_floor(patterns.len())?;
         Ok(FleetSupervisor {
             config,
             golden: golden.clone(),
@@ -1274,6 +1268,26 @@ mod tests {
         assert!(ChaosConfig::parse("panic:x").is_err());
         assert!(ChaosConfig::parse("frobnicate:1").is_err());
         assert!(ChaosConfig::parse("panic:1.5").is_err());
+    }
+
+    /// An invalid device template is an error from `validate` and from
+    /// the constructor, not a panic; so is a pattern set below the floor.
+    #[test]
+    fn invalid_device_template_is_an_error() {
+        let (net, patterns) = setup(5);
+        let mut config = small_config(2);
+        config.device.aging.drift_nu = -1.0;
+        let err = config.validate().unwrap_err();
+        assert!(matches!(err, HealthmonError::InvalidPolicy(_)), "{err:?}");
+        assert!(err.to_string().contains("drift_nu"), "{err}");
+        config.device.aging.drift_nu = 0.0;
+        config.device.epochs = 0;
+        let err = FleetSupervisor::new(&net, patterns.clone(), config).unwrap_err();
+        assert!(err.to_string().contains("at least one epoch"), "{err}");
+        let mut config = small_config(2);
+        config.device.min_patterns = patterns.len() + 1;
+        let err = FleetSupervisor::new(&net, patterns, config).unwrap_err();
+        assert!(err.to_string().contains("degradation floor"), "{err}");
     }
 
     #[test]

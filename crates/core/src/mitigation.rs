@@ -67,7 +67,7 @@ impl MitigationScenario {
         assert!(self.count > 0, "a campaign arm needs at least one faulty model");
         assert!(!self.faults.is_empty(), "the campaign sweep needs at least one fault class");
         assert!(!self.backends.is_empty(), "the campaign sweep needs at least one backend");
-        self.lifetime.validate();
+        self.lifetime.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

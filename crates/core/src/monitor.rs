@@ -86,25 +86,11 @@ impl Default for MonitorPolicy {
 impl MonitorPolicy {
     /// Validates the policy.
     ///
-    /// # Panics
-    ///
-    /// Panics if thresholds are non-positive, non-finite or inverted, or
-    /// `escalation_count` is zero. Use [`MonitorPolicy::try_validate`]
-    /// for a non-panicking check.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Validates the policy, returning the violation instead of
-    /// panicking.
-    ///
     /// # Errors
     ///
     /// [`HealthmonError::InvalidPolicy`] if thresholds are non-positive,
     /// non-finite or inverted, or `escalation_count` is zero.
-    pub fn try_validate(&self) -> Result<(), HealthmonError> {
+    pub fn validate(&self) -> Result<(), HealthmonError> {
         // `0.0 < NaN` is false, so non-finite thresholds fail here too.
         if !(0.0 < self.watch_threshold
             && self.watch_threshold < self.critical_threshold
@@ -174,7 +160,7 @@ impl HealthMonitor {
     ///
     /// Panics if the policy is invalid.
     pub fn new(detector: Detector, policy: MonitorPolicy) -> Self {
-        policy.validate();
+        policy.validate().unwrap_or_else(|e| panic!("{e}"));
         HealthMonitor {
             detector,
             policy,
@@ -294,7 +280,7 @@ impl HealthMonitor {
     ///
     /// Panics if the policy is invalid.
     pub fn from_snapshot(detector: Detector, policy: MonitorPolicy, snapshot: MonitorSnapshot) -> Self {
-        policy.validate();
+        policy.validate().unwrap_or_else(|e| panic!("{e}"));
         HealthMonitor {
             detector,
             policy,
@@ -420,19 +406,19 @@ mod tests {
     }
 
     #[test]
-    fn try_validate_reports_violations() {
-        assert!(MonitorPolicy::default().try_validate().is_ok());
+    fn validate_reports_violations() {
+        assert!(MonitorPolicy::default().validate().is_ok());
         let inverted =
             MonitorPolicy { watch_threshold: 0.5, critical_threshold: 0.1, escalation_count: 1 };
-        let err = inverted.try_validate().unwrap_err();
+        let err = inverted.validate().unwrap_err();
         assert!(err.to_string().contains("thresholds must satisfy"));
         let nan = MonitorPolicy { watch_threshold: f32::NAN, ..MonitorPolicy::default() };
-        assert!(nan.try_validate().is_err());
+        assert!(nan.validate().is_err());
         let unbounded =
             MonitorPolicy { critical_threshold: f32::INFINITY, ..MonitorPolicy::default() };
-        assert!(unbounded.try_validate().is_err());
+        assert!(unbounded.validate().is_err());
         let never = MonitorPolicy { escalation_count: 0, ..MonitorPolicy::default() };
-        assert!(never.try_validate().unwrap_err().to_string().contains("non-zero"));
+        assert!(never.validate().unwrap_err().to_string().contains("non-zero"));
     }
 
     #[test]

@@ -135,27 +135,23 @@ impl Default for AgingModel {
 }
 
 impl AgingModel {
-    fn validate(&self) {
-        assert!(
-            self.drift_nu.is_finite() && self.drift_nu >= 0.0,
-            "drift_nu must be finite and non-negative, got {}",
-            self.drift_nu
-        );
-        assert!(
-            self.drift_time.is_finite() && self.drift_time >= 0.0,
-            "drift_time must be finite and non-negative, got {}",
-            self.drift_time
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.soft_error_p),
-            "soft_error_p {} outside [0, 1]",
-            self.soft_error_p
-        );
-        assert!(
-            self.stuck_lambda.is_finite() && self.stuck_lambda >= 0.0,
-            "stuck_lambda must be finite and non-negative, got {}",
-            self.stuck_lambda
-        );
+    /// Validates the model: [`HealthmonError::InvalidPolicy`] if a drift
+    /// parameter or the stuck rate is negative or non-finite, or the
+    /// soft-error probability lies outside `[0, 1]`.
+    fn validate(&self) -> Result<(), HealthmonError> {
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        let violation = if !non_negative(self.drift_nu.into()) {
+            format!("drift_nu must be finite and non-negative, got {}", self.drift_nu)
+        } else if !non_negative(self.drift_time.into()) {
+            format!("drift_time must be finite and non-negative, got {}", self.drift_time)
+        } else if !(0.0..=1.0).contains(&self.soft_error_p) {
+            format!("soft_error_p {} outside [0, 1]", self.soft_error_p)
+        } else if !non_negative(self.stuck_lambda) {
+            format!("stuck_lambda must be finite and non-negative, got {}", self.stuck_lambda)
+        } else {
+            return Ok(());
+        };
+        Err(HealthmonError::InvalidPolicy(violation))
     }
 }
 
@@ -227,21 +223,48 @@ impl Default for LifetimeConfig {
 impl LifetimeConfig {
     /// Validates the configuration.
     ///
+    /// # Errors
+    ///
+    /// [`HealthmonError::InvalidPolicy`] on a zero epoch count, a
+    /// `Healthy` trigger, a zero pattern floor or backoff, or an invalid
+    /// policy or aging model.
+    ///
     /// # Panics
     ///
-    /// Panics on a zero epoch count, a `Healthy` trigger, a zero pattern
-    /// floor or backoff, or invalid nested policy/aging parameters.
-    pub fn validate(&self) {
-        self.policy.validate();
-        self.aging.validate();
+    /// Panics if `backend` is invalid ([`BackendSpec::validate`]).
+    pub fn validate(&self) -> Result<(), HealthmonError> {
+        self.policy.validate()?;
+        self.aging.validate()?;
         self.backend.validate();
-        assert!(self.epochs > 0, "a lifetime needs at least one epoch");
-        assert!(
-            self.trigger > HealthState::Healthy,
+        let violation = if self.epochs == 0 {
+            "a lifetime needs at least one epoch"
+        } else if self.trigger <= HealthState::Healthy {
             "the repair trigger must be Watch or Critical — repairing a healthy device loops forever"
-        );
-        assert!(self.min_patterns > 0, "the degradation floor must keep at least one pattern");
-        assert!(self.backoff_epochs > 0, "backoff must be at least one epoch");
+        } else if self.min_patterns == 0 {
+            "the degradation floor must keep at least one pattern"
+        } else if self.backoff_epochs == 0 {
+            "backoff must be at least one epoch"
+        } else {
+            return Ok(());
+        };
+        Err(HealthmonError::InvalidPolicy(violation.to_owned()))
+    }
+
+    /// Checks that a pattern set of `patterns` keeps the degradation
+    /// floor.
+    ///
+    /// # Errors
+    ///
+    /// [`HealthmonError::InvalidPolicy`] if `patterns` is below
+    /// `min_patterns`.
+    pub fn check_pattern_floor(&self, patterns: usize) -> Result<(), HealthmonError> {
+        if patterns < self.min_patterns {
+            return Err(HealthmonError::InvalidPolicy(format!(
+                "pattern set ({patterns}) smaller than the degradation floor ({})",
+                self.min_patterns
+            )));
+        }
+        Ok(())
     }
 
     /// FNV-1a digest of the configuration, stored in checkpoints so a
@@ -565,13 +588,10 @@ impl LifetimeRuntime {
         train: Option<TrainData>,
     ) -> Self {
         let patterns = full_detector.patterns().clone();
-        config.validate();
-        assert!(
-            patterns.len() >= config.min_patterns,
-            "pattern set ({}) smaller than the degradation floor ({})",
-            patterns.len(),
-            config.min_patterns
-        );
+        config
+            .validate()
+            .and_then(|()| config.check_pattern_floor(patterns.len()))
+            .unwrap_or_else(|e| panic!("{e}"));
         if let Some(t) = &train {
             assert_eq!(
                 t.images.shape()[0],
@@ -2211,10 +2231,50 @@ mod tests {
         }
     }
 
+    /// The constructor keeps its documented panic on an invalid config.
     #[test]
     #[should_panic(expected = "trigger must be Watch or Critical")]
     fn rejects_healthy_trigger() {
-        LifetimeConfig { trigger: HealthState::Healthy, ..LifetimeConfig::default() }.validate();
+        let (net, patterns) = setup(9);
+        let config = LifetimeConfig { trigger: HealthState::Healthy, ..LifetimeConfig::default() };
+        LifetimeRuntime::new(&net, patterns, config, None);
+    }
+
+    /// Each invalid knob is an error naming it, not a panic, and the
+    /// pattern floor is checked against the count.
+    #[test]
+    fn invalid_configs_are_errors() {
+        let aging = |aging| LifetimeConfig { aging, ..LifetimeConfig::default() };
+        let cases = [
+            (LifetimeConfig { epochs: 0, ..LifetimeConfig::default() }, "at least one epoch"),
+            (
+                LifetimeConfig { trigger: HealthState::Healthy, ..LifetimeConfig::default() },
+                "trigger must be Watch or Critical",
+            ),
+            (LifetimeConfig { min_patterns: 0, ..LifetimeConfig::default() }, "at least one pattern"),
+            (LifetimeConfig { backoff_epochs: 0, ..LifetimeConfig::default() }, "backoff"),
+            (aging(AgingModel { drift_nu: -1.0, ..AgingModel::default() }), "drift_nu"),
+            (aging(AgingModel { drift_time: f32::NAN, ..AgingModel::default() }), "drift_time"),
+            (aging(AgingModel { soft_error_p: 2.0, ..AgingModel::default() }), "soft_error_p"),
+            (aging(AgingModel { stuck_lambda: -0.5, ..AgingModel::default() }), "stuck_lambda"),
+            (
+                LifetimeConfig {
+                    policy: MonitorPolicy { watch_threshold: 0.1, ..MonitorPolicy::default() },
+                    ..LifetimeConfig::default()
+                },
+                "thresholds must satisfy",
+            ),
+        ];
+        for (config, message) in cases {
+            let err = config.validate().unwrap_err();
+            assert!(matches!(err, HealthmonError::InvalidPolicy(_)), "{err:?}");
+            assert!(err.to_string().contains(message), "{err} lacks `{message}`");
+        }
+        let config = LifetimeConfig::default();
+        assert!(config.validate().is_ok());
+        assert!(config.check_pattern_floor(config.min_patterns).is_ok());
+        let err = config.check_pattern_floor(config.min_patterns - 1).unwrap_err();
+        assert!(err.to_string().contains("smaller than the degradation floor"), "{err}");
     }
 
     #[test]

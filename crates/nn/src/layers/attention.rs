@@ -1,6 +1,6 @@
 //! Tiny single-head self-attention block with a residual connection.
 
-use super::{Layer, MatmulEngine, MatmulOrientation};
+use super::{DigitalEngine, Layer, MatmulEngine, MatmulOrientation, ParamName};
 use crate::init::Init;
 use healthmon_tensor::{SeededRng, Tensor};
 
@@ -84,17 +84,29 @@ impl SelfAttention {
         (input.shape()[0], input.shape()[1])
     }
 
-    /// Per-sample `softmax(QKᵀ/√D)·V`; shared verbatim by the training
-    /// forward and the engine-routed inference path so the two stay
-    /// bit-identical.
-    fn attend(q: &Tensor, k: &Tensor, v: &Tensor, n: usize, t: usize, dim: usize) -> (Tensor, Vec<Tensor>) {
-        let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
-        let mut av = Tensor::zeros(&[n * t, dim]);
+    /// The block's arithmetic with every projection routed through
+    /// `engine` under `{key_prefix}.{name}`: the output, and what
+    /// `backward` needs.
+    fn run(
+        &self,
+        input: &Tensor,
+        key_prefix: &str,
+        engine: &dyn MatmulEngine,
+    ) -> (Tensor, AttnCache) {
+        let (n, t) = self.check_input(input);
+        let d = self.dim;
+        let x_flat = input.reshape(&[n * t, d]).expect("attention flatten");
+        let q = engine.matmul_xw(&format!("{key_prefix}.wq.weight"), &x_flat, &self.wq);
+        let k = engine.matmul_xw(&format!("{key_prefix}.wk.weight"), &x_flat, &self.wk);
+        let v = engine.matmul_xw(&format!("{key_prefix}.wv.weight"), &x_flat, &self.wv);
+        // Per sample, `softmax(QKᵀ/√D)·V`.
+        let inv_sqrt_d = 1.0 / (d as f32).sqrt();
+        let mut av = Tensor::zeros(&[n * t, d]);
         let mut attn = Vec::with_capacity(n);
         for i in 0..n {
-            let qi = rows_block(q, i * t, t);
-            let ki = rows_block(k, i * t, t);
-            let vi = rows_block(v, i * t, t);
+            let qi = rows_block(&q, i * t, t);
+            let ki = rows_block(&k, i * t, t);
+            let vi = rows_block(&v, i * t, t);
             let a = qi.matmul_bt(&ki).scale(inv_sqrt_d).softmax_rows();
             let avi = a.matmul(&vi);
             for r in 0..t {
@@ -102,7 +114,9 @@ impl SelfAttention {
             }
             attn.push(a);
         }
-        (av, attn)
+        let o = engine.matmul_xw(&format!("{key_prefix}.wo.weight"), &av, &self.wo);
+        let y = x_flat.add(&o).reshape(&[n, t, d]).expect("attention unflatten");
+        (y, AttnCache { x_flat, q, k, v, attn, av, n, t })
     }
 }
 
@@ -112,16 +126,9 @@ impl Layer for SelfAttention {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (n, t) = self.check_input(input);
-        let x_flat = input.reshape(&[n * t, self.dim]).expect("attention flatten");
-        let q = x_flat.matmul(&self.wq);
-        let k = x_flat.matmul(&self.wk);
-        let v = x_flat.matmul(&self.wv);
-        let (av, attn) = Self::attend(&q, &k, &v, n, t, self.dim);
-        let o = av.matmul(&self.wo);
-        let y = x_flat.add(&o);
-        self.cache = Some(AttnCache { x_flat, q, k, v, attn, av, n, t });
-        y.reshape(&[n, t, self.dim]).expect("attention unflatten")
+        let (y, cache) = self.run(input, "", &DigitalEngine);
+        self.cache = Some(cache);
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -180,14 +187,7 @@ impl Layer for SelfAttention {
     }
 
     fn infer(&self, input: &Tensor, key_prefix: &str, engine: &dyn MatmulEngine) -> Tensor {
-        let (n, t) = self.check_input(input);
-        let x_flat = input.reshape(&[n * t, self.dim]).expect("attention flatten");
-        let q = engine.matmul_xw(&format!("{key_prefix}.wq.weight"), &x_flat, &self.wq);
-        let k = engine.matmul_xw(&format!("{key_prefix}.wk.weight"), &x_flat, &self.wk);
-        let v = engine.matmul_xw(&format!("{key_prefix}.wv.weight"), &x_flat, &self.wv);
-        let (av, _) = Self::attend(&q, &k, &v, n, t, self.dim);
-        let o = engine.matmul_xw(&format!("{key_prefix}.wo.weight"), &av, &self.wo);
-        x_flat.add(&o).reshape(&[n, t, self.dim]).expect("attention unflatten")
+        self.run(input, key_prefix, engine).0
     }
 
     fn matmuls(&self) -> Vec<(&'static str, MatmulOrientation)> {
@@ -199,32 +199,22 @@ impl Layer for SelfAttention {
         ]
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.wq, &self.wk, &self.wv, &self.wo]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo]
-    }
-
-    fn param_names(&self) -> Vec<&'static str> {
-        vec!["wq.weight", "wk.weight", "wv.weight", "wo.weight"]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+    fn params(&self) -> Vec<(ParamName, &Tensor)> {
         vec![
-            (&mut self.wq, &mut self.grad_wq),
-            (&mut self.wk, &mut self.grad_wk),
-            (&mut self.wv, &mut self.grad_wv),
-            (&mut self.wo, &mut self.grad_wo),
+            ("wq.weight".into(), &self.wq),
+            ("wk.weight".into(), &self.wk),
+            ("wv.weight".into(), &self.wv),
+            ("wo.weight".into(), &self.wo),
         ]
     }
 
-    fn zero_grads(&mut self) {
-        self.grad_wq.map_inplace(|_| 0.0);
-        self.grad_wk.map_inplace(|_| 0.0);
-        self.grad_wv.map_inplace(|_| 0.0);
-        self.grad_wo.map_inplace(|_| 0.0);
+    fn params_mut(&mut self) -> Vec<(ParamName, &mut Tensor, &mut Tensor)> {
+        vec![
+            ("wq.weight".into(), &mut self.wq, &mut self.grad_wq),
+            ("wk.weight".into(), &mut self.wk, &mut self.grad_wk),
+            ("wv.weight".into(), &mut self.wv, &mut self.grad_wv),
+            ("wo.weight".into(), &mut self.wo, &mut self.grad_wo),
+        ]
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -279,7 +269,8 @@ mod tests {
         let m = attn.matmuls();
         assert_eq!(m.len(), 4);
         assert!(m.iter().all(|&(_, o)| o == MatmulOrientation::XW));
-        assert_eq!(attn.param_names(), vec!["wq.weight", "wk.weight", "wv.weight", "wo.weight"]);
+        let names: Vec<_> = attn.params().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["wq.weight", "wk.weight", "wv.weight", "wo.weight"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Batch normalization over `[N, C, H, W]` feature maps.
 
-use super::{Layer, MatmulEngine};
+use super::{Layer, MatmulEngine, ParamName};
 use healthmon_tensor::Tensor;
 
 /// Per-channel batch normalization (Ioffe & Szegedy):
@@ -68,6 +68,27 @@ impl BatchNorm2d {
         );
     }
 
+    /// Per-channel `1/√(σ² + ε)`.
+    fn inv_std(&self, var: &[f32]) -> Vec<f32> {
+        var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect()
+    }
+
+    /// `y = γ·x̂ + β` with `x̂ = (x − μ)·inv_std`, per channel: the output
+    /// and `x̂`.
+    fn normalize(&self, input: &Tensor, mean: &[f32], inv_std: &[f32]) -> (Tensor, Tensor) {
+        let shape = input.shape();
+        let x = input.as_slice();
+        let mut x_hat = Tensor::zeros(shape);
+        let mut out = Tensor::zeros(shape);
+        let (xh, o) = (x_hat.as_mut_slice(), out.as_mut_slice());
+        let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
+        Self::for_each_channel_elem(shape, |c, i| {
+            xh[i] = (x[i] - mean[c]) * inv_std[c];
+            o[i] = gamma[c] * xh[i] + beta[c];
+        });
+        (out, x_hat)
+    }
+
     /// Iterates channel elements: calls `f(channel, linear_index)`.
     fn for_each_channel_elem(shape: &[usize], mut f: impl FnMut(usize, usize)) {
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -90,18 +111,18 @@ impl Layer for BatchNorm2d {
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
         self.check_input(input);
-        let shape = input.shape().to_vec();
+        let shape = input.shape();
         let count = (shape[0] * shape[2] * shape[3]) as f32;
         let x = input.as_slice();
 
         let (mean, var) = if self.training {
             let mut mean = vec![0.0f32; self.channels];
-            Self::for_each_channel_elem(&shape, |c, i| mean[c] += x[i]);
+            Self::for_each_channel_elem(shape, |c, i| mean[c] += x[i]);
             for m in &mut mean {
                 *m /= count;
             }
             let mut var = vec![0.0f32; self.channels];
-            Self::for_each_channel_elem(&shape, |c, i| {
+            Self::for_each_channel_elem(shape, |c, i| {
                 let d = x[i] - mean[c];
                 var[c] += d * d;
             });
@@ -123,20 +144,8 @@ impl Layer for BatchNorm2d {
             )
         };
 
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut x_hat = Tensor::zeros(&shape);
-        let mut out = Tensor::zeros(&shape);
-        {
-            let xh = x_hat.as_mut_slice();
-            let o = out.as_mut_slice();
-            let gamma = self.gamma.as_slice();
-            let beta = self.beta.as_slice();
-            Self::for_each_channel_elem(&shape, |c, i| {
-                let normalized = (x[i] - mean[c]) * inv_std[c];
-                xh[i] = normalized;
-                o[i] = gamma[c] * normalized + beta[c];
-            });
-        }
+        let inv_std = self.inv_std(&var);
+        let (out, x_hat) = self.normalize(input, &mean, &inv_std);
         self.cached = Some((
             x_hat,
             Tensor::from_vec(inv_std, &[self.channels]).expect("channel vector"),
@@ -146,25 +155,8 @@ impl Layer for BatchNorm2d {
 
     fn infer(&self, input: &Tensor, _key_prefix: &str, _engine: &dyn MatmulEngine) -> Tensor {
         self.check_input(input);
-        let shape = input.shape().to_vec();
-        let x = input.as_slice();
-        let mean = self.running_mean.as_slice();
-        let inv_std: Vec<f32> = self
-            .running_var
-            .as_slice()
-            .iter()
-            .map(|&v| 1.0 / (v + self.eps).sqrt())
-            .collect();
-        let mut out = Tensor::zeros(&shape);
-        {
-            let o = out.as_mut_slice();
-            let gamma = self.gamma.as_slice();
-            let beta = self.beta.as_slice();
-            Self::for_each_channel_elem(&shape, |c, i| {
-                o[i] = gamma[c] * ((x[i] - mean[c]) * inv_std[c]) + beta[c];
-            });
-        }
-        out
+        let inv_std = self.inv_std(self.running_var.as_slice());
+        self.normalize(input, self.running_mean.as_slice(), &inv_std).0
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -211,30 +203,17 @@ impl Layer for BatchNorm2d {
         grad_in
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.gamma, &self.beta]
+    // Deliberately NOT `weight`: γ/β live in CMOS periphery and are
+    // excluded from conductance-domain fault injection.
+    fn params(&self) -> Vec<(ParamName, &Tensor)> {
+        vec![("gamma".into(), &self.gamma), ("beta".into(), &self.beta)]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-
-    fn param_names(&self) -> Vec<&'static str> {
-        // Deliberately NOT `weight`: γ/β live in CMOS periphery and are
-        // excluded from conductance-domain fault injection.
-        vec!["gamma", "beta"]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+    fn params_mut(&mut self) -> Vec<(ParamName, &mut Tensor, &mut Tensor)> {
         vec![
-            (&mut self.gamma, &mut self.grad_gamma),
-            (&mut self.beta, &mut self.grad_beta),
+            ("gamma".into(), &mut self.gamma, &mut self.grad_gamma),
+            ("beta".into(), &mut self.beta, &mut self.grad_beta),
         ]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_gamma.map_inplace(|_| 0.0);
-        self.grad_beta.map_inplace(|_| 0.0);
     }
 
     fn set_training(&mut self, on: bool) {
@@ -326,9 +305,9 @@ mod tests {
     #[test]
     fn param_names_exclude_conductance_domain() {
         let bn = BatchNorm2d::new(4);
-        assert_eq!(bn.param_names(), vec!["gamma", "beta"]);
+        let names: Vec<_> = bn.params().into_iter().map(|(name, _)| name).collect();
         // Fault injectors only touch keys ending in `weight`.
-        assert!(bn.param_names().iter().all(|n| !n.ends_with("weight")));
+        assert_eq!(names, ["gamma", "beta"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! 2-D convolution via im2col + matmul.
 
-use super::{Layer, MatmulEngine, MatmulOrientation};
+use super::{Layer, MatmulEngine, MatmulOrientation, ParamName};
 use crate::init::Init;
 use healthmon_tensor::{SeededRng, Tensor};
 use std::ops::Range;
@@ -137,12 +137,40 @@ impl Conv2d {
         out
     }
 
-    /// `[F, N·OH·OW]` → `[N, F, OH, OW]`.
-    fn gather_output(&self, mat: &Tensor, n: usize, oh: usize, ow: usize) -> Tensor {
+    /// The input checks `forward` and `infer` share: the im2col geometry
+    /// of an `[N, C, H, W]` input with this layer's channel count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 4-D with `in_channels` channels, or the
+    /// kernel is larger than the padded input.
+    fn checked_map(&self, input: &Tensor) -> PatchMap {
+        assert_eq!(input.ndim(), 4, "conv2d expects [N,C,H,W], got {:?}", input.shape());
+        assert_eq!(
+            input.shape()[1],
+            self.in_channels,
+            "conv2d expects {} input channels, got {}",
+            self.in_channels,
+            input.shape()[1]
+        );
+        self.patch_map(input.shape())
+    }
+
+    /// Adds each filter's bias to its row of the `[F, N·OH·OW]` product
+    /// (a zero bias adds nothing, so a `-0.0` stays) and gathers the rows
+    /// to `[N, F, OH, OW]`.
+    fn bias_and_gather(&self, mut mat: Tensor, map: &PatchMap) -> Tensor {
+        let (n, (oh, ow), cols) = (map.input_shape()[0], map.out_extent(), map.cols());
+        let m = mat.as_mut_slice();
+        for (fi, &b) in self.bias.as_slice().iter().enumerate() {
+            if b != 0.0 {
+                for v in &mut m[fi * cols..(fi + 1) * cols] {
+                    *v += b;
+                }
+            }
+        }
         let f = self.filters;
         let plane = oh * ow;
-        let cols = n * plane;
-        let m = mat.as_slice();
         let mut out = Tensor::zeros(&[n, f, oh, ow]);
         let o = out.as_mut_slice();
         for fi in 0..f {
@@ -156,7 +184,8 @@ impl Conv2d {
         out
     }
 
-    /// `[N, F, OH, OW]` → `[F, N·OH·OW]` (inverse of `gather_output`).
+    /// `[N, F, OH, OW]` → `[F, N·OH·OW]` (inverse of `bias_and_gather`'s
+    /// gather).
     fn scatter_grad(&self, grad: &Tensor, n: usize, oh: usize, ow: usize) -> Tensor {
         let f = self.filters;
         let plane = oh * ow;
@@ -416,67 +445,30 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.ndim(), 4, "conv2d expects [N,C,H,W], got {:?}", input.shape());
-        assert_eq!(
-            input.shape()[1],
-            self.in_channels,
-            "conv2d expects {} input channels, got {}",
-            self.in_channels,
-            input.shape()[1]
-        );
-        let map = self.patch_map(input.shape());
-        let (n, (oh, ow)) = (input.shape()[0], map.out_extent());
+        let map = self.checked_map(input);
         // Forward-only callers (inference sweeps) never reach backward, so
         // retire the previous pass's unfolded patches here before they are
         // replaced — that buffer is what im2col recycles.
         if let Some(stale) = self.cached_col.take() {
             self.col_workspace = Some(stale);
         }
+        // The whole patch matrix, not `infer`'s cache-sized sample blocks
+        // (same bits): `backward` reuses it for the weight gradient.
         let col = self.im2col(input, &map);
-        let mut out_mat = self.weight.matmul(&col); // [F, N*OH*OW]
-        let cols = map.cols();
-        let bias = self.bias.as_slice();
-        let om = out_mat.as_mut_slice();
-        for (fi, &b) in bias.iter().enumerate() {
-            if b != 0.0 {
-                for v in &mut om[fi * cols..(fi + 1) * cols] {
-                    *v += b;
-                }
-            }
-        }
-        let out = self.gather_output(&out_mat, n, oh, ow);
+        let out = self.bias_and_gather(self.weight.matmul(&col), &map);
         self.cached_col = Some(col);
         self.cached_input_shape = Some(input.shape().to_vec());
         out
     }
 
     fn infer(&self, input: &Tensor, key_prefix: &str, engine: &dyn MatmulEngine) -> Tensor {
-        assert_eq!(input.ndim(), 4, "conv2d expects [N,C,H,W], got {:?}", input.shape());
-        assert_eq!(
-            input.shape()[1],
-            self.in_channels,
-            "conv2d expects {} input channels, got {}",
-            self.in_channels,
-            input.shape()[1]
-        );
-        let map = self.patch_map(input.shape());
-        let (n, (oh, ow), cols) = (input.shape()[0], map.out_extent(), map.cols());
+        let map = self.checked_map(input);
         let key = format!("{key_prefix}.weight");
-        let mut out_mat = engine.matmul_patches(&key, &self.weight, input, &map); // [F, N*OH*OW]
-        let bias = self.bias.as_slice();
-        let om = out_mat.as_mut_slice();
-        for (fi, &b) in bias.iter().enumerate() {
-            if b != 0.0 {
-                for v in &mut om[fi * cols..(fi + 1) * cols] {
-                    *v += b;
-                }
-            }
-        }
-        self.gather_output(&out_mat, n, oh, ow)
+        self.bias_and_gather(engine.matmul_patches(&key, &self.weight, input, &map), &map)
     }
 
-    fn matmul_orientation(&self) -> Option<MatmulOrientation> {
-        Some(MatmulOrientation::WX)
+    fn matmuls(&self) -> Vec<(&'static str, MatmulOrientation)> {
+        vec![("weight", MatmulOrientation::WX)]
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -509,28 +501,15 @@ impl Layer for Conv2d {
         out
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weight, &self.bias]
+    fn params(&self) -> Vec<(ParamName, &Tensor)> {
+        vec![("weight".into(), &self.weight), ("bias".into(), &self.bias)]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn param_names(&self) -> Vec<&'static str> {
-        vec!["weight", "bias"]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+    fn params_mut(&mut self) -> Vec<(ParamName, &mut Tensor, &mut Tensor)> {
         vec![
-            (&mut self.weight, &mut self.grad_weight),
-            (&mut self.bias, &mut self.grad_bias),
+            ("weight".into(), &mut self.weight, &mut self.grad_weight),
+            ("bias".into(), &mut self.bias, &mut self.grad_bias),
         ]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.map_inplace(|_| 0.0);
-        self.grad_bias.map_inplace(|_| 0.0);
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

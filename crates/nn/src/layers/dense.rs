@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer.
 
-use super::{Layer, MatmulEngine, MatmulOrientation};
+use super::{DigitalEngine, Layer, MatmulEngine, MatmulOrientation, ParamName};
 use crate::init::Init;
 use healthmon_tensor::{SeededRng, Tensor};
 
@@ -83,26 +83,8 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.ndim(), 2, "dense expects [N, features] input, got {:?}", input.shape());
-        assert_eq!(
-            input.shape()[1],
-            self.in_features,
-            "dense expects {} input features, got {}",
-            self.in_features,
-            input.shape()[1]
-        );
         self.cached_input = Some(input.clone());
-        let mut out = input.matmul(&self.weight);
-        let n = out.shape()[0];
-        let f = self.out_features;
-        let bias = self.bias.as_slice();
-        let data = out.as_mut_slice();
-        for row in 0..n {
-            for (j, &b) in bias.iter().enumerate() {
-                data[row * f + j] += b;
-            }
-        }
-        out
+        self.infer(input, "", &DigitalEngine)
     }
 
     fn infer(&self, input: &Tensor, key_prefix: &str, engine: &dyn MatmulEngine) -> Tensor {
@@ -127,8 +109,8 @@ impl Layer for Dense {
         out
     }
 
-    fn matmul_orientation(&self) -> Option<MatmulOrientation> {
-        Some(MatmulOrientation::XW)
+    fn matmuls(&self) -> Vec<(&'static str, MatmulOrientation)> {
+        vec![("weight", MatmulOrientation::XW)]
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -151,28 +133,15 @@ impl Layer for Dense {
         grad_out.matmul_bt(&self.weight)
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weight, &self.bias]
+    fn params(&self) -> Vec<(ParamName, &Tensor)> {
+        vec![("weight".into(), &self.weight), ("bias".into(), &self.bias)]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn param_names(&self) -> Vec<&'static str> {
-        vec!["weight", "bias"]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+    fn params_mut(&mut self) -> Vec<(ParamName, &mut Tensor, &mut Tensor)> {
         vec![
-            (&mut self.weight, &mut self.grad_weight),
-            (&mut self.bias, &mut self.grad_bias),
+            ("weight".into(), &mut self.weight, &mut self.grad_weight),
+            ("bias".into(), &mut self.bias, &mut self.grad_bias),
         ]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.map_inplace(|_| 0.0);
-        self.grad_bias.map_inplace(|_| 0.0);
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -224,15 +193,15 @@ mod tests {
         let g = Tensor::ones(&[1, 2]);
         layer.forward(&x);
         layer.backward(&g);
-        let g1 = layer.params_and_grads()[0].1.clone();
+        let g1 = layer.params_mut()[0].2.clone();
         layer.forward(&x);
         layer.backward(&g);
-        let g2 = layer.params_and_grads()[0].1.clone();
+        let g2 = layer.params_mut()[0].2.clone();
         for (a, b) in g1.as_slice().iter().zip(g2.as_slice()) {
             assert!((2.0 * a - b).abs() < 1e-5, "grads should accumulate: {a} vs {b}");
         }
         layer.zero_grads();
-        assert!(layer.params_and_grads()[0].1.as_slice().iter().all(|&v| v == 0.0));
+        assert!(layer.params_mut()[0].2.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

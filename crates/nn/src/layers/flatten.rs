@@ -1,7 +1,7 @@
 //! Flatten layer: collapses feature maps into vectors at the conv→dense
 //! boundary.
 
-use super::{Layer, MatmulEngine};
+use super::{DigitalEngine, Layer, MatmulEngine};
 use healthmon_tensor::Tensor;
 
 /// Flattens `[N, C, H, W]` (or any rank ≥ 2) into `[N, C·H·W]`, preserving
@@ -24,11 +24,8 @@ impl Layer for Flatten {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert!(input.ndim() >= 2, "flatten expects a batched input, got {:?}", input.shape());
         self.cached_shape = Some(input.shape().to_vec());
-        let n = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
-        input.reshape(&[n, rest]).expect("flatten preserves element count")
+        self.infer(input, "", &DigitalEngine)
     }
 
     fn infer(&self, input: &Tensor, _key_prefix: &str, _engine: &dyn MatmulEngine) -> Tensor {

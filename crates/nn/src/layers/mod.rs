@@ -28,9 +28,15 @@ pub use pool::{AvgPool2d, MaxPool2d};
 pub use residual::ResidualConv2d;
 
 use healthmon_tensor::Tensor;
+use std::borrow::Cow;
 use std::fmt;
 
-/// Which side of the matmul a layer's weight matrix sits on.
+/// A parameter's name within its layer: `"weight"`, or `"conv1.weight"`
+/// for a parameter a composite layer takes from its child `conv1`.
+pub type ParamName = Cow<'static, str>;
+
+/// Which side of the matmul a layer's weight matrix sits on, as
+/// [`Layer::matmuls`] reports it.
 ///
 /// Execution backends need this to know how a layer's weight matrix meets
 /// its activations: a [`Dense`] computes `y = x · W` ([`MatmulOrientation::XW`],
@@ -52,9 +58,9 @@ pub enum MatmulOrientation {
 /// [`Layer::infer`]; weight-bearing layers route their matmul through it
 /// (identified by the state-dict `key` of the weight, e.g.
 /// `"layer0.weight"`) while biases, activations, pooling and reshapes stay
-/// digital. [`DigitalEngine`] reproduces the plain [`Layer::forward`]
-/// arithmetic bit-for-bit; analog engines substitute conductance-mapped
-/// crossbar matmuls for the same contraction.
+/// digital. [`DigitalEngine`] is the plain digital arithmetic, which
+/// [`Layer::forward`] runs too; analog engines substitute
+/// conductance-mapped crossbar matmuls for the same contraction.
 pub trait MatmulEngine {
     /// Computes `x · w` for an [`MatmulOrientation::XW`] layer
     /// (`x: [N, in]`, `w: [in, out]`).
@@ -80,11 +86,12 @@ pub trait MatmulEngine {
 
 /// The reference [`MatmulEngine`]: plain digital [`Tensor::matmul`].
 ///
-/// Bit-identical to the layers' own `forward` arithmetic at any thread
-/// count — it calls the very same GEMM the training path uses. A
-/// convolution's product runs block by block over its unfolded patches
-/// ([`PatchMap::matmul`]) instead of over the whole patch matrix, with the
-/// same bits.
+/// Layers whose `forward` computes what `infer` does run `infer` through
+/// this engine, so the training path and the inference path are one
+/// arithmetic at any thread count. A convolution's product runs block by
+/// block over its unfolded patches ([`PatchMap::matmul`]) instead of over
+/// the whole patch matrix, with the same bits as [`Conv2d`]'s training
+/// product.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DigitalEngine;
 
@@ -106,6 +113,11 @@ impl MatmulEngine for DigitalEngine {
 ///
 /// Layers are stateful: `forward` caches activations, `backward` consumes
 /// them. A `forward` must precede each `backward` with the same batch.
+///
+/// Each layer states its parameters once, in [`Layer::params`] and its
+/// mutable twin [`Layer::params_mut`], and its arithmetic once: where
+/// `forward` computes what `infer` does, it keeps only what `backward`
+/// needs and calls `infer` through [`DigitalEngine`].
 ///
 /// The trait is object-safe; networks store `Box<dyn Layer>` so
 /// heterogeneous stacks (conv → pool → dense) compose freely.
@@ -146,53 +158,38 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// layer configuration.
     fn infer(&self, input: &Tensor, key_prefix: &str, engine: &dyn MatmulEngine) -> Tensor;
 
-    /// How this layer's weight matrix meets its activations, or `None` for
-    /// layers without a conductance-mappable weight matmul.
-    fn matmul_orientation(&self) -> Option<MatmulOrientation> {
-        None
-    }
-
     /// Every conductance-mappable weight matmul this layer performs, as
     /// `(param name, orientation)` pairs. The param name is relative to the
     /// layer (e.g. `"weight"`, or `"conv1.weight"` for composite layers)
-    /// and must match an entry of [`Layer::param_names`]; crossbar backends
+    /// and must name an entry of [`Layer::params`]; crossbar backends
     /// program one mapped matrix per pair under the state-dict key
-    /// `layer{i}.{name}`.
-    ///
-    /// The default derives a single `"weight"` entry from
-    /// [`Layer::matmul_orientation`], so existing one-weight layers need no
-    /// override; multi-matmul layers (residual blocks, attention) override
-    /// this directly.
+    /// `layer{i}.{name}`. Empty for layers without one.
     fn matmuls(&self) -> Vec<(&'static str, MatmulOrientation)> {
-        self.matmul_orientation().map(|o| vec![("weight", o)]).unwrap_or_default()
-    }
-
-    /// Immutable views of the layer's trainable parameter tensors, in a
-    /// stable order. Empty for parameter-free layers.
-    fn params(&self) -> Vec<&Tensor> {
         Vec::new()
     }
 
-    /// Mutable views of the trainable parameters, same order as
-    /// [`Layer::params`]. Fault injectors use this to perturb weights.
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+    /// The layer's trainable parameters as `(name, value)`, listed once in
+    /// a stable order. That order is the order of state-dict keys, fault
+    /// RNG streams and optimizer state. Names are relative to the layer
+    /// (e.g. `"weight"`, `"bias"`, or `"conv1.weight"` inside a composite
+    /// layer). Empty for parameter-free layers.
+    fn params(&self) -> Vec<(ParamName, &Tensor)> {
         Vec::new()
     }
 
-    /// Stable names for the parameters, same order as [`Layer::params`]
-    /// (e.g. `["weight", "bias"]`). Used to build state-dict keys.
-    fn param_names(&self) -> Vec<&'static str> {
+    /// The parameters of [`Layer::params`], same names and order, as
+    /// `(name, value, gradient)` with the gradient `backward` accumulates.
+    /// Fault injectors perturb the values; optimizers step them.
+    fn params_mut(&mut self) -> Vec<(ParamName, &mut Tensor, &mut Tensor)> {
         Vec::new()
     }
 
-    /// Mutable (parameter, gradient) pairs, same order as
-    /// [`Layer::params`]. Optimizers consume this.
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        Vec::new()
+    /// Resets every gradient [`Layer::params_mut`] yields to zero.
+    fn zero_grads(&mut self) {
+        for (_, _, grad) in self.params_mut() {
+            grad.as_mut_slice().fill(0.0);
+        }
     }
-
-    /// Resets all accumulated parameter gradients to zero.
-    fn zero_grads(&mut self) {}
 
     /// Switches training-only behaviour (e.g. dropout) on or off.
     /// Inference-only layers ignore this.
@@ -246,22 +243,19 @@ pub(crate) mod gradcheck {
         let grad_out = Tensor::ones(out.shape());
         layer.zero_grads();
         layer.backward(&grad_out);
-        let analytic: Vec<Tensor> = layer
-            .params_and_grads()
-            .into_iter()
-            .map(|(_, g)| g.clone())
-            .collect();
+        let analytic: Vec<Tensor> =
+            layer.params_mut().into_iter().map(|(_, _, g)| g.clone()).collect();
 
         let eps = 1e-2f32;
         let mut max_err = 0.0f32;
         for (p, analytic_p) in analytic.iter().enumerate() {
             for i in 0..analytic_p.len() {
-                let orig = layer.params()[p].as_slice()[i];
-                layer.params_mut()[p].as_mut_slice()[i] = orig + eps;
+                let orig = layer.params()[p].1.as_slice()[i];
+                layer.params_mut()[p].1.as_mut_slice()[i] = orig + eps;
                 let fp = layer.forward(input).sum();
-                layer.params_mut()[p].as_mut_slice()[i] = orig - eps;
+                layer.params_mut()[p].1.as_mut_slice()[i] = orig - eps;
                 let fm = layer.forward(input).sum();
-                layer.params_mut()[p].as_mut_slice()[i] = orig;
+                layer.params_mut()[p].1.as_mut_slice()[i] = orig;
                 let numeric = (fp - fm) / (2.0 * eps);
                 let a = analytic_p.as_slice()[i];
                 let denom = 1.0f32.max(a.abs()).max(numeric.abs());
@@ -269,5 +263,59 @@ pub(crate) mod gradcheck {
             }
         }
         max_err
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use healthmon_tensor::SeededRng;
+
+    /// One layer of every type.
+    fn every_layer() -> Vec<Box<dyn Layer>> {
+        let rng = &mut SeededRng::new(1);
+        vec![
+            Box::new(Dense::new(3, 2, rng)),
+            Box::new(Conv2d::new(2, 3, 3, 1, 1, rng)),
+            Box::new(ResidualConv2d::new(2, rng)),
+            Box::new(SelfAttention::new(4, rng)),
+            Box::new(BatchNorm2d::new(2)),
+            Box::new(Relu::new()),
+            Box::new(Tanh::new()),
+            Box::new(Sigmoid::new()),
+            Box::new(Flatten::new()),
+            Box::new(Dropout::new(0.5, rng)),
+            Box::new(MaxPool2d::new(2, 2)),
+            Box::new(AvgPool2d::new(2, 2)),
+        ]
+    }
+
+    /// `params` and `params_mut` are one list: the same names, in the same
+    /// order, over the same tensors, each with a gradient of its shape;
+    /// every matmul names one of them, and `zero_grads` clears them all.
+    #[test]
+    fn both_parameter_views_list_the_same_parameters() {
+        for mut layer in every_layer() {
+            let what = layer.name();
+            let view: Vec<(String, *const f32)> = layer
+                .params()
+                .into_iter()
+                .map(|(name, t)| (name.into_owned(), t.as_slice().as_ptr()))
+                .collect();
+            let mut view_mut = Vec::new();
+            for (name, value, grad) in layer.params_mut() {
+                assert_eq!(grad.shape(), value.shape(), "{what} {name}");
+                grad.as_mut_slice().fill(1.0);
+                view_mut.push((name.into_owned(), value.as_slice().as_ptr()));
+            }
+            assert_eq!(view, view_mut, "{what}");
+            for (name, _) in layer.matmuls() {
+                assert!(view.iter().any(|(n, _)| n == name), "{what} matmul {name}");
+            }
+            layer.zero_grads();
+            for (name, _, grad) in layer.params_mut() {
+                assert!(grad.as_slice().iter().all(|&g| g == 0.0), "{what} {name}");
+            }
+        }
     }
 }

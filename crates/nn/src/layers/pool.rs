@@ -1,11 +1,20 @@
 //! Spatial pooling layers over `[N, C, H, W]` feature maps.
 
-use super::{Layer, MatmulEngine};
+use super::{DigitalEngine, Layer, MatmulEngine};
 use healthmon_tensor::Tensor;
 
 fn pooled_extent(input: usize, kernel: usize, stride: usize) -> usize {
     assert!(input >= kernel, "pool kernel {kernel} larger than input extent {input}");
     (input - kernel) / stride + 1
+}
+
+/// `[N, C, H, W, OH, OW]` of a `kernel`×`kernel` pool at `stride` over
+/// `shape`, checked for the layer `what`.
+fn pooled_shape(what: &str, shape: &[usize], kernel: usize, stride: usize) -> [usize; 6] {
+    assert_eq!(shape.len(), 4, "{what} expects [N,C,H,W], got {shape:?}");
+    let (h, w) = (shape[2], shape[3]);
+    let (oh, ow) = (pooled_extent(h, kernel, stride), pooled_extent(w, kernel, stride));
+    [shape[0], shape[1], h, w, oh, ow]
 }
 
 /// 2-D max pooling.
@@ -39,21 +48,19 @@ impl MaxPool2d {
         assert!(kernel > 0 && stride > 0, "pool kernel/stride must be non-zero");
         MaxPool2d { kernel, stride, cached_input_shape: None, cached_argmax: Vec::new() }
     }
-}
 
-impl Layer for MaxPool2d {
-    fn name(&self) -> &'static str {
-        "maxpool2d"
-    }
-
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.ndim(), 4, "maxpool expects [N,C,H,W], got {:?}", input.shape());
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let oh = pooled_extent(h, self.kernel, self.stride);
-        let ow = pooled_extent(w, self.kernel, self.stride);
+    /// The pool of every window and, per output, the input index of its
+    /// winner. Every output visits its taps in `kh, kw` order, and
+    /// `v > best` is a select, not a branch: which tap wins depends on
+    /// the activations, so a branch mispredicts, while the select lowers
+    /// to `maxps`, which keeps `best` on a NaN `v` and on equal zeros
+    /// exactly as the branch did. A window where nothing beats −∞ (all −∞
+    /// or NaN) names its own first element.
+    fn windows(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
+        let [n, c, h, w, oh, ow] = pooled_shape("maxpool", input.shape(), self.kernel, self.stride);
         let x = input.as_slice();
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        self.cached_argmax = vec![0usize; n * c * oh * ow];
+        let mut argmax = vec![0usize; n * c * oh * ow];
         let o = out.as_mut_slice();
         let mut oi = 0usize;
         for ni in 0..n {
@@ -63,13 +70,10 @@ impl Layer for MaxPool2d {
                     for pw in 0..ow {
                         let window = plane + ph * self.stride * w + pw * self.stride;
                         let mut best = f32::NEG_INFINITY;
-                        // A window where nothing beats −∞ (all −∞ or NaN)
-                        // routes its gradient to its own first element.
                         let mut best_idx = window;
                         for kh in 0..self.kernel {
                             let row = window + kh * w;
                             for kw in 0..self.kernel {
-                                // Selects, not a branch, as in `infer`.
                                 let v = x[row + kw];
                                 let better = v > best;
                                 best = if better { v } else { best };
@@ -77,61 +81,45 @@ impl Layer for MaxPool2d {
                             }
                         }
                         o[oi] = best;
-                        self.cached_argmax[oi] = best_idx;
+                        argmax[oi] = best_idx;
                         oi += 1;
                     }
                 }
             }
         }
+        (out, argmax)
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn name(&self) -> &'static str {
+        "maxpool2d"
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let (out, argmax) = self.windows(input);
+        self.cached_argmax = argmax;
         self.cached_input_shape = Some(input.shape().to_vec());
         out
     }
 
     fn infer(&self, input: &Tensor, _key_prefix: &str, _engine: &dyn MatmulEngine) -> Tensor {
-        assert_eq!(input.ndim(), 4, "maxpool expects [N,C,H,W], got {:?}", input.shape());
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let oh = pooled_extent(h, self.kernel, self.stride);
-        let ow = pooled_extent(w, self.kernel, self.stride);
+        if self.kernel != 2 || self.stride != 2 {
+            return self.windows(input).0;
+        }
+        // Every zoo pool: both input rows of an output row in one pass,
+        // each output's four taps folded in registers with `windows`'
+        // select, which vectorizes across outputs (DESIGN.md §8).
+        let [n, c, h, w, oh, ow] = pooled_shape("maxpool", input.shape(), 2, 2);
         let x = input.as_slice();
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        // Every output visits its taps in `kh, kw` order, and `v > best`
-        // is a select, not a branch. Which tap wins depends on the
-        // activations, so a branch mispredicts; the select lowers to
-        // `maxps`, which keeps `best` on a NaN `v` and on equal zeros
-        // exactly as the branch did.
         let select = |best: f32, v: f32| if v > best { v } else { best };
-        if self.kernel == 2 && self.stride == 2 {
-            // Every zoo pool: both input rows of an output row in one pass,
-            // each output's four taps folded in registers, which vectorizes
-            // across outputs (DESIGN.md §8).
-            for (i, best) in out.as_mut_slice().chunks_exact_mut(ow).enumerate() {
-                let top = (i / oh) * h * w + (i % oh) * 2 * w;
-                let bottom = x[top + w..][..2 * ow].chunks_exact(2);
-                let rows = x[top..][..2 * ow].chunks_exact(2).zip(bottom);
-                for (b, (t, u)) in best.iter_mut().zip(rows) {
-                    *b = [t[0], t[1], u[0], u[1]].into_iter().fold(f32::NEG_INFINITY, select);
-                }
-            }
-            return out;
-        }
-        let o = out.as_mut_slice();
-        let mut oi = 0usize;
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = (ni * c + ci) * h * w;
-                for ph in 0..oh {
-                    for pw in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for kh in 0..self.kernel {
-                            let row = plane + (ph * self.stride + kh) * w + pw * self.stride;
-                            for kw in 0..self.kernel {
-                                best = select(best, x[row + kw]);
-                            }
-                        }
-                        o[oi] = best;
-                        oi += 1;
-                    }
-                }
+        for (i, best) in out.as_mut_slice().chunks_exact_mut(ow).enumerate() {
+            let top = (i / oh) * h * w + (i % oh) * 2 * w;
+            let bottom = x[top + w..][..2 * ow].chunks_exact(2);
+            let rows = x[top..][..2 * ow].chunks_exact(2).zip(bottom);
+            for (b, (t, u)) in best.iter_mut().zip(rows) {
+                *b = [t[0], t[1], u[0], u[1]].into_iter().fold(f32::NEG_INFINITY, select);
             }
         }
         out
@@ -182,42 +170,12 @@ impl Layer for AvgPool2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.ndim(), 4, "avgpool expects [N,C,H,W], got {:?}", input.shape());
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let oh = pooled_extent(h, self.kernel, self.stride);
-        let ow = pooled_extent(w, self.kernel, self.stride);
-        let x = input.as_slice();
-        let inv_area = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let o = out.as_mut_slice();
-        let mut oi = 0usize;
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = (ni * c + ci) * h * w;
-                for ph in 0..oh {
-                    for pw in 0..ow {
-                        let mut acc = 0.0f32;
-                        for kh in 0..self.kernel {
-                            let row = plane + (ph * self.stride + kh) * w + pw * self.stride;
-                            for kw in 0..self.kernel {
-                                acc += x[row + kw];
-                            }
-                        }
-                        o[oi] = acc * inv_area;
-                        oi += 1;
-                    }
-                }
-            }
-        }
         self.cached_input_shape = Some(input.shape().to_vec());
-        out
+        self.infer(input, "", &DigitalEngine)
     }
 
     fn infer(&self, input: &Tensor, _key_prefix: &str, _engine: &dyn MatmulEngine) -> Tensor {
-        assert_eq!(input.ndim(), 4, "avgpool expects [N,C,H,W], got {:?}", input.shape());
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let oh = pooled_extent(h, self.kernel, self.stride);
-        let ow = pooled_extent(w, self.kernel, self.stride);
+        let [n, c, h, w, oh, ow] = pooled_shape("avgpool", input.shape(), self.kernel, self.stride);
         let x = input.as_slice();
         let inv_area = 1.0 / (self.kernel * self.kernel) as f32;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
@@ -245,16 +203,10 @@ impl Layer for AvgPool2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self
-            .cached_input_shape
-            .as_ref()
-            .expect("avgpool backward before forward")
-            .clone();
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let oh = pooled_extent(h, self.kernel, self.stride);
-        let ow = pooled_extent(w, self.kernel, self.stride);
+        let shape = self.cached_input_shape.as_ref().expect("avgpool backward before forward");
+        let [n, c, h, w, oh, ow] = pooled_shape("avgpool", shape, self.kernel, self.stride);
         let inv_area = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut grad_in = Tensor::zeros(&shape);
+        let mut grad_in = Tensor::zeros(shape);
         let gi = grad_in.as_mut_slice();
         let g = grad_out.as_slice();
         let mut oi = 0usize;

@@ -1,6 +1,6 @@
 //! Residual convolution block with an identity skip connection.
 
-use super::{Conv2d, Layer, MatmulEngine, MatmulOrientation, Relu};
+use super::{Conv2d, Layer, MatmulEngine, MatmulOrientation, ParamName, Relu};
 use healthmon_tensor::{SeededRng, Tensor};
 
 /// A basic pre-classifier residual block: `y = relu(conv2(relu(conv1(x))) + x)`.
@@ -31,6 +31,11 @@ impl ResidualConv2d {
             relu_out: Relu::new(),
         }
     }
+}
+
+/// The name of a child's parameter within the block, e.g. `conv1.weight`.
+fn child(prefix: &str, name: &str) -> ParamName {
+    format!("{prefix}.{name}").into()
 }
 
 impl Layer for ResidualConv2d {
@@ -67,31 +72,19 @@ impl Layer for ResidualConv2d {
         ]
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        let mut p = self.conv1.params();
-        p.extend(self.conv2.params());
-        p
+    fn params(&self) -> Vec<(ParamName, &Tensor)> {
+        let conv1 = self.conv1.params().into_iter().map(|(name, p)| (child("conv1", &name), p));
+        let conv2 = self.conv2.params().into_iter().map(|(name, p)| (child("conv2", &name), p));
+        conv1.chain(conv2).collect()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut p = self.conv1.params_mut();
-        p.extend(self.conv2.params_mut());
-        p
-    }
-
-    fn param_names(&self) -> Vec<&'static str> {
-        vec!["conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias"]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        let mut p = self.conv1.params_and_grads();
-        p.extend(self.conv2.params_and_grads());
-        p
-    }
-
-    fn zero_grads(&mut self) {
-        self.conv1.zero_grads();
-        self.conv2.zero_grads();
+    fn params_mut(&mut self) -> Vec<(ParamName, &mut Tensor, &mut Tensor)> {
+        let conv1 = self.conv1.params_mut().into_iter();
+        let conv2 = self.conv2.params_mut().into_iter();
+        conv1
+            .map(|(name, p, g)| (child("conv1", &name), p, g))
+            .chain(conv2.map(|(name, p, g)| (child("conv2", &name), p, g)))
+            .collect()
     }
 
     fn set_training(&mut self, on: bool) {
@@ -115,7 +108,7 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let mut block = ResidualConv2d::new(2, &mut rng);
         // Zero both convolutions: the block degenerates to relu(x).
-        for p in block.params_mut() {
+        for (_, p, _) in block.params_mut() {
             p.map_inplace(|_| 0.0);
         }
         let x = Tensor::randn(&[2, 2, 4, 4], &mut rng);
@@ -140,7 +133,7 @@ mod tests {
         // positive biases, positive inputs) so the finite-difference probe
         // never steps across a relu kink — the check is then exact and any
         // failure is a real plumbing bug, not quantization of the gate.
-        for (i, p) in block.params_mut().into_iter().enumerate() {
+        for (i, (_, p, _)) in block.params_mut().into_iter().enumerate() {
             if i % 2 == 0 {
                 p.map_inplace(|v| v * 0.1);
             } else {
@@ -172,7 +165,7 @@ mod tests {
                 ("conv2.weight", MatmulOrientation::WX)
             ]
         );
-        assert_eq!(block.params().len(), 4);
-        assert_eq!(block.param_names().len(), 4);
+        let names: Vec<_> = block.params().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias"]);
     }
 }

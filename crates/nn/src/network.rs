@@ -117,6 +117,42 @@ impl fmt::Display for NonFiniteActivation {
 
 impl Error for NonFiniteActivation {}
 
+/// Why an unchecked [`walk`] cannot fail.
+const UNCHECKED: &str = "an unchecked walk reports no non-finite layer";
+
+/// The one layer walk behind every forward and inference entry point:
+/// `step(i, x)` maps the previous output `x` through layer `i` of `depth`.
+/// With `checked`, the walk stops at the first non-finite output
+/// (`layer == usize::MAX` for the input itself).
+///
+/// # Panics
+///
+/// Panics if the input shape does not match `[N, ...input_shape]`.
+fn walk(
+    input_shape: &[usize],
+    input: &Tensor,
+    checked: bool,
+    depth: usize,
+    mut step: impl FnMut(usize, &Tensor) -> Tensor,
+) -> Result<Tensor, NonFiniteActivation> {
+    assert!(
+        input.ndim() == input_shape.len() + 1 && input.shape()[1..] == input_shape[..],
+        "network expects [N, {input_shape:?}] input, got {:?}",
+        input.shape()
+    );
+    if checked && !input.all_finite() {
+        return Err(NonFiniteActivation { layer: usize::MAX });
+    }
+    let mut x = input.clone();
+    for i in 0..depth {
+        x = step(i, &x);
+        if checked && !x.all_finite() {
+            return Err(NonFiniteActivation { layer: i });
+        }
+    }
+    Ok(x)
+}
+
 impl Network {
     /// Creates an empty network expecting per-sample inputs of
     /// `input_shape` (batch dimension excluded), e.g. `[1, 28, 28]`.
@@ -155,18 +191,9 @@ impl Network {
     ///
     /// Panics if the input shape does not match `[N, ...input_shape]`.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert!(
-            input.ndim() == self.input_shape.len() + 1
-                && input.shape()[1..] == self.input_shape[..],
-            "network expects [N, {:?}] input, got {:?}",
-            self.input_shape,
-            input.shape()
-        );
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
+        let depth = self.layers.len();
+        walk(&self.input_shape, input, false, depth, |i, x| self.layers[i].forward(x))
+            .expect(UNCHECKED)
     }
 
     /// Forward pass that checks every layer output for non-finite values.
@@ -186,24 +213,8 @@ impl Network {
     ///
     /// Panics if the input shape does not match `[N, ...input_shape]`.
     pub fn forward_checked(&mut self, input: &Tensor) -> Result<Tensor, NonFiniteActivation> {
-        assert!(
-            input.ndim() == self.input_shape.len() + 1
-                && input.shape()[1..] == self.input_shape[..],
-            "network expects [N, {:?}] input, got {:?}",
-            self.input_shape,
-            input.shape()
-        );
-        if !input.all_finite() {
-            return Err(NonFiniteActivation { layer: usize::MAX });
-        }
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            x = layer.forward(&x);
-            if !x.all_finite() {
-                return Err(NonFiniteActivation { layer: i });
-            }
-        }
-        Ok(x)
+        let depth = self.layers.len();
+        walk(&self.input_shape, input, true, depth, |i, x| self.layers[i].forward(x))
     }
 
     /// Inference pass through `&self`: evaluation-mode forward with no
@@ -230,18 +241,7 @@ impl Network {
     ///
     /// Panics if the input shape does not match `[N, ...input_shape]`.
     pub fn infer_with(&self, input: &Tensor, engine: &dyn MatmulEngine) -> Tensor {
-        assert!(
-            input.ndim() == self.input_shape.len() + 1
-                && input.shape()[1..] == self.input_shape[..],
-            "network expects [N, {:?}] input, got {:?}",
-            self.input_shape,
-            input.shape()
-        );
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.infer(&x, &format!("layer{i}"), engine);
-        }
-        x
+        self.infer_walk(input, engine, false).expect(UNCHECKED)
     }
 
     /// [`Network::infer`] with per-layer non-finite checking, mirroring
@@ -274,24 +274,20 @@ impl Network {
         input: &Tensor,
         engine: &dyn MatmulEngine,
     ) -> Result<Tensor, NonFiniteActivation> {
-        assert!(
-            input.ndim() == self.input_shape.len() + 1
-                && input.shape()[1..] == self.input_shape[..],
-            "network expects [N, {:?}] input, got {:?}",
-            self.input_shape,
-            input.shape()
-        );
-        if !input.all_finite() {
-            return Err(NonFiniteActivation { layer: usize::MAX });
-        }
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.infer(&x, &format!("layer{i}"), engine);
-            if !x.all_finite() {
-                return Err(NonFiniteActivation { layer: i });
-            }
-        }
-        Ok(x)
+        self.infer_walk(input, engine, true)
+    }
+
+    /// The inference [`walk`] behind [`Network::infer_with`] and
+    /// [`Network::infer_checked_with`].
+    fn infer_walk(
+        &self,
+        input: &Tensor,
+        engine: &dyn MatmulEngine,
+        checked: bool,
+    ) -> Result<Tensor, NonFiniteActivation> {
+        walk(&self.input_shape, input, checked, self.layers.len(), |i, x| {
+            self.layers[i].infer(x, &format!("layer{i}"), engine)
+        })
     }
 
     /// Forward pass for a single sample of shape `input_shape`; returns a
@@ -354,8 +350,7 @@ impl Network {
     /// keys of the form `layer{idx}.{name}` (e.g. `layer0.weight`).
     pub fn for_each_param(&self, mut f: impl FnMut(&str, &Tensor)) {
         for (i, layer) in self.layers.iter().enumerate() {
-            let names = layer.param_names();
-            for (name, tensor) in names.iter().zip(layer.params()) {
+            for (name, tensor) in layer.params() {
                 f(&format!("layer{i}.{name}"), tensor);
             }
         }
@@ -365,8 +360,7 @@ impl Network {
     /// parameter. This is the hook the fault injectors use.
     pub fn for_each_param_mut(&mut self, mut f: impl FnMut(&str, &mut Tensor)) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let names = layer.param_names();
-            for (name, tensor) in names.iter().zip(layer.params_mut()) {
+            for (name, tensor, _) in layer.params_mut() {
                 f(&format!("layer{i}.{name}"), tensor);
             }
         }
@@ -392,14 +386,14 @@ impl Network {
             "copy_params_from: layer count mismatch"
         );
         for (dst_layer, src_layer) in self.layers.iter_mut().zip(&src.layers) {
-            let mut dst_params = dst_layer.params_mut();
+            let dst_params = dst_layer.params_mut();
             let src_params = src_layer.params();
             assert_eq!(
                 dst_params.len(),
                 src_params.len(),
                 "copy_params_from: parameter count mismatch"
             );
-            for (d, s) in dst_params.iter_mut().zip(src_params) {
+            for ((_, d, _), (_, s)) in dst_params.into_iter().zip(src_params) {
                 d.copy_from(s);
             }
         }
@@ -410,7 +404,8 @@ impl Network {
     pub fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         self.layers
             .iter_mut()
-            .flat_map(|l| l.params_and_grads())
+            .flat_map(|l| l.params_mut())
+            .map(|(_, param, grad)| (param, grad))
             .collect()
     }
 

@@ -539,8 +539,8 @@ mod tests {
         let mut net = Network::new(vec![2]);
         let mut dense = Dense::new(2, 2, &mut rng);
         // Identity-ish weights: class = argmax of inputs.
-        dense.params_mut()[0].as_mut_slice().copy_from_slice(&[1.0, 0.0, 0.0, 1.0]);
-        dense.params_mut()[1].as_mut_slice().copy_from_slice(&[0.0, 0.0]);
+        dense.params_mut()[0].1.as_mut_slice().copy_from_slice(&[1.0, 0.0, 0.0, 1.0]);
+        dense.params_mut()[1].1.as_mut_slice().copy_from_slice(&[0.0, 0.0]);
         net.push(dense);
         let images = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0], &[3, 2]).unwrap();
         assert_eq!(accuracy(&mut net, &images, &[0, 1, 0], 2), 1.0);

@@ -47,7 +47,12 @@ echo "== kernel equivalence (HEALTHMON_THREADS=1/2/7) =="
 # loops, seed codes and IntState words and column sums against the old
 # loops; tests/fault_path.rs pins every zoo model's faulted weights, the
 # samplers' variates and the faulted logits on four backends to digests
-# of the build before those kernels were vectorized. A divergence here
+# of the build before those kernels were vectorized, and
+# crates/nn/tests/training_path.rs (run with healthmon-nn) pins every zoo
+# model's and a hand-built net's forward logits, gradients, optimizer and
+# drop-connect steps, state-dict keys and non-finite localization to
+# digests of the build before each layer's parameter list and forward
+# arithmetic were merged. A divergence here
 # fails CI before any benchmark of these fast paths is taken seriously;
 # the zoo smoke below then compares every model's digital campaign with
 # its golden (tests/golden/zoo_campaign_*.txt).
@@ -62,8 +67,8 @@ done
 echo "ok: integer crossbar kernel, f32 GEMM tiers and blocks, conv unfold/fold and"
 echo "    blocked product, max-pool, diagnosis walk, drift, and every tier of the"
 echo "    block sampler, fused PV/drift and crossbar programming equivalent to"
-echo "    their references, and the fault path on its pinned digests, under"
-echo "    HEALTHMON_THREADS=1/2/7"
+echo "    their references, and the fault path and the training path on their"
+echo "    pinned digests, under HEALTHMON_THREADS=1/2/7"
 
 echo "== offline clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
