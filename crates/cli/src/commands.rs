@@ -246,6 +246,15 @@ fn parse_backend(args: &ParsedArgs) -> Result<BackendSpec, String> {
     })
 }
 
+/// `--count` (patterns to generate, or fault models to campaign over),
+/// which must be at least 1: a rate over no models measures nothing.
+fn count_flag(args: &ParsedArgs, default: usize) -> Result<usize, String> {
+    match args.get_or("count", default)? {
+        0 => Err("--count must be at least 1".to_owned()),
+        count => Ok(count),
+    }
+}
+
 fn cmd_train(args: &ParsedArgs) -> Result<ExitCode, String> {
     args.expect_only(&["arch", "out", "epochs", "seed", "train-size", "quiet", "drop-connect"])?;
     let arch = args.required("arch")?;
@@ -308,7 +317,7 @@ fn cmd_generate(args: &ParsedArgs) -> Result<ExitCode, String> {
     let model = args.required("model")?;
     let method = args.required("method")?;
     let out = args.required("out")?;
-    let count: usize = args.get_or("count", 50)?;
+    let count = count_flag(args, 50)?;
     let seed: u64 = args.get_or("seed", 777)?;
 
     let mut net = load_model(arch, model, seed)?;
@@ -393,7 +402,7 @@ fn cmd_campaign(args: &ParsedArgs) -> Result<ExitCode, String> {
     let arch = args.required("arch")?;
     let model = args.required("model")?;
     let fault = parse_fault(args.required("fault")?)?;
-    let count: usize = args.get_or("count", 32)?;
+    let count = count_flag(args, 32)?;
     let seed: u64 = args.get_or("seed", 2020)?;
     let threshold: f32 = args.get_or("threshold", 0.03)?;
     let spec = parse_backend(args)?;
@@ -455,7 +464,7 @@ fn cmd_campaign_mitigation(args: &ParsedArgs) -> Result<ExitCode, String> {
     let model = args.required("model")?;
     let hardened_model = args.required("hardened-model")?;
     let fault = parse_fault(args.required("fault")?)?;
-    let count: usize = args.get_or("count", 8)?;
+    let count = count_flag(args, 8)?;
     let seed: u64 = args.get_or("seed", 2020)?;
     let threshold: f32 = args.get_or("threshold", 0.03)?;
     let epochs: usize = args.get_or("epochs", 6)?;

@@ -1,8 +1,8 @@
-//! Out-of-range `lifetime`, `fleet` and hardened `campaign` flags end in a
-//! usage error: exit code 1 and the offending knob named on stderr, not a
-//! panic with code 101.
+//! Out-of-range `lifetime`, `fleet`, `generate` and `campaign` flags end
+//! in a usage error: exit code 1 and the offending knob named on stderr,
+//! not a panic with code 101 or a report over nothing.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// A one-epoch `mlp` weight file in a directory of its own, removed on
@@ -111,5 +111,44 @@ fn hardened_campaign_rejects_inverted_thresholds() {
             "--hardened-model", path, "--fault", "pv:0.3", "--watch", "0.1", "--critical", "0.01",
         ],
         "thresholds must satisfy 0 < watch (0.1) < critical (0.01) < inf",
+    );
+}
+
+#[test]
+fn generate_rejects_a_zero_count() {
+    let model = Model::train("generate_count");
+    for method in ["ctp", "otp", "aet"] {
+        let out = model.dir.join(format!("{method}.json"));
+        let out = out.to_str().expect("temp path is UTF-8");
+        assert_usage_error(
+            &[
+                "generate", "--arch", "mlp", "--model", &model.path, "--method", method,
+                "--count", "0", "--out", out,
+            ],
+            "--count must be at least 1",
+        );
+        assert!(!Path::new(out).exists(), "{method}: wrote {out}");
+    }
+}
+
+#[test]
+fn campaign_rejects_a_zero_count() {
+    let model = Model::train("campaign_count");
+    assert_usage_error(
+        &["campaign", "--arch", "mlp", "--model", &model.path, "--fault", "pv:0.3", "--count", "0"],
+        "--count must be at least 1",
+    );
+}
+
+#[test]
+fn hardened_campaign_rejects_a_zero_count() {
+    let model = Model::train("hardened_campaign_count");
+    let path = model.path.as_str();
+    assert_usage_error(
+        &[
+            "campaign", "--hardened", "true", "--arch", "mlp", "--model", path,
+            "--hardened-model", path, "--fault", "pv:0.3", "--count", "0",
+        ],
+        "--count must be at least 1",
     );
 }

@@ -19,10 +19,9 @@ pub struct ResponseSet {
 impl ResponseSet {
     /// Builds a response set from raw logits.
     ///
-    /// A poisoned accelerator emits non-finite logits; the softmax kernel
-    /// (rightly) refuses NaN input, so instead of panicking the monitor,
-    /// every probability is marked NaN — which
-    /// [`ConfidenceDistance::between`] maps to
+    /// A poisoned accelerator emits non-finite logits; softmax would
+    /// poison only the rows they sit in, so instead every probability is
+    /// marked NaN — which [`ConfidenceDistance::between`] maps to
     /// [`ConfidenceDistance::POISONED`].
     ///
     /// # Panics

@@ -8,7 +8,7 @@ use crate::metrics::SdcCriterion;
 use crate::patterns::TestPatternSet;
 use healthmon_faults::{par_map_indices, par_map_models, FaultModel};
 use healthmon_nn::{InferenceBackend, Network};
-use healthmon_reram::{BackendKind, BackendSpec};
+use healthmon_reram::{ActiveBackend, BackendSpec};
 use healthmon_tensor::SeededRng;
 use healthmon_telemetry as tel;
 
@@ -37,10 +37,10 @@ static CRIT_SDCA_CHECKED: tel::Counter =
     tel::Counter::new("detect.criterion.sdca.checked", tel::Stability::Stable);
 static CRIT_SDCA_DETECTED: tel::Counter =
     tel::Counter::new("detect.criterion.sdca.detected", tel::Stability::Stable);
-// One per fault model instantiated onto a live backend in
-// `detection_rates_with`: the unit of work whose cost the integer-domain
-// crossbar path amortizes (each program is followed by a full pattern-set
-// sweep against the freshly built tile caches).
+// One per fault model a campaign programs onto a crossbar backend: the
+// unit of work whose cost the integer-domain crossbar path amortizes
+// (each program is followed by a full pattern-set sweep against the
+// freshly built tile caches).
 static BACKEND_PROGRAMS: tel::Counter =
     tel::Counter::new("detect.backend.programs", tel::Stability::Stable);
 
@@ -69,9 +69,9 @@ fn tally_verdicts(criteria: &[SdcCriterion], verdicts: &[Vec<bool>]) {
 }
 
 /// Domain separator for the per-fault-model backend programming streams
-/// of [`Detector::detection_rates_with`]: keeps conductance-programming
-/// randomness statistically independent of the fault-injection streams
-/// derived from the campaign seed itself.
+/// of a campaign: keeps conductance-programming randomness statistically
+/// independent of the fault-injection streams derived from the campaign
+/// seed itself.
 const BACKEND_SALT: u64 = 0xBAC0_0DAC_2020_0004;
 
 /// A concurrent-test detector: a pattern set plus the golden model's
@@ -197,37 +197,16 @@ impl Detector {
         seed: u64,
         criteria: &[SdcCriterion],
     ) -> Vec<f32> {
-        if count == 0 {
-            return vec![0.0; criteria.len()];
-        }
-        let _campaign = tel::span("detect.campaign");
-        let verdicts: Vec<Vec<bool>> =
-            par_map_models(golden_net, fault, seed, count, |_, net| {
-                let responses = self.responses(&*net);
-                criteria
-                    .iter()
-                    .map(|c| c.detects(&self.golden, &responses))
-                    .collect()
-            });
-        tally_verdicts(criteria, &verdicts);
-        (0..criteria.len())
-            .map(|ci| {
-                verdicts.iter().filter(|v| v[ci]).count() as f32 / count as f32
-            })
-            .collect()
+        self.detection_rates_with(golden_net, fault, count, seed, criteria, &BackendSpec::digital())
     }
 
     /// [`Detector::detection_rates`] executed on an arbitrary backend:
     /// every fault model's weights are *programmed onto live crossbar
     /// state* described by `spec` before its responses are measured, so
     /// detection rates include DAC/ADC quantization, cell resolution, and
-    /// tile partial-sum effects.
-    ///
-    /// The digital spec routes through the exact same code path as
-    /// [`Detector::detection_rates`] (byte-identical results). For analog
-    /// specs, fault model `i` is programmed under the deterministic stream
-    /// `SeededRng::new(seed ^ BACKEND_SALT).fork(i)`, so rates are
-    /// reproducible at any thread count.
+    /// tile partial-sum effects. Fault model `i` is programmed under the
+    /// deterministic stream `SeededRng::new(seed ^ BACKEND_SALT).fork(i)`,
+    /// so rates are reproducible at any thread count.
     pub fn detection_rates_with(
         &self,
         golden_net: &Network,
@@ -237,31 +216,10 @@ impl Detector {
         criteria: &[SdcCriterion],
         spec: &BackendSpec,
     ) -> Vec<f32> {
-        if spec.kind == BackendKind::Digital {
-            return self.detection_rates(golden_net, fault, count, seed, criteria);
-        }
-        spec.validate();
-        if count == 0 {
-            return vec![0.0; criteria.len()];
-        }
-        let _campaign = tel::span("detect.campaign");
-        let verdicts: Vec<Vec<bool>> =
-            par_map_models(golden_net, fault, seed, count, |i, net| {
-                let mut program_rng = SeededRng::new(seed ^ BACKEND_SALT).fork(i as u64);
-                let backend = spec.instantiate(&*net, &mut program_rng);
-                BACKEND_PROGRAMS.inc();
-                let responses = self.responses(&backend);
-                criteria
-                    .iter()
-                    .map(|c| c.detects(&self.golden, &responses))
-                    .collect()
-            });
-        tally_verdicts(criteria, &verdicts);
-        (0..criteria.len())
-            .map(|ci| {
-                verdicts.iter().filter(|v| v[ci]).count() as f32 / count as f32
-            })
-            .collect()
+        let mut checkpoint = CampaignCheckpoint::new(seed, count, criteria);
+        self.sweep(golden_net, fault, criteria, &mut checkpoint, None, spec)
+            .expect("a fresh checkpoint matches its own criteria and indices");
+        checkpoint.rates()
     }
 
     /// Advances a checkpointed detection sweep by up to `budget` fault
@@ -287,25 +245,49 @@ impl Detector {
         checkpoint: &mut CampaignCheckpoint,
         budget: Option<usize>,
     ) -> Result<Option<Vec<f32>>, HealthmonError> {
+        self.sweep(golden_net, fault, criteria, checkpoint, budget, &BackendSpec::digital())?;
+        Ok(if checkpoint.is_complete() { Some(checkpoint.rates()) } else { None })
+    }
+
+    /// The one campaign sweep behind every detection rate: evaluates up
+    /// to `budget` of the fault models `checkpoint` still lacks on the
+    /// backend `spec` describes (the digital one borrows the faulty
+    /// network) and records their verdicts. An empty sweep records
+    /// nothing.
+    fn sweep(
+        &self,
+        golden_net: &Network,
+        fault: &FaultModel,
+        criteria: &[SdcCriterion],
+        checkpoint: &mut CampaignCheckpoint,
+        budget: Option<usize>,
+        spec: &BackendSpec,
+    ) -> Result<(), HealthmonError> {
         checkpoint.verify_criteria(criteria)?;
+        spec.validate();
         let mut todo = checkpoint.remaining();
         if let Some(limit) = budget {
             todo.truncate(limit);
         }
+        if todo.is_empty() {
+            return Ok(());
+        }
         let _campaign = tel::span("detect.campaign");
-        let verdicts: Vec<Vec<bool>> =
-            par_map_indices(golden_net, fault, checkpoint.seed(), &todo, |_, net| {
-                let responses = self.responses(&*net);
-                criteria
-                    .iter()
-                    .map(|c| c.detects(&self.golden, &responses))
-                    .collect()
-            });
+        let seed = checkpoint.seed();
+        let verdicts: Vec<Vec<bool>> = par_map_indices(golden_net, fault, seed, &todo, |i, net| {
+            let mut program_rng = SeededRng::new(seed ^ BACKEND_SALT).fork(i as u64);
+            let backend = spec.instantiate(net, &mut program_rng);
+            if let ActiveBackend::Crossbar(_) = backend {
+                BACKEND_PROGRAMS.inc();
+            }
+            let responses = self.responses(&backend);
+            criteria.iter().map(|c| c.detects(&self.golden, &responses)).collect()
+        });
         tally_verdicts(criteria, &verdicts);
         for (i, row) in todo.into_iter().zip(verdicts) {
             checkpoint.record(i, row)?;
         }
-        Ok(if checkpoint.is_complete() { Some(checkpoint.rates()) } else { None })
+        Ok(())
     }
 
     /// Confidence distance of every fault model in a campaign, in index

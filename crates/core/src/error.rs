@@ -2,11 +2,10 @@
 //! detection and monitoring machinery funnels into [`HealthmonError`].
 //!
 //! The containment philosophy is that a monitored accelerator must never
-//! take the monitor down with it: non-finite activations, corrupted
-//! checkpoints and panicking campaign closures all surface as values of
-//! this type instead of propagating panics or silently-wrong states.
+//! take the monitor down with it: non-finite activations, invalid
+//! policies and corrupted or mismatched checkpoints all surface as values
+//! of this type instead of propagating panics or silently-wrong states.
 
-use healthmon_faults::CampaignPanic;
 use healthmon_nn::NonFiniteActivation;
 use healthmon_serdes::JsonError;
 use std::error::Error;
@@ -43,8 +42,6 @@ pub enum HealthmonError {
         /// What went wrong (I/O error, parse error, digest mismatch).
         detail: String,
     },
-    /// A fault-campaign evaluation closure panicked.
-    Campaign(CampaignPanic),
 }
 
 impl fmt::Display for HealthmonError {
@@ -64,7 +61,6 @@ impl fmt::Display for HealthmonError {
             HealthmonError::CheckpointCorrupt { path, detail } => {
                 write!(f, "checkpoint `{path}` is corrupt: {detail}")
             }
-            HealthmonError::Campaign(e) => write!(f, "{e}"),
         }
     }
 }
@@ -74,7 +70,6 @@ impl Error for HealthmonError {
         match self {
             HealthmonError::Json(e) => Some(e),
             HealthmonError::NonFinite(e) => Some(e),
-            HealthmonError::Campaign(e) => Some(e),
             _ => None,
         }
     }
@@ -89,12 +84,6 @@ impl From<JsonError> for HealthmonError {
 impl From<NonFiniteActivation> for HealthmonError {
     fn from(e: NonFiniteActivation) -> Self {
         HealthmonError::NonFinite(e)
-    }
-}
-
-impl From<CampaignPanic> for HealthmonError {
-    fn from(e: CampaignPanic) -> Self {
-        HealthmonError::Campaign(e)
     }
 }
 
@@ -129,8 +118,5 @@ mod tests {
     fn conversions_wrap() {
         let e: HealthmonError = NonFiniteActivation { layer: 2 }.into();
         assert!(matches!(e, HealthmonError::NonFinite(_)));
-        let e: HealthmonError =
-            CampaignPanic { index: 3, message: "boom".into() }.into();
-        assert!(e.to_string().contains("fault model 3"));
     }
 }

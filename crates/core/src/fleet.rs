@@ -714,9 +714,7 @@ impl FleetSupervisor {
                 Plan::Shallow(k) => run_device_epoch(rec, epoch, Some(k), &config, flight),
             }
         });
-        if let Some(t0) = t0 {
-            FLEET_EPOCH_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        FLEET_EPOCH_NS.record_since(t0);
     }
 
     /// Runs up to `max_epochs` fleet epochs (until done, or until the

@@ -837,9 +837,7 @@ impl LifetimeRuntime {
         let _epoch_span = tel::span("lifetime.epoch");
         let t0 = tel::enabled().then(std::time::Instant::now);
         let outcome = catch_unwind(AssertUnwindSafe(|| self.epoch_body(epoch)));
-        if let Some(t0) = t0 {
-            EPOCH_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        EPOCH_NS.record_since(t0);
         self.epoch = epoch;
         if let Err(payload) = outcome {
             let message = panic_message(payload);
@@ -898,9 +896,7 @@ impl LifetimeRuntime {
         }
         let t0 = tel::enabled().then(std::time::Instant::now);
         let checkup = self.monitor.check(&*self.device);
-        if let Some(t0) = t0 {
-            PHASE_DETECTOR_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        PHASE_DETECTOR_NS.record_since(t0);
         if shallow.is_some() {
             let detector = if self.active_patterns < self.patterns.len() {
                 self.full_detector
@@ -1027,9 +1023,7 @@ impl LifetimeRuntime {
         let _span = tel::span("lifetime.repair_session");
         let t0 = tel::enabled().then(std::time::Instant::now);
         let diagnosis = diagnose(self.monitor.detector(), &self.golden, &*self.device);
-        if let Some(t0) = t0 {
-            PHASE_DIAGNOSE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        PHASE_DIAGNOSE_NS.record_since(t0);
         if let Some(prime) = diagnosis.prime_suspect() {
             self.push_event(LifetimeEvent::Diagnosed { epoch, suspect: prime.key.clone() });
         }
@@ -1063,9 +1057,7 @@ impl LifetimeRuntime {
                 RepairAction::Retrain => self.retrain(epoch),
                 RepairAction::Degrade => self.degrade(epoch),
             }
-            if let Some(t0) = t0 {
-                PHASE_REPAIR_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
+            PHASE_REPAIR_NS.record_since(t0);
             if self.config.hardened {
                 // Repairs rewrite conductances; re-baseline the parity so
                 // the next scrub protects the repaired state.

@@ -10,9 +10,6 @@ use crate::FaultModel;
 use healthmon_nn::Network;
 use healthmon_tensor::{pool, SeededRng};
 use healthmon_telemetry as tel;
-use std::error::Error;
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 // Sweep shape (how many models were evaluated) is part of the campaign
 // spec, so these are Stable regardless of how chunks land on threads.
@@ -20,8 +17,6 @@ static CAMPAIGN_SWEEPS: tel::Counter =
     tel::Counter::new("campaign.sweeps", tel::Stability::Stable);
 static CAMPAIGN_MODELS: tel::Counter =
     tel::Counter::new("campaign.models_evaluated", tel::Stability::Stable);
-static CAMPAIGN_PANICS: tel::Counter =
-    tel::Counter::new("campaign.contained_panics", tel::Stability::Stable);
 
 /// A generator of faulty copies of a golden network.
 ///
@@ -69,28 +64,6 @@ impl<'a> FaultCampaign<'a> {
         (0..count).map(move |i| self.model(fault, i))
     }
 }
-
-/// The evaluation closure of a [`try_par_map_models`] campaign panicked.
-///
-/// The campaign is wound down in an orderly fashion (every other model's
-/// evaluation still completes) and the *lowest* panicking index is
-/// reported, so the failure is deterministic regardless of thread count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignPanic {
-    /// The lowest fault-model index whose evaluation panicked.
-    pub index: usize,
-    /// The panic payload, when it was a string (the common case); a
-    /// placeholder otherwise.
-    pub message: String,
-}
-
-impl fmt::Display for CampaignPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "evaluation of fault model {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl Error for CampaignPanic {}
 
 /// The number of worker threads to use for `len` independent items,
 /// derived from the process-wide cached budget
@@ -214,45 +187,6 @@ where
 {
     let indices: Vec<usize> = (0..count).collect();
     par_map_indices_with_threads(golden, fault, seed, &indices, threads, f)
-}
-
-/// Fault-containing variant of [`par_map_models`]: a panic in `f` is
-/// caught per model and surfaced as an orderly [`CampaignPanic`] instead
-/// of tearing down the caller.
-///
-/// All `count` evaluations run to completion (panicking or not) so the
-/// reported index is the lowest panicking one, independent of thread
-/// count and scheduling.
-pub fn try_par_map_models<T, F>(
-    golden: &Network,
-    fault: &FaultModel,
-    seed: u64,
-    count: usize,
-    f: F,
-) -> Result<Vec<T>, CampaignPanic>
-where
-    T: Send,
-    F: Fn(usize, &mut Network) -> T + Sync,
-{
-    let outcomes = par_map_models(golden, fault, seed, count, |i, net| {
-        catch_unwind(AssertUnwindSafe(|| f(i, net)))
-    });
-    let mut results = Vec::with_capacity(count);
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(v) => results.push(v),
-            Err(payload) => {
-                CAMPAIGN_PANICS.inc();
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                return Err(CampaignPanic { index: i, message });
-            }
-        }
-    }
-    Ok(results)
 }
 
 #[cfg(test)]
@@ -392,30 +326,5 @@ mod tests {
         for (&i, &v) in subset.iter().zip(&partial) {
             assert_eq!(full[i], v, "index {i} differs between full and partial sweeps");
         }
-    }
-
-    #[test]
-    fn try_par_map_contains_a_panicking_closure() {
-        let g = golden();
-        let fault = FaultModel::ProgrammingVariation { sigma: 0.1 };
-        let err = try_par_map_models(&g, &fault, 0, 9, |i, _| {
-            if i >= 4 {
-                panic!("model {i} exploded");
-            }
-            i
-        })
-        .unwrap_err();
-        // Lowest panicking index, deterministically, with the payload.
-        assert_eq!(err.index, 4);
-        assert_eq!(err.message, "model 4 exploded");
-        assert!(err.to_string().contains("fault model 4"));
-    }
-
-    #[test]
-    fn try_par_map_passes_through_clean_campaigns() {
-        let g = golden();
-        let fault = FaultModel::ProgrammingVariation { sigma: 0.1 };
-        let out = try_par_map_models(&g, &fault, 3, 6, |i, _| i).unwrap();
-        assert_eq!(out, (0..6).collect::<Vec<_>>());
     }
 }

@@ -46,6 +46,6 @@ mod model;
 pub use arrival::{poisson_count, sample_cell_arrivals, CellArrival};
 pub use campaign::{
     par_map_indices, par_map_indices_with_threads, par_map_models, par_map_models_with_threads,
-    try_par_map_models, CampaignPanic, FaultCampaign,
+    FaultCampaign,
 };
 pub use model::FaultModel;

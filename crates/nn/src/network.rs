@@ -680,6 +680,25 @@ mod tests {
     }
 
     #[test]
+    fn checked_walks_name_an_attention_block_with_a_nan_query_or_key() {
+        // The NaN reaches the attention scores, whose softmax must carry
+        // it to the block's output instead of panicking.
+        let mut rng = SeededRng::new(15);
+        let golden = crate::models::attention_net(&mut rng);
+        let x = Tensor::rand_uniform(&[2, 28, 28], 0.0, 1.0, &mut rng);
+        for key in ["layer0.wq.weight", "layer0.wk.weight"] {
+            let mut net = golden.clone();
+            net.for_each_param_mut(|k, t| {
+                if k == key {
+                    t.as_mut_slice()[0] = f32::NAN;
+                }
+            });
+            assert_eq!(net.infer_checked(&x).unwrap_err().layer, 0, "infer_checked, {key}");
+            assert_eq!(net.forward_checked(&x).unwrap_err().layer, 0, "forward_checked, {key}");
+        }
+    }
+
+    #[test]
     fn forward_checked_rejects_non_finite_input() {
         let mut rng = SeededRng::new(14);
         let mut net = tiny_net(&mut rng);

@@ -183,7 +183,9 @@ fn digests(golden: &Network, seed: u64) -> [u64; 8] {
     // Element 0 of each parameter in turn set to NaN: the layer each
     // checked walk names, that it passed, or that it panicked. A NaN in
     // an attention block's query or key projection reaches the softmax,
-    // whose `max` panics on NaN, so those walks panic today.
+    // which carries it to every score of its row, so those walks name the
+    // block (they panicked before the softmax stopped asserting on NaN;
+    // the attention digest was re-pinned then).
     let mut h = Fnv::new();
     for (key, _) in golden.state_dict() {
         let mut net = golden.clone();
@@ -232,7 +234,7 @@ const PINNED: [(&str, [u64; 8]); 7] = [
     ]),
     ("attention", [
         0x82ca08ee2efa36f5, 0x1cc96093a85fd344, 0x0f8c764ae8a69ae4, 0x0d924c96a531e86f,
-        0x5af8e9fb2e0753fa, 0xeefc534471b202cb, 0x8f128a5319f562ae, 0xcc0130efb5d26b05,
+        0x5af8e9fb2e0753fa, 0xeefc534471b202cb, 0x8f128a5319f562ae, 0x8632c944005ce4a5,
     ]),
     ("handmade", [
         0xd6f7a1c03e162847, 0xd663f54e880ac91d, 0x693fa1a6fcc2a566, 0xc303706f84bed9e6,

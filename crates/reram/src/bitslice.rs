@@ -19,7 +19,7 @@
 //! `f32`. A convolution ([`SlicedMatrix::matmul_patches`]) quantizes its
 //! input pixels once for every slice and tile and unfolds the codes.
 
-use crate::crossbar::{full_scale, DacGrid, PHASE_DAC_NS};
+use crate::crossbar::{full_scale, record_dac, PHASE_DAC_NS};
 use crate::quant::{narrow_code, round_fast};
 use crate::{CrossbarConfig, Quantizer, TiledMatrix};
 use healthmon_nn::PatchMap;
@@ -289,13 +289,15 @@ impl SlicedMatrix {
     ///
     /// DAC coding is elementwise, so the codes of the unfolded patches are
     /// the unfolded codes of the input, with padding reading the code of
-    /// 0.0. When every tile of every slice shares one integer-capable DAC
-    /// grid, the input pixels are therefore quantized once and their codes
-    /// unfolded once for every slice and tile; a slice whose tiles lack
-    /// integer state runs on the unfolded `f32` patches. An input with a
-    /// NaN anywhere, or tiles without a shared grid, take
-    /// [`SlicedMatrix::matmul_cols`] on the unfolded patches, so a NaN
-    /// that no patch reads still leaves the integer path live.
+    /// 0.0. When every slice shares one integer-capable DAC grid (the
+    /// tiles of a slice share its config), the input pixels are therefore
+    /// quantized once and their codes unfolded once for every slice and
+    /// tile; a slice whose tiles lack integer state runs on the unfolded
+    /// `f32` patches. An input with a NaN anywhere, or slices without a
+    /// shared grid (one replaced through [`SlicedMatrix::slices_mut`] with
+    /// another config), take [`SlicedMatrix::matmul_cols`] on the unfolded
+    /// patches, so a NaN that no patch reads still leaves the integer path
+    /// live.
     ///
     /// # Panics
     ///
@@ -305,7 +307,10 @@ impl SlicedMatrix {
         assert_eq!(x.shape(), patches.input_shape(), "conv input shape mismatch");
         assert_eq!(patches.rows(), self.shape().0, "inner dimension mismatch");
         let t_dac = tel::enabled().then(Instant::now);
-        let grid = self.shared_grid();
+        // One grid per slice: the tiles of a slice share its config.
+        let slice_grid = |slice: &TiledMatrix| slice.tiles()[0].dac_grid();
+        let grid = slice_grid(&self.slices[0])
+            .filter(|&g| self.slices.iter().all(|slice| slice_grid(slice) == Some(g)));
         let pixels = grid.and_then(|g| g.centered_codes_for(x.as_slice()));
         let (Some(grid), Some(pixels)) = (grid, pixels) else {
             return self.matmul_cols(&patches.unfold(x));
@@ -314,11 +319,9 @@ impl SlicedMatrix {
         let len = patches.rows() * patches.cols();
         let mut codes = vec![grid.centered_zero(); len + patches.cols()];
         patches.unfold_into(&pixels, &mut codes[..len]);
-        if let Some(t0) = t_dac {
-            PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        PHASE_DAC_NS.record_since(t_dac);
         if tel::enabled() {
-            self.slices[0].tiles()[0].record_dac(x.as_slice());
+            record_dac(x.as_slice());
         }
         let col = OnceCell::new();
         self.recombine(|slice| {
@@ -330,17 +333,6 @@ impl SlicedMatrix {
                 None => slice.matmul_cols_in(&execs, col.get_or_init(|| patches.unfold(x))),
             }
         })
-    }
-
-    /// The DAC grid every tile of every slice shares, when all of them are
-    /// integer-path capable.
-    fn shared_grid(&self) -> Option<DacGrid> {
-        let grid = self.slices[0].tiles()[0].dac_grid()?;
-        self.slices
-            .iter()
-            .flat_map(TiledMatrix::tiles)
-            .all(|t| t.config().integer_path_capable() && t.dac_grid() == Some(grid))
-            .then_some(grid)
     }
 }
 
@@ -536,6 +528,24 @@ mod tests {
                 assert_eq!(v.is_nan(), i == 3 * 4 + 2, "{slices} slices: cell {i} reads {v}");
             }
         }
+    }
+
+    /// A slice replaced with another config has its own DAC grid, so the
+    /// conv hook must not hand it the codes quantized on the first
+    /// slice's grid: every slice runs on the unfolded patches.
+    #[test]
+    fn conv_hook_with_a_replaced_slice_matches_the_unfolded_product() {
+        let mut rng = SeededRng::new(13);
+        let map = PatchMap::new(&[2, 3, 6, 6], 3, 1, 1);
+        let w = Tensor::randn(&[map.rows(), 5], &mut rng).map(|v| v * 0.3);
+        let config = CrossbarConfig::default();
+        let mut s = SlicedMatrix::program(&w, 8, config.cell_bits, &config, &mut rng);
+        let plane = s.slices_mut()[1].effective_weights();
+        let other = CrossbarConfig { dac_bits: 6, ..config };
+        s.slices_mut()[1] = TiledMatrix::program(&plane, &other, &mut rng);
+        let x = Tensor::randn(&[2, 3, 6, 6], &mut rng).map(|v| v * 0.6);
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(s.matmul_patches(&x, &map)), bits(s.matmul_cols(&map.unfold(&x))));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use healthmon_tensor::simd::{self, Tier};
 use healthmon_tensor::{fastmath, intacc, SeededRng, Tensor};
 use healthmon_telemetry as tel;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 // Crossbar telemetry counts deterministic work items (programming, cache
 // traffic, converter clipping over bit-identical GEMM outputs), so all
@@ -267,11 +268,22 @@ impl IntState {
     }
 }
 
+/// The largest |input| every DAC is sized for: inputs beyond ±1 clamp
+/// to the rails.
+pub(crate) const INPUT_RANGE: f32 = 1.0;
+
+/// Records DAC saturation telemetry for one quantization pass over
+/// `values`, against [`INPUT_RANGE`]. Lets a tiled caller that quantizes
+/// its whole input once record the conversion once too, instead of per
+/// (row block, column block). Callers pre-gate on [`tel::enabled`].
+pub(crate) fn record_dac(values: &[f32]) {
+    record_converter(values, INPUT_RANGE, &DAC_SAMPLES, &DAC_CLIPPED, &DAC_SATURATION);
+}
+
 /// The DAC level grid of a tile: voltage of level `idx` is
-/// `lo + idx·step`. Derived from `input_range` and `dac_bits` only, so
-/// tiles sharing both (every tile of a [`crate::TiledMatrix`] unless a
-/// caller re-calibrated one) share codes and the whole input can be
-/// quantized once per batch.
+/// `lo + idx·step`, over ±[`INPUT_RANGE`]. Derived from the config's
+/// `dac_bits` alone, so every tile of a [`crate::TiledMatrix`] shares
+/// its codes and the whole input can be quantized once per batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DacGrid {
     lo: f32,
@@ -387,8 +399,6 @@ pub struct Crossbar {
     g_neg: Tensor,
     /// Weight-domain scale: `w = (g_pos − g_neg) * scale`.
     scale: f32,
-    /// Largest |input| the DAC was calibrated for.
-    input_range: f32,
     /// Stored IR-drop model (non-destructive: the pristine conductances
     /// stay untouched and the attenuation is folded into the execution
     /// state on rebuild). `None` when no drop is modelled.
@@ -583,7 +593,6 @@ impl Crossbar {
             g_pos,
             g_neg,
             scale,
-            input_range: 1.0,
             ir_drop: None,
             exec_cache: OnceLock::new(),
             int_seed,
@@ -710,25 +719,16 @@ impl Crossbar {
         })
     }
 
-    /// The tile's DAC level grid, when a DAC the integer path can use is
-    /// configured.
+    /// The tile's DAC level grid, exactly when its config runs the
+    /// integer path.
     pub(crate) fn dac_grid(&self) -> Option<DacGrid> {
-        if !(1..=16).contains(&self.config.dac_bits) {
+        if !self.config.integer_path_capable() {
             return None;
         }
         let levels = 1u32 << self.config.dac_bits;
-        let (lo, hi) = (-self.input_range, self.input_range);
+        let (lo, hi) = (-INPUT_RANGE, INPUT_RANGE);
         let step = (hi - lo) / (levels - 1) as f32;
         Some(DacGrid { lo, hi, step, inv_step: 1.0 / step, center: (levels / 2) as i32 })
-    }
-
-    /// Records DAC saturation telemetry for one quantization pass over
-    /// `values`, against this tile's input range. Lets a tiled caller that
-    /// quantizes its whole input once record the conversion once too,
-    /// instead of per (row block, column block). Callers pre-gate on
-    /// [`tel::enabled`].
-    pub(crate) fn record_dac(&self, values: &[f32]) {
-        record_converter(values, self.input_range, &DAC_SAMPLES, &DAC_CLIPPED, &DAC_SATURATION);
     }
 
     /// Number of word lines in use.
@@ -739,17 +739,6 @@ impl Crossbar {
     /// Number of bit lines in use.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Calibrates the DAC full-scale range to the largest |input| the tile
-    /// will see (default 1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is not positive.
-    pub fn set_input_range(&mut self, range: f32) {
-        assert!(range > 0.0, "input range must be positive, got {range}");
-        self.input_range = range;
     }
 
     /// Reads the effective weight matrix back from the conductances —
@@ -770,10 +759,10 @@ impl Crossbar {
     }
 
     /// Worst-case weight-domain output magnitude the ADC is sized for:
-    /// every word line driven at the calibrated input range into a cell at
-    /// the full conductance window.
+    /// every word line driven at the DAC's input range into a cell at the
+    /// full conductance window.
     pub fn adc_full_scale(&self) -> f32 {
-        self.input_range * self.rows as f32 * (self.config.g_max - self.config.g_min) * self.scale
+        INPUT_RANGE * self.rows as f32 * (self.config.g_max - self.config.g_min) * self.scale
     }
 
     /// Stores a first-order IR-drop model on the tile, replacing any
@@ -876,24 +865,18 @@ impl Crossbar {
         // Integer fast path: the batch's DAC codes, transposed to one row
         // per word line, through the column kernel with the fold and the
         // ADC fused, and the `[cols, batch]` result transposed back.
-        if let Some(int) = &exec.int {
-            let grid = self.dac_grid().expect("integer-capable config implies a live DAC");
-            let t_dac = tel::enabled().then(std::time::Instant::now);
+        if let (Some(int), Some(grid)) = (&exec.int, self.dac_grid()) {
+            let t_dac = tel::enabled().then(Instant::now);
             if let Some((codes, lanes)) = grid.dense_codes_for(input.as_slice(), batch, self.rows) {
-                if let Some(t0) = t_dac {
-                    PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                }
+                PHASE_DAC_NS.record_since(t_dac);
                 if tel::enabled() {
-                    self.record_dac(input.as_slice());
+                    record_dac(input.as_slice());
                 }
-                let t_acc = tel::enabled().then(std::time::Instant::now);
+                let t_acc = tel::enabled().then(Instant::now);
                 let mut acc = vec![0i32; self.cols * lanes];
                 let mut out = vec![0.0f32; self.cols * batch];
                 self.int_cols(int, &grid, &codes, lanes, lanes, &mut acc, &mut out);
-                if let Some(t0) = t_acc {
-                    PHASE_ACCUMULATE_NS
-                        .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                }
+                PHASE_ACCUMULATE_NS.record_since(t_acc);
                 return Tensor::from_vec(out, &[self.cols, batch])
                     .expect("integer-path output shape is consistent by construction")
                     .transpose();
@@ -904,42 +887,28 @@ impl Crossbar {
         let mut out = if self.config.dac_bits > 0 {
             let mut v = input.clone();
             if tel::enabled() {
-                record_converter(
-                    v.as_slice(),
-                    self.input_range,
-                    &DAC_SAMPLES,
-                    &DAC_CLIPPED,
-                    &DAC_SATURATION,
-                );
+                record_dac(v.as_slice());
             }
-            let t_dac = tel::enabled().then(std::time::Instant::now);
-            let q = Quantizer::new(-self.input_range, self.input_range, self.config.dac_bits);
+            let t_dac = tel::enabled().then(Instant::now);
+            let q = Quantizer::new(-INPUT_RANGE, INPUT_RANGE, self.config.dac_bits);
             q.quantize_slice(v.as_mut_slice());
-            if let Some(t0) = t_dac {
-                PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-            let t_acc = tel::enabled().then(std::time::Instant::now);
+            PHASE_DAC_NS.record_since(t_dac);
+            let t_acc = tel::enabled().then(Instant::now);
             let out = v.matmul(self.diff(exec));
-            if let Some(t0) = t_acc {
-                PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
+            PHASE_ACCUMULATE_NS.record_since(t_acc);
             out
         } else {
             // Analog accumulate directly in the weight domain: the cached
             // differential matrix already carries the (g+ − g−)·scale fold,
             // so one GEMM yields I_bj·scale = Σ_i v_bi (g+_ij − g−_ij)·scale.
-            let t_acc = tel::enabled().then(std::time::Instant::now);
+            let t_acc = tel::enabled().then(Instant::now);
             let out = input.matmul(self.diff(exec));
-            if let Some(t0) = t_acc {
-                PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
+            PHASE_ACCUMULATE_NS.record_since(t_acc);
             out
         };
-        let t_adc = tel::enabled().then(std::time::Instant::now);
+        let t_adc = tel::enabled().then(Instant::now);
         self.adc_quantize(out.as_mut_slice());
-        if let Some(t0) = t_adc {
-            PHASE_ADC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        PHASE_ADC_NS.record_since(t_adc);
         out
     }
 
@@ -1204,11 +1173,6 @@ impl Crossbar {
         let pos = ParityCheck::capture(self.rows, self.cols, self.g_pos.as_slice());
         let neg = ParityCheck::capture(self.rows, self.cols, self.g_neg.as_slice());
         self.parity = Some(Box::new([pos, neg]));
-    }
-
-    /// Whether online parity is enabled on this tile.
-    pub fn parity_enabled(&self) -> bool {
-        self.parity.is_some()
     }
 
     /// Re-baselines the parity checksums to the current conductances —
@@ -1877,7 +1841,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_with_parity_enabled_stays_bitwise_digital() {
+    fn exact_mode_with_parity_on_stays_bitwise_digital() {
         let mut rng = SeededRng::new(42);
         let w = Tensor::randn(&[10, 6], &mut rng);
         let mut xbar = Crossbar::program(&w, &CrossbarConfig::exact(), &mut rng);

@@ -1,7 +1,7 @@
 //! Tiled mapping of arbitrary weight matrices onto fixed-geometry
 //! crossbar tiles.
 
-use crate::crossbar::{DacGrid, ExecState, IntState, INT_PAR_THRESHOLD};
+use crate::crossbar::{record_dac, DacGrid, ExecState, IntState, INT_PAR_THRESHOLD};
 use crate::crossbar::{PHASE_ACCUMULATE_NS, PHASE_DAC_NS};
 use crate::{CellFault, Crossbar, CrossbarConfig, IrDropModel, ScrubOutcome};
 use healthmon_tensor::{pool, SeededRng, Tensor};
@@ -113,12 +113,6 @@ impl TiledMatrix {
         self.tiles.len()
     }
 
-    /// Mutable access to every tile (for injecting device faults
-    /// array-by-array).
-    pub fn tiles_mut(&mut self) -> &mut [Crossbar] {
-        &mut self.tiles
-    }
-
     /// Shared access to every tile in row-major grid order.
     pub fn tiles(&self) -> &[Crossbar] {
         &self.tiles
@@ -179,20 +173,15 @@ impl TiledMatrix {
         self.tiles.iter().map(Crossbar::exec).collect()
     }
 
-    /// The DAC grid every tile shares and each tile's integer state, or
-    /// `None` when a tile lacks integer state or the grids diverge (a
-    /// caller re-calibrated one tile via [`TiledMatrix::tiles_mut`]).
+    /// The DAC grid every tile shares (all tiles are programmed from one
+    /// config) and each tile's integer state, or `None` when a tile lacks
+    /// integer state.
     pub(crate) fn int_states<'e>(
         &self,
         execs: &[&'e ExecState],
     ) -> Option<(DacGrid, Vec<&'e IntState>)> {
         let grid = self.tiles[0].dac_grid()?;
-        let ints = self
-            .tiles
-            .iter()
-            .zip(execs)
-            .map(|(tile, exec)| exec.int.as_ref().filter(|_| tile.dac_grid() == Some(grid)))
-            .collect::<Option<Vec<_>>>()?;
+        let ints = execs.iter().map(|exec| exec.int.as_ref()).collect::<Option<Vec<_>>>()?;
         Some((grid, ints))
     }
 
@@ -210,11 +199,9 @@ impl TiledMatrix {
             let t_dac = tel::enabled().then(Instant::now);
             if let Some((codes, lanes)) = grid.dense_codes_for(input.as_slice(), batch, self.rows)
             {
-                if let Some(t0) = t_dac {
-                    PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                }
+                PHASE_DAC_NS.record_since(t_dac);
                 if tel::enabled() {
-                    self.tiles[0].record_dac(input.as_slice());
+                    record_dac(input.as_slice());
                 }
                 return self.int_matmul_cols(&grid, &ints, &codes, lanes, batch).transpose();
             }
@@ -292,11 +279,9 @@ impl TiledMatrix {
             if let Some(mut codes) = grid.centered_codes_for(c.as_slice()) {
                 // The spare row an odd last word line pairs with.
                 codes.resize(codes.len() + c.shape()[1], grid.centered_zero());
-                if let Some(t0) = t_dac {
-                    PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                }
+                PHASE_DAC_NS.record_since(t_dac);
                 if tel::enabled() {
-                    self.tiles[0].record_dac(c.as_slice());
+                    record_dac(c.as_slice());
                 }
                 return self.int_matmul_cols(&grid, &ints, &codes, c.shape()[1], c.shape()[1]);
             }
@@ -352,9 +337,7 @@ impl TiledMatrix {
                 }
             }
         }
-        if let Some(t0) = t_acc {
-            PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        PHASE_ACCUMULATE_NS.record_since(t_acc);
         Tensor::from_vec(out, &[n, patches]).expect("column product shape is consistent")
     }
 

@@ -16,6 +16,12 @@
 use crate::enabled;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
+
+/// Nanoseconds elapsed since `t0`, saturating at `u64::MAX`.
+pub(crate) fn nanos_since(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
 
 /// Whether a metric's aggregate value is thread-count-invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,6 +260,16 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records the nanoseconds elapsed since `start`, if there is one.
+    /// A timed site takes `start` as `tel::enabled().then(Instant::now)`,
+    /// so a phase that began with telemetry off records nothing.
+    #[inline]
+    pub fn record_since(&'static self, start: Option<Instant>) {
+        if let Some(t0) = start {
+            self.record(nanos_since(t0));
+        }
     }
 
     /// Bucket index for a sample: 0 for 0, else `64 - leading_zeros`.
@@ -516,6 +532,16 @@ mod tests {
         // 0 -> bucket 0; 1 -> bucket 1; 2,3 -> bucket 2; 4 -> bucket 3; 1024 -> bucket 11.
         assert_eq!(h.buckets, vec![(0, 1), (1, 1), (2, 2), (3, 1), (11, 1)]);
         assert!(!h.stable);
+    }
+
+    #[test]
+    fn record_since_records_one_sample_only_for_a_start() {
+        let _g = testlock::exclusive();
+        static H: Histogram = Histogram::new("metrics.since", Stability::Volatile);
+        H.record_since(None);
+        assert!(snapshot().histograms.is_empty(), "no start, no sample");
+        H.record_since(Some(Instant::now()));
+        assert_eq!(snapshot().histograms[0].count, 1);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! [`Volatile`]: crate::metrics::Stability::Volatile
 
 use crate::enabled;
+use crate::metrics::nanos_since;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -121,7 +122,7 @@ impl Drop for Span {
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             let Some(frame) = stack.pop() else { return };
-            let total_ns = frame.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            let total_ns = nanos_since(frame.start);
             let self_ns = total_ns.saturating_sub(frame.child_ns);
             let mut path = String::new();
             for f in stack.iter() {
@@ -153,7 +154,7 @@ pub fn record_event(name: &'static str, detail: impl Into<String>) {
     if !enabled() {
         return;
     }
-    let t_ns = epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    let t_ns = nanos_since(epoch());
     let mut ring = ring().lock().unwrap();
     let seq = ring.next_seq;
     ring.next_seq += 1;

@@ -95,9 +95,7 @@ impl Drop for InflightGuard {
     fn drop(&mut self) {
         let now = INFLIGHT.fetch_sub(1, Ordering::Relaxed) - 1;
         POOL_INFLIGHT.set(now as f64);
-        if let Some(t0) = self.t0 {
-            POOL_JOB_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        POOL_JOB_NS.record_since(self.t0);
     }
 }
 
@@ -302,15 +300,13 @@ pub fn run(n_chunks: usize, f: impl Fn(usize) + Sync) {
     execute(&job, &POOL_CHUNKS_CALLER);
     // Queue wait: how long the caller blocks on stragglers after running
     // out of chunks to claim itself.
-    let wait_t0 = if tel::enabled() { Some(std::time::Instant::now()) } else { None };
+    let wait_t0 = tel::enabled().then(std::time::Instant::now);
     let mut done = job.done.lock().unwrap();
     while *done < n_chunks {
         done = job.done_cv.wait(done).unwrap();
     }
     drop(done);
-    if let Some(t0) = wait_t0 {
-        POOL_WAIT_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
+    POOL_WAIT_NS.record_since(wait_t0);
     let mut queue = shared.queue.lock().unwrap();
     if let Some(pos) = queue.iter().position(|j| Arc::ptr_eq(j, &job)) {
         queue.remove(pos);

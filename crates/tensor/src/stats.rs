@@ -97,20 +97,30 @@ impl Tensor {
         TopK { indices: idx, values }
     }
 
+    /// The shift of [`Tensor::softmax`] and [`Tensor::log_softmax`]: the
+    /// largest element, skipping NaN (`f32::max` returns its other
+    /// operand), so a NaN input reaches every output through the sum
+    /// instead of panicking.
+    fn softmax_shift(&self) -> f32 {
+        self.as_slice().iter().copied().fold(f32::NEG_INFINITY, f32::max)
+    }
+
     /// Numerically-stable softmax over the flattened tensor.
     ///
-    /// Returns a probability vector: non-negative, summing to 1.
+    /// Returns a probability vector: non-negative, summing to 1. A NaN
+    /// element makes every output NaN.
     pub fn softmax(&self) -> Tensor {
-        let max = self.max();
+        let max = self.softmax_shift();
         let exps: Vec<f32> = self.as_slice().iter().map(|&v| (v - max).exp()).collect();
         let z: f32 = exps.iter().sum();
         Tensor::from_vec(exps.into_iter().map(|e| e / z).collect(), self.shape())
             .expect("softmax preserves shape")
     }
 
-    /// Numerically-stable log-softmax over the flattened tensor.
+    /// Numerically-stable log-softmax over the flattened tensor. A NaN
+    /// element makes every output NaN.
     pub fn log_softmax(&self) -> Tensor {
-        let max = self.max();
+        let max = self.softmax_shift();
         let log_z = self
             .as_slice()
             .iter()
@@ -121,7 +131,8 @@ impl Tensor {
         self.map(|v| v - log_z)
     }
 
-    /// Row-wise softmax of a 2-D tensor (one distribution per row).
+    /// Row-wise softmax of a 2-D tensor (one distribution per row). A NaN
+    /// makes every output of its row NaN and leaves the other rows alone.
     ///
     /// # Panics
     ///
@@ -218,6 +229,15 @@ mod tests {
         assert!((s.row(0).sum() - 1.0).abs() < 1e-6);
         assert!((s.row(1).sum() - 1.0).abs() < 1e-6);
         assert!(s.at(&[1, 0]) > 0.99);
+    }
+
+    #[test]
+    fn a_nan_poisons_its_softmax_row_without_panicking() {
+        let t = Tensor::from_vec(vec![1.0, f32::NAN, 3.0, 0.5, -2.0, 4.0], &[2, 3]).unwrap();
+        let s = t.softmax_rows();
+        assert!(s.row(0).as_slice().iter().all(|p| p.is_nan()));
+        assert_eq!(s.row(1), t.row(1).softmax(), "a finite row keeps its bits");
+        assert!(t.row(0).log_softmax().as_slice().iter().all(|l| l.is_nan()));
     }
 
     #[test]

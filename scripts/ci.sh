@@ -52,7 +52,12 @@ echo "== kernel equivalence (HEALTHMON_THREADS=1/2/7) =="
 # model's and a hand-built net's forward logits, gradients, optimizer and
 # drop-connect steps, state-dict keys and non-finite localization to
 # digests of the build before each layer's parameter list and forward
-# arithmetic were merged. A divergence here
+# arithmetic were merged. The detector's unit tests and
+# tests/campaign_path.rs (run with healthmon) pin every campaign entry
+# point, detection_rates, detection_rates_with on the digital, analog,
+# bit-sliced and IR-dropped specs and detection_rates_resumable across
+# JSON-reloaded legs, rates and Stable telemetry, to values of the build
+# before the three campaign sweeps became one. A divergence here
 # fails CI before any benchmark of these fast paths is taken seriously;
 # the zoo smoke below then compares every model's digital campaign with
 # its golden (tests/golden/zoo_campaign_*.txt).
@@ -63,12 +68,15 @@ for t in 1 2 7; do
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib diagnose > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon-faults > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --test fault_path > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib detect > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --test campaign_path > /dev/null
 done
 echo "ok: integer crossbar kernel, f32 GEMM tiers and blocks, conv unfold/fold and"
 echo "    blocked product, max-pool, diagnosis walk, drift, and every tier of the"
 echo "    block sampler, fused PV/drift and crossbar programming equivalent to"
-echo "    their references, and the fault path and the training path on their"
-echo "    pinned digests, under HEALTHMON_THREADS=1/2/7"
+echo "    their references, and the fault path, the training path, the detector"
+echo "    tests and the campaign path on their pinned values, under"
+echo "    HEALTHMON_THREADS=1/2/7"
 
 echo "== offline clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
