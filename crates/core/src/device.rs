@@ -6,7 +6,8 @@
 //! plus its parity planes; [`AnalogBackend`], the one crossbar backend
 //! (analog or bit-sliced), implements the same [`Device`] surface over
 //! its live conductance state. [`program`] is the only place that tells
-//! digital and crossbar devices apart.
+//! digital and crossbar devices apart; [`restore`] rebuilds a digital
+//! device from a checkpoint.
 
 use crate::error::HealthmonError;
 use crate::runtime::LifetimeConfig;
@@ -44,13 +45,6 @@ pub(crate) trait Device: InferenceBackend + std::fmt::Debug + Send {
     /// The parity planes a checkpoint records (crossbar tile parity is
     /// not checkpointed).
     fn parity_planes(&self) -> &[(String, ParityCheck)];
-    /// Restores a checkpoint's effective weights and digest-verified
-    /// parity planes, which must match those weights.
-    fn restore(
-        &mut self,
-        weights: &[(String, Tensor)],
-        parity: Vec<(String, ParityCheck)>,
-    ) -> Result<(), HealthmonError>;
     fn clone_box(&self) -> Box<dyn Device>;
 }
 
@@ -82,6 +76,42 @@ pub(crate) fn program(
         device.enable_parity();
     }
     device
+}
+
+/// Rebuilds a checkpointed device without programming it: `golden`'s
+/// structure with the checkpoint's effective weights, and its
+/// digest-verified parity planes, which must match those weights. Only
+/// digital devices are checkpointed.
+pub(crate) fn restore(
+    golden: &Network,
+    weights: &[(String, Tensor)],
+    parity: Vec<(String, ParityCheck)>,
+) -> Result<Box<dyn Device>, HealthmonError> {
+    let mut net = golden.clone();
+    net.load_state_dict(weights)
+        .map_err(|e| HealthmonError::CheckpointMismatch(e.to_string()))?;
+    // Checkpoints are taken at an epoch boundary, where the parity
+    // baseline always matches the device: a stored word that disagrees
+    // with the restored weights means either the weights or the parity
+    // were tampered with.
+    for (key, check) in &parity {
+        let (rows, cols) = check.shape();
+        let mut consistent = false;
+        net.for_each_param(|k, tensor| {
+            if k == key {
+                consistent = tensor.len() == rows * cols && check.verify(tensor.as_slice());
+            }
+        });
+        if !consistent {
+            return Err(HealthmonError::CheckpointMismatch(format!(
+                "checkpointed parity for `{key}` does not match the \
+                 restored device weights"
+            )));
+        }
+    }
+    // Nothing was programmed, so there is no mapping to report.
+    let report = DeployReport { mappings: Vec::new(), logit_divergence: None };
+    Ok(Box::new(WeightDevice { net, parity, report }))
 }
 
 /// The digital device: the deployed weight-space network, with parity
@@ -188,37 +218,6 @@ impl Device for WeightDevice {
         &self.parity
     }
 
-    fn restore(
-        &mut self,
-        weights: &[(String, Tensor)],
-        parity: Vec<(String, ParityCheck)>,
-    ) -> Result<(), HealthmonError> {
-        self.net
-            .load_state_dict(weights)
-            .map_err(|e| HealthmonError::CheckpointMismatch(e.to_string()))?;
-        // Checkpoints are taken at an epoch boundary, where the parity
-        // baseline always matches the device: a stored word that
-        // disagrees with the restored weights means either the weights
-        // or the parity were tampered with.
-        for (key, check) in &parity {
-            let (rows, cols) = check.shape();
-            let mut consistent = false;
-            self.net.for_each_param(|k, tensor| {
-                if k == key {
-                    consistent = tensor.len() == rows * cols && check.verify(tensor.as_slice());
-                }
-            });
-            if !consistent {
-                return Err(HealthmonError::CheckpointMismatch(format!(
-                    "checkpointed parity for `{key}` does not match the \
-                     restored device weights"
-                )));
-            }
-        }
-        self.parity = parity;
-        Ok(())
-    }
-
     fn clone_box(&self) -> Box<dyn Device> {
         Box::new(self.clone())
     }
@@ -277,17 +276,6 @@ impl Device for AnalogBackend<'static> {
 
     fn parity_planes(&self) -> &[(String, ParityCheck)] {
         &[]
-    }
-
-    fn restore(
-        &mut self,
-        _weights: &[(String, Tensor)],
-        _parity: Vec<(String, ParityCheck)>,
-    ) -> Result<(), HealthmonError> {
-        Err(HealthmonError::CheckpointMismatch(format!(
-            "the `{}` device cannot restore checkpointed state",
-            self.backend_name()
-        )))
     }
 
     fn clone_box(&self) -> Box<dyn Device> {

@@ -65,16 +65,6 @@ impl Diagnosis {
     pub fn prime_suspect(&self) -> Option<&LayerDiagnosis> {
         self.ranking.first()
     }
-
-    /// Keys of every layer whose substitution distance exceeds
-    /// `threshold` — the set a repair pass should touch.
-    pub fn suspects_above(&self, threshold: f32) -> Vec<&str> {
-        self.ranking
-            .iter()
-            .filter(|l| l.distance.is_poisoned() || l.distance.all_classes > threshold)
-            .map(|l| l.key.as_str())
-            .collect()
-    }
 }
 
 /// Localizes the damage of `device` relative to `golden` using
@@ -493,7 +483,6 @@ mod tests {
         for layer in &d.ranking {
             assert_eq!(layer.distance.all_classes, 0.0, "{} should be clean", layer.key);
         }
-        assert!(d.suspects_above(0.01).is_empty());
     }
 
     #[test]
@@ -526,7 +515,6 @@ mod tests {
         let suspect = d.prime_suspect().unwrap();
         assert_eq!(suspect.key, "layer2.weight");
         assert!(suspect.distance.is_poisoned());
-        assert_eq!(d.suspects_above(f32::MAX), vec!["layer2.weight"]);
     }
 
     #[test]

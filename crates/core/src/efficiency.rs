@@ -73,25 +73,6 @@ pub fn pattern_count_sweep(
         .collect()
 }
 
-/// The smallest pattern count whose std is within `tolerance` (relative)
-/// of the largest-count std — the "converged" count of the paper's Fig 7
-/// discussion. Returns the last count if none converge earlier.
-///
-/// # Panics
-///
-/// Panics if `curve` is empty or `tolerance` is negative.
-pub fn converged_count(curve: &[EfficiencyPoint], tolerance: f32) -> usize {
-    assert!(!curve.is_empty(), "empty efficiency curve");
-    assert!(tolerance >= 0.0, "tolerance must be non-negative");
-    let asymptote = curve.last().expect("non-empty").std_all_classes;
-    for point in curve {
-        if (point.std_all_classes - asymptote).abs() <= tolerance * asymptote.max(f32::EPSILON) {
-            return point.patterns;
-        }
-    }
-    curve.last().expect("non-empty").patterns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,18 +108,6 @@ mod tests {
         let a = pattern_count_sweep(&det, &net, &fault, 8, 3, &[5, 15]);
         let b = pattern_count_sweep(&det, &net, &fault, 8, 3, &[5, 15]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn converged_count_finds_plateau() {
-        let curve = vec![
-            EfficiencyPoint { patterns: 5, std_top_ranked: 0.0, std_all_classes: 0.10, mean_all_classes: 0.1 },
-            EfficiencyPoint { patterns: 10, std_top_ranked: 0.0, std_all_classes: 0.052, mean_all_classes: 0.1 },
-            EfficiencyPoint { patterns: 20, std_top_ranked: 0.0, std_all_classes: 0.050, mean_all_classes: 0.1 },
-        ];
-        assert_eq!(converged_count(&curve, 0.1), 10);
-        assert_eq!(converged_count(&curve, 0.0001), 20);
-        assert_eq!(converged_count(&curve, 2.0), 5);
     }
 
     #[test]

@@ -54,6 +54,7 @@ use healthmon_tensor::{pool, SeededRng};
 use healthmon_telemetry as tel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 // Fleet rollups are pure functions of (config, golden, patterns): chaos
 // draws are keyed by (device, epoch, attempt) and never by thread or
@@ -467,10 +468,10 @@ enum Plan {
 #[derive(Debug)]
 pub struct FleetSupervisor {
     config: FleetConfig,
-    golden: Network,
-    /// The golden responses over the fleet's patterns, recorded once and
-    /// shared by every device (they hold the same golden and patterns).
-    detector: Detector,
+    /// The golden network and its responses over the fleet's patterns,
+    /// held once and shared by every device's runtime and monitor.
+    golden: Arc<Network>,
+    detector: Arc<Detector>,
     devices: Vec<DeviceRecord>,
     fleet_epoch: usize,
     /// Shards reported damaged by the last [`FleetSupervisor::resume`]:
@@ -512,8 +513,8 @@ impl FleetSupervisor {
         config.device.check_pattern_floor(patterns.len())?;
         Ok(FleetSupervisor {
             config,
-            golden: golden.clone(),
-            detector: Detector::new(golden, patterns),
+            golden: Arc::new(golden.clone()),
+            detector: Arc::new(Detector::new(golden, patterns)),
             devices: Vec::new(),
             fleet_epoch: 0,
             damaged_shards: Vec::new(),
@@ -529,7 +530,8 @@ impl FleetSupervisor {
         pool::run_chunks(&mut slots, 1, |id, chunk| {
             if chunk[0].is_none() {
                 let config = config.device_config(id);
-                let runtime = LifetimeRuntime::with_detector(golden, detector.clone(), config, None);
+                let (golden, detector) = (Arc::clone(golden), Arc::clone(detector));
+                let runtime = LifetimeRuntime::with_reference(golden, detector, config, None);
                 chunk[0] = Some(DeviceRecord {
                     id,
                     runtime,
@@ -960,9 +962,9 @@ impl FleetSupervisor {
             .devices
             .into_iter()
             .map(|entry| {
-                let runtime = LifetimeRuntime::resume_with_detector(
-                    &self.golden,
-                    self.detector.clone(),
+                let runtime = LifetimeRuntime::resume_with_reference(
+                    Arc::clone(&self.golden),
+                    Arc::clone(&self.detector),
                     self.config.device_config(entry.id),
                     None,
                     &entry.checkpoint,
@@ -1419,6 +1421,34 @@ mod tests {
         assert_eq!(resumed.fleet_epoch(), 2);
         resumed.run(None);
         assert_eq!(resumed.render_report(), want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every device's runtime and monitor share the fleet's one golden
+    /// network and detector, after a build and after a resume that both
+    /// restores devices and deploys the devices of a torn shard afresh.
+    #[test]
+    fn every_device_shares_the_fleet_reference() {
+        let (net, patterns) = setup(9);
+        let config = small_config(7);
+        let dir = temp_dir("shared_reference");
+        let mut fleet = FleetSupervisor::new(&net, patterns.clone(), config).unwrap();
+        let shares = |fleet: &FleetSupervisor| {
+            fleet.devices.iter().all(|rec| {
+                Arc::ptr_eq(&rec.runtime.golden, &fleet.golden)
+                    && Arc::ptr_eq(&rec.runtime.detector, &fleet.detector)
+                    && std::ptr::eq(rec.runtime.monitor().detector(), &*fleet.detector)
+            })
+        };
+        assert!(shares(&fleet), "a new fleet holds one reference");
+        fleet.run(Some(1));
+        fleet.save_checkpoint(&dir).unwrap();
+        let torn = dir.join("shard-001.json");
+        let bytes = std::fs::read(&torn).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+        let resumed = FleetSupervisor::resume(&net, patterns, config, &dir).unwrap();
+        assert_eq!(resumed.damaged_shards().len(), 1);
+        assert!(shares(&resumed), "a resumed fleet holds one reference");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,6 +13,7 @@ use crate::detect::Detector;
 use crate::error::HealthmonError;
 use healthmon_nn::InferenceBackend;
 use healthmon_telemetry as tel;
+use std::sync::Arc;
 
 // Checkup verdicts follow the deterministic device/checkup sequence, so
 // every monitor tally is Stable.
@@ -124,7 +125,8 @@ impl MonitorPolicy {
     }
 }
 
-/// A stateful health monitor wrapping a [`Detector`].
+/// A stateful health monitor wrapping a [`Detector`], which monitors of
+/// devices holding the same golden reference can share.
 ///
 /// # Example
 ///
@@ -145,7 +147,7 @@ impl MonitorPolicy {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    detector: Detector,
+    detector: Arc<Detector>,
     policy: MonitorPolicy,
     history: Vec<Checkup>,
     pending_state: HealthState,
@@ -159,10 +161,10 @@ impl HealthMonitor {
     /// # Panics
     ///
     /// Panics if the policy is invalid.
-    pub fn new(detector: Detector, policy: MonitorPolicy) -> Self {
+    pub fn new(detector: impl Into<Arc<Detector>>, policy: MonitorPolicy) -> Self {
         policy.validate().unwrap_or_else(|e| panic!("{e}"));
         HealthMonitor {
-            detector,
+            detector: detector.into(),
             policy,
             history: Vec::new(),
             pending_state: HealthState::Healthy,
@@ -195,8 +197,20 @@ impl HealthMonitor {
     /// digital network or any live analog backend — and updates the state
     /// machine.
     pub fn check<B: InferenceBackend + ?Sized>(&mut self, accelerator: &B) -> Checkup {
+        let detector = Arc::clone(&self.detector);
+        self.check_with(&detector, accelerator)
+    }
+
+    /// [`HealthMonitor::check`] against `detector` instead of the wrapped
+    /// one, for this one checkup: a budget-shed epoch checks a subset of
+    /// the patterns without replacing the monitor's detector.
+    pub(crate) fn check_with<B: InferenceBackend + ?Sized>(
+        &mut self,
+        detector: &Detector,
+        accelerator: &B,
+    ) -> Checkup {
         let _span = tel::span("monitor.check");
-        let distance = self.detector.confidence_distance(accelerator);
+        let distance = detector.confidence_distance(accelerator);
         let observed = self.policy.raw_state(distance.all_classes);
         self.transition(observed, distance.is_poisoned());
         let checkup = Checkup { index: self.history.len(), distance, state: self.current };
@@ -257,8 +271,8 @@ impl HealthMonitor {
     /// fully repaired, the lifetime runtime shrinks the pattern budget
     /// ([`Detector::subset`](crate::Detector::subset)) and keeps serving
     /// at reduced assurance.
-    pub fn set_detector(&mut self, detector: Detector) {
-        self.detector = detector;
+    pub fn set_detector(&mut self, detector: impl Into<Arc<Detector>>) {
+        self.detector = detector.into();
     }
 
     /// Captures the full mutable state of the monitor (state machine and
@@ -279,10 +293,14 @@ impl HealthMonitor {
     /// # Panics
     ///
     /// Panics if the policy is invalid.
-    pub fn from_snapshot(detector: Detector, policy: MonitorPolicy, snapshot: MonitorSnapshot) -> Self {
+    pub fn from_snapshot(
+        detector: impl Into<Arc<Detector>>,
+        policy: MonitorPolicy,
+        snapshot: MonitorSnapshot,
+    ) -> Self {
         policy.validate().unwrap_or_else(|e| panic!("{e}"));
         HealthMonitor {
-            detector,
+            detector: detector.into(),
             policy,
             history: snapshot.history,
             pending_state: snapshot.pending_state,

@@ -55,7 +55,7 @@ use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
 use healthmon_tensor::{SeededRng, Tensor};
 use healthmon_telemetry as tel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 // The lifetime is a pure function of (config, golden, patterns), so the
 // event-stream tallies are Stable; only the wall-clock histogram is
@@ -491,9 +491,10 @@ healthmon_serdes::json_codec! {
 #[derive(Debug, Clone)]
 pub struct LifetimeRuntime {
     config: LifetimeConfig,
-    golden: Network,
-    patterns: TestPatternSet,
-    full_detector: Detector,
+    /// The golden network and its detector over the full pattern set:
+    /// the reference every device of a fleet shares.
+    pub(crate) golden: Arc<Network>,
+    pub(crate) detector: Arc<Detector>,
     train: Option<TrainData>,
     device: Box<dyn Device>,
     monitor: HealthMonitor,
@@ -507,12 +508,6 @@ pub struct LifetimeRuntime {
     next_repair_epoch: usize,
     events: Vec<LifetimeEvent>,
     incident: Option<IncidentReport>,
-    /// Transient checkup-depth cap for the *next* epoch, set by
-    /// [`LifetimeRuntime::step_shallow`] (fleet budget shedding). Never
-    /// serialized: a resumed runtime starts with no override, and the
-    /// fleet supervisor re-derives its shedding decisions
-    /// deterministically each epoch.
-    depth_override: Option<usize>,
     /// Per-device health history on the virtual epoch clock. Derived
     /// exclusively from deterministic runtime state, so it is
     /// bit-identical across reruns and thread counts. Never serialized:
@@ -548,25 +543,28 @@ impl LifetimeRuntime {
         config: LifetimeConfig,
         train: Option<TrainData>,
     ) -> Self {
-        LifetimeRuntime::with_detector(golden, Detector::new(golden, patterns), config, train)
+        let detector = Arc::new(Detector::new(golden, patterns));
+        LifetimeRuntime::with_reference(Arc::new(golden.clone()), detector, config, train)
     }
 
-    /// [`LifetimeRuntime::new`] with the golden detector of `golden` over
-    /// its patterns already recorded, as a fleet records it once for all
-    /// its devices.
-    pub(crate) fn with_detector(
-        golden: &Network,
-        detector: Detector,
+    /// [`LifetimeRuntime::new`] on a golden network and its detector over
+    /// the patterns that are already held, as a fleet holds them once for
+    /// all its devices.
+    pub(crate) fn with_reference(
+        golden: Arc<Network>,
+        detector: Arc<Detector>,
         config: LifetimeConfig,
         train: Option<TrainData>,
     ) -> Self {
-        let mut runtime = LifetimeRuntime::build(golden, detector, config, train);
-        let report = runtime.device.deploy_report(runtime.patterns.images());
+        check_inputs(&config, detector.patterns().len(), train.as_ref());
+        let device = device::program(&golden, &config, &mut SeededRng::new(config.seed).fork(0));
+        let mut runtime = LifetimeRuntime::build(golden, detector, config, train, device);
+        let report = runtime.device.deploy_report(runtime.detector.patterns().images());
         runtime.push_event(LifetimeEvent::Deployed {
             tiles: report.total_tiles(),
             mapping_error_l1: report.total_error_l1(),
         });
-        let baseline = runtime.run_checkup();
+        let baseline = runtime.run_checkup(None);
         runtime.push_event(LifetimeEvent::CheckupDone {
             epoch: 0,
             distance: baseline.distance,
@@ -576,50 +574,34 @@ impl LifetimeRuntime {
         runtime
     }
 
-    /// Validates the inputs and programs the device, with `full_detector`
-    /// recorded on `golden` over the runtime's patterns: all of
-    /// [`LifetimeRuntime::new`] but the deploy report, the baseline
-    /// checkup and their events, which a resume takes from its checkpoint
-    /// instead.
+    /// The runtime of a freshly placed `device`, at epoch 0 with no
+    /// event: all of [`LifetimeRuntime::new`] but the programming, the
+    /// deploy report, the baseline checkup and their events, which a
+    /// resume replaces with its checkpoint.
     fn build(
-        golden: &Network,
-        full_detector: Detector,
+        golden: Arc<Network>,
+        detector: Arc<Detector>,
         config: LifetimeConfig,
         train: Option<TrainData>,
+        device: Box<dyn Device>,
     ) -> Self {
-        let patterns = full_detector.patterns().clone();
-        config
-            .validate()
-            .and_then(|()| config.check_pattern_floor(patterns.len()))
-            .unwrap_or_else(|e| panic!("{e}"));
-        if let Some(t) = &train {
-            assert_eq!(
-                t.images.shape()[0],
-                t.labels.len(),
-                "training data needs one label per image"
-            );
-        }
-        let golden = golden.clone();
-        let mut deploy_rng = SeededRng::new(config.seed).fork(0);
-        let device = device::program(&golden, &config, &mut deploy_rng);
-        let layers = golden
-            .state_dict()
-            .into_iter()
-            .filter(|(key, _)| key.ends_with("weight"))
-            .map(|(key, tensor)| LayerState {
-                key,
-                defects: DefectMap::default(),
-                assignment: (0..tensor.shape()[0]).collect(),
-                spares_left: config.spare_columns,
-            })
-            .collect();
-        let monitor = HealthMonitor::new(full_detector.clone(), config.policy);
-        let active_patterns = patterns.len();
+        let mut layers = Vec::new();
+        golden.for_each_param(|key, tensor| {
+            if key.ends_with("weight") {
+                layers.push(LayerState {
+                    key: key.to_owned(),
+                    defects: DefectMap::default(),
+                    assignment: (0..tensor.shape()[0]).collect(),
+                    spares_left: config.spare_columns,
+                });
+            }
+        });
+        let monitor = HealthMonitor::new(Arc::clone(&detector), config.policy);
+        let active_patterns = detector.patterns().len();
         LifetimeRuntime {
             config,
             golden,
-            patterns,
-            full_detector,
+            detector,
             train,
             device,
             monitor,
@@ -633,7 +615,6 @@ impl LifetimeRuntime {
             next_repair_epoch: 0,
             events: Vec::new(),
             incident: None,
-            depth_override: None,
             timeline: tel::HealthTimeline::default(),
             retries: 0,
             flight: None,
@@ -832,11 +813,17 @@ impl LifetimeRuntime {
     ///
     /// Panics if called after [`LifetimeRuntime::is_finished`].
     pub fn step(&mut self) -> HealthState {
+        self.step_at(None)
+    }
+
+    /// [`LifetimeRuntime::step`] with every checkup of the epoch capped at
+    /// `depth` patterns, if given.
+    fn step_at(&mut self, depth: Option<usize>) -> HealthState {
         assert!(!self.is_finished(), "lifetime runtime already finished");
         let epoch = self.epoch + 1;
         let _epoch_span = tel::span("lifetime.epoch");
         let t0 = tel::enabled().then(std::time::Instant::now);
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.epoch_body(epoch)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.epoch_body(epoch, depth)));
         EPOCH_NS.record_since(t0);
         self.epoch = epoch;
         if let Err(payload) = outcome {
@@ -857,10 +844,7 @@ impl LifetimeRuntime {
     ///
     /// Panics if called after [`LifetimeRuntime::is_finished`].
     pub fn step_shallow(&mut self, max_patterns: usize) -> HealthState {
-        self.depth_override = Some(max_patterns.clamp(1, self.patterns.len()));
-        let state = self.step();
-        self.depth_override = None;
-        state
+        self.step_at(Some(max_patterns.clamp(1, self.detector.patterns().len())))
     }
 
     /// The single choke point of the lifetime event stream: appends to
@@ -880,46 +864,35 @@ impl LifetimeRuntime {
 
     /// Runs one concurrent-test checkup against the live device state.
     ///
-    /// An active [`LifetimeRuntime::step_shallow`] override swaps a
-    /// smaller detector in for this single checkup and restores the
-    /// persistent-depth detector afterwards, so budget-shed epochs never
-    /// leak into the runtime's durable degradation state.
-    fn run_checkup(&mut self) -> Checkup {
+    /// A `depth` below the active pattern budget (a
+    /// [`LifetimeRuntime::step_shallow`] epoch) checks only that many
+    /// patterns, for this one checkup: the monitor keeps its detector, so
+    /// budget-shed epochs never leak into the runtime's durable
+    /// degradation state.
+    fn run_checkup(&mut self, depth: Option<usize>) -> Checkup {
         let _span = tel::span("lifetime.checkup");
-        let shallow = self.depth_override.filter(|&k| k < self.active_patterns);
-        if let Some(k) = shallow {
-            let detector = self
-                .full_detector
-                .subset(k)
-                .expect("step_shallow clamps the depth into 1..=len");
-            self.monitor.set_detector(detector);
-        }
+        let shallow = depth.filter(|&k| k < self.active_patterns).map(|k| {
+            self.detector.subset(k).expect("step_shallow clamps the depth into 1..=len")
+        });
         let t0 = tel::enabled().then(std::time::Instant::now);
-        let checkup = self.monitor.check(&*self.device);
+        let checkup = match &shallow {
+            Some(detector) => self.monitor.check_with(detector, &*self.device),
+            None => self.monitor.check(&*self.device),
+        };
         PHASE_DETECTOR_NS.record_since(t0);
-        if shallow.is_some() {
-            let detector = if self.active_patterns < self.patterns.len() {
-                self.full_detector
-                    .subset(self.active_patterns)
-                    .expect("active_patterns is kept in 1..=len")
-            } else {
-                self.full_detector.clone()
-            };
-            self.monitor.set_detector(detector);
-        }
         checkup
     }
 
-    fn epoch_body(&mut self, epoch: usize) {
+    fn epoch_body(&mut self, epoch: usize, depth: Option<usize>) {
         self.age(epoch);
-        let checkup = self.run_checkup();
+        let checkup = self.run_checkup(depth);
         self.push_event(LifetimeEvent::CheckupDone {
             epoch,
             distance: checkup.distance,
             state: checkup.state,
         });
         if checkup.state >= self.config.trigger && epoch >= self.next_repair_epoch {
-            self.repair_session(epoch);
+            self.repair_session(epoch, depth);
         }
         self.record_timeline(epoch);
     }
@@ -957,9 +930,9 @@ impl LifetimeRuntime {
         }
         let mut new_stuck = 0usize;
         if aging.stuck_lambda > 0.0 {
-            let weights: Vec<Tensor> =
+            let weights: Vec<&Tensor> =
                 self.layers.iter().map(|l| param(&self.golden, &l.key)).collect();
-            let total_cells: usize = weights.iter().map(Tensor::len).sum();
+            let total_cells: usize = weights.iter().map(|w| w.len()).sum();
             for (li, (layer, w)) in self.layers.iter_mut().zip(&weights).enumerate() {
                 let (rows, cols) = (w.shape()[0], w.shape()[1]);
                 let lambda = aging.stuck_lambda * (rows * cols) as f64 / total_cells as f64;
@@ -1016,10 +989,10 @@ impl LifetimeRuntime {
     }
 
     /// One repair session: diagnose, then walk the escalating ladder,
-    /// re-validating after each rung. Success acknowledges the repair;
-    /// failure schedules an exponential backoff; exhausting the lifetime
-    /// budget parks the runtime.
-    fn repair_session(&mut self, epoch: usize) {
+    /// re-validating after each rung at the epoch's checkup `depth`.
+    /// Success acknowledges the repair; failure schedules an exponential
+    /// backoff; exhausting the lifetime budget parks the runtime.
+    fn repair_session(&mut self, epoch: usize, depth: Option<usize>) {
         let _span = tel::span("lifetime.repair_session");
         let t0 = tel::enabled().then(std::time::Instant::now);
         let diagnosis = diagnose(self.monitor.detector(), &self.golden, &*self.device);
@@ -1063,7 +1036,7 @@ impl LifetimeRuntime {
                 // the next scrub protects the repaired state.
                 self.device.refresh_parity();
             }
-            let checkup = self.run_checkup();
+            let checkup = self.run_checkup(depth);
             let success = checkup.state < self.config.trigger;
             self.push_event(LifetimeEvent::RepairAttempted {
                 epoch,
@@ -1106,7 +1079,7 @@ impl LifetimeRuntime {
             layer.assignment = if layer.defects.is_empty() {
                 (0..layer.assignment.len()).collect()
             } else {
-                remap_rows(&param(device.network(), &layer.key), &layer.defects).assignment
+                remap_rows(param(device.network(), &layer.key), &layer.defects).assignment
             };
         }
         self.device = device;
@@ -1128,7 +1101,7 @@ impl LifetimeRuntime {
         let Some(key) = target else { return };
         let golden_w = param(&self.golden, &key);
         let layer = self.layers.iter_mut().find(|l| l.key == key).expect("target layer exists");
-        let spare = repair_with_spares(&golden_w, &layer.defects, layer.spares_left);
+        let spare = repair_with_spares(golden_w, &layer.defects, layer.spares_left);
         layer.spares_left -= spare.replaced_columns.len();
         let surviving: Vec<StuckCell> = layer
             .defects
@@ -1138,7 +1111,7 @@ impl LifetimeRuntime {
             .filter(|c| !spare.replaced_columns.contains(&c.col))
             .collect();
         layer.defects = DefectMap::new(surviving);
-        let remap = remap_rows(&golden_w, &layer.defects);
+        let remap = remap_rows(golden_w, &layer.defects);
         layer.assignment = remap.assignment;
         self.device.write_layer(&key, &remap.repaired_weights, &mut self.repair_rng());
         self.clamp_defects();
@@ -1189,8 +1162,7 @@ impl LifetimeRuntime {
     fn degrade(&mut self, epoch: usize) {
         let k = (self.active_patterns / 2).max(self.config.min_patterns);
         self.active_patterns = k;
-        let detector =
-            self.full_detector.subset(k).expect("degradation stays within 1..=len");
+        let detector = self.detector.subset(k).expect("degradation stays within 1..=len");
         self.monitor.set_detector(detector);
         self.push_event(LifetimeEvent::Degraded { epoch, patterns: k });
     }
@@ -1254,7 +1226,7 @@ impl LifetimeRuntime {
         out.push_str(&format!(
             "active patterns: {}/{}\n",
             self.active_patterns,
-            self.patterns.len()
+            self.detector.patterns().len()
         ));
         out.push_str("events:\n");
         for event in &self.events {
@@ -1315,9 +1287,9 @@ impl LifetimeRuntime {
 
     /// The identity of this runtime's inputs, stored in its checkpoints.
     fn identity(&self) -> Identity {
-        *self
-            .identity
-            .get_or_init(|| Identity::of(self.config.digest(), &self.golden, &self.patterns))
+        *self.identity.get_or_init(|| {
+            Identity::of(self.config.digest(), &self.golden, self.detector.patterns())
+        })
     }
 
     /// Rebuilds a runtime from a checkpoint produced by
@@ -1344,15 +1316,17 @@ impl LifetimeRuntime {
         train: Option<TrainData>,
         checkpoint: &str,
     ) -> Result<Self, HealthmonError> {
-        let detector = Detector::new(golden, patterns);
-        LifetimeRuntime::resume_with_detector(golden, detector, config, train, checkpoint)
+        let detector = Arc::new(Detector::new(golden, patterns));
+        let golden = Arc::new(golden.clone());
+        LifetimeRuntime::resume_with_reference(golden, detector, config, train, checkpoint)
     }
 
-    /// [`LifetimeRuntime::resume`] with the golden detector already
-    /// recorded, as [`LifetimeRuntime::with_detector`] takes it.
-    pub(crate) fn resume_with_detector(
-        golden: &Network,
-        detector: Detector,
+    /// [`LifetimeRuntime::resume`] on a reference already held, as
+    /// [`LifetimeRuntime::with_reference`] takes it. The checkpoint is
+    /// verified, then its device restored: nothing is programmed.
+    pub(crate) fn resume_with_reference(
+        golden: Arc<Network>,
+        detector: Arc<Detector>,
         config: LifetimeConfig,
         train: Option<TrainData>,
         checkpoint: &str,
@@ -1371,26 +1345,39 @@ impl LifetimeRuntime {
                 "unknown checkpoint format `{format}` (expected `{CHECKPOINT_FORMAT}`)"
             )));
         }
-        // Everything the deploy report and baseline checkup of `new`
-        // would produce, the checkpoint overwrites.
-        let mut runtime = LifetimeRuntime::build(golden, detector, config, train);
-        runtime.identity().verify(&value, "configuration", &runtime.golden)?;
+        check_inputs(&config, detector.patterns().len(), train.as_ref());
+        let identity = Identity::of(config.digest(), &golden, detector.patterns());
+        identity.verify(&value, "configuration", &golden)?;
         let body = CheckpointBody::from_json(&value)?;
+        let (mut soft, mut parity) = ((0, 0), Vec::new());
+        if config.hardened {
+            let hardened = HardenedState::from_json(&value)?;
+            if !hardened.hardened {
+                return Err(HealthmonError::CheckpointMismatch(
+                    "the checkpoint was written by an unhardened runtime".to_owned(),
+                ));
+            }
+            soft = (hardened.soft_corrected, hardened.soft_uncorrectable);
+            parity = hardened.parity.into_iter().map(ParityPlane::into_entry).collect();
+            check_digest(hardened.parity_digest, parity_digest(&parity), "parity state")?;
+        }
+        let device = device::restore(&golden, &body.device, parity)?;
+        let mut runtime = LifetimeRuntime::build(golden, detector, config, train, device);
+        runtime.identity = OnceLock::from(identity);
         runtime.check_layers(&body.layers)?;
-        if body.active_patterns == 0 || body.active_patterns > runtime.patterns.len() {
+        let full = runtime.detector.patterns().len();
+        if body.active_patterns == 0 || body.active_patterns > full {
             return Err(HealthmonError::CheckpointMismatch(format!(
-                "active pattern count {} outside 1..={}",
-                body.active_patterns,
-                runtime.patterns.len()
+                "active pattern count {} outside 1..={full}",
+                body.active_patterns
             )));
         }
-        let detector = if body.active_patterns < runtime.patterns.len() {
-            runtime.full_detector.subset(body.active_patterns)?
+        let detector = if body.active_patterns < full {
+            Arc::new(runtime.detector.subset(body.active_patterns)?)
         } else {
-            runtime.full_detector.clone()
+            Arc::clone(&runtime.detector)
         };
-        let policy = runtime.config.policy;
-        runtime.monitor = HealthMonitor::from_snapshot(detector, policy, body.monitor);
+        runtime.monitor = HealthMonitor::from_snapshot(detector, config.policy, body.monitor);
         runtime.layers = body.layers;
         runtime.epoch = body.epoch;
         runtime.active_patterns = body.active_patterns;
@@ -1399,20 +1386,7 @@ impl LifetimeRuntime {
         runtime.next_repair_epoch = body.next_repair_epoch;
         runtime.events = body.events;
         runtime.incident = body.incident;
-        let mut parity = Vec::new();
-        if runtime.config.hardened {
-            let hardened = HardenedState::from_json(&value)?;
-            if !hardened.hardened {
-                return Err(HealthmonError::CheckpointMismatch(
-                    "the checkpoint was written by an unhardened runtime".to_owned(),
-                ));
-            }
-            runtime.soft_corrected = hardened.soft_corrected;
-            runtime.soft_uncorrectable = hardened.soft_uncorrectable;
-            parity = hardened.parity.into_iter().map(ParityPlane::into_entry).collect();
-            check_digest(hardened.parity_digest, parity_digest(&parity), "parity state")?;
-        }
-        runtime.device.restore(&body.device, parity)?;
+        (runtime.soft_corrected, runtime.soft_uncorrectable) = soft;
         Ok(runtime)
     }
 
@@ -1435,7 +1409,7 @@ impl LifetimeRuntime {
             )));
         }
         for layer in restored {
-            let shape = param(&self.golden, &layer.key).shape().to_vec();
+            let shape = param(&self.golden, &layer.key).shape();
             let (rows, cols) = (shape[0], shape[1]);
             let mut seen = vec![false; rows];
             let repeated_or_out_of_range = layer
@@ -1467,14 +1441,28 @@ impl LifetimeRuntime {
 /// Checkpoint format tag; bumped on incompatible layout changes.
 const CHECKPOINT_FORMAT: &str = "healthmon-lifetime-checkpoint-v1";
 
-fn param(net: &Network, key: &str) -> Tensor {
-    let mut found = None;
-    net.for_each_param(|k, t| {
-        if k == key {
-            found = Some(t.clone());
-        }
-    });
-    found.unwrap_or_else(|| panic!("parameter `{key}` exists"))
+/// Panics like [`LifetimeRuntime::new`] on inputs it refuses: an invalid
+/// config, a pattern set below the degradation floor, or training data
+/// without one label per image.
+fn check_inputs(config: &LifetimeConfig, patterns: usize, train: Option<&TrainData>) {
+    config
+        .validate()
+        .and_then(|()| config.check_pattern_floor(patterns))
+        .unwrap_or_else(|e| panic!("{e}"));
+    if let Some(t) = train {
+        assert_eq!(t.images.shape()[0], t.labels.len(), "training data needs one label per image");
+    }
+}
+
+/// The parameter a state-dict key `layer{i}.{name}` names.
+fn param<'a>(net: &'a Network, key: &str) -> &'a Tensor {
+    key.strip_prefix("layer")
+        .and_then(|rest| rest.split_once('.'))
+        .and_then(|(index, name)| {
+            let layer = net.layers().get(index.parse::<usize>().ok()?)?;
+            layer.params().into_iter().find(|(n, _)| n == name).map(|(_, t)| t)
+        })
+        .unwrap_or_else(|| panic!("parameter `{key}` exists"))
 }
 
 /// Inverts a logical→physical row assignment.
@@ -2220,6 +2208,19 @@ mod tests {
             runtime.repairs_used += 1;
             runtime.retrain(runtime.epoch);
             assert_stuck_cells_frozen(&runtime, step, &format!("{name} retrain"));
+        }
+    }
+
+    /// `param` finds the very tensor `for_each_param` names each key
+    /// after, by reference, nested keys (`layer3.conv1.weight`,
+    /// `layer0.wq.weight`) included.
+    #[test]
+    fn param_resolves_every_key_of_every_zoo_model() {
+        for spec in healthmon_nn::zoo::ZOO {
+            let net = spec.build(&mut SeededRng::new(3));
+            net.for_each_param(|key, tensor| {
+                assert!(std::ptr::eq(param(&net, key), tensor), "{}: {key}", spec.name);
+            });
         }
     }
 

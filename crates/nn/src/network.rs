@@ -341,11 +341,6 @@ impl Network {
         }
     }
 
-    /// Predicted class (argmax of logits) for a single sample.
-    pub fn predict(&mut self, sample: &Tensor) -> usize {
-        self.forward_single(sample).argmax()
-    }
-
     /// Calls `f(key, tensor)` for every trainable parameter, with stable
     /// keys of the form `layer{idx}.{name}` (e.g. `layer0.weight`).
     pub fn for_each_param(&self, mut f: impl FnMut(&str, &Tensor)) {

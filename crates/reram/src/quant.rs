@@ -108,16 +108,6 @@ impl Quantizer {
         ((clamped - self.lo) / self.step).round() as u32
     }
 
-    /// The value of level `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= levels()`.
-    pub fn value_of(&self, index: u32) -> f32 {
-        assert!(index < self.levels, "level index {index} out of range");
-        self.lo + index as f32 * self.step
-    }
-
     /// Quantizes a slice in place. Bit-identical to mapping
     /// [`Self::quantize`] over the slice, but grids with fewer than 2²²
     /// levels (every converter the config validator admits) take a
@@ -169,14 +159,6 @@ mod tests {
         for i in 0..=100 {
             let v = i as f32 / 100.0;
             assert!((q.quantize(v) - v).abs() <= half + 1e-6);
-        }
-    }
-
-    #[test]
-    fn index_value_round_trip() {
-        let q = Quantizer::new(-2.0, 2.0, 4);
-        for idx in 0..q.levels() {
-            assert_eq!(q.index_of(q.value_of(idx)), idx);
         }
     }
 

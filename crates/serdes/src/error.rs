@@ -4,7 +4,7 @@ use crate::value::Json;
 use std::error::Error;
 use std::fmt;
 
-/// An error from JSON parsing, conversion, or file IO.
+/// An error from JSON parsing or conversion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JsonError {
     /// The text is not valid JSON.
@@ -26,8 +26,6 @@ pub enum JsonError {
     /// A value was structurally valid JSON but semantically out of range
     /// for the target (e.g. a negative count, an unknown enum tag).
     Invalid(String),
-    /// Reading or writing the underlying file failed.
-    Io(String),
 }
 
 impl JsonError {
@@ -54,7 +52,6 @@ impl fmt::Display for JsonError {
             }
             JsonError::MissingField(key) => write!(f, "missing JSON field `{key}`"),
             JsonError::Invalid(message) => write!(f, "invalid JSON value: {message}"),
-            JsonError::Io(message) => write!(f, "i/o error: {message}"),
         }
     }
 }

@@ -60,51 +60,3 @@ pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
 pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
     T::from_json(&parse(text)?)
 }
-
-/// Serializes a value as JSON to a file.
-///
-/// # Errors
-///
-/// Returns a [`JsonError::Io`] if the file cannot be written.
-pub fn write_file<T: ToJson + ?Sized>(
-    path: impl AsRef<std::path::Path>,
-    value: &T,
-) -> Result<(), JsonError> {
-    std::fs::write(path.as_ref(), to_string(value))
-        .map_err(|e| JsonError::Io(format!("{}: {e}", path.as_ref().display())))
-}
-
-/// Reads a JSON file and converts it to `T`.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] if the file cannot be read, parsed, or does not
-/// match the expected schema.
-pub fn read_file<T: FromJson>(path: impl AsRef<std::path::Path>) -> Result<T, JsonError> {
-    let text = std::fs::read_to_string(path.as_ref())
-        .map_err(|e| JsonError::Io(format!("{}: {e}", path.as_ref().display())))?;
-    from_str(&text)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("healthmon_serdes_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("value.json");
-        let v: Vec<(String, f32)> = vec![("a".into(), 1.5), ("b".into(), -2.0)];
-        write_file(&path, &v).unwrap();
-        let back: Vec<(String, f32)> = read_file(&path).unwrap();
-        assert_eq!(v, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        let r: Result<Vec<f32>, JsonError> = read_file("/nonexistent/healthmon.json");
-        assert!(matches!(r, Err(JsonError::Io(_))));
-    }
-}

@@ -57,8 +57,15 @@ echo "== kernel equivalence (HEALTHMON_THREADS=1/2/7) =="
 # point, detection_rates, detection_rates_with on the digital, analog,
 # bit-sliced and IR-dropped specs and detection_rates_resumable across
 # JSON-reloaded legs, rates and Stable telemetry, to values of the build
-# before the three campaign sweeps became one. A divergence here
-# fails CI before any benchmark of these fast paths is taken seriously;
+# before the three campaign sweeps became one. The runtime, fleet and
+# monitor unit tests and tests/lifetime_path.rs (run with healthmon) pin
+# the reports, checkpoints and Stable telemetry of lifetimes that repair
+# and degrade on the digital, analog and bit-sliced backends, a degraded
+# lifetime resumed and stepped at a shed checkup depth, and a fleet under
+# a budget that sheds depth and devices (its report, shards and resumed
+# report), to values of the build before the fleet held one golden
+# reference and resumes restored instead of reprogramming. A divergence
+# here fails CI before any benchmark of these fast paths is taken seriously;
 # the zoo smoke below then compares every model's digital campaign with
 # its golden (tests/golden/zoo_campaign_*.txt).
 for t in 1 2 7; do
@@ -70,13 +77,17 @@ for t in 1 2 7; do
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --test fault_path > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib detect > /dev/null
     HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --test campaign_path > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib runtime > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib fleet > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --lib monitor > /dev/null
+    HEALTHMON_THREADS=$t cargo test -q --offline -p healthmon --test lifetime_path > /dev/null
 done
 echo "ok: integer crossbar kernel, f32 GEMM tiers and blocks, conv unfold/fold and"
 echo "    blocked product, max-pool, diagnosis walk, drift, and every tier of the"
 echo "    block sampler, fused PV/drift and crossbar programming equivalent to"
 echo "    their references, and the fault path, the training path, the detector"
-echo "    tests and the campaign path on their pinned values, under"
-echo "    HEALTHMON_THREADS=1/2/7"
+echo "    tests and the campaign path, the runtime, fleet and monitor tests and"
+echo "    the lifetime path on their pinned values, under HEALTHMON_THREADS=1/2/7"
 
 echo "== offline clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -337,7 +348,16 @@ for t in 1 2 7; do
 done
 cmp "$fleet_dir/clean_1.txt" "$fleet_dir/clean_2.txt"
 cmp "$fleet_dir/clean_1.txt" "$fleet_dir/clean_7.txt"
-echo "ok: clean fleet byte-identical under HEALTHMON_THREADS=1/2/7"
+# So is a fleet whose pattern budget sheds checkup depth (shallow epochs)
+# and whole devices.
+for t in 1 2 7; do
+    HEALTHMON_THREADS=$t "$hm" fleet --devices 24 --epochs 4 --seed 11 --budget 40 \
+        > "$fleet_dir/budget_$t.txt"
+done
+cmp "$fleet_dir/budget_1.txt" "$fleet_dir/budget_2.txt"
+cmp "$fleet_dir/budget_1.txt" "$fleet_dir/budget_7.txt"
+grep -q "shed: [1-9][0-9]* shallow epochs, [1-9][0-9]* skipped epochs" "$fleet_dir/budget_1.txt"
+echo "ok: clean and budget-shed fleets byte-identical under HEALTHMON_THREADS=1/2/7"
 # 200 devices under chaos (panics, stalls, poisoned distances, checkpoint
 # truncation): the run must complete with exit 0/2 — never a process
 # abort — quarantine the repeat offenders, and stay deterministic.

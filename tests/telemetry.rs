@@ -21,8 +21,9 @@
 //!    whole vector blocks, and the ADC and row-block counters still see
 //!    the real batch alone.
 //! 7. **Resume deploys only what it lost** — a fleet resume restores its
-//!    shards without deploying anything, and deploys fresh exactly the
-//!    devices of a damaged shard.
+//!    shards without deploying or programming anything, and deploys and
+//!    programs fresh exactly the devices of a damaged shard; a lifetime
+//!    resume programs nothing either.
 
 use healthmon::{
     AgingModel, AnalogBackend, BackendSpec, CrossbarConfig, Detector, FleetConfig,
@@ -357,19 +358,39 @@ fn fleet_resume_deploys_only_the_devices_of_damaged_shards() {
     let mut fleet = FleetSupervisor::new(&net, patterns.clone(), config).unwrap();
     fleet.run(Some(1));
     fleet.save_checkpoint(&dir).unwrap();
-    // (damaged shards, devices deployed) of one resume.
+    // (damaged shards, devices deployed, tiles and cells programmed) of
+    // one resume.
     let resume = || {
         tel::reset();
         tel::set_enabled(true);
         let resumed = FleetSupervisor::resume(&net, patterns.clone(), config, &dir).unwrap();
-        let deployed = counter(&tel::snapshot(), "lifetime.events.deployed");
+        let snapshot = tel::snapshot();
         tel::set_enabled(false);
-        (resumed.damaged_shards().len(), deployed)
+        let count = |name| counter(&snapshot, name);
+        (
+            resumed.damaged_shards().len(),
+            count("lifetime.events.deployed"),
+            count("reram.program.tiles"),
+            count("reram.program.cells"),
+        )
     };
-    assert_eq!(resume(), (0, 0), "a healthy checkpoint deploys nothing");
+    assert_eq!(resume(), (0, 0, 0, 0), "a healthy checkpoint deploys and programs nothing");
     let torn = dir.join("shard-001.json");
     let bytes = std::fs::read(&torn).unwrap();
     std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
-    assert_eq!(resume(), (1, 2), "a torn shard deploys exactly its own devices");
+    // Each fresh device programs two tiles: 8x12 and 12x4 cells.
+    assert_eq!(resume(), (1, 2, 4, 288), "a torn shard deploys exactly its own devices");
     std::fs::remove_dir_all(&dir).ok();
+
+    // A lifetime resume restores its device without programming it.
+    let config = LifetimeConfig { epochs: 3, ..LifetimeConfig::default() };
+    let mut runtime = LifetimeRuntime::new(&net, patterns.clone(), config, None);
+    runtime.run(Some(1));
+    let checkpoint = runtime.checkpoint_json();
+    tel::reset();
+    tel::set_enabled(true);
+    LifetimeRuntime::resume(&net, patterns, config, None, &checkpoint).unwrap();
+    let tiles = counter(&tel::snapshot(), "reram.program.tiles");
+    tel::set_enabled(false);
+    assert_eq!(tiles, 0, "a lifetime resume programs no tile");
 }
